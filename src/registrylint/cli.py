@@ -312,8 +312,16 @@ def cmd_report(args) -> int:
     return EXIT_CLEAN
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep the exit-code contract: exit 2, one JSON line on stdout."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": message}, sort_keys=True))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="registrylint",
         description="Validate energy-unit registry tables against the data-test catalog.",
     )
@@ -367,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, IngestError, GeometryError, SynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL
 
 

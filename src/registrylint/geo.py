@@ -6,18 +6,36 @@ so no ellipsoid is needed. Polygon edges are treated as straight lines in
 latitude/longitude space, matching how the boundary files are drawn and
 how ray casting interprets them. Points exactly on an edge count as
 inside.
+
+Each region builds its query structures on its first query (a region
+that is never queried costs nothing): a latitude-slab edge index for ray
+casting, after Haines, "Point in Polygon Strategies" (Graphics Gems IV,
+1994), and the lat/lon bounding box of every edge, which bounds the
+clearance search from below.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 EARTH_RADIUS_M = 6_371_008.8
 
 # Segments longer than this are split at their lat/lon midpoint before the
 # local-projection minimization; keeps the projection error negligible.
 _SEGMENT_SPLIT_M = 25_000.0
+
+# Ray casting: about this many edges per latitude slab.
+_EDGES_PER_SLAB = 4
+# A clearance lower bound is shrunk by this share and these meters, far
+# more than float rounding in haversine_m (worst near the antipode) and in
+# the interpolated segment points can move a distance, so a bound never
+# exceeds the distance it bounds.
+_BOUND_SLACK = 1e-6
+_BOUND_SLACK_M = 1e-3
 
 LatLon = tuple[float, float]
 Ring = tuple[LatLon, ...]
@@ -42,6 +60,10 @@ def _check_ring(ring: Ring, where: str) -> Ring:
         raise GeometryError(f"ring with fewer than 4 vertices in {where}")
     if ring[0] != ring[-1]:
         raise GeometryError(f"unclosed ring in {where}")
+    # Comparisons with NaN are false, so this also rejects non-finite values.
+    for lat, lon in ring:
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise GeometryError(f"vertex at lat {lat!r}, lon {lon!r} outside WGS84 bounds in {where}")
     return ring
 
 
@@ -73,6 +95,8 @@ class Region:
     name: str
     polygons: tuple[PolygonGeom, ...]
     degenerate: bool = field(init=False, default=False)
+    # Query structures, built by _prepare() on the first query.
+    _prepared: _Prepared | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.polygons:
@@ -105,30 +129,97 @@ class BoundarySet:
         return len(self.regions)
 
 
-def _point_in_rings(lat: float, lon: float, rings) -> bool:
-    """Even-odd ray cast over all rings; points on an edge count inside."""
-    inside = False
-    for ring in rings:
-        for i in range(len(ring) - 1):
-            alat, alon = ring[i]
-            blat, blon = ring[i + 1]
-            # On-edge test: collinear and within the segment's bbox.
-            if (
-                min(alat, blat) <= lat <= max(alat, blat)
-                and min(alon, blon) <= lon <= max(alon, blon)
-            ):
-                cross = (blon - alon) * (lat - alat) - (blat - alat) * (lon - alon)
-                if abs(cross) <= 1e-12:
-                    return True
-            if (alat > lat) != (blat > lat):
-                xint = alon + (lat - alat) * (blon - alon) / (blat - alat)
-                if lon < xint:
-                    inside = not inside
-    return inside
+class _Prepared:
+    """A region's query structures, compact enough to keep for every region.
+
+    vertices concatenates the region's rings, sharing their vertex tuples;
+    edge i runs from vertices[i] to vertices[i + 1] and never joins two
+    rings. edges lists every edge i, and edge_box[5n:5n + 5] = (latlo,
+    lathi, lonlo, lonhi, cos_min) is the bounding box of edges[n], where
+    cos_min is the lesser cosine of its ends' latitudes. Polygon part p
+    starts at vertex part_start[p]. The edges whose latitude range meets
+    slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
+    """
+
+    __slots__ = ("vertices", "part_start", "edges", "edge_box", "lat0", "lat1", "slab_scale", "slab_start",
+                 "slab_edges")
+
+    def __init__(self, region: Region):
+        vertices: list[LatLon] = []
+        part_start = []
+        edges: list[int] = []
+        for poly in region.polygons:
+            part_start.append(len(vertices))
+            for ring in poly.rings():
+                first = len(vertices)
+                vertices.extend(ring)
+                edges.extend(range(first, len(vertices) - 1))
+        lats = [lat for lat, _ in vertices]
+        # cos is concave over [-90, 90], so its least value on an edge is at an end.
+        cosines = [math.cos(math.radians(lat)) for lat in lats]
+        edge_box = array("d")
+        for i in edges:
+            (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
+            edge_box.extend((min(alat, blat), max(alat, blat), min(alon, blon), max(alon, blon),
+                             min(cosines[i], cosines[i + 1])))
+        lat0 = min(lats)
+        lat1 = max(lats)
+        count = max(1, len(edges) // _EDGES_PER_SLAB)
+        scale = count / (lat1 - lat0) if lat1 > lat0 else 0.0
+        # A latitude in [lat0, lat1] falls in slab int((lat - lat0) * scale),
+        # at most count after rounding. The slab is monotone in lat, so an
+        # edge spans the slabs between its ends' slabs, and a query latitude
+        # within an edge's latitude range finds the edge in its own slab.
+        slab_of = [int((lat - lat0) * scale) for lat in lats]
+        slabs: list[list[int]] = [[] for _ in range(count + 1)]
+        for i in edges:
+            ka, kb = slab_of[i], slab_of[i + 1]
+            if ka == kb:
+                slabs[ka].append(i)
+            else:
+                for k in range(min(ka, kb), max(ka, kb) + 1):
+                    slabs[k].append(i)
+        self.vertices = tuple(vertices)
+        self.part_start = tuple(part_start)
+        self.edges = array("I", edges)
+        self.edge_box = edge_box
+        self.lat0, self.lat1, self.slab_scale = lat0, lat1, scale
+        self.slab_start = array("I", accumulate(map(len, slabs), initial=0))
+        self.slab_edges = array("I", chain.from_iterable(slabs))
 
 
-def point_in_polygon(lat: float, lon: float, poly: PolygonGeom) -> bool:
-    return _point_in_rings(lat, lon, poly.rings())
+def _prepare(region: Region) -> _Prepared:
+    prepared = _Prepared(region)
+    object.__setattr__(region, "_prepared", prepared)
+    return prepared
+
+
+def point_in_region(lat: float, lon: float, region: Region) -> bool:
+    """Even-odd ray cast per polygon part (outer ring plus holes), over the
+    edges of the query latitude's slab only. Inside if any part contains
+    the point; points on an edge count inside."""
+    prep = region._prepared or _prepare(region)
+    if not prep.lat0 <= lat <= prep.lat1:
+        return False
+    k = int((lat - prep.lat0) * prep.slab_scale)
+    vertices = prep.vertices
+    parity = 0  # one bit per polygon part
+    for i in prep.slab_edges[prep.slab_start[k] : prep.slab_start[k + 1]]:
+        alat, alon = vertices[i]
+        blat, blon = vertices[i + 1]
+        # On-edge test: collinear and within the segment's bbox.
+        if (
+            min(alat, blat) <= lat <= max(alat, blat)
+            and min(alon, blon) <= lon <= max(alon, blon)
+        ):
+            cross = (blon - alon) * (lat - alat) - (blat - alat) * (lon - alon)
+            if abs(cross) <= 1e-12:
+                return True
+        if (alat > lat) != (blat > lat):
+            xint = alon + (lat - alat) * (blon - alon) / (blat - alat)
+            if lon < xint:
+                parity ^= 1 << bisect_right(prep.part_start, i)
+    return parity != 0
 
 
 def _segment_distance_m(lat: float, lon: float, a: LatLon, b: LatLon) -> float:
@@ -185,15 +276,52 @@ def _wrap_degrees(dlon: float) -> float:
     return dlon
 
 
+def _box_bound_m(
+    lat: float, lon: float, coslat: float,
+    latlo: float, lathi: float, lonlo: float, lonhi: float, cos_min: float,
+) -> float:
+    """A lower bound on the haversine distance from the point to any point
+    of the lat/lon box, for a query and a box within WGS84 bounds.
+
+    The haversine term sin^2(dlat/2) is at least that of the latitude gap,
+    and cos(lat) cos(lat') sin^2(dlon/2) at least coslat * cos_min times
+    that of the longitude gap, measured the short way round the globe.
+    """
+    if lat < latlo:
+        dlat = latlo - lat
+    elif lat > lathi:
+        dlat = lat - lathi
+    else:
+        dlat = 0.0
+    east = (lon - lonlo) % 360.0  # how far east of the box's west edge
+    dlon = 0.0 if east <= lonhi - lonlo else min(360.0 - east, (lon - lonhi) % 360.0)
+    a = math.sin(math.radians(dlat) / 2.0) ** 2 + coslat * cos_min * math.sin(math.radians(dlon) / 2.0) ** 2
+    distance = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    return distance * (1.0 - _BOUND_SLACK) - _BOUND_SLACK_M
+
+
 def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
-    """Distance to the nearest ring of the region, ignoring containment."""
+    """Distance to the nearest ring of the region, ignoring containment.
+
+    Visits segments in ascending order of a lower bound on their distance
+    and stops once the next bound exceeds the best distance found. The
+    result is the minimum of _segment_distance_m over every segment, bit
+    for bit.
+    """
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ValueError(f"query at lat {lat!r}, lon {lon!r} outside WGS84 bounds")
+    prep = region._prepared or _prepare(region)
+    vertices = prep.vertices
+    coslat = math.cos(math.radians(lat))
+    box = prep.edge_box
+    bounds = [_box_bound_m(lat, lon, coslat, *box[5 * n : 5 * n + 5]) for n in range(len(prep.edges))]
     best = math.inf
-    for poly in region.polygons:
-        for ring in poly.rings():
-            for i in range(len(ring) - 1):
-                d = _segment_distance_m(lat, lon, ring[i], ring[i + 1])
-                if d < best:
-                    best = d
+    for bound, i in sorted(zip(bounds, prep.edges)):
+        if bound > best:
+            break
+        d = _segment_distance_m(lat, lon, vertices[i], vertices[i + 1])
+        if d < best:
+            best = d
     return best
 
 
@@ -202,119 +330,25 @@ def _require_usable(region: Region) -> None:
         raise GeometryError(f"degenerate (zero-area) polygon for region {region.region_id!r}")
 
 
+def outside_clearance_m(lat: float, lon: float, region: Region) -> float | None:
+    """None for a point inside the region, else its boundary clearance."""
+    _require_usable(region)
+    if point_in_region(lat, lon, region):
+        return None
+    return boundary_clearance_m(lat, lon, region)
+
+
 def contains_with_buffer(lat: float, lon: float, region: Region, buffer_m: float) -> bool:
     """True iff the point is inside the region or within buffer_m of its boundary."""
     if buffer_m < 0:
         raise ValueError(f"buffer_m must be >= 0, got {buffer_m!r}")
     _require_usable(region)
-    for poly in region.polygons:
-        if point_in_polygon(lat, lon, poly):
-            return True
-    if buffer_m > 0.0:
-        return boundary_clearance_m(lat, lon, region) <= buffer_m
-    return False
+    if point_in_region(lat, lon, region):
+        return True
+    return buffer_m > 0.0 and boundary_clearance_m(lat, lon, region) <= buffer_m
 
 
 def distance_to_boundary(lat: float, lon: float, region: Region) -> float:
     """0 for interior points, else min geodesic distance to the boundary."""
-    _require_usable(region)
-    for poly in region.polygons:
-        if point_in_polygon(lat, lon, poly):
-            return 0.0
-    return boundary_clearance_m(lat, lon, region)
-
-
-@dataclass(frozen=True, slots=True)
-class _Node:
-    bbox: tuple[float, float, float, float]  # (minlat, minlon, maxlat, maxlon)
-    children: tuple  # of _Node, or of (bbox, Region) leaf entries
-    is_leaf: bool
-
-
-class SpatialIndex:
-    """Static bounding-box tree over a BoundarySet (STR bulk load).
-
-    Queries return a superset of the regions that could contain the point
-    or lie within buffer range of it; exact containment is decided by
-    contains_with_buffer.
-    """
-
-    NODE_CAPACITY = 16
-
-    def __init__(self, boundary_set: BoundarySet):
-        self.level = boundary_set.level
-        entries = [(region.bbox(), region) for region in boundary_set]
-        self._root = self._build(entries) if entries else None
-
-    @classmethod
-    def _build(cls, entries: list) -> _Node:
-        if len(entries) <= cls.NODE_CAPACITY:
-            return _Node(_union_bbox([e[0] for e in entries]), tuple(entries), True)
-        # Sort-tile-recursive packing: slice by longitude, tile by latitude.
-        entries = sorted(entries, key=lambda e: (e[0][1] + e[0][3], e[0][0] + e[0][2]))
-        leaf_count = math.ceil(len(entries) / cls.NODE_CAPACITY)
-        slice_count = math.ceil(math.sqrt(leaf_count))
-        slice_size = math.ceil(len(entries) / slice_count)
-        children = []
-        for s in range(0, len(entries), slice_size):
-            strip = sorted(entries[s : s + slice_size], key=lambda e: e[0][0] + e[0][2])
-            for k in range(0, len(strip), cls.NODE_CAPACITY):
-                chunk = strip[k : k + cls.NODE_CAPACITY]
-                children.append(_Node(_union_bbox([e[0] for e in chunk]), tuple(chunk), True))
-        while len(children) > cls.NODE_CAPACITY:
-            children = [
-                _Node(
-                    _union_bbox([c.bbox for c in children[k : k + cls.NODE_CAPACITY]]),
-                    tuple(children[k : k + cls.NODE_CAPACITY]),
-                    False,
-                )
-                for k in range(0, len(children), cls.NODE_CAPACITY)
-            ]
-        return _Node(_union_bbox([c.bbox for c in children]), tuple(children), False)
-
-    def candidates(self, lat: float, lon: float, buffer_m: float) -> list[Region]:
-        """Regions whose padded bbox covers the point (a superset of hits)."""
-        if self._root is None:
-            return []
-        pad_lat = math.degrees(buffer_m / EARTH_RADIUS_M) * 1.01
-        coslat = max(0.01, math.cos(math.radians(lat)))
-        pad_lon = math.degrees(buffer_m / (EARTH_RADIUS_M * coslat)) * 1.01
-        qbox = (lat - pad_lat, lon - pad_lon, lat + pad_lat, lon + pad_lon)
-        out: list[Region] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not _bbox_intersects(node.bbox, qbox):
-                continue
-            if node.is_leaf:
-                for bbox, region in node.children:
-                    if _bbox_intersects(bbox, qbox):
-                        out.append(region)
-            else:
-                stack.extend(node.children)
-        return out
-
-
-def _union_bbox(boxes: list[tuple[float, float, float, float]]) -> tuple[float, float, float, float]:
-    return (
-        min(b[0] for b in boxes),
-        min(b[1] for b in boxes),
-        max(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
-
-
-def _bbox_intersects(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> bool:
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
-def locate(lat: float, lon: float, index: SpatialIndex, buffer_m: float) -> set[str]:
-    """Ids of all regions containing the point within the buffer.
-
-    An empty set is a valid result (offshore or abroad).
-    """
-    return {
-        region.region_id
-        for region in index.candidates(lat, lon, buffer_m)
-        if contains_with_buffer(lat, lon, region, buffer_m)
-    }
+    clearance = outside_clearance_m(lat, lon, region)
+    return 0.0 if clearance is None else clearance

@@ -17,7 +17,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .geo import BoundarySet, PolygonGeom, Region
+from .geo import BoundarySet, GeometryError, PolygonGeom, Region
 from .model import RECORD_FIELDS, Technology, UnitRecord
 
 
@@ -367,7 +367,8 @@ def parse_boundaries(
     """Load a GeoJSON FeatureCollection of administrative polygons.
 
     Multipolygon features become multiple polygon parts under one region
-    id. Duplicate region ids, missing region keys, unclosed rings and
+    id. Duplicate region ids, missing region keys, unclosed rings,
+    vertices that are not finite or lie outside WGS84 bounds, and
     non-polygon geometries are fatal.
     """
     if level not in DEFAULT_REGION_KEYS:
@@ -407,7 +408,10 @@ def parse_boundaries(
                 rings.append(ring)
             polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
         name = props.get(name_key) or region_id
-        regions[region_id] = Region(region_id=region_id, name=str(name), polygons=tuple(polygons))
+        try:
+            regions[region_id] = Region(region_id=region_id, name=str(name), polygons=tuple(polygons))
+        except GeometryError as exc:
+            raise IngestError(f"{path}: feature {idx}: {exc}") from None
     return BoundarySet(level=level, regions=regions)
 
 

@@ -147,10 +147,16 @@ class UnitRecord:
                 raise ValueError(f"coordinate must be finite, got {self.coordinate!r}")
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                 raise ValueError(f"coordinate out of WGS84 bounds: {self.coordinate!r}")
+        # Text is kept as a table cell reads back: stripped, blank as None.
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (not value or value.strip() != value):
+                object.__setattr__(self, name, value.strip() or None)
 
 
 # Field names in declaration order, reused by serialization and ingest.
 RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(UnitRecord))
+_TEXT_FIELDS = tuple(f.name for f in fields(UnitRecord) if f.type == "str | None")
 
 
 def power_of(record: UnitRecord) -> float | None:

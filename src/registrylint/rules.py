@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
-from .geo import BoundarySet, SpatialIndex, contains_with_buffer, distance_to_boundary
+from .geo import BoundarySet, outside_clearance_m
 from .model import FailureRecord, RuleOutcome, Technology, UnitRecord, power_of
 
 _ALL = frozenset(Technology)
@@ -297,45 +297,48 @@ def check_rotor_power(record: UnitRecord, config: RuleConfig) -> RuleOutcome:
     return _passed(record, 9, measured=specific, measured_unit="W/m2")
 
 
-@dataclass(frozen=True)
-class IndexedBoundaries:
-    """A boundary set with its spatial index, ready for location tests."""
+def _location_failure(
+    record: UnitRecord,
+    test_id: int,
+    region_id: str | None,
+    level: BoundarySet,
+    buffer_m: float,
+) -> RuleOutcome | None:
+    """None if the record passes test 10/11 at this level, else its failure.
 
-    boundary_set: BoundarySet
-    index: SpatialIndex
-
-    @classmethod
-    def build(cls, boundary_set: BoundarySet) -> IndexedBoundaries:
-        return cls(boundary_set, SpatialIndex(boundary_set))
+    The boundary clearance is computed once: it decides the buffer verdict
+    and is the failure's measured distance.
+    """
+    if record.coordinate is None or region_id is None:
+        return None
+    region = level.regions.get(region_id)
+    if region is None:
+        return _failed(record, test_id, f"unknown region key {region_id!r} ({level.level})")
+    lat, lon = record.coordinate
+    clearance = outside_clearance_m(lat, lon, region)
+    if clearance is None or (buffer_m > 0.0 and clearance <= buffer_m):
+        return None
+    return _failed(
+        record, test_id, f"coordinate {clearance:.0f} m outside registered {level.level} {region_id}",
+        clearance, "m",
+    )
 
 
 def _location_outcome(
     record: UnitRecord,
     test_id: int,
     region_id: str | None,
-    level: IndexedBoundaries | None,
+    level: BoundarySet | None,
     config: RuleConfig,
 ) -> RuleOutcome:
-    if record.coordinate is None or region_id is None or level is None:
-        return _passed(record, test_id)
-    region = level.boundary_set.regions.get(region_id)
-    name = level.boundary_set.level
-    if region is None:
-        return _failed(record, test_id, f"unknown region key {region_id!r} ({name})")
-    lat, lon = record.coordinate
-    if contains_with_buffer(lat, lon, region, config.buffer_m):
-        return _passed(record, test_id)
-    distance = distance_to_boundary(lat, lon, region)
-    return _failed(
-        record, test_id, f"coordinate {distance:.0f} m outside registered {name} {region_id}",
-        distance, "m",
-    )
+    failure = None if level is None else _location_failure(record, test_id, region_id, level, config.buffer_m)
+    return _passed(record, test_id) if failure is None else failure
 
 
 def check_location(
     record: UnitRecord,
-    districts: IndexedBoundaries | None,
-    municipalities: IndexedBoundaries | None,
+    districts: BoundarySet | None,
+    municipalities: BoundarySet | None,
     config: RuleConfig,
 ) -> tuple[RuleOutcome, RuleOutcome]:
     """Tests 10 and 11: coordinates lie in the registered district and
@@ -416,8 +419,8 @@ CheckFn = Callable[[UnitRecord], RuleOutcome]
 
 def _build_checks(
     config: RuleConfig,
-    districts: IndexedBoundaries | None,
-    municipalities: IndexedBoundaries | None,
+    districts: BoundarySet | None,
+    municipalities: BoundarySet | None,
 ) -> dict[Technology, tuple[tuple[int, CheckFn], ...]]:
     """Per-technology list of (test_id, callable) honoring the check-mark matrix.
 
@@ -451,8 +454,8 @@ def _build_checks(
 def evaluate_record(
     record: UnitRecord,
     config: RuleConfig | None = None,
-    districts: IndexedBoundaries | None = None,
-    municipalities: IndexedBoundaries | None = None,
+    districts: BoundarySet | None = None,
+    municipalities: BoundarySet | None = None,
 ) -> list[RuleOutcome]:
     """All applicable per-record outcomes (passes included), by test id."""
     config = config or RuleConfig()
@@ -462,8 +465,8 @@ def evaluate_record(
 
 def _build_fast_checks(
     config: RuleConfig,
-    districts: IndexedBoundaries | None,
-    municipalities: IndexedBoundaries | None,
+    districts: BoundarySet | None,
+    municipalities: BoundarySet | None,
 ) -> dict[Technology, tuple[Callable[[UnitRecord], RuleOutcome | None], ...]]:
     """Suite-loop variants of the checks: None on pass, outcome on failure.
 
@@ -482,6 +485,7 @@ def _build_fast_checks(
     sp_low, sp_high = config.rotor_specific_power_range_w_per_m2
     year_max = config.year_max
     balcony_cap = config.balcony_limit_kw + config.balcony_tolerance_kw
+    buffer_m = config.buffer_m
 
     def f_required(r):
         for name in req:
@@ -588,25 +592,10 @@ def _build_fast_checks(
         15: f_balcony,
     }
 
-    def make_location(tid, attr, level):
-        regions = level.boundary_set.regions
-        buffer_m = config.buffer_m
-
-        def fn(r):
-            rid = getattr(r, attr)
-            if r.coordinate is None or rid is None:
-                return None
-            region = regions.get(rid)
-            if region is not None and contains_with_buffer(r.coordinate[0], r.coordinate[1], region, buffer_m):
-                return None
-            return _location_outcome(r, tid, rid, level, config)
-
-        return fn
-
     if districts is not None:
-        per_test[10] = make_location(10, "district_id", districts)
+        per_test[10] = lambda r: _location_failure(r, 10, r.district_id, districts, buffer_m)
     if municipalities is not None:
-        per_test[11] = make_location(11, "municipality_id", municipalities)
+        per_test[11] = lambda r: _location_failure(r, 11, r.municipality_id, municipalities, buffer_m)
     return {
         tech: tuple(per_test[tid] for tid in TEST_IDS if tid in per_test and tech in CHECKMARKS[tid])
         for tech in Technology
@@ -688,11 +677,7 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(config: RuleConfig, districts: BoundarySet | None, municipalities: BoundarySet | None) -> None:
-    _WORKER_STATE["checks"] = _build_fast_checks(
-        config,
-        IndexedBoundaries.build(districts) if districts is not None else None,
-        IndexedBoundaries.build(municipalities) if municipalities is not None else None,
-    )
+    _WORKER_STATE["checks"] = _build_fast_checks(config, districts, municipalities)
 
 
 def _eval_chunk_in_worker(chunk: list[UnitRecord]):
@@ -762,11 +747,7 @@ def run_suite(
             failures_map[base + i] = (meta, failed)
 
     if jobs == 1:
-        checks = _build_fast_checks(
-            config,
-            IndexedBoundaries.build(districts) if districts is not None else None,
-            IndexedBoundaries.build(municipalities) if municipalities is not None else None,
-        )
+        checks = _build_fast_checks(config, districts, municipalities)
         base = 0
         for chunk in _chunked(records, chunk_size):
             account(chunk, base)

@@ -23,8 +23,7 @@ from .geo import (
     PolygonGeom,
     Region,
     boundary_clearance_m,
-    distance_to_boundary,
-    point_in_polygon,
+    point_in_region,
 )
 from .model import Technology, UnitRecord
 from .rules import Boundaries, RuleConfig
@@ -114,7 +113,7 @@ def _sample_point_inside(rng: random.Random, region: Region, margin_m: float) ->
     for _ in range(500):
         lat = rng.uniform(minlat, maxlat)
         lon = rng.uniform(minlon, maxlon)
-        if not any(point_in_polygon(lat, lon, poly) for poly in region.polygons):
+        if not point_in_region(lat, lon, region):
             continue
         if boundary_clearance_m(lat, lon, region) >= margin_m:
             return (lat, lon)
@@ -478,14 +477,16 @@ def _mut_coordinate_displacement(record, rng, spec, config, boundaries):
             )
             if not (-89.0 <= nlat <= 89.0 and -179.0 <= nlon <= 179.0):
                 continue
-            if any(point_in_polygon(nlat, nlon, p) for p in muni.polygons):
+            if point_in_region(nlat, nlon, muni):
                 continue
-            if distance_to_boundary(nlat, nlon, muni) < target_m:
+            if boundary_clearance_m(nlat, nlon, muni) < target_m:
                 continue
             tests = {11}
             if district is not None:
-                inside_district = any(point_in_polygon(nlat, nlon, p) for p in district.polygons)
-                if not inside_district and distance_to_boundary(nlat, nlon, district) > config.buffer_m * 1.2:
+                if (
+                    not point_in_region(nlat, nlon, district)
+                    and boundary_clearance_m(nlat, nlon, district) > config.buffer_m * 1.2
+                ):
                     tests.add(10)
             return replace(record, coordinate=(nlat, nlon)), tests
     raise SynthError("could not displace coordinate outside the municipality")

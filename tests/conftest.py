@@ -5,7 +5,8 @@ from datetime import date
 import pytest
 
 from registrylint.model import Technology, UnitRecord
-from registrylint.rules import Boundaries, IndexedBoundaries, RuleConfig
+from registrylint.geo import BoundarySet
+from registrylint.rules import Boundaries, RuleConfig
 from registrylint.synth import make_boundary_grid
 
 # One municipality per technology so example records can carry coordinates
@@ -26,11 +27,8 @@ def grid() -> Boundaries:
 
 
 @pytest.fixture(scope="session")
-def indexed_grid(grid) -> tuple[IndexedBoundaries, IndexedBoundaries]:
-    return (
-        IndexedBoundaries.build(grid.districts),
-        IndexedBoundaries.build(grid.municipalities),
-    )
+def indexed_grid(grid) -> tuple[BoundarySet, BoundarySet]:
+    return (grid.districts, grid.municipalities)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
 
 from conftest import example_record
 from geo_oracle import oracle_distance_to_boundary, oracle_point_in_region
-from test_geo import lon_offset_deg, random_star_region, square_region
+from test_geo import kernel_fixture_regions, lon_offset_deg, random_star_region, square_region
 from test_report import _location_failure, _wind_unit
 
 
@@ -296,6 +296,26 @@ def test_criterion_2_geo_oracle_equivalence():
     distance_errors = []
     verdict_errors = 0
     buffer_m = 1500.0
+
+    def compare(region, lat, lon):
+        nonlocal cases, verdict_errors
+        cases += 1
+        truth_inside = oracle_point_in_region(lat, lon, region)
+        truth_distance = 0.0 if truth_inside else oracle_distance_to_boundary(lat, lon, region)
+        ours_distance = distance_to_boundary(lat, lon, region)
+        if truth_distance == 0.0:
+            if ours_distance != 0.0:
+                distance_errors.append((region.region_id, lat, lon, ours_distance, truth_distance))
+        else:
+            if ours_distance == 0.0 or abs(ours_distance - truth_distance) > 5e-3 * truth_distance:
+                distance_errors.append((region.region_id, lat, lon, ours_distance, truth_distance))
+
+        if abs(truth_distance - buffer_m) > 10.0:  # skip the +-10 m band
+            ours_verdict = contains_with_buffer(lat, lon, region, buffer_m)
+            truth_verdict = truth_inside or truth_distance <= buffer_m
+            if ours_verdict is not truth_verdict:
+                verdict_errors += 1
+
     while cases < 1000:
         lat0 = rng.uniform(-55.0, 62.0)
         lon0 = rng.uniform(-25.0, 25.0)
@@ -311,23 +331,25 @@ def test_criterion_2_geo_oracle_equivalence():
         bearing = rng.uniform(0.0, 2.0 * math.pi)
         lat = lat0 + math.degrees(offset_m * math.cos(bearing) / EARTH_RADIUS_M)
         lon = lon0 + lon_offset_deg(offset_m * math.sin(bearing), lat0)
-        cases += 1
+        compare(region, lat, lon)
 
-        truth_inside = oracle_point_in_region(lat, lon, region)
-        truth_distance = 0.0 if truth_inside else oracle_distance_to_boundary(lat, lon, region)
-        ours_distance = distance_to_boundary(lat, lon, region)
-        if truth_distance == 0.0:
-            if ours_distance != 0.0:
-                distance_errors.append((lat, lon, ours_distance, truth_distance))
-        else:
-            if ours_distance == 0.0 or abs(ours_distance - truth_distance) > 5e-3 * truth_distance:
-                distance_errors.append((lat, lon, ours_distance, truth_distance))
-
-        if abs(truth_distance - buffer_m) > 10.0:  # skip the +-10 m band
-            ours_verdict = contains_with_buffer(lat, lon, region, buffer_m)
-            truth_verdict = truth_inside or truth_distance <= buffer_m
-            if ours_verdict is not truth_verdict:
-                verdict_errors += 1
+    # Many-vertex boundaries: jagged rings and a jagged ring with holes,
+    # queried across them and near their vertices, inside and out.
+    fixtures = kernel_fixture_regions()
+    for name in ("jagged", "jagged-large", "holed"):
+        region = fixtures[name]
+        vertices = [v for poly in region.polygons for ring in poly.rings() for v in ring]
+        minlat, minlon, maxlat, maxlon = region.bbox()
+        for _ in range(20):
+            if rng.random() < 0.25:
+                compare(region, rng.uniform(minlat, maxlat), rng.uniform(minlon, maxlon))
+                continue
+            vlat, vlon = rng.choice(vertices)
+            offset_m = rng.choice([rng.uniform(0.0, 3_000.0), rng.uniform(0.0, 30_000.0)])
+            bearing = rng.uniform(0.0, 2.0 * math.pi)
+            lat = vlat + math.degrees(offset_m * math.cos(bearing) / EARTH_RADIUS_M)
+            lon = vlon + lon_offset_deg(offset_m * math.sin(bearing), vlat)
+            compare(region, lat, lon)
 
     elapsed = time.perf_counter() - started
     ok = not distance_errors and verdict_errors == 0 and elapsed < 30.0

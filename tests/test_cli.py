@@ -88,6 +88,27 @@ class TestValidateCommand:
         assert "boundary file" in capsys.readouterr().err
         assert not (out / "failures.csv").exists()  # no partial outputs
 
+    @pytest.mark.parametrize(
+        "position, value",
+        [(1, float("nan")), (1, float("inf")), (1, 90.5), (0, -180.5)],
+        ids=["nan-lat", "inf-lat", "lat-above-90", "lon-below-180"],
+    )
+    def test_unusable_boundary_vertex_exits_two(self, synth_dir, tmp_path, capsys, position, value):
+        path = synth_dir / "municipalities.geojson"
+        payload = json.loads(path.read_text())
+        payload["features"][3]["geometry"]["coordinates"][0][2][position] = value
+        path.write_text(json.dumps(payload))  # writes NaN / Infinity, which json reads back
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(_validate_args(synth_dir, out)) == EXIT_FATAL
+        captured = capsys.readouterr()
+        stdout = captured.out.strip().splitlines()
+        assert len(stdout) == 1
+        error = json.loads(stdout[0])["error"]
+        assert "municipalities.geojson" in error and "feature 3" in error
+        assert "WGS84" in captured.err
+        assert not (out / "failures.csv").exists()
+
     def test_technology_filter(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(_validate_args(synth_dir, out, "--technology", "wind"))
@@ -183,3 +204,17 @@ class TestReportCommand:
     def test_missing_failures_file_exits_two(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_FATAL
         assert "missing failure file" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv", [["validate", "--bogus"], ["synth", "--count", "5"], ["frobnicate"]], ids=["unknown", "missing", "command"]
+    )
+    def test_usage_error_exits_two_with_one_json_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_FATAL
+        captured = capsys.readouterr()
+        (line,) = captured.out.strip().splitlines()
+        assert json.loads(line)["error"]
+        assert "usage:" in captured.err

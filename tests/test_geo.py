@@ -1,5 +1,6 @@
 """Geometry kernel tests against the independent dense-sampling oracle."""
 
+import functools
 import math
 import random
 
@@ -11,13 +12,13 @@ from registrylint.geo import (
     GeometryError,
     PolygonGeom,
     Region,
-    SpatialIndex,
+    _box_bound_m,
+    _segment_distance_m,
     boundary_clearance_m,
     contains_with_buffer,
     distance_to_boundary,
     haversine_m,
-    locate,
-    point_in_polygon,
+    point_in_region,
 )
 
 from geo_oracle import (
@@ -57,6 +58,95 @@ def random_star_region(rng: random.Random, rid: str, lat: float, lon: float,
     return Region(region_id=rid, name=rid, polygons=(PolygonGeom(outer=tuple(points)),))
 
 
+def jagged_ring(rng: random.Random, lat0: float, lon0: float, height_km: float, width_km: float,
+                spacing_m: float = 250.0) -> tuple:
+    """Closed rectangle outline (south-west corner lat0/lon0) with a vertex
+    every spacing_m, each moved perpendicular to its side by less than half
+    the spacing, so the ring stays simple. Longitudes wrap into [-180, 180].
+    """
+    corners = [(0.0, 0.0), (0.0, width_km), (height_km, width_km), (height_km, 0.0)]
+    coslat = math.cos(math.radians(lat0))
+    points = []
+    for (ay, ax), (by, bx) in zip(corners, corners[1:] + corners[:1]):
+        steps = max(1, round(1000.0 * max(abs(by - ay), abs(bx - ax)) / spacing_m))
+        for j in range(steps):
+            y = ay + (by - ay) * j / steps
+            x = ax + (bx - ax) * j / steps
+            shift = 0.0 if j == 0 else rng.uniform(-0.4, 0.4) * spacing_m / 1000.0
+            if ay == by:
+                y += shift
+            else:
+                x += shift
+            lat = lat0 + math.degrees(y * 1000.0 / EARTH_RADIUS_M)
+            lon = lon0 + math.degrees(x * 1000.0 / (EARTH_RADIUS_M * coslat))
+            points.append((lat, (lon + 180.0) % 360.0 - 180.0))
+    points.append(points[0])
+    return tuple(points)
+
+
+@functools.cache
+def kernel_fixture_regions() -> dict[str, Region]:
+    """Deterministic many-vertex regions for the geometry kernel tests."""
+    rng = random.Random(2024)
+
+    def region(rid, *polygons):
+        return Region(region_id=rid, name=rid, polygons=tuple(polygons))
+
+    return {
+        "jagged": region("jagged", PolygonGeom(outer=jagged_ring(rng, 50.0, 8.0, 25.0, 25.0))),
+        "jagged-large": region("jagged-large", PolygonGeom(outer=jagged_ring(rng, 51.0, 9.0, 60.0, 62.0))),
+        "star": random_star_region(rng, "star", 49.0, 11.0, 30.0, 600),
+        "multipart": region(
+            "multipart",
+            PolygonGeom(outer=jagged_ring(rng, 48.0, 7.0, 20.0, 30.0)),
+            # Overlaps the first part: inside both is still inside.
+            PolygonGeom(outer=jagged_ring(rng, 48.1, 7.2, 25.0, 15.0)),
+            PolygonGeom(outer=jagged_ring(rng, 48.5, 7.0, 10.0, 10.0)),
+        ),
+        "holed": region(
+            "holed",
+            PolygonGeom(
+                outer=jagged_ring(rng, 52.0, 13.0, 30.0, 30.0),
+                holes=(jagged_ring(rng, 52.09, 13.13, 8.0, 10.0), jagged_ring(rng, 52.18, 13.1, 5.0, 5.0)),
+            ),
+        ),
+        "long-edges": random_star_region(rng, "long-edges", 47.0, 12.0, 120.0, 9),
+        "arctic": region("arctic", PolygonGeom(outer=jagged_ring(rng, 72.5, 25.0, 20.0, 40.0))),
+        "antimeridian": region("antimeridian", PolygonGeom(outer=jagged_ring(rng, -17.0, 179.85, 20.0, 30.0))),
+    }
+
+
+def reference_point_in_region(lat: float, lon: float, region: Region) -> bool:
+    """Unindexed even-odd ray cast over every edge of each polygon part."""
+    for poly in region.polygons:
+        inside = False
+        for ring in poly.rings():
+            for (alat, alon), (blat, blon) in zip(ring, ring[1:]):
+                if (
+                    min(alat, blat) <= lat <= max(alat, blat)
+                    and min(alon, blon) <= lon <= max(alon, blon)
+                ):
+                    cross = (blon - alon) * (lat - alat) - (blat - alat) * (lon - alon)
+                    if abs(cross) <= 1e-12:
+                        return True
+                if (alat > lat) != (blat > lat):
+                    xint = alon + (lat - alat) * (blon - alon) / (blat - alat)
+                    if lon < xint:
+                        inside = not inside
+        if inside:
+            return True
+    return False
+
+
+def exhaustive_clearance_m(lat: float, lon: float, region: Region) -> float:
+    return min(
+        _segment_distance_m(lat, lon, a, b)
+        for poly in region.polygons
+        for ring in poly.rings()
+        for a, b in zip(ring, ring[1:])
+    )
+
+
 class TestHaversine:
     def test_one_degree_of_latitude(self):
         expected = math.pi * EARTH_RADIUS_M / 180.0
@@ -78,21 +168,19 @@ class TestHaversine:
 class TestPointInPolygon:
     def test_interior_and_exterior(self):
         region = square_region("A", 50.0, 10.0, 0.2, 0.2)
-        poly = region.polygons[0]
-        assert point_in_polygon(50.1, 10.1, poly)
-        assert not point_in_polygon(50.3, 10.1, poly)
-        assert not point_in_polygon(50.1, 9.9, poly)
+        assert point_in_region(50.1, 10.1, region)
+        assert not point_in_region(50.3, 10.1, region)
+        assert not point_in_region(50.1, 9.9, region)
 
     def test_point_on_edge_counts_inside(self):
-        poly = square_region("A", 50.0, 10.0, 0.2, 0.2).polygons[0]
-        assert point_in_polygon(50.0, 10.1, poly)  # on the southern edge
-        assert point_in_polygon(50.0, 10.0, poly)  # on a vertex
+        region = square_region("A", 50.0, 10.0, 0.2, 0.2)
+        assert point_in_region(50.0, 10.1, region)  # on the southern edge
+        assert point_in_region(50.0, 10.0, region)  # on a vertex
 
     def test_hole_is_outside(self):
         region = ring_with_hole_region("H")
-        poly = region.polygons[0]
-        assert point_in_polygon(50.05, 10.05, poly)
-        assert not point_in_polygon(50.2, 10.2, poly)  # center of the hole
+        assert point_in_region(50.05, 10.05, region)
+        assert not point_in_region(50.2, 10.2, region)  # center of the hole
 
     def test_agrees_with_winding_oracle(self):
         rng = random.Random(7)
@@ -103,8 +191,7 @@ class TestPointInPolygon:
             for _ in range(10):
                 lat = rng.uniform(minlat - 0.1, maxlat + 0.1)
                 lon = rng.uniform(minlon - 0.1, maxlon + 0.1)
-                ours = any(point_in_polygon(lat, lon, p) for p in region.polygons)
-                assert ours == oracle_point_in_region(lat, lon, region)
+                assert point_in_region(lat, lon, region) == oracle_point_in_region(lat, lon, region)
 
 
 class TestContainsWithBuffer:
@@ -135,8 +222,7 @@ class TestContainsWithBuffer:
         for _ in range(200):
             lat = rng.uniform(48.5, 49.5)
             lon = rng.uniform(7.5, 8.5)
-            expected = any(point_in_polygon(lat, lon, p) for p in region.polygons)
-            assert contains_with_buffer(lat, lon, region, 0.0) == expected
+            assert contains_with_buffer(lat, lon, region, 0.0) == point_in_region(lat, lon, region)
 
     def test_degenerate_region_raises(self):
         line = ((50.0, 10.0), (50.1, 10.1), (50.2, 10.2), (50.0, 10.0))
@@ -210,56 +296,135 @@ def _grid_boundary_set(nx: int, ny: int, lat0=48.0, lon0=10.0, step=0.2) -> Boun
     return BoundarySet(level="district", regions=regions)
 
 
+def regions_within(bset: BoundarySet, lat: float, lon: float, buffer_m: float) -> set[str]:
+    """Ids of all regions containing the point within the buffer (brute force)."""
+    return {region.region_id for region in bset if contains_with_buffer(lat, lon, region, buffer_m)}
+
+
 class TestLocate:
     def test_point_inside_single_region(self):
         bset = _grid_boundary_set(3, 3)
-        index = SpatialIndex(bset)
-        assert locate(48.1, 10.1, index, 1500.0) == {"10000"}
+        assert regions_within(bset, 48.1, 10.1, 1500.0) == {"10000"}
 
     def test_overlap_band_between_adjacent_regions(self):
         bset = _grid_boundary_set(2, 1)
-        index = SpatialIndex(bset)
         # 500 m west of the shared edge at lon 10.2: within 1.5 km of both.
         lon = 10.2 - lon_offset_deg(500.0, 48.1)
-        found = locate(48.1, lon, index, 1500.0)
-        assert found == {"10000", "10001"}
-        brute = {
-            region.region_id
-            for region in bset
-            if contains_with_buffer(48.1, lon, region, 1500.0)
-        }
-        assert found == brute
+        assert regions_within(bset, 48.1, lon, 1500.0) == {"10000", "10001"}
+        assert regions_within(bset, 48.1, lon, 0.0) == {"10000"}
 
     def test_empty_result_out_at_sea(self):
         bset = _grid_boundary_set(2, 2)
-        index = SpatialIndex(bset)
-        assert locate(54.0, 6.0, index, 1500.0) == set()
-
-    def test_index_equals_brute_force(self):
-        rng = random.Random(42)
-        bset = _grid_boundary_set(6, 5)
-        index = SpatialIndex(bset)
-        for _ in range(400):
-            lat = rng.uniform(47.5, 49.5)
-            lon = rng.uniform(9.5, 11.8)
-            buffer_m = rng.choice([0.0, 300.0, 1500.0, 5000.0])
-            via_index = locate(lat, lon, index, buffer_m)
-            brute = {
-                r.region_id for r in bset if contains_with_buffer(lat, lon, r, buffer_m)
-            }
-            assert via_index == brute
+        assert regions_within(bset, 54.0, 6.0, 1500.0) == set()
 
     def test_buffer_monotonicity(self):
         rng = random.Random(5)
         bset = _grid_boundary_set(4, 4)
-        index = SpatialIndex(bset)
         for _ in range(150):
             lat = rng.uniform(47.8, 49.0)
             lon = rng.uniform(9.8, 11.0)
-            small = locate(lat, lon, index, 200.0)
-            medium = locate(lat, lon, index, 1500.0)
-            large = locate(lat, lon, index, 8000.0)
+            small = regions_within(bset, lat, lon, 200.0)
+            medium = regions_within(bset, lat, lon, 1500.0)
+            large = regions_within(bset, lat, lon, 8000.0)
             assert small <= medium <= large
+
+
+def _kernel_queries(rng: random.Random, region: Region, count: int) -> list[tuple[float, float]]:
+    """Points inside and around the region, near its vertices, and far away."""
+    minlat, minlon, maxlat, maxlon = region.bbox()
+    vertices = [v for poly in region.polygons for ring in poly.rings() for v in ring]
+    points = []
+    for _ in range(count):
+        lat = rng.uniform(minlat - 0.05, maxlat + 0.05)
+        points.append((lat, rng.uniform(minlon - 0.05, maxlon + 0.05)))
+        vlat, vlon = rng.choice(vertices)
+        offset_m = rng.choice([rng.uniform(0.0, 50.0), rng.uniform(0.0, 3_000.0)])
+        bearing = rng.uniform(0.0, 2.0 * math.pi)
+        lat = vlat + math.degrees(offset_m * math.cos(bearing) / EARTH_RADIUS_M)
+        lon = vlon + lon_offset_deg(offset_m * math.sin(bearing), vlat)
+        points.append((min(90.0, lat), (lon + 180.0) % 360.0 - 180.0))
+    center_lat, center_lon = (minlat + maxlat) / 2.0, (minlon + maxlon) / 2.0
+    antipode_lon = center_lon - 180.0 if center_lon > 0.0 else center_lon + 180.0
+    points += [(-center_lat, antipode_lon), (90.0, 0.0), (-90.0, 0.0), (0.0, 180.0), (0.0, -180.0),
+               (center_lat + 10.0, center_lon)]
+    return points
+
+
+class TestKernelEquivalence:
+    """The indexed kernel against unindexed references, on many-vertex,
+    multipart, holed, long-edged, arctic and antimeridian regions."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_fixture_regions()))
+    def test_clearance_is_exact_minimum_over_all_segments(self, name):
+        region = kernel_fixture_regions()[name]
+        rng = random.Random(name)
+        for lat, lon in _kernel_queries(rng, region, 8):
+            assert boundary_clearance_m(lat, lon, region) == exhaustive_clearance_m(lat, lon, region)
+
+    def test_box_bound_never_exceeds_distance_to_the_box(self):
+        # Boxes up to 5 degrees wide, half of them at the antimeridian, with
+        # queries around them on either side of it.
+        rng = random.Random(7)
+        for _ in range(400):
+            latlo = rng.uniform(-89.0, 84.0)
+            lathi = latlo + rng.uniform(0.0, 5.0)
+            lonlo = rng.choice([rng.uniform(-180.0, 175.0), rng.uniform(175.0, 180.0)])
+            lonhi = min(180.0, lonlo + rng.uniform(0.0, 5.0))
+            lat = max(-90.0, min(90.0, rng.uniform(latlo - 6.0, lathi + 6.0)))
+            lon = (rng.uniform(lonlo - 6.0, lonhi + 6.0) + 180.0) % 360.0 - 180.0
+            cos_min = min(math.cos(math.radians(latlo)), math.cos(math.radians(lathi)))
+            bound = _box_bound_m(lat, lon, math.cos(math.radians(lat)), latlo, lathi, lonlo, lonhi, cos_min)
+            for u in range(9):
+                for v in range(9):
+                    box_lat = latlo + (lathi - latlo) * u / 8.0
+                    box_lon = lonlo + (lonhi - lonlo) * v / 8.0
+                    assert bound <= haversine_m(lat, lon, box_lat, box_lon), (lat, lon, latlo, lathi, lonlo, lonhi)
+
+    @pytest.mark.parametrize("query",[(float("nan"), 7.0), (48.0, float("inf")), (90.5, 7.0), (48.0, -180.5)])
+    def test_clearance_rejects_query_outside_wgs84(self, query):
+        with pytest.raises(ValueError, match="outside WGS84 bounds"):
+            boundary_clearance_m(*query, kernel_fixture_regions()["jagged"])
+
+    @pytest.mark.parametrize("name", sorted(kernel_fixture_regions()))
+    def test_indexed_ray_cast_equals_per_part_reference(self, name):
+        region = kernel_fixture_regions()[name]
+        rng = random.Random(name)
+        points = _kernel_queries(rng, region, 300)
+        rings = [ring for poly in region.polygons for ring in poly.rings()]
+        for ring in rings:
+            for (alat, alon), (blat, blon) in zip(ring, ring[1:]):
+                points.append((alat, alon))  # on a vertex
+                points.append(((alat + blat) / 2.0, (alon + blon) / 2.0))  # on an edge
+                points.append((alat, alon + rng.uniform(-0.05, 0.05)))  # at a vertex latitude
+        inside = 0
+        for lat, lon in points:
+            expected = reference_point_in_region(lat, lon, region)
+            assert point_in_region(lat, lon, region) == expected, (lat, lon)
+            inside += expected
+        assert 0 < inside < len(points)
+
+    def test_fixtures_have_the_intended_shape(self):
+        regions = kernel_fixture_regions()
+
+        def edges(region):
+            return [(a, b) for poly in region.polygons for ring in poly.rings() for a, b in zip(ring, ring[1:])]
+
+        assert 400 <= len(edges(regions["jagged"])) <= 1_000
+        assert 400 <= len(edges(regions["jagged-large"])) <= 1_000
+        assert len(regions["multipart"].polygons) == 3
+        assert len(regions["holed"].polygons[0].holes) == 2
+        assert max(haversine_m(*a, *b) for a, b in edges(regions["long-edges"])) > 25_000.0
+        assert regions["arctic"].bbox()[0] > 70.0
+        lons = [lon for _, lon in regions["antimeridian"].polygons[0].outer]
+        assert min(lons) < -179.0 and max(lons) > 179.0
+
+    def test_multipart_overlap_counts_inside(self):
+        region = kernel_fixture_regions()["multipart"]
+        # Inside the first two parts at once: each part's even-odd test says inside.
+        lat = 48.1 + math.degrees(5_000.0 / EARTH_RADIUS_M)
+        lon = 7.2 + lon_offset_deg(5_000.0, 48.1)
+        assert point_in_region(lat, lon, region)
+        assert distance_to_boundary(lat, lon, region) == 0.0
 
 
 class TestRegionValidation:
@@ -269,6 +434,12 @@ class TestRegionValidation:
                 region_id="X", name="X",
                 polygons=(PolygonGeom(outer=((50.0, 10.0), (50.0, 10.2), (50.2, 10.2), (50.2, 10.0))),),
             )
+
+    @pytest.mark.parametrize("vertex", [(float("nan"), 10.2), (50.2, float("inf")), (90.5, 10.2), (50.2, 180.5)])
+    def test_unusable_vertex_rejected(self, vertex):
+        ring = ((50.0, 10.0), (50.0, 10.2), vertex, (50.2, 10.0), (50.0, 10.0))
+        with pytest.raises(GeometryError, match="outside WGS84 bounds"):
+            Region(region_id="X", name="X", polygons=(PolygonGeom(outer=ring),))
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(GeometryError, match="fewer than 4"):

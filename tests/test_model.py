@@ -106,6 +106,12 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError, match="technology"):
             UnitRecord(technology="wind")
 
+    def test_text_is_stored_as_a_cell_reads_back(self):
+        record = UnitRecord(technology=Technology.BIOMASS, municipality=" Bad Wünnenberg ", fuel_type=" ", unit_id="")
+        assert record.municipality == "Bad Wünnenberg"
+        assert record.fuel_type is None
+        assert record.unit_id is None
+
 
 _DATES = st.dates(min_value=date(1950, 1, 1), max_value=date(2035, 12, 31))
 _POWER = st.floats(min_value=0.0, max_value=5e6, allow_nan=False, allow_infinity=False)
