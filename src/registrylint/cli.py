@@ -18,27 +18,21 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 from .geo import GeometryError
 from .ingest import (
     ColumnMapping,
     IngestError,
-    RegistryReader,
     default_mapping,
     parse_boundaries,
+    read_layout,
     write_boundaries_geojson,
     write_registry_csv,
 )
 from .model import Technology
-from .report import (
-    ColumnStats,
-    build_report,
-    export,
-    load_failures_ndjson,
-)
-from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, run_suite
-from .synth import ErrorInjectionSpec, SynthError, generate_clean, inject_errors, make_boundary_grid
+from .report import build_report, export, load_failures_ndjson
+from .rules import Boundaries, ConfigError, FailureSet, RuleConfig
+from .shards import HelperError, plan_shards, run_shards
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 
@@ -137,16 +131,6 @@ def _build_run_config(args) -> RunConfig:
     return run
 
 
-def _stream_records(readers: list[RegistryReader], stats: ColumnStats, dso_only: bool) -> Iterable:
-    for reader in readers:
-        print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
-        for record in reader:
-            if dso_only and record.grid_operator_inspection is not True:
-                continue
-            stats.update(record)
-            yield record
-
-
 def cmd_validate(args) -> int:
     run = _build_run_config(args)
     boundaries = Boundaries(
@@ -163,27 +147,27 @@ def cmd_validate(args) -> int:
             else None
         ),
     )
-    selected = [
-        (tech, path)
+    layouts = [
+        read_layout(path, tech, run.mapping, delimiter=run.delimiter)
         for tech, path in sorted(run.inputs.items(), key=lambda kv: kv[0].value)
         if run.technologies is None or tech in run.technologies
     ]
-    readers = [
-        RegistryReader(path, tech, run.mapping, delimiter=run.delimiter) for tech, path in selected
-    ]
-    stats = ColumnStats()
-    failure_set = run_suite(
-        _stream_records(readers, stats, run.dso_only),
+    for layout in layouts:
+        print(f"reading {layout.path} ({layout.technology.value})", file=sys.stderr)
+    result = run_shards(
+        plan_shards(layouts, run.jobs),
         boundaries if (boundaries.districts or boundaries.municipalities) else None,
         run.rules,
         jobs=run.jobs,
+        dso_only=run.dso_only,
     )
-    issues = sum(len(r.issues) for r in readers)
-    rejected = sum(r.rows_rejected for r in readers)
-    rows = sum(r.rows_total for r in readers)
-    print(f"parsed {rows} rows ({rejected} rejected, {issues} cell issues)", file=sys.stderr)
+    failure_set = result.failure_set
+    issues = len(result.issues)
+    print(
+        f"parsed {result.rows_total} rows ({result.rows_rejected} rejected, {issues} cell issues)", file=sys.stderr
+    )
 
-    report = build_report(failure_set, stats)
+    report = build_report(failure_set, result.stats)
     export(failure_set.failures, report, run.out_dir)
     _print_tally(failure_set)
 
@@ -192,7 +176,7 @@ def cmd_validate(args) -> int:
         json.dumps(
             {
                 "records": failure_set.total_records,
-                "rows_rejected": rejected,
+                "rows_rejected": result.rows_rejected,
                 "cell_issues": issues,
                 "failing_units": failing,
                 "out_dir": str(run.out_dir),
@@ -214,6 +198,9 @@ def _print_tally(failure_set: FailureSet) -> None:
 
 
 def cmd_synth(args) -> int:
+    # Imported here: validate and its helper processes never need synth.
+    from .synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
+
     if args.count < 0:
         raise ConfigError("--count must be >= 0")
     if not 0.0 <= args.error_rate <= 1.0:
@@ -373,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, GeometryError, SynthError, OSError) as exc:
+    except (ConfigError, IngestError, GeometryError, HelperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL

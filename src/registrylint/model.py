@@ -157,6 +157,22 @@ class UnitRecord:
 # Field names in declaration order, reused by serialization and ingest.
 RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(UnitRecord))
 _TEXT_FIELDS = tuple(f.name for f in fields(UnitRecord) if f.type == "str | None")
+_SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
+
+
+def checked_record(values: list) -> UnitRecord:
+    """A UnitRecord from its field values in RECORD_FIELDS order, built
+    without the checks of __post_init__.
+
+    Only for values that already meet every invariant those checks
+    enforce: ingest checks each cell as it parses it, and the column
+    mapping only targets fields the table's technology carries. Skipping
+    the checks and the generated __init__ halves the cost of a record.
+    """
+    record = object.__new__(UnitRecord)
+    for setter, value in zip(_SLOT_SETTERS, values):
+        setter(record, value)
+    return record
 
 
 def power_of(record: UnitRecord) -> float | None:

@@ -9,8 +9,8 @@ technologies it is defined for; the full test-by-technology grid spans
 evaluated.
 
 Every check is a pure function of one record (uniqueness is the one
-suite-level test), so the runner can partition the record stream across
-workers and merge results associatively.
+suite-level test), so a record stream can be cut into shards that are
+checked on their own and merged in stream order (SuiteTally.extend).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
@@ -643,56 +642,150 @@ class FailureSet:
         return len(seen) + anonymous
 
 
-_Meta = tuple  # (unit_id, technology, power_kw, district_id, municipality_id, dso)
+# (unit_id, technology value, power_kw, district_id, municipality_id, dso). Only
+# atomic values, so the collector stops tracking these tuples at its first pass.
+_Meta = tuple
 
 
-def _meta_of(record: UnitRecord) -> _Meta:
-    return (
-        record.unit_id,
-        record.technology,
-        power_of(record),
-        record.district_id,
-        record.municipality_id,
-        record.grid_operator_inspection is True,
-    )
+class SuiteTally:
+    """Totals, unit ids and failures of a record stream, keyed by ordinal.
+
+    Uniqueness bookkeeping keeps (ordinal, meta) of the first record per
+    id and of every record of an id that collides: memory is O(distinct
+    ids) + O(duplicates) + O(failures). Tallies of consecutive shards of a
+    stream join with extend().
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.totals: Counter[Technology] = Counter()
+        self.dso_totals: Counter[Technology] = Counter()
+        self.first_seen: dict[str, tuple[int, _Meta]] = {}
+        self.dup_members: dict[str, list[tuple[int, _Meta]]] = {}
+        self.failures: dict[int, tuple[_Meta, list[RuleOutcome]]] = {}
+
+    def _see(self, uid: str, ordinal: int, meta: _Meta) -> None:
+        entry = self.first_seen.pop(uid, None)
+        if entry is not None:
+            self.dup_members[uid] = [entry, (ordinal, meta)]
+        elif uid in self.dup_members:
+            self.dup_members[uid].append((ordinal, meta))
+        else:
+            self.first_seen[uid] = (ordinal, meta)
+
+    def extend(self, later: SuiteTally) -> None:
+        """Append the tally of the records that follow this one's.
+
+        The first tally is taken over whole; later ones are shifted by the
+        records before them.
+        """
+        if self.count == 0:
+            self.__dict__.update(later.__dict__)
+            return
+        base = self.count
+        self.count += later.count
+        self.totals.update(later.totals)
+        self.dso_totals.update(later.dso_totals)
+        for uid, (i, meta) in later.first_seen.items():
+            self._see(uid, base + i, meta)
+        for uid, members in later.dup_members.items():
+            for i, meta in members:
+                self._see(uid, base + i, meta)
+        for i, entry in later.failures.items():
+            self.failures[base + i] = entry
+
+    def failure_set(self, districts: bool, municipalities: bool) -> FailureSet:
+        """The suite result, once per tally; the flags say which location
+        levels ran."""
+        failures_map = self.failures
+        # Suite-level test 2: every record of a duplicate-id group fails.
+        for uid, members in self.dup_members.items():
+            n = len(members)
+            outcome = RuleOutcome(uid, 2, False, f"duplicate unit id ({n} records)", float(n), "records")
+            for ordinal, meta in members:
+                entry = failures_map.get(ordinal)
+                if entry is None:
+                    failures_map[ordinal] = (meta, [outcome])
+                else:
+                    entry[1].append(outcome)
+
+        tally: Counter[tuple[int, Technology]] = Counter()
+        failures: list[FailureRecord] = []
+        for ordinal in sorted(failures_map, key=lambda o: (failures_map[o][0][0] or "", o)):
+            meta, outcomes = failures_map[ordinal]
+            outcomes.sort(key=lambda o: o.test_id)
+            technology = Technology(meta[1])
+            for outcome in outcomes:
+                tally[(outcome.test_id, technology)] += 1
+            failures.append(
+                FailureRecord(
+                    unit_id=meta[0],
+                    technology=technology,
+                    power_kw=meta[2],
+                    district_id=meta[3],
+                    municipality_id=meta[4],
+                    dso_inspected=meta[5],
+                    failed=tuple(outcomes),
+                )
+            )
+
+        evaluated = tuple(
+            tid for tid in TEST_IDS if not (tid == 10 and not districts) and not (tid == 11 and not municipalities)
+        )
+        return FailureSet(
+            failures=failures,
+            records_total=dict(self.totals),
+            records_dso=dict(self.dso_totals),
+            failure_tally=dict(tally),
+            evaluated_tests=evaluated,
+        )
 
 
-def _eval_chunk(chunk: list[UnitRecord], checks) -> list[tuple[int, _Meta, list[RuleOutcome]]]:
-    out = []
-    for i, record in enumerate(chunk):
+def evaluate_part(records: Iterable[UnitRecord], checks) -> SuiteTally:
+    """Run the per-record checks of _build_fast_checks over one shard."""
+    part = SuiteTally()
+    totals = part.totals
+    dso_totals = part.dso_totals
+    failures = part.failures
+    first_seen = part.first_seen
+    dup_members = part.dup_members
+    net_power = (Technology.SOLAR, Technology.STORAGE)
+    i = -1
+    for i, record in enumerate(records):
+        tech = record.technology
+        totals[tech] += 1
+        dso = record.grid_operator_inspection is True
+        if dso:
+            dso_totals[tech] += 1
         failed = None
-        for fn in checks[record.technology]:
+        for fn in checks[tech]:
             outcome = fn(record)
             if outcome is not None:
                 if failed is None:
                     failed = [outcome]
                 else:
                     failed.append(outcome)
+        uid = record.unit_id
+        if failed is None and uid is None:
+            continue
+        # power_of(record) is inlined: this loop runs once per record.
+        meta = (
+            uid,
+            tech.value,
+            record.power_net_kw if tech in net_power else record.power_kw,
+            record.district_id,
+            record.municipality_id,
+            dso,
+        )
         if failed is not None:
-            out.append((i, _meta_of(record), failed))
-    return out
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(config: RuleConfig, districts: BoundarySet | None, municipalities: BoundarySet | None) -> None:
-    _WORKER_STATE["checks"] = _build_fast_checks(config, districts, municipalities)
-
-
-def _eval_chunk_in_worker(chunk: list[UnitRecord]):
-    return _eval_chunk(chunk, _WORKER_STATE["checks"])
-
-
-def _chunked(records: Iterable[UnitRecord], size: int):
-    chunk: list[UnitRecord] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+            failures[i] = (meta, failed)
+        if uid is not None:
+            if uid in first_seen or uid in dup_members:
+                part._see(uid, i, meta)
+            else:
+                first_seen[uid] = (i, meta)
+    part.count = i + 1
+    return part
 
 
 def run_suite(
@@ -701,113 +794,22 @@ def run_suite(
     config: RuleConfig | None = None,
     *,
     jobs: int = 1,
-    chunk_size: int = 4096,
 ) -> FailureSet:
     """Apply the full catalog to a record stream.
 
     Emits one FailureRecord per unit failing at least one test, sorted by
     unit id (input order breaks ties), with all failed tests listed.
     Location tests run only when boundary sets are supplied. Output is
-    deterministic for identical input and configuration, independent of
-    the worker count.
+    deterministic for identical input and configuration.
+
+    jobs is the most processes to use (>= 1). An in-memory stream is one
+    shard, so it is checked in the calling process and the result does not
+    depend on jobs; registrylint.shards spreads registry tables over
+    processes, which parse and check their own byte ranges.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = config or RuleConfig()
     districts, municipalities = boundaries if boundaries is not None else (None, None)
-
-    totals: Counter[Technology] = Counter()
-    dso_totals: Counter[Technology] = Counter()
-    # Uniqueness bookkeeping: first occurrence per id, full metas only for
-    # ids that actually collide. Memory is O(distinct ids) + O(duplicates).
-    first_seen: dict[str, tuple[int, _Meta]] = {}
-    dup_members: dict[str, list[tuple[int, _Meta]]] = {}
-    failures_map: dict[int, tuple[_Meta, list[RuleOutcome]]] = {}
-
-    def account(chunk: list[UnitRecord], base: int) -> None:
-        get_first = first_seen.get
-        for i, record in enumerate(chunk):
-            totals[record.technology] += 1
-            if record.grid_operator_inspection is True:
-                dso_totals[record.technology] += 1
-            uid = record.unit_id
-            if uid is None:
-                continue
-            entry = get_first(uid)
-            if entry is not None:
-                del first_seen[uid]
-                dup_members[uid] = [entry, (base + i, _meta_of(record))]
-            elif uid in dup_members:
-                dup_members[uid].append((base + i, _meta_of(record)))
-            else:
-                first_seen[uid] = (base + i, _meta_of(record))
-
-    def merge(base: int, results: list[tuple[int, _Meta, list[RuleOutcome]]]) -> None:
-        for i, meta, failed in results:
-            failures_map[base + i] = (meta, failed)
-
-    if jobs == 1:
-        checks = _build_fast_checks(config, districts, municipalities)
-        base = 0
-        for chunk in _chunked(records, chunk_size):
-            account(chunk, base)
-            merge(base, _eval_chunk(chunk, checks))
-            base += len(chunk)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(config, districts, municipalities)
-        ) as pool:
-            window: list[tuple[int, object]] = []
-            base = 0
-            for chunk in _chunked(records, chunk_size):
-                account(chunk, base)
-                window.append((base, pool.submit(_eval_chunk_in_worker, chunk)))
-                base += len(chunk)
-                if len(window) >= jobs * 4:
-                    b, fut = window.pop(0)
-                    merge(b, fut.result())
-            for b, fut in window:
-                merge(b, fut.result())
-
-    # Suite-level test 2: every record of a duplicate-id group fails.
-    for uid, members in dup_members.items():
-        n = len(members)
-        outcome = RuleOutcome(uid, 2, False, f"duplicate unit id ({n} records)", float(n), "records")
-        for ordinal, meta in members:
-            entry = failures_map.get(ordinal)
-            if entry is None:
-                failures_map[ordinal] = (meta, [outcome])
-            else:
-                entry[1].append(outcome)
-
-    tally: Counter[tuple[int, Technology]] = Counter()
-    failures: list[FailureRecord] = []
-    for ordinal in sorted(failures_map, key=lambda o: (failures_map[o][0][0] or "", o)):
-        meta, outcomes = failures_map[ordinal]
-        outcomes.sort(key=lambda o: o.test_id)
-        for outcome in outcomes:
-            tally[(outcome.test_id, meta[1])] += 1
-        failures.append(
-            FailureRecord(
-                unit_id=meta[0],
-                technology=meta[1],
-                power_kw=meta[2],
-                district_id=meta[3],
-                municipality_id=meta[4],
-                dso_inspected=meta[5],
-                failed=tuple(outcomes),
-            )
-        )
-
-    evaluated = tuple(
-        tid
-        for tid in TEST_IDS
-        if not (tid == 10 and districts is None) and not (tid == 11 and municipalities is None)
-    )
-    return FailureSet(
-        failures=failures,
-        records_total=dict(totals),
-        records_dso=dict(dso_totals),
-        failure_tally=dict(tally),
-        evaluated_tests=evaluated,
-    )
+    part = evaluate_part(records, _build_fast_checks(config, districts, municipalities))
+    return part.failure_set(districts is not None, municipalities is not None)

@@ -26,7 +26,7 @@ from .geo import (
     point_in_region,
 )
 from .model import Technology, UnitRecord
-from .rules import Boundaries, RuleConfig
+from .rules import Boundaries, ConfigError, RuleConfig
 
 SNAPSHOT_DATE = date(2024, 6, 1)
 
@@ -48,7 +48,7 @@ _TECH_DIGIT = {tech: str(i) for i, tech in enumerate(Technology)}
 _MANUFACTURERS = ("Nordfeld Energietechnik", "Windwerk GmbH", "Turbinenbau Nord")
 
 
-class SynthError(Exception):
+class SynthError(ConfigError):
     """Raised for unsatisfiable generation or injection requests."""
 
 

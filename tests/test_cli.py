@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
+from registrylint.ingest import default_mapping
 from registrylint.model import Technology
 
 
@@ -145,8 +149,6 @@ class TestValidateCommand:
         assert code in (EXIT_CLEAN, EXIT_FAILURES)
 
     def test_partial_mapping_override_keeps_other_defaults(self, synth_dir, tmp_path):
-        from registrylint.ingest import default_mapping
-
         # Remap only wind (identical entries, spelled out); the other
         # technologies must still parse with their default columns.
         wind_entries = [[e.raw, e.field, e.factor] for e in default_mapping().for_technology(Technology.WIND)]
@@ -157,6 +159,22 @@ class TestValidateCommand:
         assert code in (EXIT_CLEAN, EXIT_FAILURES)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_technology"]["solar"]["unit_count"] == 150
+
+    def test_mapping_to_a_field_the_technology_lacks_exits_two(self, synth_dir, tmp_path, capsys):
+        # Wind units carry no gross power; every row would be rejected.
+        wind_entries = [
+            [e.raw, "power_gross_kw" if e.raw == "hub height" else e.field]
+            for e in default_mapping().for_technology(Technology.WIND)
+        ]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mapping": {"wind": wind_entries}}))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(_validate_args(synth_dir, out, "--config", str(cfg))) == EXIT_FATAL
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        error = json.loads(line)["error"]
+        assert "wind" in error and "power_gross_kw" in error
+        assert not (out / "failures.csv").exists()
 
     def test_bad_input_spec_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path), "--input", "nuclear=x.csv"]) == EXIT_FATAL
@@ -204,6 +222,18 @@ class TestReportCommand:
     def test_missing_failures_file_exits_two(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_FATAL
         assert "missing failure file" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_synth_and_process_pools_out():
+    # Spawned helpers re-import the CLI module; they never need these.
+    code = (
+        "import sys, registrylint.cli; "
+        "names = ('registrylint.synth', 'multiprocessing', 'concurrent.futures.process'); "
+        "print([m for m in names if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,34 @@ class TestParseRegistry:
         assert result.records[0].power_kw is None
         assert result.issues[0].reason == "negative value"
 
+    def test_parsed_records_meet_the_record_invariants(self, tmp_path):
+        # Ingest builds records without UnitRecord's checks; replace() runs them.
+        entries = {
+            **default_mapping().entries,
+            Technology.WIND: tuple(
+                MappingEntry(e.raw, e.field, 1e10 if e.field == "power_kw" else 1.0)
+                for e in default_mapping().for_technology(Technology.WIND)
+            ),
+        }
+        path = make_csv(
+            tmp_path / "wind.csv",
+            Technology.WIND,
+            [
+                {"mastr id": " SEE900000000001 ", "power": "1e300", "hub height": "-2", "manufacturer": "  "},
+                {"mastr id": "SEE900000000002", "power": "2", "coordinate": "91.0, 10.0", "zip code": " 12345"},
+            ],
+        )
+        result = parse_registry(path, Technology.WIND, ColumnMapping(entries))
+        assert [replace(r) for r in result.records] == result.records
+        assert [(i.line, i.field, i.reason) for i in result.issues] == [
+            (2, "power_kw", "not finite"),
+            (2, "hub_height_m", "negative value"),
+            (3, "coordinate", "out of WGS84 bounds"),
+        ]
+        assert result.records[0].unit_id == "SEE900000000001"
+        assert result.records[0].manufacturer is None
+        assert result.records[1].power_kw == 2e10
+
     def test_missing_header_fatal(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
@@ -184,6 +213,20 @@ class TestParseRegistry:
         }
         with pytest.raises(IngestError, match="unit_id"):
             ColumnMapping(entries)
+
+    @pytest.mark.parametrize(
+        "target, factor, message",
+        [("power_gross_kw", 1.0, "do not carry"), ("technology", 1.0, "unknown field"),
+         ("hub_height_m", 0.0, "positive and finite"), ("hub_height_m", float("nan"), "positive and finite")],
+        ids=["other-technology", "table-key", "zero-factor", "nan-factor"],
+    )
+    def test_mapping_rejects_unusable_entries(self, target, factor, message):
+        base = default_mapping().for_technology(Technology.WIND)
+        entries = {
+            Technology.WIND: tuple(e for e in base if e.field != target) + (MappingEntry("extra", target, factor),)
+        }
+        with pytest.raises(IngestError, match=message):
+            ColumnMapping({**default_mapping().entries, **entries})
 
     def test_mapping_rejects_duplicate_targets(self):
         base = default_mapping().for_technology(Technology.WIND)

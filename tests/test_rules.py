@@ -526,7 +526,7 @@ class TestRunSuite:
         second = run_suite(mutated, grid, config)
         assert first.failures == second.failures
         assert first.failure_tally == second.failure_tally
-        parallel = run_suite(mutated, grid, config, jobs=2, chunk_size=64)
+        parallel = run_suite(mutated, grid, config, jobs=2)
         assert parallel.failures == first.failures
         assert parallel.records_total == first.records_total
 
