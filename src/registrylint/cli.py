@@ -18,21 +18,26 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .geo import GeometryError
 from .ingest import (
     ColumnMapping,
     IngestError,
+    RegistryReader,
     default_mapping,
     parse_boundaries,
-    read_layout,
     write_boundaries_geojson,
     write_registry_csv,
 )
 from .model import Technology
-from .report import build_report, export, load_failures_ndjson
-from .rules import Boundaries, ConfigError, FailureSet, RuleConfig
-from .shards import HelperError, plan_shards, run_shards
+from .report import (
+    ColumnStats,
+    build_report,
+    export,
+    load_failures_ndjson,
+)
+from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 
@@ -131,6 +136,16 @@ def _build_run_config(args) -> RunConfig:
     return run
 
 
+def _stream_records(readers: list[RegistryReader], stats: ColumnStats, dso_only: bool) -> Iterable:
+    for reader in readers:
+        print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
+        for record in reader:
+            if dso_only and record.grid_operator_inspection is not True:
+                continue
+            stats.update(record)
+            yield record
+
+
 def cmd_validate(args) -> int:
     run = _build_run_config(args)
     boundaries = Boundaries(
@@ -147,27 +162,26 @@ def cmd_validate(args) -> int:
             else None
         ),
     )
-    layouts = [
-        read_layout(path, tech, run.mapping, delimiter=run.delimiter)
+    selected = [
+        (tech, path)
         for tech, path in sorted(run.inputs.items(), key=lambda kv: kv[0].value)
         if run.technologies is None or tech in run.technologies
     ]
-    for layout in layouts:
-        print(f"reading {layout.path} ({layout.technology.value})", file=sys.stderr)
-    result = run_shards(
-        plan_shards(layouts, run.jobs),
+    readers = [
+        RegistryReader(path, tech, run.mapping, delimiter=run.delimiter) for tech, path in selected
+    ]
+    stats = ColumnStats()
+    failure_set = run_suite(
+        _stream_records(readers, stats, run.dso_only),
         boundaries if (boundaries.districts or boundaries.municipalities) else None,
         run.rules,
-        jobs=run.jobs,
-        dso_only=run.dso_only,
     )
-    failure_set = result.failure_set
-    issues = len(result.issues)
-    print(
-        f"parsed {result.rows_total} rows ({result.rows_rejected} rejected, {issues} cell issues)", file=sys.stderr
-    )
+    issues = sum(len(r.issues) for r in readers)
+    rejected = sum(r.rows_rejected for r in readers)
+    rows = sum(r.rows_total for r in readers)
+    print(f"parsed {rows} rows ({rejected} rejected, {issues} cell issues)", file=sys.stderr)
 
-    report = build_report(failure_set, result.stats)
+    report = build_report(failure_set, stats)
     export(failure_set.failures, report, run.out_dir)
     _print_tally(failure_set)
 
@@ -176,7 +190,7 @@ def cmd_validate(args) -> int:
         json.dumps(
             {
                 "records": failure_set.total_records,
-                "rows_rejected": result.rows_rejected,
+                "rows_rejected": rejected,
                 "cell_issues": issues,
                 "failing_units": failing,
                 "out_dir": str(run.out_dir),
@@ -198,7 +212,7 @@ def _print_tally(failure_set: FailureSet) -> None:
 
 
 def cmd_synth(args) -> int:
-    # Imported here: validate and its helper processes never need synth.
+    # Imported here, so that validate and report do not load synth.
     from .synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
     if args.count < 0:
@@ -329,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--technology", action="append", choices=[t.value for t in Technology], help="filter (repeatable)"
     )
-    p_validate.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
+    p_validate.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility (>= 1); validate runs in one process"
+    )
     p_validate.add_argument("--buffer-m", type=float, default=None, help="location buffer override")
     p_validate.add_argument(
         "--dso-only", action="store_true", help="validate only DSO-inspected units"
@@ -360,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, GeometryError, HelperError, OSError) as exc:
+    except (ConfigError, IngestError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL

@@ -10,19 +10,23 @@ row is ever dropped silently: rows = records + rejected rows.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-import os
-import re
 from dataclasses import dataclass, field
 from datetime import date
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .geo import BoundarySet, GeometryError, PolygonGeom, Region
-from .model import RECORD_FIELDS, SPECIFIC_FIELDS, Technology, UnitRecord, checked_record
+from .model import (
+    CHECKED_FIELDS,
+    RECORD_FIELDS,
+    SPECIFIC_FIELDS,
+    Technology,
+    UnitRecord,
+    checked_record,
+    value_problem,
+)
 
 _FIELD_POS = {name: i for i, name in enumerate(RECORD_FIELDS)}
 _MUNICIPALITY_POS = _FIELD_POS["municipality_id"]
@@ -229,18 +233,11 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_cell(name: str, text: str, factor: float):
+    """A cell's value, before the field's own checks (model.value_problem)."""
     if name in _FLOAT_FIELDS:
-        value = _parse_float(text) * factor
-        if value < 0:
-            raise ValueError("negative value")
-        if not math.isfinite(value):
-            raise ValueError("not finite")
-        return value
+        return _parse_float(text) * factor
     if name in _INT_FIELDS:
-        value = int(text)
-        if name == "number_of_modules" and value < 0:
-            raise ValueError("negative count")
-        return value
+        return int(text)
     if name in _DATE_FIELDS:
         return date.fromisoformat(text)
     if name in _BOOL_FIELDS:
@@ -254,256 +251,18 @@ def _parse_cell(name: str, text: str, factor: float):
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError("expected 'latitude, longitude'")
-        lat = float(parts[0])
-        lon = float(parts[1])
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise ValueError("not finite")
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise ValueError("out of WGS84 bounds")
-        return (lat, lon)
+        return (float(parts[0]), float(parts[1]))
     return text
 
 
-@dataclass(frozen=True)
-class TableLayout:
-    """A registry table's header, read once by the process that plans a run.
-
-    columns lists (canonical field, cell index, unit factor) for every
-    mapped column; data_start is the byte offset of the first row after
-    the header and size the file size in bytes.
-    """
-
-    path: Path
-    technology: Technology
-    columns: tuple[tuple[str, int, float], ...]
-    width: int
-    data_start: int
-    size: int
-    delimiter: str
-    encoding: str
-
-
-@dataclass(slots=True)
-class IngestTally:
-    """Parse issues and row counts of the rows read so far."""
-
-    issues: list[ParseIssue] = field(default_factory=list)
-    rows_total: int = 0
-    rows_rejected: int = 0
-
-
-# Bytes read at once when looking for a row boundary; grows 4x while a
-# quoted field spans the window, up to _MAX_WINDOW.
-_WINDOW = 1 << 16
-_MAX_WINDOW = 1 << 24
-_QUOTE = 0x22
-# The rest of a quoted field, from just inside its opening quote.
-_QUOTED_REST = re.compile(rb'(?:[^"]+|"")*(?:"|\Z)')
-
-
-@lru_cache(maxsize=8)
-def _row_pattern(delimiter: str) -> re.Pattern[bytes]:
-    """One CSV row, or its rest, as csv.reader splits rows (excel dialect).
-
-    A quote opens a quoted field only at the start of a field; anywhere
-    else outside quotes it is a literal character. Inside a quoted field a
-    doubled quote is a literal quote and newlines are content. A row ends
-    at CRLF, CR or LF outside quotes, or at the end of the data. Every
-    branch is forced by the next byte, so the first way the pattern
-    matches is the reader's.
-    """
-    if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n':
-        raise IngestError(f"delimiter must be one ASCII character other than a quote or newline, got {delimiter!r}")
-    field_break = re.escape(delimiter.encode("ascii")) + rb"\r\n"
-    return re.compile(
-        rb'(?:[^"\r\n]+|(?<=[^' + field_break + rb'])"|"' + _QUOTED_REST.pattern + rb")*(?:\r\n|\r|\n|\Z)"
-    )
-
-
-def _first_row_end(handle, size: int, pattern: re.Pattern[bytes]) -> int:
-    """Byte offset just past the file's first row."""
-    window = _WINDOW
-    while True:
-        handle.seek(0)
-        buf = handle.read(window)
-        end = pattern.match(buf).end()
-        # A row that reaches the end of the window may go on past it.
-        if end < len(buf) or len(buf) >= size:
-            return end
-        window *= 4
-
-
-def _agreed_row_end(buf: bytes, pattern: re.Pattern[bytes]) -> int | None:
-    """Index in buf of a row boundary whatever the quote state at buf[1].
-
-    buf[0] is the byte before the target. The state there is unknown
-    without reading from the start of the table, but it is either outside
-    quotes (the byte before then tells a field start from a field's
-    middle) or inside a quoted field, unless that byte is a quote, so the
-    scan starts past any quotes. The row ends under both assumptions are
-    walked together; the first one they share ends a row under the true
-    state. After Ge et al., "Speculative Distributed CSV Data Parsing for
-    Big Data Analytics", SIGMOD 2019. None if they share none inside buf.
-    """
-    n = len(buf)
-    start = 1
-    while start < n and buf[start - 1] == _QUOTE:
-        start += 1
-
-    def row_ends(pos: int):
-        while pos < n:
-            pos = pattern.match(buf, pos).end()
-            yield pos
-
-    outside = row_ends(start)
-    inside = row_ends(_QUOTED_REST.match(buf, start).end())
-    a = next(outside, n)
-    b = next(inside, n)
-    while a != b:
-        if a < b:
-            a = next(outside, n)
-        else:
-            b = next(inside, n)
-    # An end at the end of buf may only be where the window stops.
-    return a if a < n else None
-
-
-def _split_near(handle, target: int, size: int, pattern: re.Pattern[bytes]) -> int | None:
-    """A row boundary after target, found without reading the table from
-    its start; None if there is none before the end of the file or none
-    within _MAX_WINDOW bytes."""
-    window = _WINDOW
-    while window <= _MAX_WINDOW:
-        handle.seek(target - 1)
-        buf = handle.read(window)
-        found = _agreed_row_end(buf, pattern)
-        if found is not None:
-            return target - 1 + found
-        if target - 1 + len(buf) >= size:
-            return None
-        window *= 4
-    return None
-
-
-def read_layout(
-    path: str | Path,
-    technology: Technology,
-    mapping: ColumnMapping | None = None,
-    *,
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-) -> TableLayout:
-    """Read and check a table's header against the column mapping.
-
-    The encoding must be ASCII-compatible (newlines, quotes and the
-    delimiter are single bytes) so that tables can be cut into byte ranges.
-    """
-    path = Path(path)
-    entries = (mapping or default_mapping()).for_technology(technology)
-    pattern = _row_pattern(delimiter)
-    if "\r\n\"".encode(encoding) != b'\r\n"' or delimiter.encode(encoding) != delimiter.encode("ascii"):
-        raise IngestError(f"encoding {encoding!r} is not ASCII-compatible")
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        data_start = _first_row_end(handle, size, pattern)
-        handle.seek(0)
-        head = handle.read(data_start).decode(encoding)
-    header = next(csv.reader(io.StringIO(head, newline=""), delimiter=delimiter), None)
-    if header is None:
-        raise IngestError(f"{path}: missing header row")
-    index = {name: i for i, name in enumerate(header)}
-    missing = [e.raw for e in entries if e.raw not in index]
-    if missing:
-        raise IngestError(f"{path}: missing mandatory columns: {', '.join(missing)}")
-    columns = tuple((e.field, index[e.raw], e.factor) for e in entries)
-    return TableLayout(path, technology, columns, len(header), data_start, size, delimiter, encoding)
-
-
-def table_ranges(layout: TableLayout, pieces: int) -> list[tuple[int, int]]:
-    """Cut a table's rows into up to `pieces` byte ranges of about equal
-    size, each starting on a row boundary. A table without rows has none."""
-    start, size = layout.data_start, layout.size
-    bounds = [start]
-    if start < size:
-        pattern = _row_pattern(layout.delimiter)
-        with open(layout.path, "rb") as handle:
-            for k in range(1, pieces):
-                target = start + (size - start) * k // pieces
-                if target <= bounds[-1]:
-                    continue
-                cut = _split_near(handle, target, size, pattern)
-                if cut is None:
-                    break
-                bounds.append(cut)
-        bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
-
-
-class _ByteRange(io.RawIOBase):
-    """Read-only view of bytes [start, end) of a file."""
-
-    def __init__(self, path: Path, start: int, end: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        view = memoryview(buffer)[: self._left]
-        count = self._file.readinto(view) if len(view) else 0
-        self._left -= count
-        return count
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def read_records(layout: TableLayout, start: int, end: int, tally: IngestTally) -> Iterator[UnitRecord]:
-    """UnitRecords of the rows in bytes [start, end), in file order.
-
-    [start, end) must start on a row boundary. Issues name lines as if
-    the range began right after the header, at line 2. Every cell is
-    checked as it is parsed, so records skip UnitRecord's own checks; only
-    rows of the wrong width are rejected. Memory stays bounded by one row.
-    """
-    width = layout.width
-    issues = tally.issues
-    columns = [(name, col, factor, _FIELD_POS[name]) for name, col, factor in layout.columns]
-    blank = [None] * len(RECORD_FIELDS)
-    blank[_FIELD_POS["technology"]] = layout.technology
-    stream = io.TextIOWrapper(
-        io.BufferedReader(_ByteRange(layout.path, start, end)), encoding=layout.encoding, newline=""
-    )
-    with stream:
-        for line_no, row in enumerate(csv.reader(stream, delimiter=layout.delimiter), start=2):
-            tally.rows_total += 1
-            if len(row) != width:
-                tally.rows_rejected += 1
-                issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
-                continue
-            values = blank.copy()
-            for name, col, factor, pos in columns:
-                text = row[col].strip()
-                if not text:
-                    continue
-                try:
-                    values[pos] = _parse_cell(name, text, factor)
-                except (ValueError, OverflowError) as exc:
-                    issues.append(ParseIssue(line_no, name, text, str(exc)))
-            mid = values[_MUNICIPALITY_POS]
-            if values[_DISTRICT_POS] is None and isinstance(mid, str) and len(mid) == 8 and mid.isdigit():
-                values[_DISTRICT_POS] = mid[:5]
-            yield checked_record(values)
-
-
-class RegistryReader(IngestTally):
-    """Streaming CSV reader yielding a whole table's UnitRecords in file order.
+class RegistryReader:
+    """Streaming CSV reader yielding UnitRecords in file order.
 
     Issues, row totals and rejected-row counts accumulate on the reader
-    while it is consumed; memory stays bounded by one row.
+    while it is consumed; memory stays bounded by one row. Every cell is
+    checked as it is parsed (model.value_problem) and the column mapping
+    only targets fields the technology carries, so records skip
+    UnitRecord's own checks; only rows of the wrong width are rejected.
     """
 
     def __init__(
@@ -515,19 +274,61 @@ class RegistryReader(IngestTally):
         delimiter: str = ",",
         encoding: str = "utf-8",
     ):
-        super().__init__()
+        if not isinstance(technology, Technology):
+            raise TypeError(f"technology must be a Technology, got {technology!r}")
+        if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
+            raise IngestError(f"delimiter must be one character other than a quote or newline, got {delimiter!r}")
         self.path = Path(path)
         self.technology = technology
-        self.mapping = mapping or default_mapping()
-        self.mapping.for_technology(technology)
+        self.entries = (mapping or default_mapping()).for_technology(technology)
         self.delimiter = delimiter
         self.encoding = encoding
+        self.issues: list[ParseIssue] = []
+        self.rows_total = 0
+        self.rows_rejected = 0
 
     def __iter__(self) -> Iterator[UnitRecord]:
-        layout = read_layout(
-            self.path, self.technology, self.mapping, delimiter=self.delimiter, encoding=self.encoding
-        )
-        return read_records(layout, layout.data_start, layout.size, self)
+        issues = self.issues
+        blank = [None] * len(RECORD_FIELDS)
+        blank[_FIELD_POS["technology"]] = self.technology
+        with open(self.path, newline="", encoding=self.encoding) as handle:
+            reader = csv.reader(handle, delimiter=self.delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{self.path}: missing header row")
+            index = {name: i for i, name in enumerate(header)}
+            missing = [e.raw for e in self.entries if e.raw not in index]
+            if missing:
+                raise IngestError(f"{self.path}: missing mandatory columns: {', '.join(missing)}")
+            columns = [
+                (e.field, index[e.raw], e.factor, _FIELD_POS[e.field], e.field in CHECKED_FIELDS)
+                for e in self.entries
+            ]
+            width = len(header)
+
+            for line_no, row in enumerate(reader, start=2):
+                self.rows_total += 1
+                if len(row) != width:
+                    self.rows_rejected += 1
+                    issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
+                    continue
+                values = blank.copy()
+                for name, col, factor, pos, checked in columns:
+                    text = row[col].strip()
+                    if not text:
+                        continue
+                    try:
+                        value = _parse_cell(name, text, factor)
+                        problem = checked and value_problem(name, value)
+                        if problem:
+                            raise ValueError(problem)
+                        values[pos] = value
+                    except (ValueError, OverflowError) as exc:
+                        issues.append(ParseIssue(line_no, name, text, str(exc)))
+                mid = values[_MUNICIPALITY_POS]
+                if values[_DISTRICT_POS] is None and isinstance(mid, str) and len(mid) == 8 and mid.isdigit():
+                    values[_DISTRICT_POS] = mid[:5]
+                yield checked_record(values)
 
 
 def parse_registry(

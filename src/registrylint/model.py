@@ -135,23 +135,50 @@ class UnitRecord:
         for name, techs in SPECIFIC_FIELDS.items():
             if tech not in techs and getattr(self, name) is not None:
                 raise ValueError(f"field {name!r} does not exist for technology {tech.value!r}")
-        for name in _NON_NEGATIVE_FIELDS:
+        for name, requirement in _REQUIREMENTS.items():
             value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise ValueError(f"field {name!r} must be non-negative and finite, got {value!r}")
-        if self.number_of_modules is not None and self.number_of_modules < 0:
-            raise ValueError(f"number_of_modules must be >= 0, got {self.number_of_modules!r}")
-        if self.coordinate is not None:
-            lat, lon = self.coordinate
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise ValueError(f"coordinate must be finite, got {self.coordinate!r}")
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                raise ValueError(f"coordinate out of WGS84 bounds: {self.coordinate!r}")
+            problem = None if value is None else value_problem(name, value)
+            if problem:
+                raise ValueError(f"field {name!r} must be {requirement} ({problem}), got {value!r}")
         # Text is kept as a table cell reads back: stripped, blank as None.
         for name in _TEXT_FIELDS:
             value = getattr(self, name)
             if value is not None and (not value or value.strip() != value):
                 object.__setattr__(self, name, value.strip() or None)
+
+
+# What a present value of a field must be, beyond the field existing for
+# the record's technology; value_problem tells why a value is not.
+_REQUIREMENTS: dict[str, str] = {
+    **{name: "non-negative and finite" for name in _NON_NEGATIVE_FIELDS},
+    "number_of_modules": ">= 0",
+    "coordinate": "finite and within WGS84 bounds",
+}
+CHECKED_FIELDS = frozenset(_REQUIREMENTS)
+
+
+def value_problem(name: str, value) -> str | None:
+    """Why a present value breaks its field's requirement, or None.
+
+    The one statement of UnitRecord's value invariants: __post_init__
+    raises on a problem, and ingest turns it into a cell issue. Fields
+    outside CHECKED_FIELDS take any value of their type.
+    """
+    if name == "coordinate":
+        lat, lon = value
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            return "not finite"
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            return "out of WGS84 bounds"
+    elif name == "number_of_modules":
+        if value < 0:
+            return "negative count"
+    elif name in _REQUIREMENTS:
+        if value < 0:
+            return "negative value"
+        if not math.isfinite(value):
+            return "not finite"
+    return None
 
 
 # Field names in declaration order, reused by serialization and ingest.
@@ -162,12 +189,13 @@ _SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELD
 
 def checked_record(values: list) -> UnitRecord:
     """A UnitRecord from its field values in RECORD_FIELDS order, built
-    without the checks of __post_init__.
+    without running __post_init__.
 
-    Only for values that already meet every invariant those checks
-    enforce: ingest checks each cell as it parses it, and the column
-    mapping only targets fields the table's technology carries. Skipping
-    the checks and the generated __init__ halves the cost of a record.
+    Only for values that already meet what __post_init__ checks: a
+    Technology, no value in a field the technology does not carry
+    (SPECIFIC_FIELDS), value_problem None for every present value, and
+    text stripped and not blank. Ingest meets it cell by cell; skipping
+    the generated __init__ and the checks halves the cost of a record.
     """
     record = object.__new__(UnitRecord)
     for setter, value in zip(_SLOT_SETTERS, values):

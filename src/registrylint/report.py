@@ -89,17 +89,6 @@ class ColumnStats:
             if getattr(record, name) is not None:
                 counters[name] += 1
 
-    def merge(self, other: ColumnStats) -> None:
-        """Add the counts of another stream's stats."""
-        for tech, total in other.totals.items():
-            if tech not in self.totals:
-                self.totals[tech] = 0
-                self.non_null[tech] = dict.fromkeys(other.non_null[tech], 0)
-            self.totals[tech] += total
-            counters = self.non_null[tech]
-            for name, count in other.non_null[tech].items():
-                counters[name] += count
-
     def collect(self, records: Iterable[UnitRecord]) -> "ColumnStats":
         for record in records:
             self.update(record)

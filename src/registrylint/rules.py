@@ -8,9 +8,8 @@ technologies it is defined for; the full test-by-technology grid spans
 15 x 6 = 90 test instances, of which the 53 check-marked cells are
 evaluated.
 
-Every check is a pure function of one record (uniqueness is the one
-suite-level test), so a record stream can be cut into shards that are
-checked on their own and merged in stream order (SuiteTally.extend).
+Every check is a pure function of one record; uniqueness is the one
+suite-level test.
 """
 
 from __future__ import annotations
@@ -287,7 +286,10 @@ def check_rotor_power(record: UnitRecord, config: RuleConfig) -> RuleOutcome:
         return _passed(record, 9)
     if diameter <= 0:
         return _failed(record, 9, "non-positive rotor diameter")
-    specific = power * 1000.0 / (math.pi * (diameter / 2.0) ** 2)
+    swept = math.pi * (diameter / 2.0) ** 2
+    if swept == 0.0:
+        return _failed(record, 9, "rotor swept area rounds to zero")
+    specific = power * 1000.0 / swept
     low, high = config.rotor_specific_power_range_w_per_m2
     if not low <= specific <= high:
         return _failed(
@@ -539,7 +541,8 @@ def _build_fast_checks(
         p, d = r.power_kw, r.rotor_diameter_m
         if p is None or d is None:
             return None
-        if d <= 0 or not sp_low <= p * 1000.0 / (math.pi * (d / 2.0) ** 2) <= sp_high:
+        swept = math.pi * (d / 2.0) ** 2
+        if d <= 0 or swept == 0.0 or not sp_low <= p * 1000.0 / swept <= sp_high:
             return check_rotor_power(r, config)
         return None
 
@@ -652,12 +655,10 @@ class SuiteTally:
 
     Uniqueness bookkeeping keeps (ordinal, meta) of the first record per
     id and of every record of an id that collides: memory is O(distinct
-    ids) + O(duplicates) + O(failures). Tallies of consecutive shards of a
-    stream join with extend().
+    ids) + O(duplicates) + O(failures).
     """
 
     def __init__(self) -> None:
-        self.count = 0
         self.totals: Counter[Technology] = Counter()
         self.dso_totals: Counter[Technology] = Counter()
         self.first_seen: dict[str, tuple[int, _Meta]] = {}
@@ -672,27 +673,6 @@ class SuiteTally:
             self.dup_members[uid].append((ordinal, meta))
         else:
             self.first_seen[uid] = (ordinal, meta)
-
-    def extend(self, later: SuiteTally) -> None:
-        """Append the tally of the records that follow this one's.
-
-        The first tally is taken over whole; later ones are shifted by the
-        records before them.
-        """
-        if self.count == 0:
-            self.__dict__.update(later.__dict__)
-            return
-        base = self.count
-        self.count += later.count
-        self.totals.update(later.totals)
-        self.dso_totals.update(later.dso_totals)
-        for uid, (i, meta) in later.first_seen.items():
-            self._see(uid, base + i, meta)
-        for uid, members in later.dup_members.items():
-            for i, meta in members:
-                self._see(uid, base + i, meta)
-        for i, entry in later.failures.items():
-            self.failures[base + i] = entry
 
     def failure_set(self, districts: bool, municipalities: bool) -> FailureSet:
         """The suite result, once per tally; the flags say which location
@@ -741,8 +721,8 @@ class SuiteTally:
         )
 
 
-def evaluate_part(records: Iterable[UnitRecord], checks) -> SuiteTally:
-    """Run the per-record checks of _build_fast_checks over one shard."""
+def _evaluate(records: Iterable[UnitRecord], checks) -> SuiteTally:
+    """Run the per-record checks of _build_fast_checks over a stream."""
     part = SuiteTally()
     totals = part.totals
     dso_totals = part.dso_totals
@@ -750,7 +730,6 @@ def evaluate_part(records: Iterable[UnitRecord], checks) -> SuiteTally:
     first_seen = part.first_seen
     dup_members = part.dup_members
     net_power = (Technology.SOLAR, Technology.STORAGE)
-    i = -1
     for i, record in enumerate(records):
         tech = record.technology
         totals[tech] += 1
@@ -784,7 +763,6 @@ def evaluate_part(records: Iterable[UnitRecord], checks) -> SuiteTally:
                 part._see(uid, i, meta)
             else:
                 first_seen[uid] = (i, meta)
-    part.count = i + 1
     return part
 
 
@@ -802,14 +780,12 @@ def run_suite(
     Location tests run only when boundary sets are supplied. Output is
     deterministic for identical input and configuration.
 
-    jobs is the most processes to use (>= 1). An in-memory stream is one
-    shard, so it is checked in the calling process and the result does not
-    depend on jobs; registrylint.shards spreads registry tables over
-    processes, which parse and check their own byte ranges.
+    jobs (>= 1) is kept for callers that pass it: the suite runs in the
+    calling process, so the result does not depend on it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = config or RuleConfig()
     districts, municipalities = boundaries if boundaries is not None else (None, None)
-    part = evaluate_part(records, _build_fast_checks(config, districts, municipalities))
+    part = _evaluate(records, _build_fast_checks(config, districts, municipalities))
     return part.failure_set(districts is not None, municipalities is not None)

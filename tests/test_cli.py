@@ -176,6 +176,15 @@ class TestValidateCommand:
         assert "wind" in error and "power_gross_kw" in error
         assert not (out / "failures.csv").exists()
 
+    @pytest.mark.parametrize("delimiter", [";;", '"', "\n"], ids=["two-chars", "quote", "newline"])
+    def test_unusable_delimiter_exits_two(self, synth_dir, tmp_path, capsys, delimiter):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"csv": {"delimiter": delimiter}}))
+        capsys.readouterr()
+        assert main(_validate_args(synth_dir, tmp_path / "run", "--config", str(cfg))) == EXIT_FATAL
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert "delimiter" in json.loads(line)["error"]
+
     def test_bad_input_spec_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path), "--input", "nuclear=x.csv"]) == EXIT_FATAL
         assert "unknown technology" in capsys.readouterr().err
@@ -225,7 +234,7 @@ class TestReportCommand:
 
 
 def test_cli_import_leaves_synth_and_process_pools_out():
-    # Spawned helpers re-import the CLI module; they never need these.
+    # Every validate pays for what the CLI module imports (setup_s).
     code = (
         "import sys, registrylint.cli; "
         "names = ('registrylint.synth', 'multiprocessing', 'concurrent.futures.process'); "

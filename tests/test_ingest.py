@@ -11,6 +11,7 @@ from registrylint.ingest import (
     ColumnMapping,
     IngestError,
     MappingEntry,
+    RegistryReader,
     default_mapping,
     parse_boundaries,
     parse_registry,
@@ -140,6 +141,12 @@ class TestParseRegistry:
         assert result.records[0].unit_id == "SEE900000000001"
         assert result.records[0].manufacturer is None
         assert result.records[1].power_kw == 2e10
+
+    def test_technology_must_be_the_enum(self, tmp_path):
+        # Records skip UnitRecord's checks, so the reader checks the one
+        # value that does not come from a cell.
+        with pytest.raises(TypeError, match="Technology"):
+            RegistryReader(tmp_path / "wind.csv", "wind")
 
     def test_missing_header_fatal(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -273,6 +273,16 @@ class TestRotorPower:
         assert not outcome.passed
         assert outcome.detail == "non-positive rotor diameter"
 
+    @pytest.mark.parametrize("power_kw", [0.0, 2000.0])
+    def test_swept_area_that_rounds_to_zero_fails(self, grid, cfg, power_kw):
+        # (d / 2) ** 2 underflows to 0.0 for a subnormal diameter.
+        record = replace(example_record(grid, Technology.WIND), power_kw=power_kw, rotor_diameter_m=5e-262)
+        outcome = check_rotor_power(record, cfg)
+        assert not outcome.passed
+        assert outcome.detail == "rotor swept area rounds to zero"
+        (failure,) = run_suite([record], None, cfg).failures
+        assert outcome in failure.failed
+
 
 class TestLocation:
     def test_inside_registered_regions_passes(self, grid, indexed_grid, cfg):
