@@ -31,12 +31,7 @@ from .ingest import (
     write_registry_csv,
 )
 from .model import Technology
-from .report import (
-    ColumnStats,
-    build_report,
-    export,
-    load_failures_ndjson,
-)
+from .report import ColumnStats, ReportError, build_report, export, load_failures_ndjson
 from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
@@ -83,9 +78,17 @@ def _load_config_file(path: str | None) -> dict:
     if not file.is_file():
         raise ConfigError(f"config file does not exist: {file}")
     try:
-        return json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(file.read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"config file {file} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config file {file} must hold a JSON object")
+    for section in ("rules", "mapping", "csv", "boundary_keys"):
+        if not isinstance(payload.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+    if not all(isinstance(key, str) for key in payload.get("boundary_keys", {}).values()):
+        raise ConfigError("boundary_keys must map levels to property names (strings)")
+    return payload
 
 
 def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
@@ -106,13 +109,9 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
 
 def _build_run_config(args) -> RunConfig:
     file_cfg = _load_config_file(args.config)
-    rules_cfg = RuleConfig.from_dict(file_cfg.get("rules", {}))
+    rules = dict(file_cfg.get("rules", {}))
     if args.buffer_m is not None:
-        if args.buffer_m < 0:
-            raise ConfigError("--buffer-m must be >= 0")
-        payload = dict(file_cfg.get("rules", {}))
-        payload["buffer_m"] = args.buffer_m
-        rules_cfg = RuleConfig.from_dict(payload)
+        rules["buffer_m"] = args.buffer_m
     mapping = default_mapping()
     if "mapping" in file_cfg:
         # Listed technologies replace their default mapping; others keep it.
@@ -124,7 +123,7 @@ def _build_run_config(args) -> RunConfig:
         districts_path=Path(args.districts) if args.districts else None,
         municipalities_path=Path(args.municipalities) if args.municipalities else None,
         out_dir=Path(args.out),
-        rules=rules_cfg,
+        rules=RuleConfig.from_dict(rules),
         mapping=mapping,
         delimiter=file_cfg.get("csv", {}).get("delimiter", ","),
         region_keys=file_cfg.get("boundary_keys", {}),
@@ -269,19 +268,21 @@ def cmd_report(args) -> int:
     if not summary_path.is_file():
         raise ConfigError(f"missing summary file: {summary_path}")
     failures = load_failures_ndjson(failures_path)
-    stored = json.loads(summary_path.read_text(encoding="utf-8"))
-
-    records_total = {
-        Technology(name): block["unit_count"] for name, block in stored["per_technology"].items()
-    }
-    records_dso = {
-        Technology(name): block["unit_count"] for name, block in stored["per_technology_dso"].items()
-    }
-    evaluated = tuple(sorted({int(key.split(":")[0]) for key in stored["matrix"]["evaluated_counts"]}))
-    completeness_table = {
-        Technology(name): {column: Fraction(n, d) for column, (n, d) in table.items()}
-        for name, table in stored.get("completeness_fraction", {}).items()
-    }
+    try:
+        stored = json.loads(summary_path.read_text(encoding="utf-8"))
+        records_total = {
+            Technology(name): block["unit_count"] for name, block in stored["per_technology"].items()
+        }
+        records_dso = {
+            Technology(name): block["unit_count"] for name, block in stored["per_technology_dso"].items()
+        }
+        evaluated = tuple(sorted({int(key.split(":")[0]) for key in stored["matrix"]["evaluated_counts"]}))
+        completeness_table = {
+            Technology(name): {column: Fraction(n, d) for column, (n, d) in table.items()}
+            for name, table in stored.get("completeness_fraction", {}).items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ReportError(f"{summary_path} is not a validate summary: {exc!r}") from None
 
     if args.dso_only:
         failures = [fr for fr in failures if fr.dso_inspected]
@@ -376,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, GeometryError, OSError) as exc:
+    except (ConfigError, IngestError, GeometryError, ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL

@@ -9,6 +9,7 @@ row is ever dropped silently: rows = records + rejected rows.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -43,14 +44,6 @@ class ParseIssue:
     field: str | None
     value: str | None
     reason: str
-
-
-@dataclass(slots=True)
-class ParseResult:
-    records: list[UnitRecord]
-    issues: list[ParseIssue]
-    rows_total: int
-    rows_rejected: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +285,7 @@ class RegistryReader:
         blank = [None] * len(RECORD_FIELDS)
         blank[_FIELD_POS["technology"]] = self.technology
         with open(self.path, newline="", encoding=self.encoding) as handle:
-            reader = csv.reader(handle, delimiter=self.delimiter)
+            reader = self._rows(csv.reader(handle, delimiter=self.delimiter))
             header = next(reader, None)
             if header is None:
                 raise IngestError(f"{self.path}: missing header row")
@@ -330,19 +323,29 @@ class RegistryReader:
                     values[_DISTRICT_POS] = mid[:5]
                 yield checked_record(values)
 
+    def _rows(self, reader) -> Iterator[list[str]]:
+        """The csv reader's rows; undecodable bytes and csv errors (such as
+        a cell over the field size limit) become an IngestError naming the
+        file and line."""
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line_no = _undecodable_line(self.path, self.encoding)
+            raise IngestError(f"{self.path}: line {line_no}: not {self.encoding} text ({exc.reason})") from None
 
-def parse_registry(
-    path: str | Path,
-    technology: Technology,
-    mapping: ColumnMapping | None = None,
-    *,
-    delimiter: str = ",",
-    encoding: str = "utf-8",
-) -> ParseResult:
-    """Materialize a whole registry table; see RegistryReader for streaming."""
-    reader = RegistryReader(path, technology, mapping, delimiter=delimiter, encoding=encoding)
-    records = list(reader)
-    return ParseResult(records, reader.issues, reader.rows_total, reader.rows_rejected)
+
+def _undecodable_line(path: Path, encoding: str) -> int:
+    """The 1-based number of the first line of a file that does not decode."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                decoder.decode(line)
+            except UnicodeDecodeError:
+                break
+    return line_no
 
 
 def _cell_text(name: str, value, factor: float) -> str:
@@ -367,7 +370,7 @@ def write_registry_csv(
     *,
     delimiter: str = ",",
 ) -> None:
-    """Inverse of parse_registry under the same mapping (writes raw columns)."""
+    """Inverse of RegistryReader under the same mapping (writes raw columns)."""
     entries = (mapping or default_mapping()).for_technology(technology)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
@@ -397,38 +400,46 @@ def parse_boundaries(
         raise IngestError(f"unknown boundary level {level!r}")
     key = region_key or DEFAULT_REGION_KEYS[level]
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("type") != "FeatureCollection":
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IngestError(f"{path}: not a GeoJSON file: {exc}") from None
+    features = payload.get("features", []) if isinstance(payload, dict) else None
+    if not isinstance(features, list) or payload.get("type") != "FeatureCollection":
         raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
 
     regions: dict[str, Region] = {}
-    for idx, feature in enumerate(payload.get("features", [])):
-        props = feature.get("properties") or {}
+    for idx, feature in enumerate(features):
+        props = (feature.get("properties") or {}) if isinstance(feature, dict) else None
+        if not isinstance(props, dict):
+            raise IngestError(f"{path}: feature {idx} or its properties is not an object")
         if key not in props or props[key] in (None, ""):
             raise IngestError(f"{path}: feature {idx} has no region-key property {key!r}")
         region_id = str(props[key])
         if region_id in regions:
             raise IngestError(f"{path}: duplicate region key {region_id!r} at feature {idx}")
-        geometry = feature.get("geometry") or {}
-        gtype = geometry.get("type")
-        if gtype == "Polygon":
-            raw_polys = [geometry["coordinates"]]
-        elif gtype == "MultiPolygon":
-            raw_polys = geometry["coordinates"]
-        else:
+        geometry = feature.get("geometry")
+        gtype = geometry.get("type") if isinstance(geometry, dict) else None
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise IngestError(f"{path}: feature {idx} has unsupported geometry {gtype!r}")
+        if "coordinates" not in geometry:
+            raise IngestError(f"{path}: feature {idx} has a geometry without coordinates")
+        raw_polys = [geometry["coordinates"]] if gtype == "Polygon" else geometry["coordinates"]
         polygons = []
-        for raw_rings in raw_polys:
-            rings = []
-            for raw_ring in raw_rings:
-                ring = tuple((float(pos[1]), float(pos[0])) for pos in raw_ring)
-                if len(ring) < 4:
-                    raise IngestError(f"{path}: feature {idx} has a ring with fewer than 4 vertices")
-                if ring[0] != ring[-1]:
-                    raise IngestError(f"{path}: feature {idx} has an unclosed ring")
-                rings.append(ring)
-            polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
+        try:
+            for raw_rings in raw_polys:
+                rings = []
+                for raw_ring in raw_rings:
+                    ring = tuple((float(pos[1]), float(pos[0])) for pos in raw_ring)
+                    if len(ring) < 4:
+                        raise IngestError(f"{path}: feature {idx} has a ring with fewer than 4 vertices")
+                    if ring[0] != ring[-1]:
+                        raise IngestError(f"{path}: feature {idx} has an unclosed ring")
+                    rings.append(ring)
+                polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
+        except (TypeError, ValueError, IndexError):
+            raise IngestError(f"{path}: feature {idx} has malformed coordinates") from None
         name = props.get(name_key) or region_id
         try:
             regions[region_id] = Region(region_id=region_id, name=str(name), polygons=tuple(polygons))

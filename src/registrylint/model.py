@@ -24,8 +24,6 @@ class Technology(str, Enum):
     WIND = "wind"
 
 
-TECHNOLOGIES: tuple[Technology, ...] = tuple(Technology)
-
 # Which technology tables carry which specific columns. Anything not listed
 # here is a common field present for all technologies.
 SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
@@ -63,8 +61,6 @@ _NON_NEGATIVE_FIELDS = (
     "rotor_diameter_m",
     "area_ha",
 )
-
-_DATE_FIELDS = ("commissioning_date", "planned_commissioning_date", "download_date")
 
 
 def fields_for(technology: Technology) -> frozenset[str]:
@@ -181,7 +177,7 @@ def value_problem(name: str, value) -> str | None:
     return None
 
 
-# Field names in declaration order, reused by serialization and ingest.
+# Field names in declaration order, reused by ingest and the rule config check.
 RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(UnitRecord))
 _TEXT_FIELDS = tuple(f.name for f in fields(UnitRecord) if f.type == "str | None")
 _SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
@@ -203,47 +199,17 @@ def checked_record(values: list) -> UnitRecord:
     return record
 
 
+# The field holding a unit's rated power: net power for solar and storage
+# units, the plain power column for all other technologies.
+POWER_FIELD: dict[Technology, str] = {
+    tech: "power_net_kw" if tech in (Technology.SOLAR, Technology.STORAGE) else "power_kw" for tech in Technology
+}
+
+
 def power_of(record: UnitRecord) -> float | None:
-    """Rated power in kW used by range tests and power accumulation.
-
-    Net power for solar and storage units, the plain power column for all
-    other technologies. None marks a missing value (flagged by test 1).
-    """
-    if record.technology is Technology.SOLAR or record.technology is Technology.STORAGE:
-        return record.power_net_kw
-    return record.power_kw
-
-
-def record_to_dict(record: UnitRecord) -> dict:
-    """JSON-safe dict with None fields omitted; inverse of record_from_dict."""
-    out: dict = {}
-    for name in RECORD_FIELDS:
-        value = getattr(record, name)
-        if value is None:
-            continue
-        if name == "technology":
-            value = value.value
-        elif name in _DATE_FIELDS:
-            value = value.isoformat()
-        elif name == "coordinate":
-            value = [value[0], value[1]]
-        out[name] = value
-    return out
-
-
-def record_from_dict(payload: dict) -> UnitRecord:
-    kwargs: dict = {}
-    for name, value in payload.items():
-        if name not in RECORD_FIELDS:
-            raise ValueError(f"unknown record field {name!r}")
-        if name == "technology":
-            value = Technology(value)
-        elif name in _DATE_FIELDS and value is not None:
-            value = date.fromisoformat(value)
-        elif name == "coordinate" and value is not None:
-            value = (float(value[0]), float(value[1]))
-        kwargs[name] = value
-    return UnitRecord(**kwargs)
+    """Rated power in kW, read from the technology's POWER_FIELD. None
+    marks a missing value (flagged by test 1)."""
+    return getattr(record, POWER_FIELD[record.technology])
 
 
 class RuleOutcome(NamedTuple):

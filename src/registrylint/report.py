@@ -35,7 +35,7 @@ DEFAULT_BIN_WIDTH_KM = 5.0
 
 
 class ReportError(Exception):
-    """Raised for unusable report inputs (unknown columns, empty denominators)."""
+    """Raised for unusable report inputs (unknown columns, malformed failure files)."""
 
 
 # Completeness is tracked for every canonical column except the table key.
@@ -49,21 +49,6 @@ def columns_for(technology: Technology) -> tuple[str, ...]:
         for name in _COMPLETENESS_COLUMNS
         if name not in SPECIFIC_FIELDS or technology in SPECIFIC_FIELDS[name]
     )
-
-
-def completeness(records: Sequence[UnitRecord], column: str) -> Fraction:
-    """Fraction of non-null entries in a column, as an exact rational.
-
-    An empty table has vacuous completeness 1 (callers flag empty tables
-    separately, so division by zero never occurs).
-    """
-    if column not in _COMPLETENESS_COLUMNS:
-        raise ReportError(f"unknown column {column!r}")
-    total = len(records)
-    if total == 0:
-        return Fraction(1)
-    non_null = sum(1 for r in records if getattr(r, column) is not None)
-    return Fraction(non_null, total)
 
 
 def percent(fraction: Fraction) -> int:
@@ -95,45 +80,13 @@ class ColumnStats:
         return self
 
     def fraction(self, technology: Technology, column: str) -> Fraction:
+        """Non-null share of a column; an empty table is vacuously complete."""
+        if column not in _COMPLETENESS_COLUMNS:
+            raise ReportError(f"unknown column {column!r}")
         total = self.totals.get(technology, 0)
         if total == 0:
             return Fraction(1)
         return Fraction(self.non_null[technology][column], total)
-
-
-def error_share(
-    failures: Iterable[FailureRecord],
-    records: Sequence[UnitRecord],
-    technology: Technology,
-    test_filter: Iterable[int] | None = None,
-    dso_only: bool = False,
-) -> tuple[float, float]:
-    """(failing share, accumulated failing power in kW) for one technology.
-
-    With dso_only, both numerator and denominator are restricted to
-    DSO-inspected units.
-    """
-    wanted = None if test_filter is None else frozenset(test_filter)
-    total = sum(
-        1
-        for r in records
-        if r.technology is technology and (not dso_only or r.grid_operator_inspection is True)
-    )
-    if total == 0:
-        raise ReportError(f"empty denominator: no {technology.value} units" + (" (dso subset)" if dso_only else ""))
-    failing = 0
-    power = 0.0
-    for fr in failures:
-        if fr.technology is not technology:
-            continue
-        if dso_only and not fr.dso_inspected:
-            continue
-        if wanted is not None and not any(o.test_id in wanted for o in fr.failed):
-            continue
-        failing += 1
-        if fr.power_kw is not None:
-            power += fr.power_kw
-    return failing / total, power
 
 
 @dataclass(frozen=True)
@@ -489,9 +442,15 @@ def export(
 
 def load_failures_ndjson(path: str | Path) -> list[FailureRecord]:
     failures = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                failures.append(failure_from_json(json.loads(line)))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line:
+                    try:
+                        failures.append(failure_from_json(json.loads(line)))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ReportError(f"{path}: line {line_no} is not a failure record: {exc!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path} is not UTF-8 text: {exc}") from None
     return failures

@@ -6,7 +6,7 @@ import pytest
 
 from registrylint.model import Technology, UnitRecord
 from registrylint.geo import BoundarySet
-from registrylint.rules import Boundaries, RuleConfig
+from registrylint.rules import Boundaries, RuleConfig, evaluate_record
 from registrylint.synth import make_boundary_grid
 
 # One municipality per technology so example records can carry coordinates
@@ -111,3 +111,14 @@ def example_record(grid: Boundaries, technology: Technology, **overrides) -> Uni
 @pytest.fixture(scope="session")
 def example_records(grid) -> dict[Technology, UnitRecord]:
     return {tech: example_record(grid, tech) for tech in Technology}
+
+
+def outcome_of(test_id: int, record: UnitRecord, config=None, districts=None, municipalities=None):
+    """One catalog test's outcome for one record, as evaluate_record gives it."""
+    (outcome,) = [o for o in evaluate_record(record, config, districts, municipalities) if o.test_id == test_id]
+    return outcome
+
+
+def location_outcomes(record: UnitRecord, districts, municipalities, config=None):
+    """Outcomes of the district (10) and municipality (11) location tests."""
+    return tuple(outcome_of(tid, record, config, districts, municipalities) for tid in (10, 11))

@@ -14,29 +14,11 @@ from dataclasses import replace
 from registrylint.cli import EXIT_FAILURES, main
 from registrylint.geo import EARTH_RADIUS_M, contains_with_buffer, distance_to_boundary
 from registrylint.model import Technology
-from registrylint.report import distance_histogram, percent
-from registrylint.rules import (
-    CHECKMARKS,
-    MATRIX_CELL_COUNT,
-    check_balcony_power,
-    check_gross_vs_net,
-    check_hub_height,
-    check_id_formats,
-    check_installation_year,
-    check_inverter_ratio,
-    check_inverter_vs_net,
-    check_location,
-    check_module_power,
-    check_power_range,
-    check_required_fields,
-    check_rotor_power,
-    check_unique_ids,
-    run_suite,
-)
-from registrylint.report import completeness
+from registrylint.report import ColumnStats, distance_histogram, percent
+from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, check_unique_ids, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
-from conftest import example_record
+from conftest import example_record, location_outcomes, outcome_of
 from geo_oracle import oracle_distance_to_boundary, oracle_point_in_region
 from test_geo import kernel_fixture_regions, lon_offset_deg, random_star_region, square_region
 from test_report import _location_failure, _wind_unit
@@ -55,9 +37,9 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
     # (check callable, expect_pass, expected measured, relative tolerance)
     cases = [
         # nulls
-        (lambda: check_required_fields(rec(Technology.WIND), config), True, None, 0),
+        (lambda: outcome_of(1, rec(Technology.WIND), config), True, None, 0),
         (
-            lambda: check_required_fields(
+            lambda: outcome_of(1, 
                 replace(rec(Technology.BIOMASS), municipality_id=None), config
             ),
             False,
@@ -65,32 +47,32 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             0,
         ),
         # power ordering: gross 5 / inverter 10 / net 5
-        (lambda: check_gross_vs_net(rec(Technology.SOLAR)), True, None, 0),
-        (lambda: check_inverter_vs_net(rec(Technology.SOLAR)), True, None, 0),
+        (lambda: outcome_of(3, rec(Technology.SOLAR)), True, None, 0),
+        (lambda: outcome_of(4, rec(Technology.SOLAR)), True, None, 0),
         (
-            lambda: check_inverter_vs_net(replace(rec(Technology.STORAGE), power_inverter_kw=4.0)),
+            lambda: outcome_of(4, replace(rec(Technology.STORAGE), power_inverter_kw=4.0)),
             False,
             1.0,
             1e-9,
         ),
         # id formats
-        (lambda: check_id_formats(rec(Technology.SOLAR), config), True, None, 0),
+        (lambda: outcome_of(5, rec(Technology.SOLAR), config), True, None, 0),
         (
-            lambda: check_id_formats(replace(rec(Technology.SOLAR), zip_code="1729"), config),
+            lambda: outcome_of(5, replace(rec(Technology.SOLAR), zip_code="1729"), config),
             False,
             None,
             0,
         ),
         # module power 50-700 W
-        (lambda: check_module_power(rec(Technology.SOLAR), config), True, 625.0, 1e-9),
+        (lambda: outcome_of(6, rec(Technology.SOLAR), config), True, 625.0, 1e-9),
         (
-            lambda: check_module_power(replace(rec(Technology.SOLAR), number_of_modules=1), config),
+            lambda: outcome_of(6, replace(rec(Technology.SOLAR), number_of_modules=1), config),
             False,
             5000.0,
             1e-9,
         ),
         (
-            lambda: check_module_power(
+            lambda: outcome_of(6, 
                 replace(rec(Technology.SOLAR), power_gross_kw=0.35, number_of_modules=1), config
             ),
             True,
@@ -98,7 +80,7 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             1e-9,
         ),
         (
-            lambda: check_module_power(
+            lambda: outcome_of(6, 
                 replace(rec(Technology.SOLAR), power_gross_kw=0.05, number_of_modules=1), config
             ),
             True,
@@ -106,9 +88,9 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             1e-9,
         ),
         # inverter ratio, factor 20
-        (lambda: check_inverter_ratio(rec(Technology.SOLAR), config), True, 2.0, 1e-9),
+        (lambda: outcome_of(7, rec(Technology.SOLAR), config), True, 2.0, 1e-9),
         (
-            lambda: check_inverter_ratio(
+            lambda: outcome_of(7, 
                 replace(rec(Technology.SOLAR), power_inverter_kw=5000.0), config
             ),
             False,
@@ -136,46 +118,46 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
         ),
         # rotor specific power 160-700 W/m2: P=2000 kW, d=82 m
         (
-            lambda: check_rotor_power(rec(Technology.WIND), config),
+            lambda: outcome_of(9, rec(Technology.WIND), config),
             True,
             2000.0 * 1000.0 / sw,
             1e-9,
         ),
         (
-            lambda: check_rotor_power(replace(rec(Technology.WIND), rotor_diameter_m=20.0), config),
+            lambda: outcome_of(9, replace(rec(Technology.WIND), rotor_diameter_m=20.0), config),
             False,
             2000.0 * 1000.0 / (math.pi * 100.0),
             1e-9,
         ),
         (
-            lambda: check_rotor_power(replace(rec(Technology.WIND), power_kw=845.0), config),
+            lambda: outcome_of(9, replace(rec(Technology.WIND), power_kw=845.0), config),
             True,
             845.0 * 1000.0 / sw,
             1e-9,
         ),
         # power range: wind 0-22 MW, inclusive top, exclusive zero
         (
-            lambda: check_power_range(replace(rec(Technology.WIND), power_kw=22_000.0), config),
+            lambda: outcome_of(12, replace(rec(Technology.WIND), power_kw=22_000.0), config),
             True,
             22_000.0,
             1e-9,
         ),
         (
-            lambda: check_power_range(replace(rec(Technology.WIND), power_kw=25_000.0), config),
+            lambda: outcome_of(12, replace(rec(Technology.WIND), power_kw=25_000.0), config),
             False,
             25_000.0,
             1e-9,
         ),
         (
-            lambda: check_power_range(replace(rec(Technology.SOLAR), power_net_kw=0.0), config),
+            lambda: outcome_of(12, replace(rec(Technology.SOLAR), power_net_kw=0.0), config),
             False,
             0.0,
             0,
         ),
         # installation years
-        (lambda: check_installation_year(rec(Technology.SOLAR), config), True, 2017.0, 1e-9),
+        (lambda: outcome_of(13, rec(Technology.SOLAR), config), True, 2017.0, 1e-9),
         (
-            lambda: check_installation_year(
+            lambda: outcome_of(13, 
                 replace(rec(Technology.STORAGE), installation_year=1923), config
             ),
             False,
@@ -183,7 +165,7 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             1e-9,
         ),
         (
-            lambda: check_installation_year(
+            lambda: outcome_of(13, 
                 replace(rec(Technology.HYDRO), installation_year=1923), config
             ),
             True,
@@ -191,18 +173,18 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             1e-9,
         ),
         # hub height vs rotor radius: hub 65 / rotor 82
-        (lambda: check_hub_height(rec(Technology.WIND)), True, 65.0, 1e-9),
+        (lambda: outcome_of(14, rec(Technology.WIND)), True, 65.0, 1e-9),
         (
-            lambda: check_hub_height(replace(rec(Technology.WIND), hub_height_m=30.0)),
+            lambda: outcome_of(14, replace(rec(Technology.WIND), hub_height_m=30.0)),
             False,
             30.0,
             1e-9,
         ),
         # balcony capacity
-        (lambda: check_balcony_power(balcony_case(grid, 0.6), config), True, None, 0),
-        (lambda: check_balcony_power(balcony_case(grid, 1.3), config), False, 1.3, 1e-9),
+        (lambda: outcome_of(15, balcony_case(grid, 0.6), config), True, None, 0),
+        (lambda: outcome_of(15, balcony_case(grid, 1.3), config), False, 1.3, 1e-9),
         (
-            lambda: check_balcony_power(
+            lambda: outcome_of(15, 
                 replace(
                     rec(Technology.SOLAR),
                     unit_name="Balkonkraftwerk Müller",
@@ -218,13 +200,13 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
         ),
         # locations
         (
-            lambda: check_location(rec(Technology.WIND), districts, municipalities, config)[0],
+            lambda: location_outcomes(rec(Technology.WIND), districts, municipalities, config)[0],
             True,
             None,
             0,
         ),
         (
-            lambda: check_location(
+            lambda: location_outcomes(
                 displaced_case(grid, 30_000.0), districts, municipalities, config
             )[0],
             False,
@@ -260,15 +242,13 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
 
 
 def check_area_density_case(grid, config, gross_kw, area_ha):
-    from registrylint.rules import check_area_density
-
     record = replace(
         example_record(grid, Technology.SOLAR),
         unit_type="Freifläche",
         power_gross_kw=gross_kw,
         area_ha=area_ha,
     )
-    return check_area_density(record, config)
+    return outcome_of(8, record, config)
 
 
 def balcony_case(grid, net_kw):
@@ -374,10 +354,10 @@ def test_criterion_3_buffer_semantics(grid, indexed_grid, config):
             example_record(grid, Technology.WIND, municipality_id="10001000"),
             coordinate=(lat, lon_muni),
         )
-        _, out11 = check_location(record, districts, municipalities, config)
+        _, out11 = location_outcomes(record, districts, municipalities, config)
         lon_district = 10.5 + lon_offset_deg(distance_m, lat)
         record = replace(record, coordinate=(lat, lon_district))
-        out10, _ = check_location(record, districts, municipalities, config)
+        out10, _ = location_outcomes(record, districts, municipalities, config)
         verdicts[distance_m] = (out10.passed, out11.passed)
     ok = verdicts[1400.0] == (True, True) and verdicts[1600.0] == (False, False)
     report_line(3, ok, f"1.4 km: {verdicts[1400.0]}, 1.6 km: {verdicts[1600.0]} (buffer 1500 m)")
@@ -420,13 +400,13 @@ def test_criterion_4_injection_round_trip(config):
 
 def test_criterion_5_completeness():
     table = [_wind_unit(f"SEE9{i:011d}", owner=i < 97) for i in range(100)]
-    fraction = completeness(table, "owner_id")
+    fraction = ColumnStats().collect(table).fraction(Technology.WIND, "owner_id")
     rendered = str(percent(fraction))
     ok = (fraction.numerator, fraction.denominator) == (97, 100) and rendered == "97"
     report_line(5, ok, f"known null pattern: fraction {fraction}, rendered {rendered!r}")
     assert (fraction.numerator, fraction.denominator) == (97, 100)
     assert rendered == "97"
-    assert str(percent(completeness([_wind_unit('A')], "owner_id"))) == "100"
+    assert str(percent(ColumnStats().collect([_wind_unit("A")]).fraction(Technology.WIND, "owner_id"))) == "100"
 
 
 def test_criterion_6_distance_histogram():

@@ -257,3 +257,92 @@ class TestUsageErrors:
         (line,) = captured.out.strip().splitlines()
         assert json.loads(line)["error"]
         assert "usage:" in captured.err
+
+
+# Run configurations (rules sections and file shapes) that must be fatal.
+_BAD_CONFIGS = {
+    "one-element-range": {"rules": {"module_power_range_w": [50.0]}},
+    "buffer-string": {"rules": {"buffer_m": "1500"}},
+    "year-max-string": {"rules": {"year_max": "2030"}},
+    "year-min-not-int": {"rules": {"year_min": {"hydro": "1850s"}}},
+    "unknown-technology-range": {"rules": {"power_range_mw": {"nuclear": [0.0, 1.0]}}},
+    "unknown-required-field": {"rules": {"required_fields": ["unit_id", "voltage"]}},
+    "bad-pattern": {"rules": {"zip_pattern": "("}},
+    "bare-string-tuple": {"rules": {"balcony_keywords": "balkon"}},
+    "nan-buffer": {"rules": {"buffer_m": float("nan")}},
+    "top-level-list": [1],
+    "boundary-keys-list": {"boundary_keys": [1]},
+    "rules-list": {"rules": []},
+    "csv-list": {"csv": [","]},
+    "mapping-list": {"mapping": []},
+}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory) -> Path:
+    """A small synth fixture and its validate output, shared read-only."""
+    root = tmp_path_factory.mktemp("malformed")
+    assert main(["synth", "--count", "20", "--seed", "4", "--error-rate", "0.2", "--out", str(root / "in")]) == 0
+    assert main(_validate_args(root / "in", root / "run")) == EXIT_FAILURES
+    return root
+
+
+def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
+    """Write one malformed input under `work`; return the CLI arguments that read it."""
+    src = root / "in"
+    if case in _BAD_CONFIGS:
+        cfg = work / "run.json"
+        cfg.write_text(json.dumps(_BAD_CONFIGS[case]))
+        return _validate_args(src, work / "run", "--config", str(cfg))
+    if case in ("latin-1", "oversize-cell"):
+        table = work / "wind.csv"
+        text = (src / "wind.csv").read_text(encoding="utf-8")
+        header, first, rest = text.split("\n", 2)
+        if case == "latin-1":
+            first = first.replace(",", ",Wünnenberg", 1)
+            table.write_bytes((header + "\n" + first + "\n" + rest).encode("latin-1"))
+        else:
+            table.write_text(header + "\n" + first + "\n" + first.replace(",", "," + "x" * 200_000, 1) + "\n")
+        return ["validate", "--out", str(work / "run"), "--input", f"wind={table}"]
+    if case.startswith("geojson-"):
+        payload = json.loads((src / "municipalities.geojson").read_text())
+        if case == "geojson-scalar-properties":
+            payload["features"][2]["properties"] = 5
+        else:
+            del payload["features"][2]["geometry"]["coordinates"]
+        text = '{"type": "FeatureCollection", ' if case == "geojson-syntax" else json.dumps(payload)
+        (work / "municipalities.geojson").write_text(text)
+        args = _validate_args(src, work / "run")
+        args[args.index("--municipalities") + 1] = str(work / "municipalities.geojson")
+        return args
+    out = work / "run"
+    out.mkdir()
+    for name in ("failures.ndjson", "summary.json"):
+        (out / name).write_bytes((root / "run" / name).read_bytes())
+    if case == "report-not-json":
+        (out / "failures.ndjson").write_text("not json\n")
+    elif case == "report-not-utf8":
+        (out / "failures.ndjson").write_bytes(b"\xff\xfe\n")
+    elif case == "report-missing-keys":
+        (out / "failures.ndjson").write_text('{"unit_id": "SEE900000000001"}\n')
+    else:
+        (out / "summary.json").write_text("{}\n")
+    return ["report", "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
+     "geojson-scalar-properties", "report-not-json", "report-not-utf8", "report-missing-keys",
+     "report-summary-without-per-technology"],
+)
+def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
+    args = _malformed_case(case, small_run, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "registrylint.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == EXIT_FATAL, done.stderr
+    (line,) = done.stdout.strip().splitlines()
+    assert json.loads(line)["error"]
+    assert "Traceback" not in done.stderr

@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from registrylint.ingest import (
     RegistryReader,
     default_mapping,
     parse_boundaries,
-    parse_registry,
     write_boundaries_geojson,
     write_registry_csv,
 )
@@ -33,6 +33,15 @@ def make_csv(path, technology: Technology, rows: list[dict], *, drop_columns=(),
         for row in rows:
             writer.writerow([row.get(name, "") for name in header])
     return path
+
+
+def read_table(path, technology: Technology, mapping=None, **options) -> SimpleNamespace:
+    """A whole table read with RegistryReader: its records and row accounting."""
+    reader = RegistryReader(path, technology, mapping, **options)
+    records = list(reader)
+    return SimpleNamespace(
+        records=records, issues=reader.issues, rows_total=reader.rows_total, rows_rejected=reader.rows_rejected
+    )
 
 
 class TestParseRegistry:
@@ -59,7 +68,7 @@ class TestParseRegistry:
                 }
             ],
         )
-        result = parse_registry(path, Technology.SOLAR)
+        result = read_table(path, Technology.SOLAR)
         assert result.rows_total == 1
         assert result.rows_rejected == 0
         assert result.issues == []
@@ -75,7 +84,7 @@ class TestParseRegistry:
 
     def test_empty_file_with_header(self, tmp_path):
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, [])
-        result = parse_registry(path, Technology.WIND)
+        result = read_table(path, Technology.WIND)
         assert result.records == []
         assert result.issues == []
         assert result.rows_total == 0
@@ -86,7 +95,7 @@ class TestParseRegistry:
             Technology.WIND,
             [{"mastr id": "SEE900000000001", "power": "abc"}],
         )
-        result = parse_registry(path, Technology.WIND)
+        result = read_table(path, Technology.WIND)
         (record,) = result.records
         assert record.power_kw is None
         (issue,) = result.issues
@@ -100,7 +109,7 @@ class TestParseRegistry:
             Technology.WIND,
             [{"mastr id": "SEE900000000001", "power": "5,5", "hub height": "65"}],
         )
-        (record,) = parse_registry(path, Technology.WIND).records
+        (record,) = read_table(path, Technology.WIND).records
         assert record.power_kw == 5.5
         assert record.hub_height_m == 65.0
 
@@ -110,7 +119,7 @@ class TestParseRegistry:
             Technology.WIND,
             [{"mastr id": "SEE900000000001", "power": "-3"}],
         )
-        result = parse_registry(path, Technology.WIND)
+        result = read_table(path, Technology.WIND)
         assert result.records[0].power_kw is None
         assert result.issues[0].reason == "negative value"
 
@@ -131,7 +140,7 @@ class TestParseRegistry:
                 {"mastr id": "SEE900000000002", "power": "2", "coordinate": "91.0, 10.0", "zip code": " 12345"},
             ],
         )
-        result = parse_registry(path, Technology.WIND, ColumnMapping(entries))
+        result = read_table(path, Technology.WIND, ColumnMapping(entries))
         assert [replace(r) for r in result.records] == result.records
         assert [(i.line, i.field, i.reason) for i in result.issues] == [
             (2, "power_kw", "not finite"),
@@ -152,18 +161,18 @@ class TestParseRegistry:
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestError, match="missing header"):
-            parse_registry(path, Technology.WIND)
+            read_table(path, Technology.WIND)
 
     def test_missing_mandatory_column_fatal(self, tmp_path):
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, [], drop_columns=("power",))
         with pytest.raises(IngestError, match="power"):
-            parse_registry(path, Technology.WIND)
+            read_table(path, Technology.WIND)
 
     def test_wrong_technology_table_fatal(self, tmp_path):
         # A wind file parsed as solar misses every solar power column.
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, [])
         with pytest.raises(IngestError, match="power gross"):
-            parse_registry(path, Technology.SOLAR)
+            read_table(path, Technology.SOLAR)
 
     def test_row_accounting_never_silent(self, tmp_path):
         path = tmp_path / "wind.csv"
@@ -174,7 +183,7 @@ class TestParseRegistry:
             writer.writerow(["SEE900000000001"] + [""] * (len(header) - 1))
             writer.writerow(["SEE900000000002", "too", "short"])  # malformed width
             writer.writerow(["SEE900000000003"] + [""] * (len(header) - 1))
-        result = parse_registry(path, Technology.WIND)
+        result = read_table(path, Technology.WIND)
         assert result.rows_total == 3
         assert len(result.records) == 2
         assert result.rows_rejected == 1
@@ -187,7 +196,7 @@ class TestParseRegistry:
             [{"mastr id": "SEE900000000001", "power": "2000"}],
             delimiter=";",
         )
-        (record,) = parse_registry(path, Technology.WIND, delimiter=";").records
+        (record,) = read_table(path, Technology.WIND, delimiter=";").records
         assert record.power_kw == 2000.0
 
     def test_unit_conversion_factor(self, tmp_path):
@@ -204,13 +213,13 @@ class TestParseRegistry:
             Technology.WIND,
             [{"mastr id": "SEE900000000001", "power": "2000000"}],  # raw watts
         )
-        (record,) = parse_registry(path, Technology.WIND, mapping).records
+        (record,) = read_table(path, Technology.WIND, mapping).records
         assert record.power_kw == 2000.0
         # Writing back under the same mapping restores the raw magnitude,
         # so conversion is applied exactly once per round trip.
         out = tmp_path / "again.csv"
         write_registry_csv([record], out, Technology.WIND, mapping)
-        (again,) = parse_registry(out, Technology.WIND, mapping).records
+        (again,) = read_table(out, Technology.WIND, mapping).records
         assert again == record
 
     def test_mapping_must_cover_required_fields(self):
@@ -248,7 +257,7 @@ class TestRoundTrip:
     def test_write_then_parse_is_identity(self, record, tmp_path_factory):
         path = tmp_path_factory.mktemp("roundtrip") / "table.csv"
         write_registry_csv([record], path, record.technology)
-        result = parse_registry(path, record.technology)
+        result = read_table(path, record.technology)
         assert result.rows_rejected == 0
         # The writer never emits unparseable cells, so no issues either.
         assert result.issues == []
@@ -259,7 +268,7 @@ class TestRoundTrip:
         records_out = generate_clean(Technology.SOLAR, 60, 11, grid)
         path = tmp_path / "solar.csv"
         write_registry_csv(records_out, path, Technology.SOLAR)
-        result = parse_registry(path, Technology.SOLAR)
+        result = read_table(path, Technology.SOLAR)
         assert result.records == records_out
 
 

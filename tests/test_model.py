@@ -1,10 +1,9 @@
-"""Schema tests: field applicability, power resolution, serialization."""
+"""Schema tests: field applicability, power resolution, value invariants."""
 
-import json
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import strategies as st
 
 from registrylint.model import (
     SPECIFIC_FIELDS,
@@ -12,9 +11,8 @@ from registrylint.model import (
     UnitRecord,
     fields_for,
     power_of,
-    record_from_dict,
-    record_to_dict,
 )
+from registrylint.ingest import ColumnMapping, IngestError
 
 EXPECTED_FIELDS = {
     Technology.BIOMASS: {"power_kw", "combustion_technology", "fuel_type"},
@@ -187,20 +185,7 @@ def records(draw) -> UnitRecord:
     return UnitRecord(**values)
 
 
-@given(record=records())
-def test_serialization_round_trip(record):
-    payload = record_to_dict(record)
-    again = record_from_dict(json.loads(json.dumps(payload)))
-    assert again == record
-
-
-@given(record=records())
-def test_serialized_dict_omits_nulls(record):
-    payload = record_to_dict(record)
-    assert all(value is not None for value in payload.values())
-    assert payload["technology"] == record.technology.value
-
-
 def test_unknown_field_rejected_on_parse():
-    with pytest.raises(ValueError, match="unknown record field"):
-        record_from_dict({"technology": "wind", "voltage": 42})
+    # Records are parsed through a column mapping; it rejects unknown fields.
+    with pytest.raises(IngestError, match="unknown field"):
+        ColumnMapping.from_dict({"wind": [["voltage", "voltage"]]})

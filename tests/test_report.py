@@ -12,9 +12,7 @@ from registrylint.report import (
     Histogram,
     ReportError,
     build_report,
-    completeness,
     distance_histogram,
-    error_share,
     export,
     failure_from_json,
     failure_to_json,
@@ -22,7 +20,7 @@ from registrylint.report import (
     percent,
     summary_json,
 )
-from registrylint.rules import run_suite
+from registrylint.rules import FailureSet, run_suite
 from registrylint.synth import generate_clean
 
 from conftest import example_record
@@ -52,23 +50,40 @@ def _location_failure(uid: str, distance_m: float, tech=Technology.WIND, distric
     )
 
 
+def _completeness(records, column: str) -> Fraction:
+    return ColumnStats().collect(records).fraction(Technology.WIND, column)
+
+
+def _wind_metrics(failures, records, dso_only=False):
+    """The wind row of a report over these failures and records."""
+    failure_set = FailureSet(
+        failures=failures,
+        records_total={Technology.WIND: len(records)},
+        records_dso={Technology.WIND: sum(r.grid_operator_inspection is True for r in records)},
+        failure_tally={},
+        evaluated_tests=(),
+    )
+    report = build_report(failure_set)
+    return (report.per_technology_dso if dso_only else report.per_technology)[Technology.WIND]
+
+
 class TestCompleteness:
     def test_97_of_100(self):
         table = [_wind_unit(f"SEE9{i:011d}", owner=i < 97) for i in range(100)]
-        frac = completeness(table, "owner_id")
+        frac = _completeness(table, "owner_id")
         assert frac == Fraction(97, 100)
         assert percent(frac) == 97
 
     def test_all_null_column(self):
         table = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
-        assert completeness(table, "zip_code") == 0
+        assert _completeness(table, "zip_code") == 0
 
     def test_empty_table_is_vacuously_complete(self):
-        assert completeness([], "owner_id") == 1
+        assert _completeness([], "owner_id") == 1
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ReportError, match="unknown column"):
-            completeness([], "volts")
+            _completeness([], "volts")
 
     def test_rounding_is_half_up(self):
         assert percent(Fraction(995, 1000)) == 100
@@ -81,7 +96,8 @@ class TestCompleteness:
         records[0] = replace(records[0], owner_id=None)
         records[5] = replace(records[5], owner_id=None)
         stats = ColumnStats().collect(records)
-        assert stats.fraction(Technology.SOLAR, "owner_id") == completeness(records, "owner_id")
+        direct = Fraction(sum(r.owner_id is not None for r in records), len(records))
+        assert stats.fraction(Technology.SOLAR, "owner_id") == direct
         assert stats.fraction(Technology.SOLAR, "owner_id") == Fraction(38, 40)
 
 
@@ -89,13 +105,14 @@ class TestErrorShare:
     def test_three_failing_wind_units(self):
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(100)]
         failures = [_location_failure(records[i].unit_id, 5000.0) for i in range(3)]
-        share, power = error_share(failures, records, Technology.WIND)
-        assert share == pytest.approx(0.03)
-        assert power == pytest.approx(6000.0)
+        metrics = _wind_metrics(failures, records)
+        assert metrics.failure_share == pytest.approx(0.03)
+        assert metrics.accumulated_failing_power_kw == pytest.approx(6000.0)
 
     def test_no_failures(self):
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
-        assert error_share([], records, Technology.WIND) == (0.0, 0.0)
+        metrics = _wind_metrics([], records)
+        assert (metrics.failure_share, metrics.accumulated_failing_power_kw) == (0.0, 0.0)
 
     def test_dso_filter_restricts_both_sides(self):
         records = [_wind_unit(f"SEE9{i:011d}", dso=i % 2 == 0) for i in range(100)]
@@ -103,19 +120,15 @@ class TestErrorShare:
             _location_failure("SEE900000000000", 5000.0, dso=True),
             _location_failure("SEE900000000001", 5000.0, dso=False),
         ]
-        share, power = error_share(failures, records, Technology.WIND, dso_only=True)
-        assert share == pytest.approx(1 / 50)
-        assert power == pytest.approx(2000.0)
+        metrics = _wind_metrics(failures, records, dso_only=True)
+        assert metrics.failure_share == pytest.approx(1 / 50)
+        assert metrics.accumulated_failing_power_kw == pytest.approx(2000.0)
 
     def test_test_filter(self):
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
-        failures = [_location_failure("SEE900000000000", 5000.0)]
-        assert error_share(failures, records, Technology.WIND, test_filter={11})[0] == 0.0
-        assert error_share(failures, records, Technology.WIND, test_filter={10})[0] == pytest.approx(0.1)
-
-    def test_empty_denominator_is_an_error(self):
-        with pytest.raises(ReportError, match="empty denominator"):
-            error_share([], [], Technology.WIND)
+        metrics = _wind_metrics([_location_failure("SEE900000000000", 5000.0)], records)
+        assert metrics.per_test.get(11, 0) / metrics.unit_count == 0.0
+        assert metrics.per_test[10] / metrics.unit_count == pytest.approx(0.1)
 
 
 class TestDistanceHistogram:

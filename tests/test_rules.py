@@ -14,26 +14,13 @@ from registrylint.rules import (
     MATRIX_CELL_COUNT,
     RuleConfig,
     ConfigError,
-    check_area_density,
-    check_balcony_power,
-    check_gross_vs_net,
-    check_hub_height,
-    check_id_formats,
-    check_installation_year,
-    check_inverter_ratio,
-    check_inverter_vs_net,
-    check_location,
-    check_module_power,
-    check_power_range,
-    check_required_fields,
-    check_rotor_power,
     check_unique_ids,
     evaluate_record,
     run_suite,
 )
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
 
-from conftest import example_record
+from conftest import example_record, location_outcomes, outcome_of
 from test_model import records
 
 
@@ -50,24 +37,24 @@ class TestRequiredFields:
     def test_missing_municipality_id(self, grid, cfg):
         record = example_record(grid, Technology.BIOMASS, municipality_id="10001000")
         record = replace(record, municipality_id=None)
-        outcome = check_required_fields(record, cfg)
+        outcome = outcome_of(1, record, cfg)
         assert not outcome.passed
         assert "municipality_id" in outcome.detail
 
     def test_fully_populated_passes(self, grid, cfg):
-        outcome = check_required_fields(example_record(grid, Technology.WIND), cfg)
+        outcome = outcome_of(1, example_record(grid, Technology.WIND), cfg)
         assert outcome.passed
 
     def test_missing_status_and_power_both_listed(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), operating_status=None, power_kw=None)
-        outcome = check_required_fields(record, cfg)
+        outcome = outcome_of(1, record, cfg)
         assert not outcome.passed
         assert "operating_status" in outcome.detail
         assert "power" in outcome.detail
 
     def test_solar_power_means_net_power(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), power_net_kw=None)
-        assert not check_required_fields(record, cfg).passed
+        assert not outcome_of(1, record, cfg).passed
 
 
 class TestUniqueIds:
@@ -91,55 +78,55 @@ class TestUniqueIds:
 class TestPowerOrdering:
     def test_example_values_pass(self, grid):
         record = example_record(grid, Technology.SOLAR)  # gross 5, inverter 10, net 5
-        assert check_gross_vs_net(record).passed
-        assert check_inverter_vs_net(record).passed
+        assert outcome_of(3, record).passed
+        assert outcome_of(4, record).passed
 
     def test_inverter_below_net_fails_test_4(self, grid):
         record = replace(example_record(grid, Technology.STORAGE), power_inverter_kw=4.0)
-        outcome = check_inverter_vs_net(record)
+        outcome = outcome_of(4, record)
         assert not outcome.passed
         assert outcome.test_id == 4
-        assert check_gross_vs_net(record).passed
+        assert outcome_of(3, record).passed
 
     def test_equal_gross_and_net_passes(self, grid):
         record = replace(example_record(grid, Technology.SOLAR), power_gross_kw=5.0, power_net_kw=5.0)
-        assert check_gross_vs_net(record).passed
+        assert outcome_of(3, record).passed
 
     def test_nulls_are_vacuous(self, grid):
         record = replace(example_record(grid, Technology.SOLAR), power_gross_kw=None)
-        assert check_gross_vs_net(record).passed
+        assert outcome_of(3, record).passed
 
 
 class TestIdFormats:
     def test_example_ids_pass(self, grid, cfg):
-        assert check_id_formats(example_record(grid, Technology.SOLAR), cfg).passed
+        assert outcome_of(5, example_record(grid, Technology.SOLAR), cfg).passed
 
     def test_four_digit_zip_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), zip_code="1729")
-        outcome = check_id_formats(record, cfg)
+        outcome = outcome_of(5, record, cfg)
         assert not outcome.passed
         assert "zip_code" in outcome.detail
 
     def test_lowercase_unit_id_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), unit_id="see900002935310")
-        outcome = check_id_formats(record, cfg)
+        outcome = outcome_of(5, record, cfg)
         assert not outcome.passed
         assert "unit_id" in outcome.detail
 
     def test_null_fields_skip_their_subcheck(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), zip_code=None)
-        assert check_id_formats(record, cfg).passed
+        assert outcome_of(5, record, cfg).passed
 
 
 class TestModulePower:
     def test_8_modules_at_5kw_pass(self, grid, cfg):
-        outcome = check_module_power(example_record(grid, Technology.SOLAR), cfg)
+        outcome = outcome_of(6, example_record(grid, Technology.SOLAR), cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(625.0, rel=1e-12)
 
     def test_single_placeholder_module_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), number_of_modules=1)
-        outcome = check_module_power(record, cfg)
+        outcome = outcome_of(6, record, cfg)
         assert not outcome.passed
         assert outcome.measured == pytest.approx(5000.0, rel=1e-12)
 
@@ -147,13 +134,13 @@ class TestModulePower:
         record = replace(
             example_record(grid, Technology.SOLAR), power_gross_kw=0.35, number_of_modules=1
         )
-        outcome = check_module_power(record, cfg)
+        outcome = outcome_of(6, record, cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(350.0, rel=1e-12)
 
     def test_zero_modules_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), number_of_modules=0)
-        outcome = check_module_power(record, cfg)
+        outcome = outcome_of(6, record, cfg)
         assert not outcome.passed
         assert outcome.detail == "zero modules"
 
@@ -164,30 +151,30 @@ class TestModulePower:
             power_gross_kw=per_module_w / 1000.0,
             number_of_modules=1,
         )
-        assert check_module_power(record, cfg).passed is expected
+        assert outcome_of(6, record, cfg).passed is expected
 
 
 class TestInverterRatio:
     def test_ratio_2_passes(self, grid, cfg):
-        outcome = check_inverter_ratio(example_record(grid, Technology.SOLAR), cfg)
+        outcome = outcome_of(7, example_record(grid, Technology.SOLAR), cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(2.0, rel=1e-12)
 
     def test_magnitude_mixup_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), power_inverter_kw=5000.0)
-        outcome = check_inverter_ratio(record, cfg)
+        outcome = outcome_of(7, record, cfg)
         assert not outcome.passed
         assert outcome.measured == pytest.approx(1000.0, rel=1e-12)
 
     def test_equal_powers_pass(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), power_inverter_kw=5.0)
-        outcome = check_inverter_ratio(record, cfg)
+        outcome = outcome_of(7, record, cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_power_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.STORAGE), power_inverter_kw=0.0)
-        outcome = check_inverter_ratio(record, cfg)
+        outcome = outcome_of(7, record, cfg)
         assert not outcome.passed
         assert outcome.detail == "zero power"
 
@@ -195,7 +182,7 @@ class TestInverterRatio:
         record = replace(
             example_record(grid, Technology.SOLAR), power_gross_kw=5.0, power_inverter_kw=100.0
         )
-        assert not check_inverter_ratio(record, cfg).passed
+        assert not outcome_of(7, record, cfg).passed
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -208,7 +195,7 @@ class TestInverterRatio:
             example_record(grid, Technology.SOLAR), power_gross_kw=gross, power_inverter_kw=inverter
         )
         scaled = replace(base, power_gross_kw=gross * scale, power_inverter_kw=inverter * scale)
-        assert check_inverter_ratio(base, cfg).passed == check_inverter_ratio(scaled, cfg).passed
+        assert outcome_of(7, base, cfg).passed == outcome_of(7, scaled, cfg).passed
 
 
 class TestAreaDensity:
@@ -221,22 +208,22 @@ class TestAreaDensity:
         )
 
     def test_mid_range_passes(self, grid, cfg):
-        outcome = check_area_density(self._ground(grid, 1000.0, 1.0), cfg)
+        outcome = outcome_of(8, self._ground(grid, 1000.0, 1.0), cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(1.0, rel=1e-12)
 
     def test_wrong_unit_area_fails(self, grid, cfg):
-        outcome = check_area_density(self._ground(grid, 750.0, 0.01), cfg)
+        outcome = outcome_of(8, self._ground(grid, 750.0, 0.01), cfg)
         assert not outcome.passed
         assert outcome.measured == pytest.approx(75.0, rel=1e-12)
 
     def test_lower_bound_inclusive(self, grid, cfg):
-        outcome = check_area_density(self._ground(grid, 50.0, 1.0), cfg)
+        outcome = outcome_of(8, self._ground(grid, 50.0, 1.0), cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(0.05, rel=1e-12)
 
     def test_zero_area_fails(self, grid, cfg):
-        outcome = check_area_density(self._ground(grid, 50.0, 0.0), cfg)
+        outcome = outcome_of(8, self._ground(grid, 50.0, 0.0), cfg)
         assert not outcome.passed
         assert outcome.detail == "non-positive area"
 
@@ -244,12 +231,12 @@ class TestAreaDensity:
         record = replace(
             example_record(grid, Technology.SOLAR), unit_type="Gebäude", area_ha=None
         )
-        assert check_area_density(record, cfg).passed
+        assert outcome_of(8, record, cfg).passed
 
 
 class TestRotorPower:
     def test_example_turbine_passes(self, grid, cfg):
-        outcome = check_rotor_power(example_record(grid, Technology.WIND), cfg)
+        outcome = outcome_of(9, example_record(grid, Technology.WIND), cfg)
         assert outcome.passed
         expected = 2000.0 * 1000.0 / (math.pi * 41.0**2)
         assert outcome.measured == pytest.approx(expected, rel=1e-12)
@@ -257,19 +244,19 @@ class TestRotorPower:
 
     def test_tiny_rotor_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), rotor_diameter_m=20.0)
-        outcome = check_rotor_power(record, cfg)
+        outcome = outcome_of(9, record, cfg)
         assert not outcome.passed
         assert outcome.measured == pytest.approx(2000.0 * 1000.0 / (math.pi * 100.0), rel=1e-12)
 
     def test_lower_bound_region_passes(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), power_kw=845.0)
-        outcome = check_rotor_power(record, cfg)
+        outcome = outcome_of(9, record, cfg)
         assert outcome.passed
         assert outcome.measured == pytest.approx(160.0, abs=0.05)
 
     def test_non_positive_diameter_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), rotor_diameter_m=0.0)
-        outcome = check_rotor_power(record, cfg)
+        outcome = outcome_of(9, record, cfg)
         assert not outcome.passed
         assert outcome.detail == "non-positive rotor diameter"
 
@@ -277,7 +264,7 @@ class TestRotorPower:
     def test_swept_area_that_rounds_to_zero_fails(self, grid, cfg, power_kw):
         # (d / 2) ** 2 underflows to 0.0 for a subnormal diameter.
         record = replace(example_record(grid, Technology.WIND), power_kw=power_kw, rotor_diameter_m=5e-262)
-        outcome = check_rotor_power(record, cfg)
+        outcome = outcome_of(9, record, cfg)
         assert not outcome.passed
         assert outcome.detail == "rotor swept area rounds to zero"
         (failure,) = run_suite([record], None, cfg).failures
@@ -288,7 +275,7 @@ class TestLocation:
     def test_inside_registered_regions_passes(self, grid, indexed_grid, cfg):
         districts, municipalities = indexed_grid
         record = example_record(grid, Technology.WIND)
-        out10, out11 = check_location(record, districts, municipalities, cfg)
+        out10, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert out10.passed and out11.passed
 
     def test_just_outside_municipality_within_buffer(self, grid, indexed_grid, cfg):
@@ -300,7 +287,7 @@ class TestLocation:
         lon = 10.25 + lon_offset_deg(1200.0, lat)
         record = example_record(grid, Technology.WIND, municipality_id="10001000")
         record = replace(record, coordinate=(lat, lon))
-        out10, out11 = check_location(record, districts, municipalities, cfg)
+        out10, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert out10.passed
         assert out11.passed
 
@@ -310,7 +297,7 @@ class TestLocation:
         lon = 10.5 + lon_offset_deg(30_000.0, lat)
         record = example_record(grid, Technology.WIND, municipality_id="10001000")
         record = replace(record, coordinate=(lat, lon))
-        out10, out11 = check_location(record, districts, municipalities, cfg)
+        out10, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert not out10.passed
         assert out10.measured == pytest.approx(30_000.0, rel=5e-3)
         assert not out11.passed
@@ -319,7 +306,7 @@ class TestLocation:
         districts, municipalities = indexed_grid
         record = example_record(grid, Technology.WIND)
         record = replace(record, municipality_id="99999999")
-        _, out11 = check_location(record, districts, municipalities, cfg)
+        _, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert not out11.passed
         assert "unknown region key" in out11.detail
         assert out11.measured is None
@@ -327,24 +314,24 @@ class TestLocation:
     def test_nulls_are_vacuous(self, grid, indexed_grid, cfg):
         districts, municipalities = indexed_grid
         record = replace(example_record(grid, Technology.WIND), coordinate=None)
-        out10, out11 = check_location(record, districts, municipalities, cfg)
+        out10, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert out10.passed and out11.passed
 
 
 class TestPowerRange:
     def test_wind_at_22mw_passes(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), power_kw=22_000.0)
-        assert check_power_range(record, cfg).passed
+        assert outcome_of(12, record, cfg).passed
 
     def test_wind_at_25mw_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), power_kw=25_000.0)
-        outcome = check_power_range(record, cfg)
+        outcome = outcome_of(12, record, cfg)
         assert not outcome.passed
         assert outcome.measured == 25_000.0
 
     def test_zero_power_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), power_net_kw=0.0)
-        assert not check_power_range(record, cfg).passed
+        assert not outcome_of(12, record, cfg).passed
 
     @pytest.mark.parametrize(
         "technology,max_mw",
@@ -361,43 +348,43 @@ class TestPowerRange:
         field = "power_net_kw" if technology in (Technology.SOLAR, Technology.STORAGE) else "power_kw"
         at_bound = replace(example_record(grid, technology), **{field: max_mw * 1000.0})
         above = replace(example_record(grid, technology), **{field: max_mw * 1000.0 + 1.0})
-        assert check_power_range(at_bound, cfg).passed
-        assert not check_power_range(above, cfg).passed
+        assert outcome_of(12, at_bound, cfg).passed
+        assert not outcome_of(12, above, cfg).passed
 
 
 class TestInstallationYear:
     def test_solar_2017_passes(self, grid, cfg):
-        assert check_installation_year(example_record(grid, Technology.SOLAR), cfg).passed
+        assert outcome_of(13, example_record(grid, Technology.SOLAR), cfg).passed
 
     def test_storage_1923_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.STORAGE), installation_year=1923)
-        outcome = check_installation_year(record, cfg)
+        outcome = outcome_of(13, record, cfg)
         assert not outcome.passed
         assert outcome.measured == 1923.0
 
     def test_hydro_1923_passes(self, grid, cfg):
         record = replace(example_record(grid, Technology.HYDRO), installation_year=1923)
-        assert check_installation_year(record, cfg).passed
+        assert outcome_of(13, record, cfg).passed
 
     @pytest.mark.parametrize("year,expected", [(1980, True), (2030, True), (1979, False), (2031, False)])
     def test_wind_bounds_inclusive(self, grid, cfg, year, expected):
         record = replace(example_record(grid, Technology.WIND), installation_year=year)
-        assert check_installation_year(record, cfg).passed is expected
+        assert outcome_of(13, record, cfg).passed is expected
 
 
 class TestHubHeight:
     def test_example_turbine_passes(self, grid):
-        assert check_hub_height(example_record(grid, Technology.WIND)).passed
+        assert outcome_of(14, example_record(grid, Technology.WIND)).passed
 
     def test_hub_below_radius_fails(self, grid):
         record = replace(example_record(grid, Technology.WIND), hub_height_m=30.0)
-        outcome = check_hub_height(record)
+        outcome = outcome_of(14, record)
         assert not outcome.passed
         assert "rotor radius 41" in outcome.detail
 
     def test_hub_equal_to_radius_passes(self, grid):
         record = replace(example_record(grid, Technology.WIND), hub_height_m=41.0)
-        assert check_hub_height(record).passed
+        assert outcome_of(14, record).passed
 
 
 class TestBalconyPower:
@@ -413,15 +400,15 @@ class TestBalconyPower:
         )
 
     def test_legal_balcony_passes(self, grid, cfg):
-        assert check_balcony_power(self._balcony(grid, 0.6), cfg).passed
+        assert outcome_of(15, self._balcony(grid, 0.6), cfg).passed
 
     def test_overpowered_balcony_fails(self, grid, cfg):
-        outcome = check_balcony_power(self._balcony(grid, 1.3), cfg)
+        outcome = outcome_of(15, self._balcony(grid, 1.3), cfg)
         assert not outcome.passed
         assert outcome.measured == 1.3
 
     def test_tolerance_bound_passes(self, grid, cfg):
-        assert check_balcony_power(self._balcony(grid, 1.2), cfg).passed
+        assert outcome_of(15, self._balcony(grid, 1.2), cfg).passed
 
     def test_balcony_named_unit_over_5kw_fails(self, grid, cfg):
         record = replace(
@@ -431,7 +418,7 @@ class TestBalconyPower:
             power_gross_kw=6.0,
             power_inverter_kw=6.0,
         )
-        outcome = check_balcony_power(record, cfg)
+        outcome = outcome_of(15, record, cfg)
         assert not outcome.passed
         assert "balcony-named" in outcome.detail
 
@@ -443,7 +430,7 @@ class TestBalconyPower:
             power_gross_kw=6.0,
             power_inverter_kw=6.0,
         )
-        assert not check_balcony_power(record, cfg).passed
+        assert not outcome_of(15, record, cfg).passed
 
 
 class TestConfig:
