@@ -22,6 +22,7 @@ from typing import Iterable
 
 from .geo import GeometryError
 from .ingest import (
+    DEFAULT_REGION_KEYS,
     ColumnMapping,
     IngestError,
     RegistryReader,
@@ -35,6 +36,7 @@ from .report import ColumnStats, ReportError, build_report, export, load_failure
 from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
+_CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
 
 EXIT_CLEAN = 0
 EXIT_FAILURES = 1
@@ -83,12 +85,22 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {file} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {file} must hold a JSON object")
-    for section in ("rules", "mapping", "csv", "boundary_keys"):
+    # A misspelt name would silently drop every setting under it.
+    _require_known_keys(payload, _CONFIG_SECTIONS, "config section")
+    for section in _CONFIG_SECTIONS:
         if not isinstance(payload.get(section, {}), dict):
             raise ConfigError(f"config section {section!r} must be an object")
+    _require_known_keys(payload.get("csv", {}), ("delimiter",), "csv key")
+    _require_known_keys(payload.get("boundary_keys", {}), tuple(DEFAULT_REGION_KEYS), "boundary_keys level")
     if not all(isinstance(key, str) for key in payload.get("boundary_keys", {}).values()):
         raise ConfigError("boundary_keys must map levels to property names (strings)")
     return payload
+
+
+def _require_known_keys(section: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r} (expected one of: {', '.join(known)})")
 
 
 def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:

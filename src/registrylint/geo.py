@@ -10,8 +10,8 @@ inside.
 Each region builds its query structures on its first query (a region
 that is never queried costs nothing): a latitude-slab edge index for ray
 casting, after Haines, "Point in Polygon Strategies" (Graphics Gems IV,
-1994), and the lat/lon bounding box of every edge, which bounds the
-clearance search from below.
+1994), and one lat/lon bounding box per block of consecutive edges, which
+bounds the clearance search from below.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ _SEGMENT_SPLIT_M = 25_000.0
 
 # Ray casting: about this many edges per latitude slab.
 _EDGES_PER_SLAB = 4
+# Boundary clearance: consecutive edges that share one bounding box.
+_EDGES_PER_BLOCK = 16
 # A clearance lower bound is shrunk by this share and these meters, far
 # more than float rounding in haversine_m (worst near the antipode) and in
 # the interpolated segment points can move a distance, so a bound never
@@ -94,7 +96,6 @@ class Region:
     region_id: str
     name: str
     polygons: tuple[PolygonGeom, ...]
-    degenerate: bool = field(init=False, default=False)
     # Query structures, built by _prepare() on the first query.
     _prepared: _Prepared | None = field(init=False, default=None, repr=False, compare=False)
 
@@ -107,7 +108,8 @@ class Region:
             for hole in poly.holes:
                 _check_ring(hole, f"region {self.region_id!r}")
             area += _ring_area_deg2(poly.outer)
-        object.__setattr__(self, "degenerate", area == 0.0)
+        if area == 0.0:
+            raise GeometryError(f"degenerate (zero-area) polygon for region {self.region_id!r}")
 
     def bbox(self) -> tuple[float, float, float, float]:
         lats = [lat for poly in self.polygons for lat, _ in poly.outer]
@@ -134,14 +136,15 @@ class _Prepared:
 
     vertices concatenates the region's rings, sharing their vertex tuples;
     edge i runs from vertices[i] to vertices[i + 1] and never joins two
-    rings. edges lists every edge i, and edge_box[5n:5n + 5] = (latlo,
-    lathi, lonlo, lonhi, cos_min) is the bounding box of edges[n], where
-    cos_min is the lesser cosine of its ends' latitudes. Polygon part p
-    starts at vertex part_start[p]. The edges whose latitude range meets
-    slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
+    rings. edges lists every edge i. Block b is the run of edges
+    edges[_EDGES_PER_BLOCK * b:_EDGES_PER_BLOCK * (b + 1)], which may span
+    rings, and block_box[b] = (latlo, lathi, lonlo, lonhi, cos_min) is its
+    bounding box, where cos_min is the least cosine of a latitude in the
+    box. Polygon part p starts at vertex part_start[p]. The edges whose
+    latitude range meets slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
     """
 
-    __slots__ = ("vertices", "part_start", "edges", "edge_box", "lat0", "lat1", "slab_scale", "slab_start",
+    __slots__ = ("vertices", "part_start", "edges", "block_box", "lat0", "lat1", "slab_scale", "slab_start",
                  "slab_edges")
 
     def __init__(self, region: Region):
@@ -155,13 +158,18 @@ class _Prepared:
                 vertices.extend(ring)
                 edges.extend(range(first, len(vertices) - 1))
         lats = [lat for lat, _ in vertices]
-        # cos is concave over [-90, 90], so its least value on an edge is at an end.
-        cosines = [math.cos(math.radians(lat)) for lat in lats]
-        edge_box = array("d")
-        for i in edges:
-            (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
-            edge_box.extend((min(alat, blat), max(alat, blat), min(alon, blon), max(alon, blon),
-                             min(cosines[i], cosines[i + 1])))
+        lons = [lon for _, lon in vertices]
+        block_box = []
+        for n in range(0, len(edges), _EDGES_PER_BLOCK):
+            # A block's vertices are the slice from its first edge's start
+            # to its last edge's end: the ring joins it skips have both ends
+            # on edges of the block.
+            lo = edges[n]
+            hi = edges[min(n + _EDGES_PER_BLOCK, len(edges)) - 1] + 2
+            latlo, lathi = min(lats[lo:hi]), max(lats[lo:hi])
+            # cos is concave over [-90, 90], so its least value on the box is at a side.
+            cos_min = min(math.cos(math.radians(latlo)), math.cos(math.radians(lathi)))
+            block_box.append((latlo, lathi, min(lons[lo:hi]), max(lons[lo:hi]), cos_min))
         lat0 = min(lats)
         lat1 = max(lats)
         count = max(1, len(edges) // _EDGES_PER_SLAB)
@@ -177,12 +185,12 @@ class _Prepared:
             if ka == kb:
                 slabs[ka].append(i)
             else:
-                for k in range(min(ka, kb), max(ka, kb) + 1):
-                    slabs[k].append(i)
+                for slab in slabs[ka : kb + 1] if ka < kb else slabs[kb : ka + 1]:
+                    slab.append(i)
         self.vertices = tuple(vertices)
         self.part_start = tuple(part_start)
         self.edges = array("I", edges)
-        self.edge_box = edge_box
+        self.block_box = tuple(block_box)
         self.lat0, self.lat1, self.slab_scale = lat0, lat1, scale
         self.slab_start = array("I", accumulate(map(len, slabs), initial=0))
         self.slab_edges = array("I", chain.from_iterable(slabs))
@@ -208,10 +216,7 @@ def point_in_region(lat: float, lon: float, region: Region) -> bool:
         alat, alon = vertices[i]
         blat, blon = vertices[i + 1]
         # On-edge test: collinear and within the segment's bbox.
-        if (
-            min(alat, blat) <= lat <= max(alat, blat)
-            and min(alon, blon) <= lon <= max(alon, blon)
-        ):
+        if (alat <= lat <= blat or blat <= lat <= alat) and (alon <= lon <= blon or blon <= lon <= alon):
             cross = (blon - alon) * (lat - alat) - (blat - alat) * (lon - alon)
             if abs(cross) <= 1e-12:
                 return True
@@ -303,36 +308,42 @@ def _box_bound_m(
 def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
     """Distance to the nearest ring of the region, ignoring containment.
 
-    Visits segments in ascending order of a lower bound on their distance
-    and stops once the next bound exceeds the best distance found. The
-    result is the minimum of _segment_distance_m over every segment, bit
-    for bit.
+    Visits blocks of edges in ascending order of a lower bound on their
+    distance, and a block's edges in ascending order of their own bound;
+    stops at the first bound above the best distance found. The result is
+    the minimum of _segment_distance_m over every segment, bit for bit.
     """
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise ValueError(f"query at lat {lat!r}, lon {lon!r} outside WGS84 bounds")
     prep = region._prepared or _prepare(region)
     vertices = prep.vertices
+    edges = prep.edges
     coslat = math.cos(math.radians(lat))
-    box = prep.edge_box
-    bounds = [_box_bound_m(lat, lon, coslat, *box[5 * n : 5 * n + 5]) for n in range(len(prep.edges))]
     best = math.inf
-    for bound, i in sorted(zip(bounds, prep.edges)):
-        if bound > best:
+    for block_bound, b in sorted((_box_bound_m(lat, lon, coslat, *box), b) for b, box in enumerate(prep.block_box)):
+        if block_bound > best:
             break
-        d = _segment_distance_m(lat, lon, vertices[i], vertices[i + 1])
-        if d < best:
-            best = d
+        # An edge lies in its block's latitude range, so the block's cos_min
+        # is at most the cosine of any latitude on the edge.
+        cos_min = prep.block_box[b][4]
+        edge_bounds = []
+        for i in edges[_EDGES_PER_BLOCK * b : _EDGES_PER_BLOCK * (b + 1)]:
+            (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
+            latlo, lathi = (alat, blat) if alat <= blat else (blat, alat)
+            lonlo, lonhi = (alon, blon) if alon <= blon else (blon, alon)
+            edge_bounds.append((_box_bound_m(lat, lon, coslat, latlo, lathi, lonlo, lonhi, cos_min), i))
+        edge_bounds.sort()
+        for bound, i in edge_bounds:
+            if bound > best:
+                break
+            d = _segment_distance_m(lat, lon, vertices[i], vertices[i + 1])
+            if d < best:
+                best = d
     return best
-
-
-def _require_usable(region: Region) -> None:
-    if region.degenerate:
-        raise GeometryError(f"degenerate (zero-area) polygon for region {region.region_id!r}")
 
 
 def outside_clearance_m(lat: float, lon: float, region: Region) -> float | None:
     """None for a point inside the region, else its boundary clearance."""
-    _require_usable(region)
     if point_in_region(lat, lon, region):
         return None
     return boundary_clearance_m(lat, lon, region)
@@ -342,7 +353,6 @@ def contains_with_buffer(lat: float, lon: float, region: Region, buffer_m: float
     """True iff the point is inside the region or within buffer_m of its boundary."""
     if buffer_m < 0:
         raise ValueError(f"buffer_m must be >= 0, got {buffer_m!r}")
-    _require_usable(region)
     if point_in_region(lat, lon, region):
         return True
     return buffer_m > 0.0 and boundary_clearance_m(lat, lon, region) <= buffer_m

@@ -285,7 +285,8 @@ class RegistryReader:
         blank = [None] * len(RECORD_FIELDS)
         blank[_FIELD_POS["technology"]] = self.technology
         with open(self.path, newline="", encoding=self.encoding) as handle:
-            reader = self._rows(csv.reader(handle, delimiter=self.delimiter))
+            csv_reader = csv.reader(handle, delimiter=self.delimiter)
+            reader = self._rows(csv_reader)
             header = next(reader, None)
             if header is None:
                 raise IngestError(f"{self.path}: missing header row")
@@ -299,7 +300,11 @@ class RegistryReader:
             ]
             width = len(header)
 
-            for line_no, row in enumerate(reader, start=2):
+            # A row starts on the line after the previous row's last line;
+            # quoted cells can hold newlines.
+            consumed = csv_reader.line_num
+            for row in reader:
+                line_no, consumed = consumed + 1, csv_reader.line_num
                 self.rows_total += 1
                 if len(row) != width:
                     self.rows_rejected += 1

@@ -275,6 +275,9 @@ _BAD_CONFIGS = {
     "rules-list": {"rules": []},
     "csv-list": {"csv": [","]},
     "mapping-list": {"mapping": []},
+    "unknown-section": {"rule": {"buffer_m": 1500.0}},
+    "unknown-csv-key": {"csv": {"delimeter": ";"}},
+    "unknown-boundary-level": {"boundary_keys": {"county": "krs"}},
 }
 
 
@@ -308,6 +311,11 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         payload = json.loads((src / "municipalities.geojson").read_text())
         if case == "geojson-scalar-properties":
             payload["features"][2]["properties"] = 5
+        elif case == "geojson-zero-area":
+            # A region no record references, whose ring encloses no area.
+            line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
+            geometry = {"type": "Polygon", "coordinates": [line]}
+            payload["features"].append({"type": "Feature", "properties": {"ags": "99999999"}, "geometry": geometry})
         else:
             del payload["features"][2]["geometry"]["coordinates"]
         text = '{"type": "FeatureCollection", ' if case == "geojson-syntax" else json.dumps(payload)
@@ -333,7 +341,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
 @pytest.mark.parametrize(
     "case",
     [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
-     "geojson-scalar-properties", "report-not-json", "report-not-utf8", "report-missing-keys",
+     "geojson-scalar-properties", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
      "report-summary-without-per-technology"],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from registrylint import geo
 from registrylint.geo import (
     EARTH_RADIUS_M,
     BoundarySet,
@@ -44,18 +45,25 @@ def lon_offset_deg(distance_m: float, lat: float) -> float:
     return math.degrees(distance_m / (EARTH_RADIUS_M * math.cos(math.radians(lat))))
 
 
-def random_star_region(rng: random.Random, rid: str, lat: float, lon: float,
-                       radius_km: float, vertices: int) -> Region:
-    """Simple (non-self-intersecting) star-shaped polygon around a center."""
+def star_ring(rng: random.Random, lat: float, lon: float, radius_km: float, vertices: int) -> tuple:
+    """Closed simple (non-self-intersecting) star-shaped ring around a
+    center. Longitudes past +-180 wrap into [-180, 180]."""
     angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(vertices))
     points = []
     for angle in angles:
         r_m = radius_km * 1000.0 * rng.uniform(0.4, 1.0)
         dlat = math.degrees(r_m * math.cos(angle) / EARTH_RADIUS_M)
-        dlon = lon_offset_deg(r_m * math.sin(angle), lat)
-        points.append((lat + dlat, lon + dlon))
+        vlon = lon + lon_offset_deg(r_m * math.sin(angle), lat)
+        points.append((lat + dlat, vlon if -180.0 <= vlon <= 180.0 else (vlon + 180.0) % 360.0 - 180.0))
     points.append(points[0])
-    return Region(region_id=rid, name=rid, polygons=(PolygonGeom(outer=tuple(points)),))
+    return tuple(points)
+
+
+def random_star_region(rng: random.Random, rid: str, lat: float, lon: float,
+                       radius_km: float, vertices: int) -> Region:
+    """Simple (non-self-intersecting) star-shaped polygon around a center."""
+    ring = star_ring(rng, lat, lon, radius_km, vertices)
+    return Region(region_id=rid, name=rid, polygons=(PolygonGeom(outer=ring),))
 
 
 def jagged_ring(rng: random.Random, lat0: float, lon0: float, height_km: float, width_km: float,
@@ -226,10 +234,8 @@ class TestContainsWithBuffer:
 
     def test_degenerate_region_raises(self):
         line = ((50.0, 10.0), (50.1, 10.1), (50.2, 10.2), (50.0, 10.0))
-        region = Region(region_id="BAD", name="BAD", polygons=(PolygonGeom(outer=line),))
-        assert region.degenerate
         with pytest.raises(GeometryError, match="BAD"):
-            contains_with_buffer(50.0, 10.0, region, 100.0)
+            Region(region_id="BAD", name="BAD", polygons=(PolygonGeom(outer=line),))
 
 
 class TestDistanceToBoundary:
@@ -425,6 +431,111 @@ class TestKernelEquivalence:
         lon = 7.2 + lon_offset_deg(5_000.0, 48.1)
         assert point_in_region(lat, lon, region)
         assert distance_to_boundary(lat, lon, region) == 0.0
+
+
+@functools.cache
+def block_fixture_regions() -> dict[str, Region]:
+    """Regions whose edge counts sit around multiples of the clearance
+    block size (16 edges), whose blocks straddle ring and part ends, that
+    straddle the antimeridian, or that have over 4,000 edges."""
+    rng = random.Random(16)
+
+    def region(rid, *polygons):
+        return Region(region_id=rid, name=rid, polygons=tuple(polygons))
+
+    regions = {
+        f"ring-{edges}": region(f"ring-{edges}", PolygonGeom(outer=star_ring(rng, 50.0, 10.0, 20.0, edges)))
+        for edges in (3, 15, 16, 17, 33)
+    }
+    regions["ring-33-antimeridian"] = region(
+        "ring-33-antimeridian", PolygonGeom(outer=star_ring(rng, -17.0, 179.97, 20.0, 33))
+    )
+    # 21 + 10 + 19 + 7 edges: blocks 1 and 3 hold edges of two or three rings.
+    regions["multipart-holed"] = region(
+        "multipart-holed",
+        PolygonGeom(outer=star_ring(rng, 48.0, 7.0, 30.0, 21), holes=(star_ring(rng, 48.0, 7.0, 5.0, 10),)),
+        PolygonGeom(outer=star_ring(rng, 48.6, 7.6, 15.0, 19), holes=(star_ring(rng, 48.6, 7.6, 3.0, 7),)),
+    )
+    regions["jagged-4k"] = region("jagged-4k", PolygonGeom(outer=jagged_ring(rng, 50.0, 8.0, 50.0, 50.0, 50.0)))
+    return regions
+
+
+def _edge_count(region: Region) -> int:
+    return sum(len(ring) - 1 for poly in region.polygons for ring in poly.rings())
+
+
+def _far_queries(rng: random.Random, region: Region, count: int) -> list[tuple[float, float]]:
+    """Points 100 to 3,000 km from the region's vertices, and each vertex
+    near the antimeridian mirrored onto its other side."""
+    vertices = [v for poly in region.polygons for ring in poly.rings() for v in ring[:-1]]
+    points = [(vlat, -vlon) for vlat, vlon in vertices if abs(vlon) > 179.0]
+    for _ in range(count):
+        vlat, vlon = rng.choice(vertices)
+        offset_m = rng.uniform(100_000.0, 3_000_000.0)
+        bearing = rng.uniform(0.0, 2.0 * math.pi)
+        lat = vlat + math.degrees(offset_m * math.cos(bearing) / EARTH_RADIUS_M)
+        lon = vlon + lon_offset_deg(offset_m * math.sin(bearing), vlat)
+        points.append((max(-90.0, min(90.0, lat)), (lon + 180.0) % 360.0 - 180.0))
+    return points
+
+
+def _block_end_queries(rng: random.Random, region: Region, limit: int) -> list[tuple[float, float]]:
+    """Points within 2 m of the vertices where one clearance block ends and
+    the next begins, where the two blocks' bounds and distances nearly tie."""
+    edges = [(a, b) for poly in region.polygons for ring in poly.rings() for a, b in zip(ring, ring[1:])]
+    size = geo._EDGES_PER_BLOCK
+    ends = [v for k in range(size, len(edges), size) for v in (edges[k - 1][1], edges[k][0])]
+    points = []
+    for vlat, vlon in ends[:limit]:
+        for _ in range(8):
+            offset_m = rng.uniform(0.0, 2.0)
+            bearing = rng.uniform(0.0, 2.0 * math.pi)
+            lat = vlat + math.degrees(offset_m * math.cos(bearing) / EARTH_RADIUS_M)
+            lon = vlon + lon_offset_deg(offset_m * math.sin(bearing), vlat)
+            points.append((lat, (lon + 180.0) % 360.0 - 180.0))
+    return points
+
+
+class TestBlockClearance:
+    """The clearance searches blocks of 16 consecutive edges before their
+    edges; it must still give the exhaustive minimum, bit for bit."""
+
+    def test_fixtures_have_the_intended_shape(self):
+        regions = block_fixture_regions()
+        assert [_edge_count(regions[f"ring-{n}"]) for n in (3, 15, 16, 17, 33)] == [3, 15, 16, 17, 33]
+        assert _edge_count(regions["multipart-holed"]) == 57
+        assert _edge_count(regions["jagged-4k"]) >= 4_000
+        lons = [lon for _, lon in regions["ring-33-antimeridian"].polygons[0].outer]
+        assert min(lons) < -179.9 and max(lons) > 179.9
+
+    @pytest.mark.parametrize("name", sorted(block_fixture_regions()))
+    def test_clearance_is_exact_minimum_over_all_segments(self, name):
+        region = block_fixture_regions()[name]
+        rng = random.Random(name)
+        near = 4 if name == "jagged-4k" else 60
+        queries = _kernel_queries(rng, region, near) + _far_queries(rng, region, near // 2)
+        for lat, lon in queries + _block_end_queries(rng, region, near // 4):
+            assert boundary_clearance_m(lat, lon, region) == exhaustive_clearance_m(lat, lon, region), (lat, lon)
+
+    def test_clearance_2km_outside_evaluates_under_5_percent_of_edges(self, monkeypatch):
+        region = block_fixture_regions()["jagged-4k"]
+        edges = _edge_count(region)
+        calls = 0
+        segment_distance_m = geo._segment_distance_m
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return segment_distance_m(*args)
+
+        monkeypatch.setattr(geo, "_segment_distance_m", counted)
+        # 2 km east of the ring's eastern side, half way up.
+        minlat, _, maxlat, maxlon = region.bbox()
+        lat = (minlat + maxlat) / 2.0
+        lon = maxlon + lon_offset_deg(2_000.0, lat)
+        clearance = boundary_clearance_m(lat, lon, region)
+        assert 1_900.0 < clearance < 2_100.0
+        assert 0 < calls < 0.05 * edges, (calls, edges)
 
 
 class TestRegionValidation:

@@ -151,6 +151,20 @@ class TestParseRegistry:
         assert result.records[0].manufacturer is None
         assert result.records[1].power_kw == 2e10
 
+    def test_issue_names_the_physical_line_its_row_starts_on(self, tmp_path):
+        # Row 2's quoted unit name holds a newline, so row 3 starts on line 4.
+        path = make_csv(
+            tmp_path / "wind.csv",
+            Technology.WIND,
+            [
+                {"mastr id": "SEE900000000001", "unit name": "Windpark\nNord", "power": "2000"},
+                {"mastr id": "SEE900000000002", "power": "zwei"},
+            ],
+        )
+        result = read_table(path, Technology.WIND)
+        assert result.records[0].unit_name == "Windpark\nNord"
+        assert [(i.line, i.field, i.value) for i in result.issues] == [(4, "power_kw", "zwei")]
+
     def test_technology_must_be_the_enum(self, tmp_path):
         # Records skip UnitRecord's checks, so the reader checks the one
         # value that does not come from a cell.
