@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -56,12 +57,9 @@ class RunConfig:
     delimiter: str = ","
     region_keys: dict[str, str] = field(default_factory=dict)
     technologies: tuple[Technology, ...] | None = None
-    jobs: int = 1
     dso_only: bool = False
 
     def validate(self) -> None:
-        if self.jobs < 1:
-            raise ConfigError("worker count must be >= 1")
         if not self.inputs:
             raise ConfigError("no registry inputs given (use --input tech=path)")
         for tech, path in self.inputs.items():
@@ -120,6 +118,9 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
 
 
 def _build_run_config(args) -> RunConfig:
+    # --jobs is accepted for existing command lines and changes nothing.
+    if args.jobs < 1:
+        raise ConfigError("worker count must be >= 1")
     file_cfg = _load_config_file(args.config)
     rules = dict(file_cfg.get("rules", {}))
     if args.buffer_m is not None:
@@ -140,7 +141,6 @@ def _build_run_config(args) -> RunConfig:
         delimiter=file_cfg.get("csv", {}).get("delimiter", ","),
         region_keys=file_cfg.get("boundary_keys", {}),
         technologies=technologies,
-        jobs=args.jobs,
         dso_only=args.dso_only,
     )
     run.validate()
@@ -214,17 +214,16 @@ def cmd_validate(args) -> int:
 
 def _print_tally(failure_set: FailureSet) -> None:
     print("failures per (test, technology):", file=sys.stderr)
-    for (test_id, tech), count in sorted(
-        failure_set.failure_tally.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    ):
+    tally = failure_set.failure_tally
+    for (test_id, tech), count in sorted(tally.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         print(f"  test {test_id:2d} {tech.value:<11s} {count}", file=sys.stderr)
-    if not failure_set.failure_tally:
+    if not tally:
         print("  none", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
     # Imported here, so that validate and report do not load synth.
-    from .synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
+    from .synth import ErrorInjectionSpec, GroundTruth, generate_clean, inject_errors, make_boundary_grid
 
     if args.count < 0:
         raise ConfigError("--count must be >= 0")
@@ -239,32 +238,25 @@ def cmd_synth(args) -> int:
     write_boundaries_geojson(boundaries.districts, out_dir / "districts.geojson")
     write_boundaries_geojson(boundaries.municipalities, out_dir / "municipalities.geojson")
 
-    merged_expected: dict = {}
-    merged_counts: dict = {}
+    merged = GroundTruth(expected={}, class_counts=Counter(), seed=args.seed)
     total = 0
     for tech in technologies:
         records = generate_clean(tech, args.count, args.seed, boundaries)
         if args.error_rate > 0 and records:
             spec = ErrorInjectionSpec.uniform(args.error_rate, tech, len(records))
             records, truth = inject_errors(records, spec, args.seed, boundaries=boundaries)
-            merged_expected.update({uid: sorted(tests) for uid, tests in truth.expected.items()})
-            for name, count in truth.class_counts.items():
-                merged_counts[name] = merged_counts.get(name, 0) + count
+            merged.expected.update(truth.expected)
+            merged.class_counts.update(truth.class_counts)
         write_registry_csv(records, out_dir / f"{tech.value}.csv", tech)
         total += len(records)
         print(f"wrote {len(records)} {tech.value} records", file=sys.stderr)
 
-    truth_payload = {
-        "seed": args.seed,
-        "class_counts": {k: merged_counts[k] for k in sorted(merged_counts)},
-        "units": {uid: merged_expected[uid] for uid in sorted(merged_expected)},
-    }
     (out_dir / "ground_truth.json").write_text(
-        json.dumps(truth_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(merged.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
         json.dumps(
-            {"records": total, "errors": len(merged_expected), "out_dir": str(out_dir)},
+            {"records": total, "errors": len(merged.expected), "out_dir": str(out_dir)},
             sort_keys=True,
         )
     )
@@ -300,16 +292,10 @@ def cmd_report(args) -> int:
         failures = [fr for fr in failures if fr.dso_inspected]
         records_total = records_dso
 
-    tally: dict = {}
-    for fr in failures:
-        for outcome in fr.failed:
-            key = (outcome.test_id, fr.technology)
-            tally[key] = tally.get(key, 0) + 1
     failure_set = FailureSet(
         failures=failures,
         records_total=records_total,
         records_dso=records_dso,
-        failure_tally=tally,
         evaluated_tests=evaluated,
     )
     overflow = None

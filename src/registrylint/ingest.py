@@ -16,16 +16,17 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .geo import BoundarySet, GeometryError, PolygonGeom, Region
 from .model import (
     CHECKED_FIELDS,
+    FIELD_TYPES,
     RECORD_FIELDS,
-    SPECIFIC_FIELDS,
     Technology,
     UnitRecord,
     checked_record,
+    columns_for,
     value_problem,
 )
 
@@ -50,7 +51,7 @@ class ParseIssue:
 class MappingEntry:
     raw: str  # column name in the raw export
     field: str  # canonical UnitRecord field
-    factor: float = 1.0  # multiplicative unit conversion, numeric fields only
+    factor: float = 1.0  # multiplicative unit conversion, quantities (float fields) only
 
 
 # Canonical fields that some enabled test reads, per technology. district_id
@@ -76,22 +77,6 @@ _TEST_FIELDS: dict[Technology, frozenset[str]] = {
     Technology.WIND: _COMMON_TEST_FIELDS | {"power_kw", "hub_height_m", "rotor_diameter_m"},
 }
 
-_FLOAT_FIELDS = frozenset(
-    {
-        "power_kw",
-        "power_gross_kw",
-        "power_inverter_kw",
-        "power_net_kw",
-        "storage_capacity_kwh",
-        "hub_height_m",
-        "rotor_diameter_m",
-        "area_ha",
-    }
-)
-_INT_FIELDS = frozenset({"installation_year", "number_of_modules"})
-_DATE_FIELDS = frozenset({"commissioning_date", "planned_commissioning_date", "download_date"})
-_BOOL_FIELDS = frozenset({"grid_operator_inspection"})
-
 
 @dataclass(frozen=True)
 class ColumnMapping:
@@ -102,11 +87,12 @@ class ColumnMapping:
     def __post_init__(self) -> None:
         for tech, tech_entries in self.entries.items():
             targets = [e.field for e in tech_entries]
+            carried = columns_for(tech)
             for entry in tech_entries:
                 name = entry.field
                 if name not in RECORD_FIELDS or name == "technology":
                     raise IngestError(f"mapping for {tech.value} targets unknown field {name!r}")
-                if tech not in SPECIFIC_FIELDS.get(name, (tech,)):
+                if name not in carried:
                     raise IngestError(
                         f"mapping for {tech.value} targets {name!r}, which {tech.value} units do not carry"
                     )
@@ -115,6 +101,10 @@ class ColumnMapping:
                 if not (math.isfinite(entry.factor) and entry.factor > 0):
                     raise IngestError(
                         f"mapping for {tech.value}: unit factor of {entry.raw!r} must be positive and finite"
+                    )
+                if entry.factor != 1 and FIELD_TYPES[name] != _QUANTITY:
+                    raise IngestError(
+                        f"mapping for {tech.value}: {name!r} is not a quantity and takes no unit factor"
                     )
             covered = set(targets)
             if "municipality_id" in covered:
@@ -144,71 +134,52 @@ class ColumnMapping:
         return cls(entries)
 
 
-_COMMON_COLUMNS = (
-    ("mastr id", "unit_id"),
-    ("unit owner mastr id", "owner_id"),
-    ("operating status", "operating_status"),
-    ("grid operator inspection", "grid_operator_inspection"),
-    ("commissioning date", "commissioning_date"),
-    ("planned commissioning date", "planned_commissioning_date"),
-    ("installation year", "installation_year"),
-    ("download date", "download_date"),
-    ("zip code", "zip_code"),
-    ("municipality", "municipality"),
-    ("municipality id", "municipality_id"),
-    ("district", "district"),
-    ("district id", "district_id"),
-    ("coordinate", "coordinate"),
-    ("unit name", "unit_name"),
-)
-
-_SPECIFIC_COLUMNS: dict[Technology, tuple[tuple[str, str], ...]] = {
-    Technology.BIOMASS: (
-        ("power", "power_kw"),
-        ("combustion technology", "combustion_technology"),
-        ("fuel type", "fuel_type"),
-    ),
-    Technology.COMBUSTION: (("power", "power_kw"), ("energy carrier", "energy_carrier")),
-    Technology.HYDRO: (
-        ("power", "power_kw"),
-        ("plant type", "plant_type"),
-        ("type of inflow", "type_of_inflow"),
-    ),
-    Technology.SOLAR: (
-        ("power gross", "power_gross_kw"),
-        ("power inverter", "power_inverter_kw"),
-        ("power net", "power_net_kw"),
-        ("number of modules", "number_of_modules"),
-        ("unit type", "unit_type"),
-        ("area", "area_ha"),
-        ("orientation", "orientation"),
-        ("orientation secondary", "orientation_secondary"),
-    ),
-    Technology.STORAGE: (
-        ("power gross", "power_gross_kw"),
-        ("power inverter", "power_inverter_kw"),
-        ("power net", "power_net_kw"),
-        ("storage capacity", "storage_capacity_kwh"),
-        ("battery technology", "battery_technology"),
-    ),
-    Technology.WIND: (
-        ("power", "power_kw"),
-        ("hub height", "hub_height_m"),
-        ("rotor diameter", "rotor_diameter_m"),
-        ("position", "position"),
-        ("manufacturer", "manufacturer"),
-        ("type description", "type_description"),
-    ),
+# Raw column name of each field in the standard transformed export.
+_RAW_COLUMNS = {
+    "unit_id": "mastr id",
+    "owner_id": "unit owner mastr id",
+    "operating_status": "operating status",
+    "grid_operator_inspection": "grid operator inspection",
+    "commissioning_date": "commissioning date",
+    "planned_commissioning_date": "planned commissioning date",
+    "installation_year": "installation year",
+    "download_date": "download date",
+    "zip_code": "zip code",
+    "municipality": "municipality",
+    "municipality_id": "municipality id",
+    "district": "district",
+    "district_id": "district id",
+    "coordinate": "coordinate",
+    "unit_name": "unit name",
+    "power_gross_kw": "power gross",
+    "power_inverter_kw": "power inverter",
+    "power_net_kw": "power net",
+    "power_kw": "power",
+    "number_of_modules": "number of modules",
+    "unit_type": "unit type",
+    "area_ha": "area",
+    "orientation": "orientation",
+    "orientation_secondary": "orientation secondary",
+    "storage_capacity_kwh": "storage capacity",
+    "battery_technology": "battery technology",
+    "hub_height_m": "hub height",
+    "rotor_diameter_m": "rotor diameter",
+    "position": "position",
+    "manufacturer": "manufacturer",
+    "type_description": "type description",
+    "combustion_technology": "combustion technology",
+    "fuel_type": "fuel type",
+    "energy_carrier": "energy carrier",
+    "plant_type": "plant type",
+    "type_of_inflow": "type of inflow",
 }
 
 
 def default_mapping() -> ColumnMapping:
     """Mapping for the standard transformed export (column names as shipped)."""
-    entries = {
-        tech: tuple(MappingEntry(raw, fld) for raw, fld in _COMMON_COLUMNS + _SPECIFIC_COLUMNS[tech])
-        for tech in Technology
-    }
-    return ColumnMapping(entries)
+    return ColumnMapping(
+        {tech: tuple(MappingEntry(_RAW_COLUMNS[name], name) for name in columns_for(tech)) for tech in Technology}
+    )
 
 
 def _parse_float(text: str) -> float:
@@ -225,27 +196,44 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_cell(name: str, text: str, factor: float):
-    """A cell's value, before the field's own checks (model.value_problem)."""
-    if name in _FLOAT_FIELDS:
-        return _parse_float(text) * factor
-    if name in _INT_FIELDS:
-        return int(text)
-    if name in _DATE_FIELDS:
-        return date.fromisoformat(text)
-    if name in _BOOL_FIELDS:
-        lowered = text.lower()
-        if lowered in ("1", "true", "ja", "yes"):
-            return True
-        if lowered in ("0", "false", "nein", "no"):
-            return False
-        raise ValueError("not a boolean")
-    if name == "coordinate":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError("expected 'latitude, longitude'")
-        return (float(parts[0]), float(parts[1]))
-    return text
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "ja", "yes"):
+        return True
+    if lowered in ("0", "false", "nein", "no"):
+        return False
+    raise ValueError("not a boolean")
+
+
+def _parse_coordinate(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected 'latitude, longitude'")
+    return (float(parts[0]), float(parts[1]))
+
+
+# The cell codec of each UnitRecord field type: parse turns a stripped,
+# non-blank cell into the value that model.value_problem then checks (None:
+# the text is the value), and format writes a present value back.
+_CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
+    "float | None": (_parse_float, repr),
+    "int | None": (int, str),
+    "date | None": (date.fromisoformat, date.isoformat),
+    "bool | None": (_parse_bool, lambda value: "1" if value else "0"),
+    "tuple[float, float] | None": (_parse_coordinate, lambda value: f"{value[0]!r}, {value[1]!r}"),
+    "str | None": (None, str),
+}
+# The one field type a mapping's unit factor applies to.
+_QUANTITY = "float | None"
+
+
+def _codec(entry: MappingEntry) -> tuple[Callable[[str], object] | None, Callable]:
+    """The parse and format functions of one mapped column, with its unit factor."""
+    parse, format_ = _CODECS[FIELD_TYPES[entry.field]]
+    factor = entry.factor
+    if factor == 1:
+        return parse, format_
+    return (lambda text: parse(text) * factor), (lambda value: format_(value / factor))
 
 
 class RegistryReader:
@@ -256,6 +244,7 @@ class RegistryReader:
     checked as it is parsed (model.value_problem) and the column mapping
     only targets fields the technology carries, so records skip
     UnitRecord's own checks; only rows of the wrong width are rejected.
+    Tables are read as UTF-8.
     """
 
     def __init__(
@@ -265,7 +254,6 @@ class RegistryReader:
         mapping: ColumnMapping | None = None,
         *,
         delimiter: str = ",",
-        encoding: str = "utf-8",
     ):
         if not isinstance(technology, Technology):
             raise TypeError(f"technology must be a Technology, got {technology!r}")
@@ -275,7 +263,6 @@ class RegistryReader:
         self.technology = technology
         self.entries = (mapping or default_mapping()).for_technology(technology)
         self.delimiter = delimiter
-        self.encoding = encoding
         self.issues: list[ParseIssue] = []
         self.rows_total = 0
         self.rows_rejected = 0
@@ -284,7 +271,7 @@ class RegistryReader:
         issues = self.issues
         blank = [None] * len(RECORD_FIELDS)
         blank[_FIELD_POS["technology"]] = self.technology
-        with open(self.path, newline="", encoding=self.encoding) as handle:
+        with open(self.path, newline="", encoding="utf-8") as handle:
             csv_reader = csv.reader(handle, delimiter=self.delimiter)
             reader = self._rows(csv_reader)
             header = next(reader, None)
@@ -294,10 +281,18 @@ class RegistryReader:
             missing = [e.raw for e in self.entries if e.raw not in index]
             if missing:
                 raise IngestError(f"{self.path}: missing mandatory columns: {', '.join(missing)}")
-            columns = [
-                (e.field, index[e.raw], e.factor, _FIELD_POS[e.field], e.field in CHECKED_FIELDS)
-                for e in self.entries
-            ]
+            # Text cells are stored as read; every other column gets its
+            # parse function here, once.
+            text_columns = []
+            parsed_columns = []
+            for e in self.entries:
+                parse = _codec(e)[0]
+                if parse is None:
+                    text_columns.append((index[e.raw], _FIELD_POS[e.field]))
+                else:
+                    parsed_columns.append(
+                        (e.field, index[e.raw], _FIELD_POS[e.field], parse, e.field in CHECKED_FIELDS)
+                    )
             width = len(header)
 
             # A row starts on the line after the previous row's last line;
@@ -311,12 +306,16 @@ class RegistryReader:
                     issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
                     continue
                 values = blank.copy()
-                for name, col, factor, pos, checked in columns:
+                for col, pos in text_columns:
+                    text = row[col].strip()
+                    if text:
+                        values[pos] = text
+                for name, col, pos, parse, checked in parsed_columns:
                     text = row[col].strip()
                     if not text:
                         continue
                     try:
-                        value = _parse_cell(name, text, factor)
+                        value = parse(text)
                         problem = checked and value_problem(name, value)
                         if problem:
                             raise ValueError(problem)
@@ -337,13 +336,13 @@ class RegistryReader:
         except csv.Error as exc:
             raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            line_no = _undecodable_line(self.path, self.encoding)
-            raise IngestError(f"{self.path}: line {line_no}: not {self.encoding} text ({exc.reason})") from None
+            line_no = _undecodable_line(self.path)
+            raise IngestError(f"{self.path}: line {line_no}: not utf-8 text ({exc.reason})") from None
 
 
-def _undecodable_line(path: Path, encoding: str) -> int:
-    """The 1-based number of the first line of a file that does not decode."""
-    decoder = codecs.getincrementaldecoder(encoding)()
+def _undecodable_line(path: Path) -> int:
+    """The 1-based number of the first line of a file that is not UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
     with open(path, "rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
@@ -351,20 +350,6 @@ def _undecodable_line(path: Path, encoding: str) -> int:
             except UnicodeDecodeError:
                 break
     return line_no
-
-
-def _cell_text(name: str, value, factor: float) -> str:
-    if value is None:
-        return ""
-    if name in _FLOAT_FIELDS:
-        return repr(value / factor)
-    if name in _DATE_FIELDS:
-        return value.isoformat()
-    if name in _BOOL_FIELDS:
-        return "1" if value else "0"
-    if name == "coordinate":
-        return f"{value[0]!r}, {value[1]!r}"
-    return str(value)
 
 
 def write_registry_csv(
@@ -377,11 +362,14 @@ def write_registry_csv(
 ) -> None:
     """Inverse of RegistryReader under the same mapping (writes raw columns)."""
     entries = (mapping or default_mapping()).for_technology(technology)
+    columns = [(e.field, _codec(e)[1]) for e in entries]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow([e.raw for e in entries])
         for record in records:
-            writer.writerow([_cell_text(e.field, getattr(record, e.field), e.factor) for e in entries])
+            writer.writerow(
+                ["" if (value := getattr(record, name)) is None else format_(value) for name, format_ in columns]
+            )
 
 
 DEFAULT_REGION_KEYS = {"district": "krs", "municipality": "ags"}
@@ -434,14 +422,7 @@ def parse_boundaries(
         polygons = []
         try:
             for raw_rings in raw_polys:
-                rings = []
-                for raw_ring in raw_rings:
-                    ring = tuple((float(pos[1]), float(pos[0])) for pos in raw_ring)
-                    if len(ring) < 4:
-                        raise IngestError(f"{path}: feature {idx} has a ring with fewer than 4 vertices")
-                    if ring[0] != ring[-1]:
-                        raise IngestError(f"{path}: feature {idx} has an unclosed ring")
-                    rings.append(ring)
+                rings = [tuple((float(pos[1]), float(pos[0])) for pos in raw_ring) for raw_ring in raw_rings]
                 polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
         except (TypeError, ValueError, IndexError):
             raise IngestError(f"{path}: feature {idx} has malformed coordinates") from None

@@ -50,23 +50,6 @@ SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
     "type_of_inflow": frozenset({Technology.HYDRO}),
 }
 
-# Numeric fields that must be non-negative and finite when present.
-_NON_NEGATIVE_FIELDS = (
-    "power_kw",
-    "power_gross_kw",
-    "power_inverter_kw",
-    "power_net_kw",
-    "storage_capacity_kwh",
-    "hub_height_m",
-    "rotor_diameter_m",
-    "area_ha",
-)
-
-
-def fields_for(technology: Technology) -> frozenset[str]:
-    """Specific fields that exist for a technology's table."""
-    return frozenset(name for name, techs in SPECIFIC_FIELDS.items() if technology in techs)
-
 
 @dataclass(frozen=True, slots=True)
 class UnitRecord:
@@ -143,10 +126,19 @@ class UnitRecord:
                 object.__setattr__(self, name, value.strip() or None)
 
 
+# Each field's annotation as written above: the one statement of its type,
+# from which ingest picks the field's cell codec.
+FIELD_TYPES: dict[str, str] = {f.name: f.type for f in fields(UnitRecord)}
+# Field names in declaration order, reused by ingest and the rule config check.
+RECORD_FIELDS: tuple[str, ...] = tuple(FIELD_TYPES)
+_TEXT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if kind == "str | None")
+_SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
+
 # What a present value of a field must be, beyond the field existing for
-# the record's technology; value_problem tells why a value is not.
+# the record's technology; value_problem tells why a value is not. Every
+# float field is a quantity.
 _REQUIREMENTS: dict[str, str] = {
-    **{name: "non-negative and finite" for name in _NON_NEGATIVE_FIELDS},
+    **{name: "non-negative and finite" for name, kind in FIELD_TYPES.items() if kind == "float | None"},
     "number_of_modules": ">= 0",
     "coordinate": "finite and within WGS84 bounds",
 }
@@ -177,10 +169,14 @@ def value_problem(name: str, value) -> str | None:
     return None
 
 
-# Field names in declaration order, reused by ingest and the rule config check.
-RECORD_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(UnitRecord))
-_TEXT_FIELDS = tuple(f.name for f in fields(UnitRecord) if f.type == "str | None")
-_SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
+def columns_for(technology: Technology) -> tuple[str, ...]:
+    """Every field a technology's records carry, in RECORD_FIELDS order,
+    without technology itself."""
+    return tuple(
+        name
+        for name in RECORD_FIELDS
+        if name != "technology" and technology in SPECIFIC_FIELDS.get(name, (technology,))
+    )
 
 
 def checked_record(values: list) -> UnitRecord:

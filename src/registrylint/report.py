@@ -18,14 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import (
-    RECORD_FIELDS,
-    SPECIFIC_FIELDS,
-    FailureRecord,
-    RuleOutcome,
-    Technology,
-    UnitRecord,
-)
+from .model import RECORD_FIELDS, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
 from .rules import CHECKED_PAIR_COUNT, MATRIX_CELL_COUNT, FailureSet
 
 # Distances beyond these defaults collapse into one overflow bin.
@@ -40,15 +33,6 @@ class ReportError(Exception):
 
 # Completeness is tracked for every canonical column except the table key.
 _COMPLETENESS_COLUMNS: tuple[str, ...] = tuple(n for n in RECORD_FIELDS if n != "technology")
-
-
-def columns_for(technology: Technology) -> tuple[str, ...]:
-    """Canonical columns that structurally exist for a technology."""
-    return tuple(
-        name
-        for name in _COMPLETENESS_COLUMNS
-        if name not in SPECIFIC_FIELDS or technology in SPECIFIC_FIELDS[name]
-    )
 
 
 def percent(fraction: Fraction) -> int:

@@ -539,12 +539,16 @@ class FailureSet:
     failures: list[FailureRecord]
     records_total: dict[Technology, int]
     records_dso: dict[Technology, int]
-    failure_tally: dict[tuple[int, Technology], int]
     evaluated_tests: tuple[int, ...]
 
     @property
     def total_records(self) -> int:
         return sum(self.records_total.values())
+
+    @property
+    def failure_tally(self) -> Counter[tuple[int, Technology]]:
+        """Failed tests per (test id, technology)."""
+        return Counter((outcome.test_id, fr.technology) for fr in self.failures for outcome in fr.failed)
 
     def evaluated_counts(self) -> dict[tuple[int, Technology], int]:
         """Records passed through each evaluated (test, technology) cell."""
@@ -632,13 +636,10 @@ def run_suite(
         for ordinal, meta in members:
             failing.setdefault(ordinal, (meta, []))[1].append(outcome)
 
-    tally: Counter[tuple[int, Technology]] = Counter()
     failures: list[FailureRecord] = []
     for ordinal in sorted(failing, key=lambda o: (failing[o][0][0] or "", o)):
         meta, outcomes = failing[ordinal]
         outcomes.sort(key=lambda o: o.test_id)
         technology = Technology(meta[1])
-        for outcome in outcomes:
-            tally[(outcome.test_id, technology)] += 1
         failures.append(FailureRecord(meta[0], technology, meta[2], meta[3], meta[4], meta[5], tuple(outcomes)))
-    return FailureSet(failures, dict(totals), dict(dso_totals), dict(tally), evaluated)
+    return FailureSet(failures, dict(totals), dict(dso_totals), evaluated)

@@ -308,14 +308,6 @@ class GroundTruth:
             "units": {uid: sorted(tests) for uid, tests in sorted(self.expected.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> GroundTruth:
-        return cls(
-            expected={uid: frozenset(tests) for uid, tests in payload["units"].items()},
-            class_counts=dict(payload["class_counts"]),
-            seed=payload["seed"],
-        )
-
 
 def _eligible(name: str, record: UnitRecord, config: RuleConfig) -> bool:
     if not _class_applies(name, record.technology):

@@ -278,6 +278,15 @@ _BAD_CONFIGS = {
     "unknown-section": {"rule": {"buffer_m": 1500.0}},
     "unknown-csv-key": {"csv": {"delimeter": ";"}},
     "unknown-boundary-level": {"boundary_keys": {"county": "krs"}},
+    # A unit factor scales quantities only; a year is not one.
+    "factor-on-year": {
+        "mapping": {
+            "wind": [
+                [e.raw, e.field, 1000.0 if e.field == "installation_year" else 1.0]
+                for e in default_mapping().for_technology(Technology.WIND)
+            ]
+        }
+    },
 }
 
 
@@ -311,6 +320,9 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         payload = json.loads((src / "municipalities.geojson").read_text())
         if case == "geojson-scalar-properties":
             payload["features"][2]["properties"] = 5
+        elif case == "geojson-short-ring":
+            ring = [[10.0, 50.0], [10.1, 50.0], [10.0, 50.0]]
+            payload["features"][2]["geometry"] = {"type": "Polygon", "coordinates": [ring]}
         elif case == "geojson-zero-area":
             # A region no record references, whose ring encloses no area.
             line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
@@ -341,7 +353,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
 @pytest.mark.parametrize(
     "case",
     [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
-     "geojson-scalar-properties", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
+     "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
      "report-summary-without-per-technology"],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from registrylint.ingest import (
+    _CODECS,
     ColumnMapping,
     IngestError,
     MappingEntry,
@@ -18,7 +19,7 @@ from registrylint.ingest import (
     write_boundaries_geojson,
     write_registry_csv,
 )
-from registrylint.model import Technology
+from registrylint.model import FIELD_TYPES, Technology
 from registrylint.synth import generate_clean, make_boundary_grid
 
 from test_model import records
@@ -402,3 +403,8 @@ class TestParseBoundaries:
         assert set(again.regions) == set(grid.municipalities.regions)
         for rid, region in grid.municipalities.regions.items():
             assert again.regions[rid].polygons == region.polygons
+
+
+def test_every_record_field_type_has_a_cell_codec():
+    # A field of a new type fails here, not in the first run that maps it.
+    assert {kind for name, kind in FIELD_TYPES.items() if name != "technology"} <= set(_CODECS)

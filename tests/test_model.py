@@ -6,14 +6,32 @@ import pytest
 from hypothesis import strategies as st
 
 from registrylint.model import (
+    RECORD_FIELDS,
     SPECIFIC_FIELDS,
     Technology,
     UnitRecord,
-    fields_for,
+    columns_for,
     power_of,
 )
 from registrylint.ingest import ColumnMapping, IngestError
 
+COMMON_FIELDS = {
+    "unit_id",
+    "owner_id",
+    "operating_status",
+    "grid_operator_inspection",
+    "commissioning_date",
+    "planned_commissioning_date",
+    "installation_year",
+    "download_date",
+    "zip_code",
+    "municipality",
+    "municipality_id",
+    "district",
+    "district_id",
+    "coordinate",
+    "unit_name",
+}
 EXPECTED_FIELDS = {
     Technology.BIOMASS: {"power_kw", "combustion_technology", "fuel_type"},
     Technology.COMBUSTION: {"power_kw", "energy_carrier"},
@@ -52,7 +70,11 @@ def test_exactly_six_technologies():
 
 @pytest.mark.parametrize("technology", list(Technology))
 def test_field_applicability_matches_table(technology):
-    assert fields_for(technology) == EXPECTED_FIELDS[technology]
+    columns = columns_for(technology)
+    assert set(columns) - COMMON_FIELDS == EXPECTED_FIELDS[technology]
+    assert set(columns) >= COMMON_FIELDS
+    # Declaration order, each field once, technology itself left out.
+    assert columns == tuple(name for name in RECORD_FIELDS if name in columns and name != "technology")
 
 
 def test_specific_fields_cover_every_listed_column():
@@ -176,8 +198,9 @@ def records(draw) -> UnitRecord:
         "plant_type": short_text,
         "type_of_inflow": short_text,
     }
-    for name in fields_for(technology):
-        values[name] = maybe(specific_strategies[name])
+    for name in columns_for(technology):
+        if name in specific_strategies:
+            values[name] = maybe(specific_strategies[name])
     # Normalized form: the district key always accompanies a municipality key
     # (ingest derives it from the first five digits when absent).
     if values["municipality_id"] is not None and values["district_id"] is None:

@@ -60,7 +60,6 @@ def _wind_metrics(failures, records, dso_only=False):
         failures=failures,
         records_total={Technology.WIND: len(records)},
         records_dso={Technology.WIND: sum(r.grid_operator_inspection is True for r in records)},
-        failure_tally={},
         evaluated_tests=(),
     )
     report = build_report(failure_set)

@@ -1,16 +1,18 @@
 """Generator and error-injector tests."""
 
+import json
 import math
 import re
+from collections import Counter
 
 import pytest
 
+from registrylint.cli import main
 from registrylint.model import Technology, power_of
 from registrylint.rules import RuleConfig, run_suite
 from registrylint.synth import (
     ERROR_CLASSES,
     ErrorInjectionSpec,
-    GroundTruth,
     SynthError,
     generate_clean,
     inject_errors,
@@ -188,14 +190,22 @@ class TestInjectErrors:
 
 
 class TestGroundTruth:
-    def test_json_round_trip(self, grid):
-        records = generate_clean(Technology.SOLAR, 80, 2, grid)
-        spec = ErrorInjectionSpec(rates={"placeholder_modules": 4, "balcony_overpower": 3})
-        _, truth = inject_errors(records, spec, 5, boundaries=grid)
-        again = GroundTruth.from_json_dict(truth.to_json_dict())
-        assert again.expected == truth.expected
-        assert again.class_counts == truth.class_counts
-        assert again.seed == truth.seed
+    def test_json_round_trip(self, grid, tmp_path):
+        # synth writes the truth its injections returned, merged over technologies.
+        argv = ["synth", "--technology", "solar", "--technology", "wind", "--count", "80", "--seed", "5"]
+        assert main([*argv, "--error-rate", "0.2", "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "ground_truth.json").read_text(encoding="utf-8"))
+        expected: dict = {}
+        class_counts: Counter = Counter()
+        for tech in (Technology.SOLAR, Technology.WIND):
+            records = generate_clean(tech, 80, 5, grid)
+            _, truth = inject_errors(records, ErrorInjectionSpec.uniform(0.2, tech, len(records)), 5, boundaries=grid)
+            assert truth.seed == 5
+            expected.update(truth.expected)
+            class_counts.update(truth.class_counts)
+        assert {uid: frozenset(tests) for uid, tests in written["units"].items()} == expected
+        assert written["class_counts"] == dict(class_counts)
+        assert written["seed"] == 5
 
     def test_power_accumulation_helper_consistency(self, grid):
         records = generate_clean(Technology.WIND, 20, 2, grid)
