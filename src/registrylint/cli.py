@@ -182,11 +182,7 @@ def cmd_validate(args) -> int:
         RegistryReader(path, tech, run.mapping, delimiter=run.delimiter) for tech, path in selected
     ]
     stats = ColumnStats()
-    failure_set = run_suite(
-        _stream_records(readers, stats, run.dso_only),
-        boundaries if (boundaries.districts or boundaries.municipalities) else None,
-        run.rules,
-    )
+    failure_set = run_suite(_stream_records(readers, stats, run.dso_only), boundaries, run.rules)
     issues = sum(len(r.issues) for r in readers)
     rejected = sum(r.rows_rejected for r in readers)
     rows = sum(r.rows_total for r in readers)

@@ -13,7 +13,7 @@ import codecs
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -126,59 +126,29 @@ class ColumnMapping:
         for tech_name, rows in payload.items():
             try:
                 entries[Technology(tech_name)] = tuple(
-                    MappingEntry(raw=r[0], field=r[1], factor=float(r[2]) if len(r) > 2 and r[2] is not None else 1.0)
-                    for r in rows
+                    MappingEntry(raw=r[0], field=r[1], factor=_factor(r[2] if len(r) > 2 else None)) for r in rows
                 )
-            except (ValueError, TypeError, IndexError) as exc:
+            except (ValueError, TypeError, IndexError, OverflowError) as exc:
                 raise IngestError(f"mapping for {tech_name!r} is malformed: {exc}") from None
         return cls(entries)
 
 
-# Raw column name of each field in the standard transformed export.
-_RAW_COLUMNS = {
-    "unit_id": "mastr id",
-    "owner_id": "unit owner mastr id",
-    "operating_status": "operating status",
-    "grid_operator_inspection": "grid operator inspection",
-    "commissioning_date": "commissioning date",
-    "planned_commissioning_date": "planned commissioning date",
-    "installation_year": "installation year",
-    "download_date": "download date",
-    "zip_code": "zip code",
-    "municipality": "municipality",
-    "municipality_id": "municipality id",
-    "district": "district",
-    "district_id": "district id",
-    "coordinate": "coordinate",
-    "unit_name": "unit name",
-    "power_gross_kw": "power gross",
-    "power_inverter_kw": "power inverter",
-    "power_net_kw": "power net",
-    "power_kw": "power",
-    "number_of_modules": "number of modules",
-    "unit_type": "unit type",
-    "area_ha": "area",
-    "orientation": "orientation",
-    "orientation_secondary": "orientation secondary",
-    "storage_capacity_kwh": "storage capacity",
-    "battery_technology": "battery technology",
-    "hub_height_m": "hub height",
-    "rotor_diameter_m": "rotor diameter",
-    "position": "position",
-    "manufacturer": "manufacturer",
-    "type_description": "type description",
-    "combustion_technology": "combustion technology",
-    "fuel_type": "fuel type",
-    "energy_carrier": "energy carrier",
-    "plant_type": "plant type",
-    "type_of_inflow": "type of inflow",
-}
+def _factor(value) -> float:
+    """A mapping row's unit factor: a JSON number (not a string or boolean),
+    1 when absent or null."""
+    if value is None:
+        return 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"unit factor must be a number, got {value!r}")
+    return float(value)
 
 
 def default_mapping() -> ColumnMapping:
-    """Mapping for the standard transformed export (column names as shipped)."""
+    """Mapping for the standard transformed export: each field's raw column
+    as its UnitRecord declaration names it."""
+    raw = {f.name: f.metadata["raw"] for f in fields(UnitRecord) if f.metadata}
     return ColumnMapping(
-        {tech: tuple(MappingEntry(_RAW_COLUMNS[name], name) for name in columns_for(tech)) for tech in Technology}
+        {tech: tuple(MappingEntry(raw[name], name) for name in columns_for(tech)) for tech in Technology}
     )
 
 
@@ -353,18 +323,19 @@ def _undecodable_line(path: Path) -> int:
 
 
 def write_registry_csv(
-    records: Iterable[UnitRecord],
-    path: str | Path,
-    technology: Technology,
-    mapping: ColumnMapping | None = None,
-    *,
-    delimiter: str = ",",
+    records: Iterable[UnitRecord], path: str | Path, technology: Technology, mapping: ColumnMapping | None = None
 ) -> None:
-    """Inverse of RegistryReader under the same mapping (writes raw columns)."""
+    """Write records as a comma-separated table of the mapping's raw columns.
+
+    RegistryReader reads back the same values under the same mapping when
+    every unit factor is 1. A quantity with another factor is written as
+    value / factor and read back as that times factor, and the two
+    roundings can change the last bit of the value.
+    """
     entries = (mapping or default_mapping()).for_technology(technology)
     columns = [(e.field, _codec(e)[1]) for e in entries]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
+        writer = csv.writer(handle)
         writer.writerow([e.raw for e in entries])
         for record in records:
             writer.writerow(
@@ -375,17 +346,11 @@ def write_registry_csv(
 DEFAULT_REGION_KEYS = {"district": "krs", "municipality": "ags"}
 
 
-def parse_boundaries(
-    path: str | Path,
-    level: str,
-    *,
-    region_key: str | None = None,
-    name_key: str = "name",
-) -> BoundarySet:
+def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = None) -> BoundarySet:
     """Load a GeoJSON FeatureCollection of administrative polygons.
 
     Multipolygon features become multiple polygon parts under one region
-    id. Duplicate region ids, missing region keys, unclosed rings,
+    id, named by the feature's `name` property. Duplicate region ids, missing region keys, unclosed rings,
     vertices that are not finite or lie outside WGS84 bounds, and
     non-polygon geometries are fatal.
     """
@@ -426,7 +391,7 @@ def parse_boundaries(
                 polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
         except (TypeError, ValueError, IndexError):
             raise IngestError(f"{path}: feature {idx} has malformed coordinates") from None
-        name = props.get(name_key) or region_id
+        name = props.get("name") or region_id
         try:
             regions[region_id] = Region(region_id=region_id, name=str(name), polygons=tuple(polygons))
         except GeometryError as exc:
@@ -434,14 +399,8 @@ def parse_boundaries(
     return BoundarySet(level=level, regions=regions)
 
 
-def write_boundaries_geojson(
-    boundary_set: BoundarySet,
-    path: str | Path,
-    *,
-    region_key: str | None = None,
-    name_key: str = "name",
-) -> None:
-    key = region_key or DEFAULT_REGION_KEYS[boundary_set.level]
+def write_boundaries_geojson(boundary_set: BoundarySet, path: str | Path) -> None:
+    key = DEFAULT_REGION_KEYS[boundary_set.level]
     features = []
     for region in sorted(boundary_set, key=lambda r: r.region_id):
         coords = [
@@ -454,7 +413,7 @@ def write_boundaries_geojson(
         features.append(
             {
                 "type": "Feature",
-                "properties": {key: region.region_id, name_key: region.name},
+                "properties": {key: region.region_id, "name": region.name},
                 "geometry": geometry,
             }
         )

@@ -9,7 +9,7 @@ registry layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from typing import NamedTuple
@@ -24,88 +24,62 @@ class Technology(str, Enum):
     WIND = "wind"
 
 
-# Which technology tables carry which specific columns. Anything not listed
-# here is a common field present for all technologies.
-SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
-    "power_kw": frozenset({Technology.BIOMASS, Technology.COMBUSTION, Technology.HYDRO, Technology.WIND}),
-    "power_gross_kw": frozenset({Technology.SOLAR, Technology.STORAGE}),
-    "power_inverter_kw": frozenset({Technology.SOLAR, Technology.STORAGE}),
-    "power_net_kw": frozenset({Technology.SOLAR, Technology.STORAGE}),
-    "number_of_modules": frozenset({Technology.SOLAR}),
-    "unit_type": frozenset({Technology.SOLAR}),
-    "area_ha": frozenset({Technology.SOLAR}),
-    "orientation": frozenset({Technology.SOLAR}),
-    "orientation_secondary": frozenset({Technology.SOLAR}),
-    "storage_capacity_kwh": frozenset({Technology.STORAGE}),
-    "battery_technology": frozenset({Technology.STORAGE}),
-    "hub_height_m": frozenset({Technology.WIND}),
-    "rotor_diameter_m": frozenset({Technology.WIND}),
-    "position": frozenset({Technology.WIND}),
-    "manufacturer": frozenset({Technology.WIND}),
-    "type_description": frozenset({Technology.WIND}),
-    "combustion_technology": frozenset({Technology.BIOMASS}),
-    "fuel_type": frozenset({Technology.BIOMASS}),
-    "energy_carrier": frozenset({Technology.COMBUSTION}),
-    "plant_type": frozenset({Technology.HYDRO}),
-    "type_of_inflow": frozenset({Technology.HYDRO}),
-}
+def _field(raw: str, *technologies: str):
+    """A UnitRecord field, None unless given, read from the export column
+    `raw` and carried by `technologies` (every technology when none is named)."""
+    carried = frozenset(Technology(name) for name in technologies) or frozenset(Technology)
+    return field(default=None, metadata={"raw": raw, "technologies": carried})
 
 
 @dataclass(frozen=True, slots=True)
 class UnitRecord:
     """One registry unit after transformation to the common data model.
 
-    Immutable; safe to share between workers. Construction enforces the
-    structural invariants (field applicability per technology, coordinate
-    bounds, non-negative finite quantities). Semantic plausibility is the
-    rule engine's job, not the schema's.
+    Each field's declaration is the one statement of its type, its column
+    in the standard export and the technologies that carry it. Immutable;
+    safe to share between workers. Construction enforces the structural
+    invariants (field applicability per technology, coordinate bounds,
+    non-negative finite quantities). Semantic plausibility is the rule
+    engine's job, not the schema's.
     """
 
     technology: Technology
-    unit_id: str | None = None
-    owner_id: str | None = None
-    operating_status: str | None = None
-    grid_operator_inspection: bool | None = None
-    commissioning_date: date | None = None
-    planned_commissioning_date: date | None = None
-    installation_year: int | None = None
-    download_date: date | None = None
-    zip_code: str | None = None
-    municipality: str | None = None
-    municipality_id: str | None = None
-    district: str | None = None
-    district_id: str | None = None
-    coordinate: tuple[float, float] | None = None  # (latitude, longitude), WGS84
-    unit_name: str | None = None
-    # solar / storage
-    power_gross_kw: float | None = None
-    power_inverter_kw: float | None = None
-    power_net_kw: float | None = None
-    # biomass / combustion / hydro / wind
-    power_kw: float | None = None
-    # solar
-    number_of_modules: int | None = None
-    unit_type: str | None = None
-    area_ha: float | None = None
-    orientation: str | None = None
-    orientation_secondary: str | None = None
-    # storage
-    storage_capacity_kwh: float | None = None
-    battery_technology: str | None = None
-    # wind
-    hub_height_m: float | None = None
-    rotor_diameter_m: float | None = None
-    position: str | None = None
-    manufacturer: str | None = None
-    type_description: str | None = None
-    # biomass
-    combustion_technology: str | None = None
-    fuel_type: str | None = None
-    # combustion
-    energy_carrier: str | None = None
-    # hydro
-    plant_type: str | None = None
-    type_of_inflow: str | None = None
+    unit_id: str | None = _field("mastr id")
+    owner_id: str | None = _field("unit owner mastr id")
+    operating_status: str | None = _field("operating status")
+    grid_operator_inspection: bool | None = _field("grid operator inspection")
+    commissioning_date: date | None = _field("commissioning date")
+    planned_commissioning_date: date | None = _field("planned commissioning date")
+    installation_year: int | None = _field("installation year")
+    download_date: date | None = _field("download date")
+    zip_code: str | None = _field("zip code")
+    municipality: str | None = _field("municipality")
+    municipality_id: str | None = _field("municipality id")
+    district: str | None = _field("district")
+    district_id: str | None = _field("district id")
+    coordinate: tuple[float, float] | None = _field("coordinate")  # (latitude, longitude), WGS84
+    unit_name: str | None = _field("unit name")
+    power_gross_kw: float | None = _field("power gross", "solar", "storage")
+    power_inverter_kw: float | None = _field("power inverter", "solar", "storage")
+    power_net_kw: float | None = _field("power net", "solar", "storage")
+    power_kw: float | None = _field("power", "biomass", "combustion", "hydro", "wind")
+    number_of_modules: int | None = _field("number of modules", "solar")
+    unit_type: str | None = _field("unit type", "solar")
+    area_ha: float | None = _field("area", "solar")
+    orientation: str | None = _field("orientation", "solar")
+    orientation_secondary: str | None = _field("orientation secondary", "solar")
+    storage_capacity_kwh: float | None = _field("storage capacity", "storage")
+    battery_technology: str | None = _field("battery technology", "storage")
+    hub_height_m: float | None = _field("hub height", "wind")
+    rotor_diameter_m: float | None = _field("rotor diameter", "wind")
+    position: str | None = _field("position", "wind")
+    manufacturer: str | None = _field("manufacturer", "wind")
+    type_description: str | None = _field("type description", "wind")
+    combustion_technology: str | None = _field("combustion technology", "biomass")
+    fuel_type: str | None = _field("fuel type", "biomass")
+    energy_carrier: str | None = _field("energy carrier", "combustion")
+    plant_type: str | None = _field("plant type", "hydro")
+    type_of_inflow: str | None = _field("type of inflow", "hydro")
 
     def __post_init__(self) -> None:
         tech = self.technology
@@ -129,6 +103,12 @@ class UnitRecord:
 # Each field's annotation as written above: the one statement of its type,
 # from which ingest picks the field's cell codec.
 FIELD_TYPES: dict[str, str] = {f.name: f.type for f in fields(UnitRecord)}
+# The technologies carrying each field that not all technologies carry.
+SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
+    f.name: f.metadata["technologies"]
+    for f in fields(UnitRecord)
+    if f.metadata and len(f.metadata["technologies"]) < len(Technology)
+}
 # Field names in declaration order, reused by ingest and the rule config check.
 RECORD_FIELDS: tuple[str, ...] = tuple(FIELD_TYPES)
 _TEXT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if kind == "str | None")
@@ -172,11 +152,7 @@ def value_problem(name: str, value) -> str | None:
 def columns_for(technology: Technology) -> tuple[str, ...]:
     """Every field a technology's records carry, in RECORD_FIELDS order,
     without technology itself."""
-    return tuple(
-        name
-        for name in RECORD_FIELDS
-        if name != "technology" and technology in SPECIFIC_FIELDS.get(name, (technology,))
-    )
+    return tuple(f.name for f in fields(UnitRecord) if technology in f.metadata.get("technologies", ()))
 
 
 def checked_record(values: list) -> UnitRecord:

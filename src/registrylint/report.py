@@ -19,12 +19,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import RECORD_FIELDS, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
-from .rules import CHECKED_PAIR_COUNT, MATRIX_CELL_COUNT, FailureSet
+from .rules import CHECKED_PAIR_COUNT, MATRIX_CELL_COUNT, FailureSet, count_failing_units
 
 # Distances beyond these defaults collapse into one overflow bin.
 DEFAULT_OVERFLOW_KM = 60.0
 OVERFLOW_KM_BY_TECHNOLOGY = {Technology.SOLAR: 300.0}
 DEFAULT_BIN_WIDTH_KM = 5.0
+# The most regular bins a histogram may have.
+MAX_BINS = 100_000
 
 
 class ReportError(Exception):
@@ -57,11 +59,6 @@ class ColumnStats:
         for name in counters:
             if getattr(record, name) is not None:
                 counters[name] += 1
-
-    def collect(self, records: Iterable[UnitRecord]) -> "ColumnStats":
-        for record in records:
-            self.update(record)
-        return self
 
     def fraction(self, technology: Technology, column: str) -> Fraction:
         """Non-null share of a column; an empty table is vacuously complete."""
@@ -99,24 +96,26 @@ def distance_histogram(
     failures: Iterable[FailureRecord],
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
     overflow_km: float = DEFAULT_OVERFLOW_KM,
-    *,
-    test_id: int = 10,
 ) -> Histogram:
-    """Histogram of measured boundary distances for one location test.
+    """Histogram of measured distances to the registered district's
+    boundary (test 10).
 
     Failures without a computable distance (unknown region keys) are not
-    binned.
+    binned. Both settings must be finite and positive, and give at most
+    MAX_BINS regular bins.
     """
-    if bin_width_km <= 0:
-        raise ReportError("bin width must be positive")
-    if overflow_km <= 0:
-        raise ReportError("overflow threshold must be positive")
-    n_bins = math.ceil(overflow_km / bin_width_km)
-    counts = [0] * n_bins
+    if not (math.isfinite(bin_width_km) and bin_width_km > 0):
+        raise ReportError(f"bin width must be finite and positive, got {bin_width_km!r}")
+    if not (math.isfinite(overflow_km) and overflow_km > 0):
+        raise ReportError(f"overflow threshold must be finite and positive, got {overflow_km!r}")
+    bins = overflow_km / bin_width_km  # 0.0 when it underflows; one bin then, as for any ratio up to 1
+    if bins > MAX_BINS:
+        raise ReportError(f"bins of {bin_width_km!r} km up to {overflow_km!r} km would be more than {MAX_BINS}")
+    counts = [0] * max(1, math.ceil(bins))
     overflow = 0
     for fr in failures:
         for outcome in fr.failed:
-            if outcome.test_id != test_id or outcome.measured is None:
+            if outcome.test_id != 10 or outcome.measured is None:
                 continue
             distance_km = outcome.measured / 1000.0
             if distance_km >= overflow_km:
@@ -144,35 +143,18 @@ class QualityReport:
     completeness: dict[Technology, dict[str, Fraction]]
     histograms: dict[Technology, Histogram]
     evaluated_counts: dict[tuple[int, Technology], int]
-    matrix_cells: int = MATRIX_CELL_COUNT
-    checked_pairs: int = CHECKED_PAIR_COUNT
 
 
-def _metrics(
-    failures: Sequence[FailureRecord],
-    technology: Technology,
-    total: int,
-    *,
-    dso_only: bool,
-) -> TechnologyMetrics:
+def _metrics(failures: Sequence[FailureRecord], total: int) -> TechnologyMetrics:
+    """Metrics of one technology's failures, out of `total` units."""
     per_test: dict[int, int] = {}
-    distinct: set[str] = set()
-    anonymous = 0
     power = 0.0
     for fr in failures:
-        if fr.technology is not technology:
-            continue
-        if dso_only and not fr.dso_inspected:
-            continue
-        if fr.unit_id is None:
-            anonymous += 1
-        else:
-            distinct.add(fr.unit_id)
         if fr.power_kw is not None:
             power += fr.power_kw
         for outcome in fr.failed:
             per_test[outcome.test_id] = per_test.get(outcome.test_id, 0) + 1
-    failing = len(distinct) + anonymous
+    failing = count_failing_units(failures)
     share = failing / total if total else 0.0
     return TechnologyMetrics(total, failing, share, power, per_test)
 
@@ -192,15 +174,15 @@ def build_report(
     per_technology_dso = {}
     histograms = {}
     completeness_table = dict(completeness_table) if completeness_table else {}
-    for tech in Technology:
-        total = failure_set.records_total.get(tech, 0)
-        dso_total = failure_set.records_dso.get(tech, 0)
-        per_technology[tech] = _metrics(failure_set.failures, tech, total, dso_only=False)
-        per_technology_dso[tech] = _metrics(failure_set.failures, tech, dso_total, dso_only=True)
-        tech_failures = [fr for fr in failure_set.failures if fr.technology is tech]
-        histograms[tech] = distance_histogram(
-            tech_failures, bin_width_km=bin_width_km, overflow_km=overflow[tech]
+    by_technology: dict[Technology, list[FailureRecord]] = {tech: [] for tech in Technology}
+    for fr in failure_set.failures:
+        by_technology[fr.technology].append(fr)
+    for tech, tech_failures in by_technology.items():
+        per_technology[tech] = _metrics(tech_failures, failure_set.records_total.get(tech, 0))
+        per_technology_dso[tech] = _metrics(
+            [fr for fr in tech_failures if fr.dso_inspected], failure_set.records_dso.get(tech, 0)
         )
+        histograms[tech] = distance_histogram(tech_failures, bin_width_km, overflow[tech])
         if column_stats is not None:
             completeness_table[tech] = {
                 column: column_stats.fraction(tech, column) for column in columns_for(tech)
@@ -315,8 +297,8 @@ def _metrics_json(metrics: TechnologyMetrics) -> dict:
 def summary_json(report: QualityReport) -> str:
     payload = {
         "matrix": {
-            "cells": report.matrix_cells,
-            "checked_pairs": report.checked_pairs,
+            "cells": MATRIX_CELL_COUNT,
+            "checked_pairs": CHECKED_PAIR_COUNT,
             "evaluated_counts": {
                 f"{tid}:{tech.value}": count for (tid, tech), count in sorted(
                     report.evaluated_counts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)

@@ -558,18 +558,14 @@ class FailureSet:
             for tech in sorted(CHECKMARKS[tid], key=lambda t: t.value)
         }
 
-    def failing_unit_count(self, technology: Technology | None = None) -> int:
-        """Distinct failing unit ids (records without an id count singly)."""
-        seen = set()
-        anonymous = 0
-        for fr in self.failures:
-            if technology is not None and fr.technology is not technology:
-                continue
-            if fr.unit_id is None:
-                anonymous += 1
-            else:
-                seen.add(fr.unit_id)
-        return len(seen) + anonymous
+    def failing_unit_count(self) -> int:
+        return count_failing_units(self.failures)
+
+
+def count_failing_units(failures: Iterable[FailureRecord]) -> int:
+    """Distinct failing unit ids; failures of records without an id count singly."""
+    ids = [fr.unit_id for fr in failures]
+    return len(set(ids) - {None}) + ids.count(None)
 
 
 def run_suite(

@@ -57,7 +57,6 @@ def make_boundary_grid(
     districts_y: int = 3,
     *,
     munis_per_side: int = 2,
-    origin: tuple[float, float] = (48.0, 10.0),
     district_size_deg: float = 0.5,
 ) -> Boundaries:
     """Rectangular district grid, each district split into municipalities.
@@ -65,7 +64,7 @@ def make_boundary_grid(
     Region keys follow the production nesting: 8-digit municipality keys
     whose first five digits are the district key.
     """
-    lat0, lon0 = origin
+    lat0, lon0 = 48.0, 10.0  # south-west corner
     districts: dict[str, Region] = {}
     municipalities: dict[str, Region] = {}
     step = district_size_deg
@@ -267,8 +266,7 @@ class ErrorInjectionSpec:
         return round(rate * table_size)
 
     @classmethod
-    def uniform(cls, error_rate: float, technology: Technology, table_size: int,
-                displacement_km: float = 5.0) -> ErrorInjectionSpec:
+    def uniform(cls, error_rate: float, technology: Technology, table_size: int) -> ErrorInjectionSpec:
         """Spread a total error share evenly over the classes applicable to
         one technology (round-robin remainder, deterministic)."""
         classes = [name for name in ERROR_CLASSES if _class_applies(name, technology)]
@@ -282,7 +280,7 @@ class ErrorInjectionSpec:
                 count = count // 2  # one planted error consumes a pair
             if count:
                 rates[name] = count
-        return cls(rates=rates, displacement_km=displacement_km)
+        return cls(rates=rates)
 
 
 def _class_applies(name: str, technology: Technology) -> bool:

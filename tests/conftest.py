@@ -6,6 +6,7 @@ import pytest
 
 from registrylint.model import Technology, UnitRecord
 from registrylint.geo import BoundarySet
+from registrylint.report import ColumnStats
 from registrylint.rules import Boundaries, RuleConfig, evaluate_record
 from registrylint.synth import make_boundary_grid
 
@@ -122,3 +123,11 @@ def outcome_of(test_id: int, record: UnitRecord, config=None, districts=None, mu
 def location_outcomes(record: UnitRecord, districts, municipalities, config=None):
     """Outcomes of the district (10) and municipality (11) location tests."""
     return tuple(outcome_of(tid, record, config, districts, municipalities) for tid in (10, 11))
+
+
+def column_stats(records) -> ColumnStats:
+    """Column counters over records, fed one at a time as validate feeds them."""
+    stats = ColumnStats()
+    for record in records:
+        stats.update(record)
+    return stats

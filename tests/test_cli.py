@@ -148,6 +148,18 @@ class TestValidateCommand:
         code = main(_validate_args(synth_dir, out))
         assert code in (EXIT_CLEAN, EXIT_FAILURES)
 
+    def test_readme_run_configuration_runs(self, synth_dir, tmp_path, capsys):
+        # The example under "Run configuration" in README.md, as printed there.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Run configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(example)
+        capsys.readouterr()
+        code = main(_validate_args(synth_dir, tmp_path / "run", "--config", str(cfg)))
+        assert code in (EXIT_CLEAN, EXIT_FAILURES)
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert "error" not in json.loads(line)
+
     def test_partial_mapping_override_keeps_other_defaults(self, synth_dir, tmp_path):
         # Remap only wind (identical entries, spelled out); the other
         # technologies must still parse with their default columns.
@@ -259,6 +271,12 @@ class TestUsageErrors:
         assert "usage:" in captured.err
 
 
+def _wind_factor(field: str, factor) -> dict:
+    """A run configuration mapping wind as by default, with one unit factor set."""
+    entries = default_mapping().for_technology(Technology.WIND)
+    return {"mapping": {"wind": [[e.raw, e.field, factor if e.field == field else 1.0] for e in entries]}}
+
+
 # Run configurations (rules sections and file shapes) that must be fatal.
 _BAD_CONFIGS = {
     "one-element-range": {"rules": {"module_power_range_w": [50.0]}},
@@ -279,14 +297,19 @@ _BAD_CONFIGS = {
     "unknown-csv-key": {"csv": {"delimeter": ";"}},
     "unknown-boundary-level": {"boundary_keys": {"county": "krs"}},
     # A unit factor scales quantities only; a year is not one.
-    "factor-on-year": {
-        "mapping": {
-            "wind": [
-                [e.raw, e.field, 1000.0 if e.field == "installation_year" else 1.0]
-                for e in default_mapping().for_technology(Technology.WIND)
-            ]
-        }
-    },
+    "factor-on-year": _wind_factor("installation_year", 1000.0),
+    # A unit factor is a JSON number.
+    "factor-string": _wind_factor("power_kw", "1000"),
+    "factor-bool": _wind_factor("power_kw", True),
+}
+# `report` histogram settings that are unusable; a 1e-300 km bin width needs
+# more bins than a list can hold.
+_BAD_HISTOGRAM_ARGS = {
+    "histogram-overflow-nan": ["--overflow", "nan"],
+    "histogram-bin-width-nan": ["--bin-width", "nan"],
+    "histogram-overflow-inf": ["--overflow", "inf"],
+    "histogram-bin-width-inf": ["--bin-width", "inf"],
+    "histogram-bin-width-1e-300": ["--bin-width", "1e-300"],
 }
 
 
@@ -345,6 +368,8 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         (out / "failures.ndjson").write_bytes(b"\xff\xfe\n")
     elif case == "report-missing-keys":
         (out / "failures.ndjson").write_text('{"unit_id": "SEE900000000001"}\n')
+    elif case in _BAD_HISTOGRAM_ARGS:
+        return ["report", "--out", str(out), *_BAD_HISTOGRAM_ARGS[case]]
     else:
         (out / "summary.json").write_text("{}\n")
     return ["report", "--out", str(out)]
@@ -354,7 +379,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     "case",
     [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
-     "report-summary-without-per-technology"],
+     "report-summary-without-per-technology", *_BAD_HISTOGRAM_ARGS],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
     args = _malformed_case(case, small_run, tmp_path)

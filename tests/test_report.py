@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from registrylint.model import FailureRecord, RuleOutcome, Technology, UnitRecord
 from registrylint.report import (
-    ColumnStats,
     Histogram,
     ReportError,
     build_report,
@@ -23,7 +22,7 @@ from registrylint.report import (
 from registrylint.rules import FailureSet, run_suite
 from registrylint.synth import generate_clean
 
-from conftest import example_record
+from conftest import column_stats, example_record
 
 
 def _wind_unit(uid: str, power_kw=2000.0, dso=True, owner=True) -> UnitRecord:
@@ -51,7 +50,7 @@ def _location_failure(uid: str, distance_m: float, tech=Technology.WIND, distric
 
 
 def _completeness(records, column: str) -> Fraction:
-    return ColumnStats().collect(records).fraction(Technology.WIND, column)
+    return column_stats(records).fraction(Technology.WIND, column)
 
 
 def _wind_metrics(failures, records, dso_only=False):
@@ -94,7 +93,7 @@ class TestCompleteness:
         records = generate_clean(Technology.SOLAR, 40, 3, grid)
         records[0] = replace(records[0], owner_id=None)
         records[5] = replace(records[5], owner_id=None)
-        stats = ColumnStats().collect(records)
+        stats = column_stats(records)
         direct = Fraction(sum(r.owner_id is not None for r in records), len(records))
         assert stats.fraction(Technology.SOLAR, "owner_id") == direct
         assert stats.fraction(Technology.SOLAR, "owner_id") == Fraction(38, 40)
@@ -164,6 +163,11 @@ class TestDistanceHistogram:
         with pytest.raises(ReportError, match="bin width"):
             distance_histogram([], bin_width_km=0.0)
 
+    def test_bin_count_that_underflows_keeps_one_bin(self):
+        # 1e-30 / 1e300 is 0.0 in floating point; a zero distance still needs a bin.
+        hist = distance_histogram([_location_failure("A", 0.0)], bin_width_km=1e300, overflow_km=1e-30)
+        assert hist.counts == (1,) and hist.overflow == 0
+
     @given(
         distances=st.lists(st.floats(min_value=0.0, max_value=500.0, allow_nan=False), max_size=40),
         width=st.sampled_from([1.0, 2.5, 5.0, 10.0]),
@@ -195,7 +199,7 @@ class TestExport:
             replace(example_record(grid, Technology.STORAGE), installation_year=1923),
         ]
         failure_set = run_suite(records, grid, config)
-        stats = ColumnStats().collect(records)
+        stats = column_stats(records)
         return failure_set, build_report(failure_set, stats)
 
     def test_failures_csv_shape(self, run_outputs, tmp_path):

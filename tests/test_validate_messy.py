@@ -11,8 +11,10 @@ import pytest
 from registrylint.cli import main
 from registrylint.ingest import RegistryReader, parse_boundaries
 from registrylint.model import Technology
-from registrylint.report import ColumnStats, build_report, export
+from registrylint.report import build_report, export
 from registrylint.rules import Boundaries, RuleConfig, run_suite
+
+from conftest import column_stats
 
 TECHS = ("biomass", "combustion", "hydro", "solar", "storage", "wind")
 OUTPUTS = (
@@ -105,7 +107,7 @@ class TestMessyTables:
         records = [r for t in TECHS for r in RegistryReader(messy_dir / f"{t}.csv", Technology(t))]
         assert [replace(r) for r in records] == records  # ingest's records pass UnitRecord's checks
         failure_set = run_suite(records, boundaries, RuleConfig())
-        report = build_report(failure_set, ColumnStats().collect(records))
+        report = build_report(failure_set, column_stats(records))
         export(failure_set.failures, report, tmp_path / "api")
         assert outputs(tmp_path / "cli") == outputs(tmp_path / "api")
 
