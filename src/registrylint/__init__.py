@@ -1,6 +1,6 @@
 """Validation engine for energy-unit registry tables."""
 
-from .model import FailureRecord, RuleOutcome, Technology, UnitRecord, power_of
+from .model import FailureRecord, RuleOutcome, Technology, UnitRecord
 from .rules import Boundaries, FailureSet, RuleConfig, run_suite
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __all__ = [
     "RuleOutcome",
     "Technology",
     "UnitRecord",
-    "power_of",
     "run_suite",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from .ingest import (
 )
 from .model import Technology
 from .report import ColumnStats, ReportError, build_report, export, load_failures_ndjson
-from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, run_suite
+from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, fields_read, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 _CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
@@ -68,6 +68,11 @@ class RunConfig:
         for path in (self.districts_path, self.municipalities_path):
             if path is not None and not path.is_file():
                 raise ConfigError(f"boundary file does not exist: {path}")
+        # A test without its inputs mapped would flag every unit of the technology.
+        for tech in self.mapping.entries:
+            missing = fields_read(self.rules, tech) - self.mapping.fields_given(tech)
+            if missing:
+                raise ConfigError(f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}")
 
 
 def _load_config_file(path: str | None) -> dict:

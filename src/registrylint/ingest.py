@@ -54,30 +54,6 @@ class MappingEntry:
     factor: float = 1.0  # multiplicative unit conversion, quantities (float fields) only
 
 
-# Canonical fields that some enabled test reads, per technology. district_id
-# counts as covered when municipality_id is mapped (first-5-digits rule).
-_COMMON_TEST_FIELDS = frozenset(
-    {"unit_id", "municipality_id", "operating_status", "zip_code", "coordinate", "installation_year"}
-)
-_TEST_FIELDS: dict[Technology, frozenset[str]] = {
-    Technology.BIOMASS: _COMMON_TEST_FIELDS | {"power_kw"},
-    Technology.COMBUSTION: _COMMON_TEST_FIELDS | {"power_kw"},
-    Technology.HYDRO: _COMMON_TEST_FIELDS | {"power_kw"},
-    Technology.SOLAR: _COMMON_TEST_FIELDS
-    | {
-        "power_gross_kw",
-        "power_inverter_kw",
-        "power_net_kw",
-        "number_of_modules",
-        "unit_type",
-        "area_ha",
-        "unit_name",
-    },
-    Technology.STORAGE: _COMMON_TEST_FIELDS | {"power_gross_kw", "power_inverter_kw", "power_net_kw"},
-    Technology.WIND: _COMMON_TEST_FIELDS | {"power_kw", "hub_height_m", "rotor_diameter_m"},
-}
-
-
 @dataclass(frozen=True)
 class ColumnMapping:
     """Per-technology mapping from raw columns to canonical fields."""
@@ -106,14 +82,14 @@ class ColumnMapping:
                     raise IngestError(
                         f"mapping for {tech.value}: {name!r} is not a quantity and takes no unit factor"
                     )
-            covered = set(targets)
-            if "municipality_id" in covered:
-                covered.add("district_id")
-            missing = _TEST_FIELDS[tech] - covered
-            if missing:
-                raise IngestError(
-                    f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}"
-                )
+
+    def fields_given(self, technology: Technology) -> frozenset[str]:
+        """The fields a technology's records get from its mapped columns; the
+        reader fills district_id from a mapped municipality_id."""
+        given = {e.field for e in self.for_technology(technology)}
+        if "municipality_id" in given:
+            given.add("district_id")
+        return frozenset(given)
 
     def for_technology(self, technology: Technology) -> tuple[MappingEntry, ...]:
         if technology not in self.entries:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 
@@ -149,6 +150,7 @@ def value_problem(name: str, value) -> str | None:
     return None
 
 
+@cache
 def columns_for(technology: Technology) -> tuple[str, ...]:
     """Every field a technology's records carry, in RECORD_FIELDS order,
     without technology itself."""
@@ -176,12 +178,6 @@ def checked_record(values: list) -> UnitRecord:
 POWER_FIELD: dict[Technology, str] = {
     tech: "power_net_kw" if tech in (Technology.SOLAR, Technology.STORAGE) else "power_kw" for tech in Technology
 }
-
-
-def power_of(record: UnitRecord) -> float | None:
-    """Rated power in kW, read from the technology's POWER_FIELD. None
-    marks a missing value (flagged by test 1)."""
-    return getattr(record, POWER_FIELD[record.technology])
 
 
 class RuleOutcome(NamedTuple):

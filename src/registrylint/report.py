@@ -84,10 +84,6 @@ class Histogram:
     counts: tuple[int, ...]
     overflow: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.overflow
-
     def edges_km(self) -> list[tuple[float, float]]:
         return [(i * self.bin_width_km, (i + 1) * self.bin_width_km) for i in range(len(self.counts))]
 
@@ -121,7 +117,8 @@ def distance_histogram(
             if distance_km >= overflow_km:
                 overflow += 1
             else:
-                counts[int(distance_km / bin_width_km)] += 1
+                # Just below the threshold the quotient can round up to the bin count.
+                counts[min(int(distance_km / bin_width_km), len(counts) - 1)] += 1
     return Histogram(bin_width_km, overflow_km, tuple(counts), overflow)
 
 
@@ -223,39 +220,47 @@ def _cell(value) -> str:
     return str(value)
 
 
+# The keys of a failure line (in FailureRecord's field order) and of each
+# of its tests, in the order failure_to_json writes them, with the types
+# their values may have. JSON gives these exact types, so a boolean is no
+# number.
+_TEXT = (str, type(None))
+_NUMBER = (int, float, type(None))
+_FAILURE_TYPES = {
+    "unit_id": _TEXT, "technology": (str,), "power_kw": _NUMBER, "district_id": _TEXT, "municipality_id": _TEXT,
+    "dso_inspected": (bool,),
+}
+_TEST_TYPES = {"test_id": (int,), "detail": (str,), "measured": _NUMBER, "measured_unit": _TEXT}
+
+
 def failure_to_json(fr: FailureRecord) -> dict:
-    return {
-        "unit_id": fr.unit_id,
-        "technology": fr.technology.value,
-        "power_kw": fr.power_kw,
-        "district_id": fr.district_id,
-        "municipality_id": fr.municipality_id,
-        "dso_inspected": fr.dso_inspected,
-        "tests": [
-            {
-                "test_id": o.test_id,
-                "detail": o.detail,
-                "measured": o.measured,
-                "measured_unit": o.measured_unit,
-            }
-            for o in fr.failed
-        ],
-    }
+    payload = {key: getattr(fr, key) for key in _FAILURE_TYPES}
+    payload["technology"] = fr.technology.value
+    payload["tests"] = [{key: getattr(o, key) for key in _TEST_TYPES} for o in fr.failed]
+    return payload
+
+
+def _check_types(payload: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """Raise TypeError for a value whose type is not among its key's types,
+    and ValueError for a number that is not finite (JSON NaN or Infinity)."""
+    for key, kinds in types.items():
+        value = payload[key]
+        if value.__class__ not in kinds:
+            raise TypeError(f"{key} has the wrong type: {value!r}")
+        if value.__class__ is float and not math.isfinite(value):
+            raise ValueError(f"{key} is not finite: {value!r}")
 
 
 def failure_from_json(payload: dict) -> FailureRecord:
-    return FailureRecord(
-        unit_id=payload["unit_id"],
-        technology=Technology(payload["technology"]),
-        power_kw=payload["power_kw"],
-        district_id=payload["district_id"],
-        municipality_id=payload["municipality_id"],
-        dso_inspected=payload["dso_inspected"],
-        failed=tuple(
-            RuleOutcome(payload["unit_id"], t["test_id"], False, t["detail"], t["measured"], t["measured_unit"])
-            for t in payload["tests"]
-        ),
+    _check_types(payload, _FAILURE_TYPES)
+    tests = payload["tests"]
+    for t in tests:
+        _check_types(t, _TEST_TYPES)
+    unit_id, technology, *context = (payload[key] for key in _FAILURE_TYPES)
+    failed = tuple(
+        RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
     )
+    return FailureRecord(unit_id, Technology(technology), *context, failed)
 
 
 def _failures_ndjson(failures: Sequence[FailureRecord]) -> str:

@@ -4,14 +4,13 @@ Fifteen per-unit tests cover nulls, id uniqueness and formats, power
 ordering and plausibility, system-size consistency (modules, inverter,
 area, rotor), buffered location containment, installation years, hub
 height and balcony-class capacity. Each test applies only to the
-technologies it is defined for; the full test-by-technology grid spans
-15 x 6 = 90 test instances, of which the 53 check-marked cells are
-evaluated.
+technologies whose records carry every field it reads; the full grid
+spans 15 x 6 = 90 test instances, of which 53 check-marked cells run.
 
-CATALOG is the only definition of the tests and of the check-mark
-matrix: the suite loop, evaluate_record and the matrix accounting all
-read it. Every check is a pure function of one record; uniqueness is
-the one suite-level test.
+CATALOG is the only definition of the tests and of the fields they read:
+the suite loop, evaluate_record, the check-mark matrix and the fields a
+run's column mapping must give all follow from it. Every check is a pure
+function of one record; uniqueness is the one suite-level test.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .geo import BoundarySet, outside_clearance_m
-from .model import POWER_FIELD, RECORD_FIELDS, FailureRecord, RuleOutcome, Technology, UnitRecord
+from .model import POWER_FIELD, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
 
 
 class ConfigError(ValueError):
@@ -99,9 +98,9 @@ class RuleConfig:
                     raise ConfigError(f"{name} must be of type {type_name}, got {item!r}")
                 if hint == tuple[float, float] and not item[0] < item[1]:
                     raise ConfigError(f"{name}: lower bound must be below upper bound")
-        unknown = [name for name in self.required_fields if name != "power" and name not in RECORD_FIELDS]
-        if unknown:
-            raise ConfigError(f"required_fields names unknown record fields: {', '.join(unknown)}")
+        for name in self.required_fields:
+            if any(_field_of(name, tech) not in columns_for(tech) for tech in Technology):
+                raise ConfigError(f"required_fields: {name!r} is not a field that every technology carries")
         for name in ("unit_id_pattern", "municipality_id_pattern", "zip_pattern"):
             try:
                 re.compile(getattr(self, name))
@@ -181,12 +180,13 @@ class CatalogTest(NamedTuple):
     compile(config, technology, boundaries, fail) returns the test's check
     for records of one technology, or None when the test cannot run on
     these inputs (no boundaries for a location test); compile is None for
-    the suite-level uniqueness test. unit is the unit of the value the
-    test measures, on a pass or a failure.
+    the suite-level uniqueness test. reads names the fields the check
+    reads (test 1 reads the configured required_fields besides). unit is
+    the unit of the value the test measures, on a pass or a failure.
     """
 
     test_id: int
-    technologies: frozenset[Technology]
+    reads: tuple[str, ...]
     unit: str | None
     compile: Callable[..., Check | None] | None
 
@@ -194,9 +194,14 @@ class CatalogTest(NamedTuple):
         return RuleOutcome(unit_id, self.test_id, False, detail, measured, None if measured is None else self.unit)
 
 
+def _field_of(name: str, tech: Technology) -> str:
+    """The record field a catalog or configured name stands for: "power" is the rated-power field."""
+    return POWER_FIELD[tech] if name == "power" else name
+
+
 def _required_fields(config, tech, boundaries, fail):
     """Test 1: required fields must not be null ("power" is the rated power)."""
-    names = tuple((name, POWER_FIELD[tech] if name == "power" else name) for name in config.required_fields)
+    names = tuple((name, _field_of(name, tech)) for name in config.required_fields)
 
     def check(r):
         nulls = ()
@@ -439,34 +444,42 @@ def _balcony_power(config, tech, boundaries, fail):
     return check
 
 
-_ALL = frozenset(Technology)
-_PV = frozenset({Technology.SOLAR})
-_PV_STORAGE = frozenset({Technology.SOLAR, Technology.STORAGE})
-_WIND = frozenset({Technology.WIND})
-_UNIQUE_IDS = CatalogTest(2, _ALL, "records", None)  # suite-level
+_UNIQUE_IDS = CatalogTest(2, ("unit_id",), "records", None)  # suite-level
 
 CATALOG: tuple[CatalogTest, ...] = (
-    CatalogTest(1, _ALL, None, _required_fields),
+    CatalogTest(1, (), None, _required_fields),
     _UNIQUE_IDS,
-    CatalogTest(3, _PV_STORAGE, "kW", _gross_vs_net),
-    CatalogTest(4, _PV_STORAGE, "kW", _inverter_vs_net),
-    CatalogTest(5, _ALL, None, _id_formats),
-    CatalogTest(6, _PV, "W/module", _module_power),
-    CatalogTest(7, _PV_STORAGE, "ratio", _inverter_ratio),
-    CatalogTest(8, _PV, "MW/ha", _area_density),
-    CatalogTest(9, _WIND, "W/m2", _rotor_power),
-    CatalogTest(10, _ALL, "m", _location("districts", "district_id")),
-    CatalogTest(11, _ALL, "m", _location("municipalities", "municipality_id")),
-    CatalogTest(12, _ALL, "kW", _power_range),
-    CatalogTest(13, _ALL, "year", _installation_year),
-    CatalogTest(14, _WIND, "m", _hub_height),
-    CatalogTest(15, _PV, "kW", _balcony_power),
+    CatalogTest(3, ("power_gross_kw", "power_net_kw"), "kW", _gross_vs_net),
+    CatalogTest(4, ("power_inverter_kw", "power_net_kw"), "kW", _inverter_vs_net),
+    CatalogTest(5, ("unit_id", "municipality_id", "zip_code"), None, _id_formats),
+    CatalogTest(6, ("power_gross_kw", "number_of_modules"), "W/module", _module_power),
+    CatalogTest(7, ("power_gross_kw", "power_inverter_kw"), "ratio", _inverter_ratio),
+    CatalogTest(8, ("unit_type", "power_gross_kw", "area_ha"), "MW/ha", _area_density),
+    CatalogTest(9, ("power_kw", "rotor_diameter_m"), "W/m2", _rotor_power),
+    CatalogTest(10, ("coordinate", "district_id"), "m", _location("districts", "district_id")),
+    CatalogTest(11, ("coordinate", "municipality_id"), "m", _location("municipalities", "municipality_id")),
+    CatalogTest(12, ("power",), "kW", _power_range),
+    CatalogTest(13, ("installation_year",), "year", _installation_year),
+    CatalogTest(14, ("hub_height_m", "rotor_diameter_m"), "m", _hub_height),
+    CatalogTest(15, ("power_net_kw", "unit_type", "unit_name"), "kW", _balcony_power),
 )
 
-# Which technologies each test applies to.
-CHECKMARKS: dict[int, frozenset[Technology]] = {test.test_id: test.technologies for test in CATALOG}
+# Which technologies each test applies to: those carrying every field it reads.
+CHECKMARKS: dict[int, frozenset[Technology]] = {
+    test.test_id: frozenset(
+        tech for tech in Technology if all(_field_of(name, tech) in columns_for(tech) for name in test.reads)
+    )
+    for test in CATALOG
+}
 MATRIX_CELL_COUNT = len(CATALOG) * len(Technology)  # full grid: 90
 CHECKED_PAIR_COUNT = sum(len(techs) for techs in CHECKMARKS.values())  # 53
+
+
+def fields_read(config: RuleConfig, technology: Technology) -> frozenset[str]:
+    """Every record field the run reads from a technology's records: the
+    reads of the tests that apply to it and the required fields."""
+    names = [name for test in CATALOG if technology in CHECKMARKS[test.test_id] for name in test.reads]
+    return frozenset(_field_of(name, technology) for name in (*names, *config.required_fields))
 
 
 def _duplicate_id(unit_id: str, count: int) -> RuleOutcome:
@@ -484,7 +497,7 @@ def _compile(
     for tech in Technology:
         pairs = []
         for test in CATALOG:
-            if test.compile is not None and tech in test.technologies:
+            if test.compile is not None and tech in CHECKMARKS[test.test_id]:
                 check = test.compile(config, tech, boundaries, test.fail)
                 if check is not None:
                     pairs.append((test, check))

@@ -301,6 +301,28 @@ _BAD_CONFIGS = {
     # A unit factor is a JSON number.
     "factor-string": _wind_factor("power_kw", "1000"),
     "factor-bool": _wind_factor("power_kw", True),
+    # Only wind units carry a hub height; every other unit would fail test 1.
+    "required-wind-only-field": {"rules": {"required_fields": ["unit_id", "hub_height_m"]}},
+    # A required field that the wind mapping leaves out would fail every wind unit.
+    "required-field-unmapped": {
+        "rules": {"required_fields": ["unit_id", "owner_id"]},
+        "mapping": {
+            "wind": [[e.raw, e.field] for e in default_mapping().for_technology(Technology.WIND) if e.field != "owner_id"]
+        },
+    },
+}
+# failures.ndjson lines holding a value of the wrong type or a number that is
+# not finite, built from the first failure of the shared run.
+_BAD_FAILURE_VALUES = {
+    "report-string-power": lambda line: {**line, "power_kw": "2000.0"},
+    "report-string-test-id": lambda line: {**line, "tests": [{**line["tests"][0], "test_id": "10"}]},
+    "report-string-measured": lambda line: {
+        **line, "tests": [{"test_id": 10, "detail": "outside", "measured": "2500.0", "measured_unit": "m"}]
+    },
+    "report-string-dso": lambda line: {**line, "dso_inspected": "no"},
+    "report-nan-measured": lambda line: {
+        **line, "tests": [{"test_id": 10, "detail": "outside", "measured": float("nan"), "measured_unit": "m"}]
+    },
 }
 # `report` histogram settings that are unusable; a 1e-300 km bin width needs
 # more bins than a list can hold.
@@ -368,6 +390,9 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         (out / "failures.ndjson").write_bytes(b"\xff\xfe\n")
     elif case == "report-missing-keys":
         (out / "failures.ndjson").write_text('{"unit_id": "SEE900000000001"}\n')
+    elif case in _BAD_FAILURE_VALUES:
+        first, rest = (root / "run" / "failures.ndjson").read_text(encoding="utf-8").split("\n", 1)
+        (out / "failures.ndjson").write_text(json.dumps(_BAD_FAILURE_VALUES[case](json.loads(first))) + "\n" + rest)
     elif case in _BAD_HISTOGRAM_ARGS:
         return ["report", "--out", str(out), *_BAD_HISTOGRAM_ARGS[case]]
     else:
@@ -379,7 +404,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     "case",
     [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
-     "report-summary-without-per-technology", *_BAD_HISTOGRAM_ARGS],
+     "report-summary-without-per-technology", *_BAD_FAILURE_VALUES, *_BAD_HISTOGRAM_ARGS],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
     args = _malformed_case(case, small_run, tmp_path)

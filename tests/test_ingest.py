@@ -20,6 +20,7 @@ from registrylint.ingest import (
     write_registry_csv,
 )
 from registrylint.model import FIELD_TYPES, Technology
+from registrylint.rules import RuleConfig, fields_read
 from registrylint.synth import generate_clean, make_boundary_grid
 
 from test_model import records
@@ -242,8 +243,17 @@ class TestParseRegistry:
             tech: tuple(e for e in default_mapping().for_technology(tech) if e.field != "unit_id")
             for tech in Technology
         }
-        with pytest.raises(IngestError, match="unit_id"):
-            ColumnMapping(entries)
+        mapping = ColumnMapping(entries)
+        for tech in Technology:
+            assert fields_read(RuleConfig(), tech) - mapping.fields_given(tech) == {"unit_id"}
+
+    def test_mapped_municipality_id_gives_district_id(self):
+        wind = tuple(e for e in default_mapping().for_technology(Technology.WIND) if e.field != "district_id")
+        given = ColumnMapping({Technology.WIND: wind}).fields_given(Technology.WIND)
+        assert "district_id" in given
+        no_ids = tuple(e for e in wind if e.field != "municipality_id")
+        given = ColumnMapping({Technology.WIND: no_ids}).fields_given(Technology.WIND)
+        assert "district_id" not in given and "municipality_id" not in given
 
     @pytest.mark.parametrize(
         "target, factor, message",

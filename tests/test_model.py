@@ -6,12 +6,12 @@ import pytest
 from hypothesis import strategies as st
 
 from registrylint.model import (
+    POWER_FIELD,
     RECORD_FIELDS,
     SPECIFIC_FIELDS,
     Technology,
     UnitRecord,
     columns_for,
-    power_of,
 )
 from registrylint.ingest import ColumnMapping, IngestError
 
@@ -87,15 +87,15 @@ def test_specific_fields_cover_every_listed_column():
 class TestPowerOf:
     def test_wind_uses_power_column(self):
         record = UnitRecord(technology=Technology.WIND, unit_id="SEE900000000001", power_kw=2000.0)
-        assert power_of(record) == 2000.0
+        assert getattr(record, POWER_FIELD[record.technology]) == 2000.0
 
     def test_solar_uses_net_power(self):
         record = UnitRecord(technology=Technology.SOLAR, unit_id="SEE900000000002", power_net_kw=5.0)
-        assert power_of(record) == 5.0
+        assert getattr(record, POWER_FIELD[record.technology]) == 5.0
 
     def test_missing_power_is_none(self):
         record = UnitRecord(technology=Technology.SOLAR, unit_id="SEE900000000003")
-        assert power_of(record) is None
+        assert getattr(record, POWER_FIELD[record.technology]) is None
 
 
 class TestStructuralInvariants:

@@ -1,5 +1,6 @@
 """Aggregation metrics and export determinism."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -141,7 +142,7 @@ class TestDistanceHistogram:
         assert hist.counts[1] == 1  # [5, 10)
         assert sum(hist.counts[2:]) == 0
         assert hist.overflow == 1
-        assert hist.total == 3
+        assert sum(hist.counts) + hist.overflow == 3
 
     def test_empty_failures(self):
         hist = distance_histogram([], bin_width_km=5.0, overflow_km=60.0)
@@ -157,7 +158,8 @@ class TestDistanceHistogram:
             municipality_id=None, dso_inspected=False,
             failed=(RuleOutcome("A", 10, False, "unknown region key", None, None),),
         )
-        assert distance_histogram([fr]).total == 0
+        hist = distance_histogram([fr])
+        assert sum(hist.counts) + hist.overflow == 0
 
     def test_non_positive_bin_width_rejected(self):
         with pytest.raises(ReportError, match="bin width"):
@@ -168,6 +170,17 @@ class TestDistanceHistogram:
         hist = distance_histogram([_location_failure("A", 0.0)], bin_width_km=1e300, overflow_km=1e-30)
         assert hist.counts == (1,) and hist.overflow == 0
 
+    @pytest.mark.parametrize("width_km, overflow_km", [(0.7, 63.0), (3.3, 214.5)])
+    def test_distance_just_below_overflow_lands_in_last_bin(self, width_km, overflow_km):
+        # The quotient of the largest distance below the threshold rounds
+        # up to the bin count.
+        distance_km = math.nextafter(overflow_km, 0.0)
+        assert int(distance_km / width_km) == math.ceil(overflow_km / width_km)
+        failure = _location_failure("A", distance_km * 1000.0)
+        assert failure.failed[0].measured / 1000.0 == distance_km
+        hist = distance_histogram([failure], bin_width_km=width_km, overflow_km=overflow_km)
+        assert hist.counts[-1] == sum(hist.counts) == 1 and hist.overflow == 0
+
     @given(
         distances=st.lists(st.floats(min_value=0.0, max_value=500.0, allow_nan=False), max_size=40),
         width=st.sampled_from([1.0, 2.5, 5.0, 10.0]),
@@ -176,7 +189,7 @@ class TestDistanceHistogram:
         failures = [_location_failure(f"U{i}", d * 1000.0) for i, d in enumerate(distances)]
         coarse = distance_histogram(failures, bin_width_km=width, overflow_km=60.0)
         fine = distance_histogram(failures, bin_width_km=width / 2.0, overflow_km=60.0)
-        assert coarse.total == fine.total == len(distances)
+        assert sum(coarse.counts) + coarse.overflow == sum(fine.counts) + fine.overflow == len(distances)
         assert coarse.overflow == fine.overflow
 
 

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from registrylint.geo import EARTH_RADIUS_M
-from registrylint.model import Technology, UnitRecord
+from registrylint.model import POWER_FIELD, Technology, UnitRecord
 from registrylint.rules import (
+    CATALOG,
     CHECKMARKS,
     MATRIX_CELL_COUNT,
     RuleConfig,
     ConfigError,
     check_unique_ids,
     evaluate_record,
+    fields_read,
     run_suite,
 )
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
@@ -455,6 +457,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown rule config key"):
             RuleConfig.from_dict({"buffer": 10})
 
+    @pytest.mark.parametrize("name", ["hub_height_m", "power_net_kw", "technology", "voltage"])
+    def test_required_field_must_be_carried_by_every_technology(self, name):
+        with pytest.raises(ConfigError, match=name):
+            RuleConfig(required_fields=("unit_id", name))
+
+    def test_required_fields_take_common_fields_and_power(self):
+        assert RuleConfig(required_fields=("owner_id", "power")).required_fields == ("owner_id", "power")
+
+
+class _Spy:
+    """A record stand-in that logs the name of every attribute read from it."""
+
+    def __init__(self, record: UnitRecord):
+        self._record = record
+        self.read: set[str] = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._record, name)
+
 
 class TestMatrix:
     def test_full_grid_spans_90_cells(self):
@@ -471,6 +493,48 @@ class TestMatrix:
         assert CHECKMARKS[6] == CHECKMARKS[8] == CHECKMARKS[15] == solar_only
         wind_only = frozenset({Technology.WIND})
         assert CHECKMARKS[9] == CHECKMARKS[14] == wind_only
+
+    def test_fields_read_per_technology(self, config):
+        common = {"unit_id", "operating_status", "installation_year", "zip_code", "municipality_id",
+                  "district_id", "coordinate"}
+        pv_storage = {"power_gross_kw", "power_inverter_kw", "power_net_kw"}
+        expected = {
+            Technology.BIOMASS: common | {"power_kw"},
+            Technology.COMBUSTION: common | {"power_kw"},
+            Technology.HYDRO: common | {"power_kw"},
+            Technology.SOLAR: common | pv_storage | {"number_of_modules", "unit_type", "area_ha", "unit_name"},
+            Technology.STORAGE: common | pv_storage,
+            Technology.WIND: common | {"power_kw", "hub_height_m", "rotor_diameter_m"},
+        }
+        assert {tech: fields_read(config, tech) for tech in Technology} == expected
+        owner = RuleConfig(required_fields=("owner_id",))
+        assert fields_read(owner, Technology.WIND) == expected[Technology.WIND] - {"operating_status"} | {"owner_id"}
+
+    def test_reads_name_every_field_a_check_reads(self, grid, config):
+        # Each applicable check runs on clean and failing synth records; a
+        # spy logs every record attribute it asks for. The reads of a row
+        # are exactly what its check reads.
+        def resolve(names, tech):
+            return {POWER_FIELD[tech] if name == "power" else name for name in names}
+
+        for tech in Technology:
+            clean = generate_clean(tech, 40, 11, grid)
+            dirty, _ = inject_errors(clean, ErrorInjectionSpec.uniform(1.0, tech, len(clean)), 11, boundaries=grid)
+            for test in CATALOG:
+                if test.compile is None or tech not in CHECKMARKS[test.test_id]:
+                    continue
+                check = test.compile(config, tech, grid, test.fail)
+                declared = resolve(test.reads, tech)
+                if test.test_id == 1:
+                    declared |= resolve(config.required_fields, tech)
+                read: set[str] = set()
+                for record in (*clean, *dirty):
+                    spy = _Spy(record)
+                    check(spy)
+                    read |= spy.read
+                # unit_id keys the failure; every declared field is read too.
+                assert read - {"unit_id"} <= declared, (test.test_id, tech.value, read - declared)
+                assert declared <= read, (test.test_id, tech.value, declared - read)
 
     def test_evaluate_record_respects_checkmarks(self, grid, indexed_grid, config):
         districts, municipalities = indexed_grid

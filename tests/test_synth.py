@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from registrylint.cli import main
-from registrylint.model import Technology, power_of
+from registrylint.model import POWER_FIELD, Technology
 from registrylint.rules import RuleConfig, run_suite
 from registrylint.synth import (
     ERROR_CLASSES,
@@ -209,4 +209,4 @@ class TestGroundTruth:
 
     def test_power_accumulation_helper_consistency(self, grid):
         records = generate_clean(Technology.WIND, 20, 2, grid)
-        assert all(power_of(r) == r.power_kw for r in records)
+        assert all(getattr(r, POWER_FIELD[r.technology]) == r.power_kw for r in records)
