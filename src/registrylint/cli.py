@@ -17,7 +17,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -33,7 +32,9 @@ from .ingest import (
     write_registry_csv,
 )
 from .model import Technology
-from .report import ColumnStats, ReportError, build_report, export, load_failures_ndjson
+from .report import (
+    ColumnStats, QualityReport, ReportError, build_report, export, load_failures_ndjson, load_summary_json
+)
 from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, fields_read, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
@@ -195,7 +196,7 @@ def cmd_validate(args) -> int:
 
     report = build_report(failure_set, stats)
     export(failure_set.failures, report, run.out_dir)
-    _print_tally(failure_set)
+    _print_tally(report)
 
     failing = failure_set.failing_unit_count()
     print(
@@ -213,11 +214,15 @@ def cmd_validate(args) -> int:
     return EXIT_FAILURES if failing else EXIT_CLEAN
 
 
-def _print_tally(failure_set: FailureSet) -> None:
+def _print_tally(report: QualityReport) -> None:
     print("failures per (test, technology):", file=sys.stderr)
-    tally = failure_set.failure_tally
-    for (test_id, tech), count in sorted(tally.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        print(f"  test {test_id:2d} {tech.value:<11s} {count}", file=sys.stderr)
+    tally = sorted(
+        (test_id, tech.value, count)
+        for tech, metrics in report.per_technology.items()
+        for test_id, count in metrics.per_test.items()
+    )
+    for test_id, tech, count in tally:
+        print(f"  test {test_id:2d} {tech:<11s} {count}", file=sys.stderr)
     if not tally:
         print("  none", file=sys.stderr)
 
@@ -273,22 +278,7 @@ def cmd_report(args) -> int:
     if not summary_path.is_file():
         raise ConfigError(f"missing summary file: {summary_path}")
     failures = load_failures_ndjson(failures_path)
-    try:
-        stored = json.loads(summary_path.read_text(encoding="utf-8"))
-        records_total = {
-            Technology(name): block["unit_count"] for name, block in stored["per_technology"].items()
-        }
-        records_dso = {
-            Technology(name): block["unit_count"] for name, block in stored["per_technology_dso"].items()
-        }
-        evaluated = tuple(sorted({int(key.split(":")[0]) for key in stored["matrix"]["evaluated_counts"]}))
-        completeness_table = {
-            Technology(name): {column: Fraction(n, d) for column, (n, d) in table.items()}
-            for name, table in stored.get("completeness_fraction", {}).items()
-        }
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ReportError(f"{summary_path} is not a validate summary: {exc!r}") from None
-
+    records_total, records_dso, evaluated, completeness_table = load_summary_json(summary_path)
     if args.dso_only:
         failures = [fr for fr in failures if fr.dso_inspected]
         records_total = records_dso

@@ -13,13 +13,14 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import RECORD_FIELDS, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
-from .rules import CHECKED_PAIR_COUNT, MATRIX_CELL_COUNT, FailureSet, count_failing_units
+from .rules import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT, FailureSet, count_failing_units
 
 # Distances beyond these defaults collapse into one overflow bin.
 DEFAULT_OVERFLOW_KM = 60.0
@@ -97,8 +98,9 @@ def distance_histogram(
     boundary (test 10).
 
     Failures without a computable distance (unknown region keys) are not
-    binned. Both settings must be finite and positive, and give at most
-    MAX_BINS regular bins.
+    binned; a distance that is negative or not finite is an error. Both
+    settings must be finite and positive, and give at most MAX_BINS
+    regular bins.
     """
     if not (math.isfinite(bin_width_km) and bin_width_km > 0):
         raise ReportError(f"bin width must be finite and positive, got {bin_width_km!r}")
@@ -114,6 +116,8 @@ def distance_histogram(
             if outcome.test_id != 10 or outcome.measured is None:
                 continue
             distance_km = outcome.measured / 1000.0
+            if not (math.isfinite(distance_km) and distance_km >= 0.0):
+                raise ReportError(f"unit {fr.unit_id!r}: test 10 distance {outcome.measured!r} m is not >= 0")
             if distance_km >= overflow_km:
                 overflow += 1
             else:
@@ -226,6 +230,7 @@ def _cell(value) -> str:
 # number.
 _TEXT = (str, type(None))
 _NUMBER = (int, float, type(None))
+_FLOAT_MAX = sys.float_info.max
 _FAILURE_TYPES = {
     "unit_id": _TEXT, "technology": (str,), "power_kw": _NUMBER, "district_id": _TEXT, "municipality_id": _TEXT,
     "dso_inspected": (bool,),
@@ -242,13 +247,18 @@ def failure_to_json(fr: FailureRecord) -> dict:
 
 def _check_types(payload: dict, types: dict[str, tuple[type, ...]]) -> None:
     """Raise TypeError for a value whose type is not among its key's types,
-    and ValueError for a number that is not finite (JSON NaN or Infinity)."""
+    and ValueError for a number that is no finite float (NaN, Infinity or a
+    huge integer) or for text with a lone surrogate, which is no Unicode."""
     for key, kinds in types.items():
         value = payload[key]
-        if value.__class__ not in kinds:
+        kind = value.__class__
+        if kind not in kinds:
             raise TypeError(f"{key} has the wrong type: {value!r}")
-        if value.__class__ is float and not math.isfinite(value):
-            raise ValueError(f"{key} is not finite: {value!r}")
+        if kind is float or kind is int:
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise ValueError(f"{key} is not a finite float: {value!r}")
+        elif kind is str and not value.isascii():
+            value.encode("utf-8")  # UnicodeEncodeError is a ValueError
 
 
 def failure_from_json(payload: dict) -> FailureRecord:
@@ -425,3 +435,44 @@ def load_failures_ndjson(path: str | Path) -> list[FailureRecord]:
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path} is not UTF-8 text: {exc}") from None
     return failures
+
+
+def _count(value, what: str) -> int:
+    """A JSON count: an int >= 0 (a boolean is no count)."""
+    if value.__class__ is not int or value < 0:
+        raise ValueError(f"{what} is not a count: {value!r}")
+    return value
+
+
+def load_summary_json(
+    path: str | Path,
+) -> tuple[dict[Technology, int], dict[Technology, int], tuple[int, ...], dict[Technology, dict[str, Fraction]]]:
+    """The run accounting that summary_json wrote: unit counts of all and of
+    DSO-inspected units per technology, the evaluated test ids and the
+    completeness fractions of the columns each technology carries."""
+    try:
+        stored = json.loads(Path(path).read_text(encoding="utf-8"))
+        records_total, records_dso = (
+            {Technology(name): _count(block["unit_count"], f"{name} unit_count") for name, block in stored[key].items()}
+            for key in ("per_technology", "per_technology_dso")
+        )
+        evaluated = set()
+        for key in stored["matrix"]["evaluated_counts"].keys():  # an object, not a list
+            test_id, technology = key.split(":")
+            Technology(technology)  # ValueError for an unknown one
+            if int(test_id) not in CHECKMARKS:
+                raise ValueError(f"evaluated count {key!r} names no catalog test")
+            evaluated.add(int(test_id))
+        completeness = {}
+        for name, table in stored.get("completeness_fraction", {}).items():
+            technology = Technology(name)
+            completeness[technology] = {}
+            for column, (n, d) in table.items():
+                if column not in columns_for(technology):
+                    raise ValueError(f"{name} carries no column {column!r}")
+                if not _count(n, column) <= _count(d, column) or d == 0:
+                    raise ValueError(f"{name} {column} is no fraction: {[n, d]!r}")
+                completeness[technology][column] = Fraction(n, d)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
+    return records_total, records_dso, tuple(sorted(evaluated)), completeness

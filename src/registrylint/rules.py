@@ -558,11 +558,6 @@ class FailureSet:
     def total_records(self) -> int:
         return sum(self.records_total.values())
 
-    @property
-    def failure_tally(self) -> Counter[tuple[int, Technology]]:
-        """Failed tests per (test id, technology)."""
-        return Counter((outcome.test_id, fr.technology) for fr in self.failures for outcome in fr.failed)
-
     def evaluated_counts(self) -> dict[tuple[int, Technology], int]:
         """Records passed through each evaluated (test, technology) cell."""
         return {

@@ -30,19 +30,6 @@ from .rules import Boundaries, ConfigError, RuleConfig
 
 SNAPSHOT_DATE = date(2024, 6, 1)
 
-ERROR_CLASSES = (
-    "magnitude_mixup",
-    "placeholder_modules",
-    "coordinate_displacement",
-    "null_required_field",
-    "duplicate_id",
-    "implausible_year",
-    "balcony_overpower",
-    "hub_rotor_swap",
-    "power_out_of_range",
-    "zip_malformed",
-)
-
 _TECH_DIGIT = {tech: str(i) for i, tech in enumerate(Technology)}
 
 _MANUFACTURERS = ("Nordfeld Energietechnik", "Windwerk GmbH", "Turbinenbau Nord")
@@ -241,39 +228,29 @@ def _specific_fields(rng: random.Random, technology: Technology) -> dict:
 
 @dataclass(frozen=True)
 class ErrorInjectionSpec:
-    """Per-class injection plan: probability (float, share of the table)
-    or exact count (int). Displacement must exceed the location buffer so
-    planted location errors stay detectable by construction."""
+    """Per-class injection plan: how many units to plant each class in
+    (pairs for duplicate_id). Displacement must exceed the location buffer
+    so planted location errors stay detectable by construction."""
 
-    rates: dict[str, float | int] = field(default_factory=dict)
+    rates: dict[str, int] = field(default_factory=dict)
     displacement_km: float = 5.0
 
     def __post_init__(self) -> None:
         for name, rate in self.rates.items():
-            if name not in ERROR_CLASSES:
+            if name not in _CLASSES:
                 raise SynthError(f"unknown error class {name!r}")
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise SynthError(f"rate for {name!r} must be a count or probability")
-            if isinstance(rate, float) and not 0.0 <= rate <= 1.0:
-                raise SynthError(f"probability for {name!r} must be within [0, 1]")
-            if isinstance(rate, int) and rate < 0:
-                raise SynthError(f"count for {name!r} must be >= 0")
-
-    def count_for(self, name: str, table_size: int) -> int:
-        rate = self.rates.get(name, 0)
-        if isinstance(rate, int):
-            return rate
-        return round(rate * table_size)
+            if type(rate) is not int or rate < 0:  # a bool is no count
+                raise SynthError(f"count for {name!r} must be an int >= 0, got {rate!r}")
 
     @classmethod
     def uniform(cls, error_rate: float, technology: Technology, table_size: int) -> ErrorInjectionSpec:
         """Spread a total error share evenly over the classes applicable to
         one technology (round-robin remainder, deterministic)."""
-        classes = [name for name in ERROR_CLASSES if _class_applies(name, technology)]
+        classes = [name for name, (technologies, _) in _CLASSES.items() if technology in technologies]
         total = round(error_rate * table_size)
         base = total // len(classes)
         remainder = total % len(classes)
-        rates: dict[str, float | int] = {}
+        rates: dict[str, int] = {}
         for i, name in enumerate(classes):
             count = base + (1 if i < remainder else 0)
             if name == "duplicate_id":
@@ -281,14 +258,6 @@ class ErrorInjectionSpec:
             if count:
                 rates[name] = count
         return cls(rates=rates)
-
-
-def _class_applies(name: str, technology: Technology) -> bool:
-    if name in ("placeholder_modules", "balcony_overpower"):
-        return technology is Technology.SOLAR
-    if name == "hub_rotor_swap":
-        return technology is Technology.WIND
-    return True
 
 
 @dataclass
@@ -308,7 +277,7 @@ class GroundTruth:
 
 
 def _eligible(name: str, record: UnitRecord, config: RuleConfig) -> bool:
-    if not _class_applies(name, record.technology):
+    if record.technology not in _CLASSES[name][0]:
         return False
     if name == "placeholder_modules":
         return (
@@ -329,18 +298,9 @@ def _eligible(name: str, record: UnitRecord, config: RuleConfig) -> bool:
     if name == "magnitude_mixup":
         if record.technology in (Technology.SOLAR, Technology.STORAGE):
             return record.power_inverter_kw is not None
-        if record.power_kw is None:
-            return False
         # Only units where a x1000 slip actually trips a bound: small
         # plants can absorb three magnitudes inside their power range.
-        power = record.power_kw * 1000.0
-        if power > config.power_range_mw[record.technology][1] * 1000.0:
-            return True
-        if record.technology is Technology.WIND and record.rotor_diameter_m:
-            sp = _specific_power_w_m2(power, record.rotor_diameter_m)
-            rlow, rhigh = config.rotor_specific_power_range_w_per_m2
-            return not rlow <= sp <= rhigh
-        return False
+        return record.power_kw is not None and bool(_power_tests(record, record.power_kw * 1000.0, config))
     if name == "hub_rotor_swap":
         return record.hub_height_m is not None and record.rotor_diameter_m is not None
     return True
@@ -380,18 +340,18 @@ def inject_errors(
             available.remove(i)
         return chosen
 
-    for name in ERROR_CLASSES:
-        count = spec.count_for(name, len(out))
-        if count <= 0:
+    for name, (_, mutate) in _CLASSES.items():
+        count = spec.rates.get(name, 0)
+        if not count:
             continue
-        if name == "duplicate_id":
+        if mutate is None:  # duplicate_id
             targets = take(name, count, needs=2)
             for a, b in zip(targets[0::2], targets[1::2]):
                 out[b] = replace(out[b], unit_id=out[a].unit_id)
                 expected[out[a].unit_id] = frozenset({2})
         else:
             for i in take(name, count):
-                mutated, tests = _MUTATORS[name](out[i], rng, spec, config, boundaries)
+                mutated, tests = mutate(out[i], rng, spec, config, boundaries)
                 out[i] = mutated
                 expected[mutated.unit_id] = frozenset(tests)
         class_counts[name] = count
@@ -404,13 +364,21 @@ def inject_errors(
 # rule implementations it is meant to verify.
 
 
-def _power_bounds_kw(config: RuleConfig, tech: Technology) -> tuple[float, float]:
-    low_mw, high_mw = config.power_range_mw[tech]
-    return low_mw * 1000.0, high_mw * 1000.0
-
-
-def _specific_power_w_m2(power_kw: float, diameter_m: float) -> float:
-    return power_kw * 1000.0 / (math.pi * (diameter_m / 2.0) ** 2)
+def _power_tests(record: UnitRecord, power_kw: float, config: RuleConfig) -> set[int]:
+    """The tests a rated power of power_kw trips on this record: 12 outside
+    the technology's power range, 9 for a wind specific power outside its
+    range. inject_errors takes a clean table, whose powers are positive and
+    inside their range, so a x1000 power trips 12 only above the upper bound."""
+    low_mw, high_mw = config.power_range_mw[record.technology]
+    tests = set()
+    if not low_mw * 1000.0 < power_kw <= high_mw * 1000.0:
+        tests.add(12)
+    if record.technology is Technology.WIND and record.rotor_diameter_m:
+        specific_w_m2 = power_kw * 1000.0 / (math.pi * (record.rotor_diameter_m / 2.0) ** 2)
+        low, high = config.rotor_specific_power_range_w_per_m2
+        if not low <= specific_w_m2 <= high:
+            tests.add(9)
+    return tests
 
 
 def _mut_magnitude_mixup(record, rng, spec, config, boundaries):
@@ -427,15 +395,7 @@ def _mut_magnitude_mixup(record, rng, spec, config, boundaries):
             raise SynthError("magnitude mixup produced no detectable error")
         return replace(record, power_inverter_kw=inverter), tests
     power = record.power_kw * 1000.0
-    tests = set()
-    low, high = _power_bounds_kw(config, record.technology)
-    if not low < power <= high:
-        tests.add(12)
-    if record.technology is Technology.WIND and record.rotor_diameter_m:
-        sp = _specific_power_w_m2(power, record.rotor_diameter_m)
-        rlow, rhigh = config.rotor_specific_power_range_w_per_m2
-        if not rlow <= sp <= rhigh:
-            tests.add(9)
+    tests = _power_tests(record, power, config)
     if not tests:
         raise SynthError("magnitude mixup produced no detectable error")
     return replace(record, power_kw=power), tests
@@ -530,18 +490,11 @@ def _mut_hub_rotor_swap(record, rng, spec, config, boundaries):
 
 
 def _mut_power_out_of_range(record, rng, spec, config, boundaries):
-    low, high = _power_bounds_kw(config, record.technology)
-    power = high * rng.uniform(1.5, 8.0)
+    power = config.power_range_mw[record.technology][1] * 1000.0 * rng.uniform(1.5, 8.0)
     if record.technology in (Technology.SOLAR, Technology.STORAGE):
         # Raising net power alone also breaks both ordering tests.
         return replace(record, power_net_kw=power), {3, 4, 12}
-    tests = {12}
-    if record.technology is Technology.WIND and record.rotor_diameter_m:
-        sp = _specific_power_w_m2(power, record.rotor_diameter_m)
-        rlow, rhigh = config.rotor_specific_power_range_w_per_m2
-        if not rlow <= sp <= rhigh:
-            tests.add(9)
-    return replace(record, power_kw=power), tests
+    return replace(record, power_kw=power), _power_tests(record, power, config)
 
 
 def _mut_zip_malformed(record, rng, spec, config, boundaries):
@@ -549,14 +502,20 @@ def _mut_zip_malformed(record, rng, spec, config, boundaries):
     return replace(record, zip_code=bad), {5}
 
 
-_MUTATORS = {
-    "magnitude_mixup": _mut_magnitude_mixup,
-    "placeholder_modules": _mut_placeholder_modules,
-    "coordinate_displacement": _mut_coordinate_displacement,
-    "null_required_field": _mut_null_required_field,
-    "implausible_year": _mut_implausible_year,
-    "balcony_overpower": _mut_balcony_overpower,
-    "hub_rotor_swap": _mut_hub_rotor_swap,
-    "power_out_of_range": _mut_power_out_of_range,
-    "zip_malformed": _mut_zip_malformed,
+# Every error class once: the technologies it applies to and its mutator.
+# The order is the planting order, which fixes the random stream.
+# duplicate_id has no mutator: inject_errors plants it on pairs.
+_ALL = tuple(Technology)
+_CLASSES = {
+    "magnitude_mixup": (_ALL, _mut_magnitude_mixup),
+    "placeholder_modules": ((Technology.SOLAR,), _mut_placeholder_modules),
+    "coordinate_displacement": (_ALL, _mut_coordinate_displacement),
+    "null_required_field": (_ALL, _mut_null_required_field),
+    "duplicate_id": (_ALL, None),
+    "implausible_year": (_ALL, _mut_implausible_year),
+    "balcony_overpower": ((Technology.SOLAR,), _mut_balcony_overpower),
+    "hub_rotor_swap": ((Technology.WIND,), _mut_hub_rotor_swap),
+    "power_out_of_range": (_ALL, _mut_power_out_of_range),
+    "zip_malformed": (_ALL, _mut_zip_malformed),
 }
+ERROR_CLASSES = tuple(_CLASSES)

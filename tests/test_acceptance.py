@@ -490,7 +490,12 @@ def test_criterion_9_matrix_conformance(grid, config):
 
     evaluated = result.evaluated_counts()
     stray_evaluated = [(tid, t.value) for tid, t in evaluated if t not in CHECKMARKS[tid]]
-    stray_failures = [(tid, t.value) for tid, t in result.failure_tally if t not in CHECKMARKS[tid]]
+    stray_failures = [
+        (o.test_id, fr.technology.value)
+        for fr in result.failures
+        for o in fr.failed
+        if fr.technology not in CHECKMARKS[o.test_id]
+    ]
     expanded = len(evaluated)
     checkmarked = sum(len(techs) for techs in CHECKMARKS.values())
     ok = (

@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
 from registrylint.ingest import default_mapping
@@ -323,6 +327,19 @@ _BAD_FAILURE_VALUES = {
     "report-nan-measured": lambda line: {
         **line, "tests": [{"test_id": 10, "detail": "outside", "measured": float("nan"), "measured_unit": "m"}]
     },
+    "report-lone-surrogate-id": lambda line: {**line, "unit_id": "\ud800"},
+    "report-negative-distance": lambda line: {
+        **line, "tests": [{"test_id": 10, "detail": "outside", "measured": -12000.0, "measured_unit": "m"}]
+    },
+}
+# summary.json documents holding a value that is no count or no fraction.
+_BAD_SUMMARY_VALUES = {
+    "report-string-unit-count": lambda summary: summary["per_technology"]["wind"].update(unit_count="12"),
+    "report-null-unit-count": lambda summary: summary["per_technology"]["wind"].update(unit_count=None),
+    "report-zero-denominator": lambda summary: summary["completeness_fraction"]["wind"].update(hub_height_m=[1, 0]),
+    "report-evaluated-counts-list": lambda summary: summary["matrix"].update(
+        evaluated_counts=list(summary["matrix"]["evaluated_counts"])
+    ),
 }
 # `report` histogram settings that are unusable; a 1e-300 km bin width needs
 # more bins than a list can hold.
@@ -393,6 +410,10 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     elif case in _BAD_FAILURE_VALUES:
         first, rest = (root / "run" / "failures.ndjson").read_text(encoding="utf-8").split("\n", 1)
         (out / "failures.ndjson").write_text(json.dumps(_BAD_FAILURE_VALUES[case](json.loads(first))) + "\n" + rest)
+    elif case in _BAD_SUMMARY_VALUES:
+        summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
+        _BAD_SUMMARY_VALUES[case](summary)
+        (out / "summary.json").write_text(json.dumps(summary))
     elif case in _BAD_HISTOGRAM_ARGS:
         return ["report", "--out", str(out), *_BAD_HISTOGRAM_ARGS[case]]
     else:
@@ -404,7 +425,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     "case",
     [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
-     "report-summary-without-per-technology", *_BAD_FAILURE_VALUES, *_BAD_HISTOGRAM_ARGS],
+     "report-summary-without-per-technology", *_BAD_FAILURE_VALUES, *_BAD_SUMMARY_VALUES, *_BAD_HISTOGRAM_ARGS],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
     args = _malformed_case(case, small_run, tmp_path)
@@ -416,3 +437,54 @@ def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case)
     (line,) = done.stdout.strip().splitlines()
     assert json.loads(line)["error"]
     assert "Traceback" not in done.stderr
+
+
+# Any JSON value that may stand where report expects another.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**63, max_value=10**400),
+    st.floats(),
+    st.text(max_size=8),
+    st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2),  # lone surrogate escapes
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+)
+
+
+def _replaced(document, steps: list[int], value):
+    """document with one node replaced by value: each step picks a key (in
+    sorted order) or an index of the current node, modulo its size, and
+    the path ends at the last step or at a scalar."""
+    if not steps or not isinstance(document, (dict, list)) or not document:
+        return value
+    key = sorted(document)[steps[0] % len(document)] if isinstance(document, dict) else steps[0] % len(document)
+    copy = document.copy()
+    copy[key] = _replaced(document[key], steps[1:], value)
+    return copy
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.sampled_from(["summary.json", "failures.ndjson"]),
+    steps=st.lists(st.integers(min_value=0), min_size=1, max_size=6),
+    value=_JSON_VALUES,
+)
+def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, target, steps, value):
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work)
+        for name in ("failures.ndjson", "summary.json"):
+            (out / name).write_bytes((small_run / "run" / name).read_bytes())
+        path = out / target
+        if target == "summary.json":
+            path.write_text(json.dumps(_replaced(json.loads(path.read_text(encoding="utf-8")), steps, value)))
+        else:  # its first line
+            first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            path.write_text(json.dumps(_replaced(json.loads(first), steps, value)) + "\n" + rest)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["report", "--out", str(out)])
+        assert code in (EXIT_CLEAN, EXIT_FATAL)
+        (line,) = stdout.getvalue().splitlines()
+        json.loads(line)
