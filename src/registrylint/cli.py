@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -45,37 +44,6 @@ EXIT_FAILURES = 1
 EXIT_FATAL = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one validate run."""
-
-    inputs: dict[Technology, Path]
-    districts_path: Path | None
-    municipalities_path: Path | None
-    out_dir: Path
-    rules: RuleConfig
-    mapping: ColumnMapping
-    delimiter: str = ","
-    region_keys: dict[str, str] = field(default_factory=dict)
-    technologies: tuple[Technology, ...] | None = None
-    dso_only: bool = False
-
-    def validate(self) -> None:
-        if not self.inputs:
-            raise ConfigError("no registry inputs given (use --input tech=path)")
-        for tech, path in self.inputs.items():
-            if not path.is_file():
-                raise ConfigError(f"input for {tech.value} does not exist: {path}")
-        for path in (self.districts_path, self.municipalities_path):
-            if path is not None and not path.is_file():
-                raise ConfigError(f"boundary file does not exist: {path}")
-        # A test without its inputs mapped would flag every unit of the technology.
-        for tech in self.mapping.entries:
-            missing = fields_read(self.rules, tech) - self.mapping.fields_given(tech)
-            if missing:
-                raise ConfigError(f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}")
-
-
 def _load_config_file(path: str | None) -> dict:
     resolved = path or os.environ.get(CONFIG_ENV_VAR)
     if not resolved:
@@ -85,7 +53,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file does not exist: {file}")
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"config file {file} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {file} must hold a JSON object")
@@ -123,36 +91,6 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
     return inputs
 
 
-def _build_run_config(args) -> RunConfig:
-    # --jobs is accepted for existing command lines and changes nothing.
-    if args.jobs < 1:
-        raise ConfigError("worker count must be >= 1")
-    file_cfg = _load_config_file(args.config)
-    rules = dict(file_cfg.get("rules", {}))
-    if args.buffer_m is not None:
-        rules["buffer_m"] = args.buffer_m
-    mapping = default_mapping()
-    if "mapping" in file_cfg:
-        # Listed technologies replace their default mapping; others keep it.
-        overrides = ColumnMapping.from_dict(file_cfg["mapping"])
-        mapping = ColumnMapping({**mapping.entries, **overrides.entries})
-    technologies = tuple(Technology(t) for t in args.technology) if args.technology else None
-    run = RunConfig(
-        inputs=_parse_inputs(args.input),
-        districts_path=Path(args.districts) if args.districts else None,
-        municipalities_path=Path(args.municipalities) if args.municipalities else None,
-        out_dir=Path(args.out),
-        rules=RuleConfig.from_dict(rules),
-        mapping=mapping,
-        delimiter=file_cfg.get("csv", {}).get("delimiter", ","),
-        region_keys=file_cfg.get("boundary_keys", {}),
-        technologies=technologies,
-        dso_only=args.dso_only,
-    )
-    run.validate()
-    return run
-
-
 def _stream_records(readers: list[RegistryReader], stats: ColumnStats, dso_only: bool) -> Iterable:
     for reader in readers:
         print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
@@ -164,38 +102,59 @@ def _stream_records(readers: list[RegistryReader], stats: ColumnStats, dso_only:
 
 
 def cmd_validate(args) -> int:
-    run = _build_run_config(args)
-    boundaries = Boundaries(
-        districts=(
-            parse_boundaries(run.districts_path, "district", region_key=run.region_keys.get("district"))
-            if run.districts_path
-            else None
-        ),
-        municipalities=(
-            parse_boundaries(
-                run.municipalities_path, "municipality", region_key=run.region_keys.get("municipality")
-            )
-            if run.municipalities_path
-            else None
-        ),
-    )
-    selected = [
-        (tech, path)
-        for tech, path in sorted(run.inputs.items(), key=lambda kv: kv[0].value)
-        if run.technologies is None or tech in run.technologies
-    ]
+    # Every setting and input file is checked before a boundary or row is read.
+    # --jobs is accepted for existing command lines and changes nothing.
+    if args.jobs < 1:
+        raise ConfigError("worker count must be >= 1")
+    file_cfg = _load_config_file(args.config)
+    rules = dict(file_cfg.get("rules", {}))
+    if args.buffer_m is not None:
+        rules["buffer_m"] = args.buffer_m
+    rule_config = RuleConfig.from_dict(rules)
+    # Listed technologies replace their default mapping; others keep it.
+    overrides = ColumnMapping.from_dict(file_cfg.get("mapping", {}))
+    mapping = ColumnMapping({**default_mapping().entries, **overrides.entries})
+    inputs = _parse_inputs(args.input)
+    if not inputs:
+        raise ConfigError("no registry inputs given (use --input tech=path)")
+    for tech, path in inputs.items():
+        if not path.is_file():
+            raise ConfigError(f"input for {tech.value} does not exist: {path}")
+    boundary_files = {
+        level: Path(path)
+        for level, path in {"district": args.districts, "municipality": args.municipalities}.items()
+        if path
+    }
+    for path in boundary_files.values():
+        if not path.is_file():
+            raise ConfigError(f"boundary file does not exist: {path}")
+    # A test without its inputs mapped would flag every unit of the technology.
+    for tech in mapping.entries:
+        missing = fields_read(rule_config, tech) - mapping.fields_given(tech)
+        if missing:
+            raise ConfigError(f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}")
+
+    region_keys = file_cfg.get("boundary_keys", {})
+    parsed = {
+        level: parse_boundaries(path, level, region_key=region_keys.get(level))
+        for level, path in boundary_files.items()
+    }
+    boundaries = Boundaries(districts=parsed.get("district"), municipalities=parsed.get("municipality"))
+    delimiter = file_cfg.get("csv", {}).get("delimiter", ",")
     readers = [
-        RegistryReader(path, tech, run.mapping, delimiter=run.delimiter) for tech, path in selected
+        RegistryReader(path, tech, mapping, delimiter=delimiter)
+        for tech, path in sorted(inputs.items(), key=lambda kv: kv[0].value)
     ]
     stats = ColumnStats()
-    failure_set = run_suite(_stream_records(readers, stats, run.dso_only), boundaries, run.rules)
+    failure_set = run_suite(_stream_records(readers, stats, args.dso_only), boundaries, rule_config)
     issues = sum(len(r.issues) for r in readers)
     rejected = sum(r.rows_rejected for r in readers)
     rows = sum(r.rows_total for r in readers)
     print(f"parsed {rows} rows ({rejected} rejected, {issues} cell issues)", file=sys.stderr)
 
     report = build_report(failure_set, stats)
-    export(failure_set.failures, report, run.out_dir)
+    out_dir = Path(args.out)
+    export(failure_set.failures, report, out_dir)
     _print_tally(report)
 
     failing = failure_set.failing_unit_count()
@@ -206,7 +165,7 @@ def cmd_validate(args) -> int:
                 "rows_rejected": rejected,
                 "cell_issues": issues,
                 "failing_units": failing,
-                "out_dir": str(run.out_dir),
+                "out_dir": str(out_dir),
             },
             sort_keys=True,
         )
@@ -278,25 +237,12 @@ def cmd_report(args) -> int:
     if not summary_path.is_file():
         raise ConfigError(f"missing summary file: {summary_path}")
     failures = load_failures_ndjson(failures_path)
-    records_total, records_dso, evaluated, completeness_table = load_summary_json(summary_path)
-    if args.dso_only:
-        failures = [fr for fr in failures if fr.dso_inspected]
-        records_total = records_dso
-
-    failure_set = FailureSet(
-        failures=failures,
-        records_total=records_total,
-        records_dso=records_dso,
-        evaluated_tests=evaluated,
-    )
-    overflow = None
-    if args.overflow is not None:
-        overflow = {tech: args.overflow for tech in Technology}
+    *accounting, completeness_table = load_summary_json(summary_path)
     report = build_report(
-        failure_set,
+        FailureSet(failures, *accounting),
         completeness_table=completeness_table,
         bin_width_km=args.bin_width,
-        overflow_km=overflow,
+        overflow_km=args.overflow,
     )
     written = export(failures, report, out_dir, formats=("csv", "summary"))
     print(json.dumps({"out_dir": str(out_dir), "files": len(written)}, sort_keys=True))
@@ -331,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--config", help=f"run configuration file (or ${CONFIG_ENV_VAR})")
     p_validate.add_argument("--out", required=True, help="output directory")
     p_validate.add_argument(
-        "--technology", action="append", choices=[t.value for t in Technology], help="filter (repeatable)"
-    )
-    p_validate.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility (>= 1); validate runs in one process"
     )
     p_validate.add_argument("--buffer-m", type=float, default=None, help="location buffer override")
@@ -354,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="regenerate metrics from exported failures")
     p_report.add_argument("--out", required=True, help="directory holding failures.ndjson")
-    p_report.add_argument("--dso-only", action="store_true", help="restrict to DSO-inspected units")
     p_report.add_argument("--bin-width", type=float, default=5.0, help="histogram bin width (km)")
     p_report.add_argument("--overflow", type=float, default=None, help="histogram overflow (km)")
     p_report.set_defaults(func=cmd_report)

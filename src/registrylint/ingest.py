@@ -173,13 +173,13 @@ _CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
 _QUANTITY = "float | None"
 
 
-def _codec(entry: MappingEntry) -> tuple[Callable[[str], object] | None, Callable]:
-    """The parse and format functions of one mapped column, with its unit factor."""
-    parse, format_ = _CODECS[FIELD_TYPES[entry.field]]
+def _codec(entry: MappingEntry) -> Callable[[str], object] | None:
+    """The parse function of one mapped column, with its unit factor."""
+    parse = _CODECS[FIELD_TYPES[entry.field]][0]
     factor = entry.factor
     if factor == 1:
-        return parse, format_
-    return (lambda text: parse(text) * factor), (lambda value: format_(value / factor))
+        return parse
+    return lambda text: parse(text) * factor
 
 
 class RegistryReader:
@@ -232,7 +232,7 @@ class RegistryReader:
             text_columns = []
             parsed_columns = []
             for e in self.entries:
-                parse = _codec(e)[0]
+                parse = _codec(e)
                 if parse is None:
                     text_columns.append((index[e.raw], _FIELD_POS[e.field]))
                 else:
@@ -298,18 +298,11 @@ def _undecodable_line(path: Path) -> int:
     return line_no
 
 
-def write_registry_csv(
-    records: Iterable[UnitRecord], path: str | Path, technology: Technology, mapping: ColumnMapping | None = None
-) -> None:
-    """Write records as a comma-separated table of the mapping's raw columns.
-
-    RegistryReader reads back the same values under the same mapping when
-    every unit factor is 1. A quantity with another factor is written as
-    value / factor and read back as that times factor, and the two
-    roundings can change the last bit of the value.
-    """
-    entries = (mapping or default_mapping()).for_technology(technology)
-    columns = [(e.field, _codec(e)[1]) for e in entries]
+def write_registry_csv(records: Iterable[UnitRecord], path: str | Path, technology: Technology) -> None:
+    """Write records as a comma-separated table of the default mapping's raw
+    columns, which RegistryReader reads back to the same values."""
+    entries = default_mapping().for_technology(technology)
+    columns = [(e.field, _CODECS[FIELD_TYPES[e.field]][1]) for e in entries]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([e.raw for e in entries])
@@ -337,7 +330,7 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise IngestError(f"{path}: not a GeoJSON file: {exc}") from None
     features = payload.get("features", []) if isinstance(payload, dict) else None
     if not isinstance(features, list) or payload.get("type") != "FeatureCollection":
@@ -361,11 +354,12 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
             raise IngestError(f"{path}: feature {idx} has a geometry without coordinates")
         raw_polys = [geometry["coordinates"]] if gtype == "Polygon" else geometry["coordinates"]
         polygons = []
+        # A position that is an object raises KeyError, an integer beyond the float range OverflowError.
         try:
             for raw_rings in raw_polys:
                 rings = [tuple((float(pos[1]), float(pos[0])) for pos in raw_ring) for raw_ring in raw_rings]
                 polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
             raise IngestError(f"{path}: feature {idx} has malformed coordinates") from None
         name = props.get("name") or region_id
         try:

@@ -166,11 +166,10 @@ def build_report(
     *,
     completeness_table: dict[Technology, dict[str, Fraction]] | None = None,
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
-    overflow_km: dict[Technology, float] | None = None,
+    overflow_km: float | None = None,
 ) -> QualityReport:
-    overflow = {tech: OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) for tech in Technology}
-    if overflow_km:
-        overflow.update(overflow_km)
+    """Metrics of one run; overflow_km, when given, replaces every
+    technology's default histogram overflow threshold."""
     per_technology = {}
     per_technology_dso = {}
     histograms = {}
@@ -183,7 +182,8 @@ def build_report(
         per_technology_dso[tech] = _metrics(
             [fr for fr in tech_failures if fr.dso_inspected], failure_set.records_dso.get(tech, 0)
         )
-        histograms[tech] = distance_histogram(tech_failures, bin_width_km, overflow[tech])
+        overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
+        histograms[tech] = distance_histogram(tech_failures, bin_width_km, overflow)
         if column_stats is not None:
             completeness_table[tech] = {
                 column: column_stats.fraction(tech, column) for column in columns_for(tech)
@@ -208,12 +208,6 @@ FAILURE_CSV_COLUMNS = (
     "district_id",
     "municipality_id",
 )
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _cell(value) -> str:
@@ -394,30 +388,42 @@ def export(
 ) -> list[Path]:
     """Write failure and summary files; returns the written paths.
 
-    Files are written to a temporary name and renamed, so a failed run
-    never leaves partial outputs.
+    Each file is rendered and written to `<name>.tmp` in turn, and the
+    temporary files are renamed only after every write has succeeded. A
+    run that fails leaves the previous outputs as they were and removes
+    its temporary files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     formats = set(formats)
     written: list[Path] = []
 
+    def tmp(path: Path) -> Path:
+        return path.with_name(path.name + ".tmp")
+
     def emit(name: str, text: str) -> None:
         path = out / name
-        _atomic_write(path, text)
         written.append(path)
+        tmp(path).write_text(text, encoding="utf-8")
 
-    if "ndjson" in formats:
-        emit("failures.ndjson", _failures_ndjson(failures))
-    if "csv" in formats:
-        emit("failures.csv", _failures_csv(failures))
-    if "summary" in formats:
-        emit("summary.json", summary_json(report))
-        emit("completeness.csv", _completeness_csv(report))
-        for tech in Technology:
-            if tech in report.histograms:
-                emit(f"distance_histogram_{tech.value}.csv", _histogram_csv(report.histograms[tech]))
-        emit("errors_by_district.csv", _errors_by_district_csv(failures))
+    try:
+        if "ndjson" in formats:
+            emit("failures.ndjson", _failures_ndjson(failures))
+        if "csv" in formats:
+            emit("failures.csv", _failures_csv(failures))
+        if "summary" in formats:
+            emit("summary.json", summary_json(report))
+            emit("completeness.csv", _completeness_csv(report))
+            for tech in Technology:
+                if tech in report.histograms:
+                    emit(f"distance_histogram_{tech.value}.csv", _histogram_csv(report.histograms[tech]))
+            emit("errors_by_district.csv", _errors_by_district_csv(failures))
+        for path in written:
+            os.replace(tmp(path), path)
+    except BaseException:
+        for path in written:
+            tmp(path).unlink(missing_ok=True)
+        raise
     return written
 
 
@@ -430,7 +436,7 @@ def load_failures_ndjson(path: str | Path) -> list[FailureRecord]:
                 if line:
                     try:
                         failures.append(failure_from_json(json.loads(line)))
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         raise ReportError(f"{path}: line {line_no} is not a failure record: {exc!r}") from None
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path} is not UTF-8 text: {exc}") from None
@@ -473,6 +479,6 @@ def load_summary_json(
                 if not _count(n, column) <= _count(d, column) or d == 0:
                     raise ValueError(f"{name} {column} is no fraction: {[n, d]!r}")
                 completeness[technology][column] = Fraction(n, d)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
     return records_total, records_dso, tuple(sorted(evaluated)), completeness

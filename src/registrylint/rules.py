@@ -103,8 +103,8 @@ class RuleConfig:
                 raise ConfigError(f"required_fields: {name!r} is not a field that every technology carries")
         for name in ("unit_id_pattern", "municipality_id_pattern", "zip_pattern"):
             try:
-                re.compile(getattr(self, name))
-            except re.error as exc:
+                re.compile(getattr(self, name), re.ASCII)
+            except (re.error, ValueError) as exc:  # ValueError: a (?u) flag
                 raise ConfigError(f"{name} is not a valid regular expression: {exc}") from None
         for tech, year in self.year_min.items():
             if year >= self.year_max:
@@ -238,10 +238,11 @@ def _inverter_vs_net(config, tech, boundaries, fail):
 
 
 def _id_formats(config, tech, boundaries, fail):
-    """Test 5: unit id, municipality id and zip code match their patterns."""
-    unit_id_ok = re.compile(config.unit_id_pattern).fullmatch
-    municipality_id_ok = re.compile(config.municipality_id_pattern).fullmatch
-    zip_ok = re.compile(config.zip_pattern).fullmatch
+    """Test 5: unit id, municipality id and zip code match their patterns;
+    \\d and \\w match ASCII characters only."""
+    unit_id_ok = re.compile(config.unit_id_pattern, re.ASCII).fullmatch
+    municipality_id_ok = re.compile(config.municipality_id_pattern, re.ASCII).fullmatch
+    zip_ok = re.compile(config.zip_pattern, re.ASCII).fullmatch
 
     def check(r):
         bad = ()

@@ -1,20 +1,24 @@
 """End-to-end CLI behavior: exit codes, outputs, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from registrylint import report
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
 from registrylint.ingest import default_mapping
 from registrylint.model import Technology
+from registrylint.rules import RuleConfig
 
 
 @pytest.fixture()
@@ -118,8 +122,12 @@ class TestValidateCommand:
         assert not (out / "failures.csv").exists()
 
     def test_technology_filter(self, synth_dir, tmp_path, capsys):
+        # The --input options pick the tables.
         out = tmp_path / "run"
-        code = main(_validate_args(synth_dir, out, "--technology", "wind"))
+        args = ["validate", "--out", str(out), "--input", f"wind={synth_dir / 'wind.csv'}"]
+        args += ["--districts", str(synth_dir / "districts.geojson")]
+        args += ["--municipalities", str(synth_dir / "municipalities.geojson")]
+        code = main(args)
         assert code in (EXIT_CLEAN, EXIT_FAILURES)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_technology"]["wind"]["unit_count"] == 150
@@ -226,16 +234,6 @@ class TestReportCommand:
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob
 
-    def test_dso_only_filters_metrics(self, synth_dir, tmp_path):
-        out = tmp_path / "run"
-        main(_validate_args(synth_dir, out))
-        full = json.loads((out / "summary.json").read_text())
-        assert main(["report", "--out", str(out), "--dso-only"]) == EXIT_CLEAN
-        filtered = json.loads((out / "summary.json").read_text())
-        for tech, block in filtered["per_technology"].items():
-            assert block["unit_count"] == full["per_technology_dso"][tech]["unit_count"]
-            assert block["failing_unit_count"] <= full["per_technology"][tech]["failing_unit_count"]
-
     def test_histogram_parameters(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         main(_validate_args(synth_dir, out))
@@ -243,6 +241,19 @@ class TestReportCommand:
         lines = (out / "distance_histogram_solar.csv").read_text().splitlines()
         assert lines[0] == "bin_low_km,bin_high_km,count"
         assert lines[-1].startswith("60.0,inf,")
+
+    def test_failed_export_keeps_the_previous_outputs(self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        main(_validate_args(synth_dir, out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def full_disk(quality_report):
+            raise OSError("No space left on device")
+
+        # Rendered after summary.json, which a new bin width changes.
+        monkeypatch.setattr(report, "_completeness_csv", full_disk)
+        assert main(["report", "--out", str(out), "--bin-width", "10"]) == EXIT_FATAL
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # and no *.tmp
 
     def test_missing_failures_file_exits_two(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_FATAL
@@ -290,6 +301,8 @@ _BAD_CONFIGS = {
     "unknown-technology-range": {"rules": {"power_range_mw": {"nuclear": [0.0, 1.0]}}},
     "unknown-required-field": {"rules": {"required_fields": ["unit_id", "voltage"]}},
     "bad-pattern": {"rules": {"zip_pattern": "("}},
+    # Patterns are compiled with re.ASCII, which a Unicode flag contradicts.
+    "unicode-flag-pattern": {"rules": {"zip_pattern": "(?u)\\d{5}"}},
     "bare-string-tuple": {"rules": {"balcony_keywords": "balkon"}},
     "nan-buffer": {"rules": {"buffer_m": float("nan")}},
     "top-level-list": [1],
@@ -345,11 +358,15 @@ _BAD_SUMMARY_VALUES = {
 # more bins than a list can hold.
 _BAD_HISTOGRAM_ARGS = {
     "histogram-overflow-nan": ["--overflow", "nan"],
+    "histogram-overflow-zero": ["--overflow", "0"],
     "histogram-bin-width-nan": ["--bin-width", "nan"],
     "histogram-overflow-inf": ["--overflow", "inf"],
     "histogram-bin-width-inf": ["--bin-width", "inf"],
     "histogram-bin-width-1e-300": ["--bin-width", "1e-300"],
 }
+# JSON nested deeper than the interpreter's recursion limit, written as text
+# because json.dumps recurses too.
+_NESTED_TOO_DEEPLY = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.fixture(scope="module")
@@ -364,9 +381,9 @@ def small_run(tmp_path_factory) -> Path:
 def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     """Write one malformed input under `work`; return the CLI arguments that read it."""
     src = root / "in"
-    if case in _BAD_CONFIGS:
+    if case in _BAD_CONFIGS or case == "config-nested-too-deeply":
         cfg = work / "run.json"
-        cfg.write_text(json.dumps(_BAD_CONFIGS[case]))
+        cfg.write_text(json.dumps(_BAD_CONFIGS[case]) if case in _BAD_CONFIGS else _NESTED_TOO_DEEPLY)
         return _validate_args(src, work / "run", "--config", str(cfg))
     if case in ("latin-1", "oversize-cell"):
         table = work / "wind.csv"
@@ -385,6 +402,10 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         elif case == "geojson-short-ring":
             ring = [[10.0, 50.0], [10.1, 50.0], [10.0, 50.0]]
             payload["features"][2]["geometry"] = {"type": "Polygon", "coordinates": [ring]}
+        elif case == "geojson-huge-coordinate":
+            payload["features"][2]["geometry"]["coordinates"][0][1][0] = 10**400
+        elif case == "geojson-object-position":
+            payload["features"][2]["geometry"]["coordinates"][0][1] = {}
         elif case == "geojson-zero-area":
             # A region no record references, whose ring encloses no area.
             line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
@@ -392,7 +413,12 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
             payload["features"].append({"type": "Feature", "properties": {"ags": "99999999"}, "geometry": geometry})
         else:
             del payload["features"][2]["geometry"]["coordinates"]
-        text = '{"type": "FeatureCollection", ' if case == "geojson-syntax" else json.dumps(payload)
+        if case == "geojson-syntax":
+            text = '{"type": "FeatureCollection", '
+        elif case == "geojson-nested-too-deeply":
+            text = _NESTED_TOO_DEEPLY
+        else:
+            text = json.dumps(payload)
         (work / "municipalities.geojson").write_text(text)
         args = _validate_args(src, work / "run")
         args[args.index("--municipalities") + 1] = str(work / "municipalities.geojson")
@@ -405,6 +431,10 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         (out / "failures.ndjson").write_text("not json\n")
     elif case == "report-not-utf8":
         (out / "failures.ndjson").write_bytes(b"\xff\xfe\n")
+    elif case == "report-line-nested-too-deeply":
+        (out / "failures.ndjson").write_text(_NESTED_TOO_DEEPLY + "\n")
+    elif case == "report-summary-nested-too-deeply":
+        (out / "summary.json").write_text(_NESTED_TOO_DEEPLY)
     elif case == "report-missing-keys":
         (out / "failures.ndjson").write_text('{"unit_id": "SEE900000000001"}\n')
     elif case in _BAD_FAILURE_VALUES:
@@ -423,9 +453,12 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
 
 @pytest.mark.parametrize(
     "case",
-    [*_BAD_CONFIGS, "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
-     "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "report-not-json", "report-not-utf8", "report-missing-keys",
-     "report-summary-without-per-technology", *_BAD_FAILURE_VALUES, *_BAD_SUMMARY_VALUES, *_BAD_HISTOGRAM_ARGS],
+    [*_BAD_CONFIGS, "config-nested-too-deeply", "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
+     "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "geojson-huge-coordinate",
+     "geojson-object-position", "geojson-nested-too-deeply",
+     "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
+     "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
+     *_BAD_SUMMARY_VALUES, *_BAD_HISTOGRAM_ARGS],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
     args = _malformed_case(case, small_run, tmp_path)
@@ -439,7 +472,7 @@ def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case)
     assert "Traceback" not in done.stderr
 
 
-# Any JSON value that may stand where report expects another.
+# Any JSON value that may stand where report or validate expects another.
 _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -453,38 +486,105 @@ _JSON_VALUES = st.one_of(
 )
 
 
-def _replaced(document, steps: list[int], value):
-    """document with one node replaced by value: each step picks a key (in
-    sorted order) or an index of the current node, modulo its size, and
-    the path ends at the last step or at a scalar."""
-    if not steps or not isinstance(document, (dict, list)) or not document:
+def _paths(document, path=()) -> list[tuple]:
+    """The path (keys and indexes) of every node below the root of a JSON
+    document: its leaves and the objects and arrays above them."""
+    if isinstance(document, dict):
+        children = document.items()
+    elif isinstance(document, list):
+        children = enumerate(document)
+    else:
+        return []
+    paths = []
+    for key, child in children:
+        paths.append(path + (key,))
+        paths += _paths(child, path + (key,))
+    return paths
+
+
+def _replaced(document, path: tuple, value):
+    """document with the node at path replaced by value."""
+    if not path:
         return value
-    key = sorted(document)[steps[0] % len(document)] if isinstance(document, dict) else steps[0] % len(document)
     copy = document.copy()
-    copy[key] = _replaced(document[key], steps[1:], value)
+    copy[path[0]] = _replaced(document[path[0]], path[1:], value)
     return copy
 
 
+def _with_one_replaced_node(data, document):
+    """document with one node, drawn uniformly from all of its nodes, replaced by a drawn JSON value."""
+    return _replaced(document, data.draw(st.sampled_from(_paths(document))), data.draw(_JSON_VALUES))
+
+
+def _run_main(args: list[str]) -> tuple[int, str]:
+    """main's exit code and stdout; stderr is discarded."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    return code, stdout.getvalue()
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    target=st.sampled_from(["summary.json", "failures.ndjson"]),
-    steps=st.lists(st.integers(min_value=0), min_size=1, max_size=6),
-    value=_JSON_VALUES,
-)
-def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, target, steps, value):
+@given(target=st.sampled_from(["summary.json", "failures.ndjson"]), data=st.data())
+def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, target, data):
     with tempfile.TemporaryDirectory() as work:
         out = Path(work)
         for name in ("failures.ndjson", "summary.json"):
             (out / name).write_bytes((small_run / "run" / name).read_bytes())
         path = out / target
         if target == "summary.json":
-            path.write_text(json.dumps(_replaced(json.loads(path.read_text(encoding="utf-8")), steps, value)))
+            path.write_text(json.dumps(_with_one_replaced_node(data, json.loads(path.read_text(encoding="utf-8")))))
         else:  # its first line
             first, rest = path.read_text(encoding="utf-8").split("\n", 1)
-            path.write_text(json.dumps(_replaced(json.loads(first), steps, value)) + "\n" + rest)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["report", "--out", str(out)])
+            path.write_text(json.dumps(_with_one_replaced_node(data, json.loads(first))) + "\n" + rest)
+        code, stdout = _run_main(["report", "--out", str(out)])
         assert code in (EXIT_CLEAN, EXIT_FATAL)
-        (line,) = stdout.getvalue().splitlines()
+        (line,) = stdout.splitlines()
         json.loads(line)
+
+
+# Cell texts: any short text, and numbers, dates, booleans and coordinates
+# at and beyond the edges of what the cell codecs accept.
+_CELL_TEXTS = st.one_of(
+    st.text(max_size=10),
+    st.from_regex(r"-?[0-9]{0,12}([.,][0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["nan", "inf", "1e400", "2024-02-30", "ja", "nein", "50.1, 10.2", "91.0, 200.0", "1,5,0"]),
+)
+
+
+def _rules_json() -> dict:
+    """The default `rules` section of a run configuration, as JSON values."""
+    defaults = RuleConfig()
+    return json.loads(json.dumps({f.name: getattr(defaults, f.name) for f in fields(defaults)}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.sampled_from(["table", "boundaries", "rules"]), data=st.data())
+def test_validate_with_one_changed_input_keeps_the_exit_code_contract(small_run, target, data):
+    with tempfile.TemporaryDirectory() as work:
+        inputs, out = Path(work) / "in", Path(work) / "run"
+        inputs.mkdir()
+        for path in [*(small_run / "in").glob("*.csv"), *(small_run / "in").glob("*.geojson")]:
+            (inputs / path.name).write_bytes(path.read_bytes())
+        extra = []
+        if target == "table":  # one cell, header cells included
+            table = inputs / data.draw(st.sampled_from(sorted(p.name for p in inputs.glob("*.csv"))))
+            with open(table, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            row, col = data.draw(st.sampled_from([(i, j) for i, cells in enumerate(rows) for j in range(len(cells))]))
+            rows[row][col] = data.draw(_CELL_TEXTS)
+            with open(table, "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle).writerows(rows)
+        elif target == "boundaries":
+            boundary = inputs / data.draw(st.sampled_from(["districts.geojson", "municipalities.geojson"]))
+            boundary.write_text(json.dumps(_with_one_replaced_node(data, json.loads(boundary.read_text()))))
+        else:
+            cfg = Path(work) / "run.json"
+            cfg.write_text(json.dumps({"rules": _with_one_replaced_node(data, _rules_json())}))
+            extra = ["--config", str(cfg)]
+        code, stdout = _run_main(_validate_args(inputs, out, *extra))
+        assert code in (EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL)
+        (line,) = stdout.splitlines()
+        json.loads(line)
+        if code != EXIT_FATAL:
+            assert (code == EXIT_FAILURES) == bool((out / "failures.ndjson").read_bytes())

@@ -115,6 +115,18 @@ class TestIdFormats:
         assert not outcome.passed
         assert "unit_id" in outcome.detail
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("unit_id", "SEE\uff1900000000001"), ("municipality_id", "\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18"),
+         ("zip_code", "\u0660\u0661\u0662\u0663\u0664")],
+        ids=["fullwidth-unit-id", "fullwidth-municipality-id", "arabic-indic-zip"],
+    )
+    def test_digits_are_ascii_only(self, grid, cfg, name, value):
+        record = replace(example_record(grid, Technology.WIND), **{name: value})
+        outcome = outcome_of(5, record, cfg)
+        assert not outcome.passed
+        assert outcome.detail == f"fields not matching pattern: {name}"
+
     def test_null_fields_skip_their_subcheck(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), zip_code=None)
         assert outcome_of(5, record, cfg).passed
