@@ -31,10 +31,8 @@ from .ingest import (
     write_registry_csv,
 )
 from .model import Technology
-from .report import (
-    ColumnStats, QualityReport, ReportError, build_report, export, load_failures_ndjson, load_summary_json
-)
-from .rules import Boundaries, ConfigError, FailureSet, RuleConfig, fields_read, run_suite
+from .report import ColumnStats, QualityReport, ReportError, build_report, export, load_run
+from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 _CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
@@ -230,21 +228,9 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
-    failures_path = out_dir / "failures.ndjson"
-    summary_path = out_dir / "summary.json"
-    if not failures_path.is_file():
-        raise ConfigError(f"missing failure file: {failures_path}")
-    if not summary_path.is_file():
-        raise ConfigError(f"missing summary file: {summary_path}")
-    failures = load_failures_ndjson(failures_path)
-    *accounting, completeness_table = load_summary_json(summary_path)
-    report = build_report(
-        FailureSet(failures, *accounting),
-        completeness_table=completeness_table,
-        bin_width_km=args.bin_width,
-        overflow_km=args.overflow,
-    )
-    written = export(failures, report, out_dir, formats=("csv", "summary"))
+    failure_set, column_stats = load_run(out_dir)
+    report = build_report(failure_set, column_stats, bin_width_km=args.bin_width, overflow_km=args.overflow)
+    written = export(failure_set.failures, report, out_dir, formats=("csv", "summary"))
     print(json.dumps({"out_dir": str(out_dir), "files": len(written)}, sort_keys=True))
     return EXIT_CLEAN
 

@@ -186,7 +186,8 @@ class RegistryReader:
     """Streaming CSV reader yielding UnitRecords in file order.
 
     Issues, row totals and rejected-row counts accumulate on the reader
-    while it is consumed; memory stays bounded by one row. Every cell is
+    while it is consumed. Memory holds one row and every ParseIssue, one
+    per unparseable cell, so it is not bounded by one row. Every cell is
     checked as it is parsed (model.value_problem) and the column mapping
     only targets fields the technology carries, so records skip
     UnitRecord's own checks; only rows of the wrong width are rejected.
@@ -313,6 +314,8 @@ def write_registry_csv(records: Iterable[UnitRecord], path: str | Path, technolo
 
 
 DEFAULT_REGION_KEYS = {"district": "krs", "municipality": "ags"}
+# RFC 7946 positions hold JSON numbers; these are the classes json gives them.
+_AS_FLOAT = {int: float, float: float}
 
 
 def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = None) -> BoundarySet:
@@ -320,7 +323,7 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
 
     Multipolygon features become multiple polygon parts under one region
     id, named by the feature's `name` property. Duplicate region ids, missing region keys, unclosed rings,
-    vertices that are not finite or lie outside WGS84 bounds, and
+    coordinates that are not JSON numbers, vertices that are not finite or lie outside WGS84 bounds, and
     non-polygon geometries are fatal.
     """
     if level not in DEFAULT_REGION_KEYS:
@@ -354,10 +357,14 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
             raise IngestError(f"{path}: feature {idx} has a geometry without coordinates")
         raw_polys = [geometry["coordinates"]] if gtype == "Polygon" else geometry["coordinates"]
         polygons = []
-        # A position that is an object raises KeyError, an integer beyond the float range OverflowError.
+        # A coordinate that is no JSON number (text, a boolean) and a position that is an object raise KeyError, an
+        # integer beyond the float range OverflowError. A third (altitude) element is ignored.
         try:
             for raw_rings in raw_polys:
-                rings = [tuple((float(pos[1]), float(pos[0])) for pos in raw_ring) for raw_ring in raw_rings]
+                rings = [
+                    tuple((_AS_FLOAT[type(pos[1])](pos[1]), _AS_FLOAT[type(pos[0])](pos[0])) for pos in raw_ring)
+                    for raw_ring in raw_rings
+                ]
                 polygons.append(PolygonGeom(outer=rings[0], holes=tuple(rings[1:])))
         except (TypeError, ValueError, IndexError, KeyError, OverflowError):
             raise IngestError(f"{path}: feature {idx} has malformed coordinates") from None

@@ -156,15 +156,16 @@ def _metrics(failures: Sequence[FailureRecord], total: int) -> TechnologyMetrics
         for outcome in fr.failed:
             per_test[outcome.test_id] = per_test.get(outcome.test_id, 0) + 1
     failing = count_failing_units(failures)
+    if failing > total:
+        raise ReportError(f"{failing} failing {failures[0].technology.value} units out of {total} counted")
     share = failing / total if total else 0.0
     return TechnologyMetrics(total, failing, share, power, per_test)
 
 
 def build_report(
     failure_set: FailureSet,
-    column_stats: ColumnStats | None = None,
+    column_stats: ColumnStats,
     *,
-    completeness_table: dict[Technology, dict[str, Fraction]] | None = None,
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
     overflow_km: float | None = None,
 ) -> QualityReport:
@@ -173,7 +174,7 @@ def build_report(
     per_technology = {}
     per_technology_dso = {}
     histograms = {}
-    completeness_table = dict(completeness_table) if completeness_table else {}
+    completeness = {}
     by_technology: dict[Technology, list[FailureRecord]] = {tech: [] for tech in Technology}
     for fr in failure_set.failures:
         by_technology[fr.technology].append(fr)
@@ -184,14 +185,11 @@ def build_report(
         )
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
         histograms[tech] = distance_histogram(tech_failures, bin_width_km, overflow)
-        if column_stats is not None:
-            completeness_table[tech] = {
-                column: column_stats.fraction(tech, column) for column in columns_for(tech)
-            }
+        completeness[tech] = {column: column_stats.fraction(tech, column) for column in columns_for(tech)}
     return QualityReport(
         per_technology=per_technology,
         per_technology_dso=per_technology_dso,
-        completeness=completeness_table,
+        completeness=completeness,
         histograms=histograms,
         evaluated_counts=failure_set.evaluated_counts(),
     )
@@ -298,7 +296,7 @@ def _metrics_json(metrics: TechnologyMetrics) -> dict:
         "failing_unit_count": metrics.failing_unit_count,
         "failure_share": metrics.failure_share,
         "accumulated_failing_power_kw": metrics.accumulated_failing_power_kw,
-        "per_test": {str(tid): metrics.per_test[tid] for tid in sorted(metrics.per_test)},
+        "per_test": {str(tid): count for tid, count in metrics.per_test.items()},
         "empty": metrics.unit_count == 0,
     }
 
@@ -309,9 +307,7 @@ def summary_json(report: QualityReport) -> str:
             "cells": MATRIX_CELL_COUNT,
             "checked_pairs": CHECKED_PAIR_COUNT,
             "evaluated_counts": {
-                f"{tid}:{tech.value}": count for (tid, tech), count in sorted(
-                    report.evaluated_counts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-                )
+                f"{tid}:{tech.value}": count for (tid, tech), count in report.evaluated_counts.items()
             },
         },
         "per_technology": {
@@ -322,11 +318,11 @@ def summary_json(report: QualityReport) -> str:
         },
         "completeness_percent": {
             tech.value: {column: percent(frac) for column, frac in table.items()}
-            for tech, table in sorted(report.completeness.items(), key=lambda kv: kv[0].value)
+            for tech, table in report.completeness.items()
         },
         "completeness_fraction": {
             tech.value: {column: [frac.numerator, frac.denominator] for column, frac in table.items()}
-            for tech, table in sorted(report.completeness.items(), key=lambda kv: kv[0].value)
+            for tech, table in report.completeness.items()
         },
         "distance_histograms": {
             tech.value: {
@@ -335,7 +331,7 @@ def summary_json(report: QualityReport) -> str:
                 "counts": list(hist.counts),
                 "overflow": hist.overflow,
             }
-            for tech, hist in sorted(report.histograms.items(), key=lambda kv: kv[0].value)
+            for tech, hist in report.histograms.items()
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -346,11 +342,9 @@ def _completeness_csv(report: QualityReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["technology", "column", "fraction", "percent"])
     for tech in Technology:
-        table = report.completeness.get(tech, {})
         for column in columns_for(tech):
-            if column in table:
-                frac = table[column]
-                writer.writerow([tech.value, column, f"{frac.numerator}/{frac.denominator}", percent(frac)])
+            frac = report.completeness[tech][column]
+            writer.writerow([tech.value, column, f"{frac.numerator}/{frac.denominator}", percent(frac)])
     return buf.getvalue()
 
 
@@ -450,35 +444,43 @@ def _count(value, what: str) -> int:
     return value
 
 
-def load_summary_json(
-    path: str | Path,
-) -> tuple[dict[Technology, int], dict[Technology, int], tuple[int, ...], dict[Technology, dict[str, Fraction]]]:
-    """The run accounting that summary_json wrote: unit counts of all and of
-    DSO-inspected units per technology, the evaluated test ids and the
-    completeness fractions of the columns each technology carries."""
+def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
+    """The FailureSet and ColumnStats that validate built for the run whose
+    failures.ndjson and summary.json are in out_dir. A column's non-null
+    count is its completeness fraction times its technology's unit count.
+    A summary that no validate run could have written is a ReportError."""
+    failures_path, path = Path(out_dir) / "failures.ndjson", Path(out_dir) / "summary.json"
+    for file, what in ((failures_path, "failure"), (path, "summary")):
+        if not file.is_file():
+            raise ReportError(f"missing {what} file: {file}")
+    failures = load_failures_ndjson(failures_path)
+    cells = {f"{tid}:{tech.value}": tid for tid, techs in CHECKMARKS.items() for tech in techs}
     try:
-        stored = json.loads(Path(path).read_text(encoding="utf-8"))
-        records_total, records_dso = (
-            {Technology(name): _count(block["unit_count"], f"{name} unit_count") for name, block in stored[key].items()}
-            for key in ("per_technology", "per_technology_dso")
-        )
-        evaluated = set()
-        for key in stored["matrix"]["evaluated_counts"].keys():  # an object, not a list
-            test_id, technology = key.split(":")
-            Technology(technology)  # ValueError for an unknown one
-            if int(test_id) not in CHECKMARKS:
-                raise ValueError(f"evaluated count {key!r} names no catalog test")
-            evaluated.add(int(test_id))
-        completeness = {}
-        for name, table in stored.get("completeness_fraction", {}).items():
-            technology = Technology(name)
-            completeness[technology] = {}
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        every, dso_only, fractions = blocks = [
+            stored[key] for key in ("per_technology", "per_technology_dso", "completeness_fraction")
+        ]
+        if any(block.keys() != {tech.value for tech in Technology} for block in blocks):
+            raise ValueError("a per-technology object does not name each technology")
+        # An object, not a list; KeyError for a key that names no check-marked cell.
+        evaluated = {cells[key] for key in stored["matrix"]["evaluated_counts"].keys()}
+        stats, records_dso = ColumnStats(), {}
+        for tech in Technology:
+            name, table = tech.value, fractions[tech.value]
+            total = stats.totals[tech] = _count(every[name]["unit_count"], f"{name} unit_count")
+            dso = records_dso[tech] = _count(dso_only[name]["unit_count"], f"{name} DSO unit_count")
+            if dso > total:
+                raise ValueError(f"{name} has {dso} DSO-inspected units of {total}")
+            if table.keys() != set(columns_for(tech)):
+                raise ValueError(f"{name} completeness does not list the columns {name} carries")
+            stats.non_null[tech] = {}
             for column, (n, d) in table.items():
-                if column not in columns_for(technology):
-                    raise ValueError(f"{name} carries no column {column!r}")
                 if not _count(n, column) <= _count(d, column) or d == 0:
                     raise ValueError(f"{name} {column} is no fraction: {[n, d]!r}")
-                completeness[technology][column] = Fraction(n, d)
+                stats.non_null[tech][column] = n * total // d
+                share = stats.fraction(tech, column)
+                if [n, d] != [share.numerator, share.denominator]:
+                    raise ValueError(f"{name} {column} {[n, d]!r} is no share of {total} units")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
-    return records_total, records_dso, tuple(sorted(evaluated)), completeness
+    return FailureSet(failures, dict(stats.totals), records_dso, tuple(sorted(evaluated))), stats

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from registrylint import report
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
 from registrylint.ingest import default_mapping
-from registrylint.model import Technology
+from registrylint.model import Technology, columns_for
 from registrylint.rules import RuleConfig
 
 
@@ -345,7 +346,20 @@ _BAD_FAILURE_VALUES = {
         **line, "tests": [{"test_id": 10, "detail": "outside", "measured": -12000.0, "measured_unit": "m"}]
     },
 }
-# summary.json documents holding a value that is no count or no fraction.
+
+
+def _without_wind_units(summary: dict) -> None:
+    """Wind with no units, as validate writes it, beside the wind failures."""
+    for block in ("per_technology", "per_technology_dso"):
+        summary[block]["wind"]["unit_count"] = 0
+    summary["completeness_fraction"]["wind"] = {column: [1, 1] for column in summary["completeness_fraction"]["wind"]}
+
+
+# summary.json documents that no validate run could have written beside its
+# failures.ndjson: a value that is no count or no fraction, a technology or a
+# column left out, counts that disagree with each other or with the failures.
+# The wind table of the shared run has 20 units, 13 of them DSO-inspected;
+# 3 wind units fail, 2 of them DSO-inspected.
 _BAD_SUMMARY_VALUES = {
     "report-string-unit-count": lambda summary: summary["per_technology"]["wind"].update(unit_count="12"),
     "report-null-unit-count": lambda summary: summary["per_technology"]["wind"].update(unit_count=None),
@@ -353,6 +367,21 @@ _BAD_SUMMARY_VALUES = {
     "report-evaluated-counts-list": lambda summary: summary["matrix"].update(
         evaluated_counts=list(summary["matrix"]["evaluated_counts"])
     ),
+    "report-without-completeness": lambda summary: summary.pop("completeness_fraction"),
+    "report-third-of-the-units": lambda summary: summary["completeness_fraction"]["wind"].update(owner_id=[1, 3]),
+    "report-without-wind-blocks": lambda summary: [
+        summary[block].pop("wind") for block in ("per_technology", "per_technology_dso")
+    ],
+    "report-dso-units-above-total": lambda summary: summary["per_technology_dso"]["wind"].update(unit_count=999_999),
+    "report-zero-wind-units": lambda summary: summary["per_technology"]["wind"].update(unit_count=0),
+    "report-wind-failures-without-wind-units": _without_wind_units,
+    "report-dso-failures-without-dso-units": lambda summary: summary["per_technology_dso"]["wind"].update(unit_count=0),
+    "report-unchecked-evaluated-cell": lambda summary: summary["matrix"]["evaluated_counts"].update({"9:solar": 20}),
+    "report-completeness-without-a-column": lambda summary: summary["completeness_fraction"]["wind"].pop("owner_id"),
+    "report-share-of-no-units": lambda summary: [
+        summary[block]["solar"].update(unit_count=0) for block in ("per_technology", "per_technology_dso")
+    ],
+    "report-unreduced-share": lambda summary: summary["completeness_fraction"]["wind"].update(owner_id=[2, 2]),
 }
 # `report` histogram settings that are unusable; a 1e-300 km bin width needs
 # more bins than a list can hold.
@@ -406,6 +435,11 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
             payload["features"][2]["geometry"]["coordinates"][0][1][0] = 10**400
         elif case == "geojson-object-position":
             payload["features"][2]["geometry"]["coordinates"][0][1] = {}
+        elif case == "geojson-string-position":
+            ring = payload["features"][2]["geometry"]["coordinates"][0]
+            ring[:] = [[str(lon), str(lat)] for lon, lat in ring]
+        elif case == "geojson-bool-position":
+            payload["features"][2]["geometry"]["coordinates"][0][1] = [True, True]
         elif case == "geojson-zero-area":
             # A region no record references, whose ring encloses no area.
             line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
@@ -455,7 +489,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     "case",
     [*_BAD_CONFIGS, "config-nested-too-deeply", "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "geojson-huge-coordinate",
-     "geojson-object-position", "geojson-nested-too-deeply",
+     "geojson-object-position", "geojson-string-position", "geojson-bool-position", "geojson-nested-too-deeply",
      "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
      "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
      *_BAD_SUMMARY_VALUES, *_BAD_HISTOGRAM_ARGS],
@@ -524,6 +558,18 @@ def _run_main(args: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
+def _assert_consistent(summary: dict) -> None:
+    """The counts of summary.json agree with each other, as in every summary validate writes."""
+    for tech in Technology:
+        every, dso = (summary[block][tech.value] for block in ("per_technology", "per_technology_dso"))
+        assert dso["unit_count"] <= every["unit_count"]
+        assert every["failing_unit_count"] <= every["unit_count"]
+        assert dso["failing_unit_count"] <= dso["unit_count"]
+        table = summary["completeness_fraction"][tech.value]
+        assert table.keys() == set(columns_for(tech))
+        assert all((Fraction(n, d) * every["unit_count"]).denominator == 1 for n, d in table.values())
+
+
 @settings(max_examples=40, deadline=None)
 @given(target=st.sampled_from(["summary.json", "failures.ndjson"]), data=st.data())
 def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, target, data):
@@ -541,6 +587,8 @@ def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, 
         assert code in (EXIT_CLEAN, EXIT_FATAL)
         (line,) = stdout.splitlines()
         json.loads(line)
+        if code == EXIT_CLEAN:
+            _assert_consistent(json.loads((out / "summary.json").read_text(encoding="utf-8")))
 
 
 # Cell texts: any short text, and numbers, dates, booleans and coordinates

@@ -62,7 +62,7 @@ def _wind_metrics(failures, records, dso_only=False):
         records_dso={Technology.WIND: sum(r.grid_operator_inspection is True for r in records)},
         evaluated_tests=(),
     )
-    report = build_report(failure_set)
+    report = build_report(failure_set, column_stats(records))
     return (report.per_technology_dso if dso_only else report.per_technology)[Technology.WIND]
 
 
