@@ -31,7 +31,7 @@ from .ingest import (
     write_registry_csv,
 )
 from .model import Technology
-from .report import ColumnStats, QualityReport, ReportError, build_report, export, load_run
+from .report import ColumnStats, ReportError, build_report, export, load_run
 from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_suite
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
@@ -150,10 +150,10 @@ def cmd_validate(args) -> int:
     rows = sum(r.rows_total for r in readers)
     print(f"parsed {rows} rows ({rejected} rejected, {issues} cell issues)", file=sys.stderr)
 
-    report = build_report(failure_set, stats)
+    summary = build_report(failure_set, stats)
     out_dir = Path(args.out)
-    export(failure_set.failures, report, out_dir)
-    _print_tally(report)
+    export(failure_set.failures, summary, out_dir)
+    _print_tally(summary)
 
     failing = failure_set.failing_unit_count()
     print(
@@ -171,12 +171,12 @@ def cmd_validate(args) -> int:
     return EXIT_FAILURES if failing else EXIT_CLEAN
 
 
-def _print_tally(report: QualityReport) -> None:
+def _print_tally(summary: dict) -> None:
     print("failures per (test, technology):", file=sys.stderr)
     tally = sorted(
-        (test_id, tech.value, count)
-        for tech, metrics in report.per_technology.items()
-        for test_id, count in metrics.per_test.items()
+        (int(test_id), tech, count)
+        for tech, metrics in summary["per_technology"].items()
+        for test_id, count in metrics["per_test"].items()
     )
     for test_id, tech, count in tally:
         print(f"  test {test_id:2d} {tech:<11s} {count}", file=sys.stderr)
@@ -229,8 +229,8 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
     failure_set, column_stats = load_run(out_dir)
-    report = build_report(failure_set, column_stats, bin_width_km=args.bin_width, overflow_km=args.overflow)
-    written = export(failure_set.failures, report, out_dir, formats=("csv", "summary"))
+    summary = build_report(failure_set, column_stats, bin_width_km=args.bin_width, overflow_km=args.overflow)
+    written = export(failure_set.failures, summary, out_dir, formats=("csv", "summary"))
     print(json.dumps({"out_dir": str(out_dir), "files": len(written)}, sort_keys=True))
     return EXIT_CLEAN
 

@@ -128,7 +128,11 @@ def default_mapping() -> ColumnMapping:
     )
 
 
+# float() and int() also read digit separators ("2_000") and non-ASCII
+# digits; a numeric cell is ASCII text without an underscore.
 def _parse_float(text: str) -> float:
+    if not text.isascii() or "_" in text:
+        raise ValueError("not an ASCII number")
     try:
         value = float(text)
     except ValueError:
@@ -142,6 +146,12 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_int(text: str) -> int:
+    if not text.isascii() or "_" in text:
+        raise ValueError("not an ASCII number")
+    return int(text)
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "ja", "yes"):
@@ -152,6 +162,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_coordinate(text: str) -> tuple[float, float]:
+    if not text.isascii() or "_" in text:
+        raise ValueError("not an ASCII number")
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected 'latitude, longitude'")
@@ -163,7 +175,7 @@ def _parse_coordinate(text: str) -> tuple[float, float]:
 # the text is the value), and format writes a present value back.
 _CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
     "float | None": (_parse_float, repr),
-    "int | None": (int, str),
+    "int | None": (_parse_int, str),
     "date | None": (date.fromisoformat, date.isoformat),
     "bool | None": (_parse_bool, lambda value: "1" if value else "0"),
     "tuple[float, float] | None": (_parse_coordinate, lambda value: f"{value[0]!r}, {value[1]!r}"),

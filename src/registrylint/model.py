@@ -37,11 +37,10 @@ class UnitRecord:
     """One registry unit after transformation to the common data model.
 
     Each field's declaration is the one statement of its type, its column
-    in the standard export and the technologies that carry it. Immutable;
-    safe to share between workers. Construction enforces the structural
-    invariants (field applicability per technology, coordinate bounds,
-    non-negative finite quantities). Semantic plausibility is the rule
-    engine's job, not the schema's.
+    in the standard export and the technologies that carry it. Immutable.
+    Construction enforces the structural invariants (field applicability
+    per technology, coordinate bounds, non-negative finite quantities).
+    Semantic plausibility is the rule engine's job, not the schema's.
     """
 
     technology: Technology

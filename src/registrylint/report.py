@@ -2,7 +2,9 @@
 
 Metrics: per-technology error shares and accumulated failing power (with
 a DSO-verified-subset variant of everything), column completeness, and
-distance-to-boundary histograms for location failures. Exports are
+distance-to-boundary histograms for location failures. build_report
+returns them as the summary.json document, a dict of JSON values, and
+export renders every summary file from that one document. Exports are
 deterministic: identical inputs produce byte-identical files.
 """
 
@@ -71,32 +73,17 @@ class ColumnStats:
         return Fraction(self.non_null[technology][column], total)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Fixed-width distance histogram with one open-ended overflow bin.
-
-    Regular bins cover [k*w, (k+1)*w) below the overflow threshold; every
-    distance at or beyond the threshold lands in the overflow bin, so bin
-    counts always sum to the number of binned distances.
-    """
-
-    bin_width_km: float
-    overflow_km: float
-    counts: tuple[int, ...]
-    overflow: int
-
-    def edges_km(self) -> list[tuple[float, float]]:
-        return [(i * self.bin_width_km, (i + 1) * self.bin_width_km) for i in range(len(self.counts))]
-
-
 def distance_histogram(
     failures: Iterable[FailureRecord],
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
     overflow_km: float = DEFAULT_OVERFLOW_KM,
-) -> Histogram:
+) -> dict:
     """Histogram of measured distances to the registered district's
-    boundary (test 10).
+    boundary (test 10), as its summary.json block.
 
+    Regular bins cover [k*w, (k+1)*w) below the overflow threshold; every
+    distance at or beyond the threshold lands in the overflow bin, so the
+    counts and the overflow always sum to the number of binned distances.
     Failures without a computable distance (unknown region keys) are not
     binned; a distance that is negative or not finite is an error. Both
     settings must be finite and positive, and give at most MAX_BINS
@@ -123,31 +110,16 @@ def distance_histogram(
             else:
                 # Just below the threshold the quotient can round up to the bin count.
                 counts[min(int(distance_km / bin_width_km), len(counts) - 1)] += 1
-    return Histogram(bin_width_km, overflow_km, tuple(counts), overflow)
+    return {"bin_width_km": bin_width_km, "overflow_km": overflow_km, "counts": counts, "overflow": overflow}
 
 
-@dataclass
-class TechnologyMetrics:
-    unit_count: int
-    failing_unit_count: int
-    failure_share: float
-    accumulated_failing_power_kw: float
-    per_test: dict[int, int]
+def _cell_key(test_id: int, technology: Technology) -> str:
+    """The matrix.evaluated_counts key of a (test, technology) cell."""
+    return f"{test_id}:{technology.value}"
 
 
-@dataclass
-class QualityReport:
-    """Aggregate quality metrics of one validation run."""
-
-    per_technology: dict[Technology, TechnologyMetrics]
-    per_technology_dso: dict[Technology, TechnologyMetrics]
-    completeness: dict[Technology, dict[str, Fraction]]
-    histograms: dict[Technology, Histogram]
-    evaluated_counts: dict[tuple[int, Technology], int]
-
-
-def _metrics(failures: Sequence[FailureRecord], total: int) -> TechnologyMetrics:
-    """Metrics of one technology's failures, out of `total` units."""
+def _metrics(failures: Sequence[FailureRecord], total: int) -> dict:
+    """The summary block of one technology's failures, out of `total` units."""
     per_test: dict[int, int] = {}
     power = 0.0
     for fr in failures:
@@ -158,8 +130,14 @@ def _metrics(failures: Sequence[FailureRecord], total: int) -> TechnologyMetrics
     failing = count_failing_units(failures)
     if failing > total:
         raise ReportError(f"{failing} failing {failures[0].technology.value} units out of {total} counted")
-    share = failing / total if total else 0.0
-    return TechnologyMetrics(total, failing, share, power, per_test)
+    return {
+        "unit_count": total,
+        "failing_unit_count": failing,
+        "failure_share": failing / total if total else 0.0,
+        "accumulated_failing_power_kw": power,
+        "per_test": {str(test_id): count for test_id, count in per_test.items()},
+        "empty": total == 0,
+    }
 
 
 def build_report(
@@ -168,31 +146,38 @@ def build_report(
     *,
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
     overflow_km: float | None = None,
-) -> QualityReport:
-    """Metrics of one run; overflow_km, when given, replaces every
-    technology's default histogram overflow threshold."""
-    per_technology = {}
-    per_technology_dso = {}
-    histograms = {}
-    completeness = {}
+) -> dict:
+    """The summary.json document of one run, a dict of JSON values;
+    overflow_km, when given, replaces every technology's default histogram
+    overflow threshold."""
+    per_technology, per_technology_dso, percents, fractions, histograms = {}, {}, {}, {}, {}
     by_technology: dict[Technology, list[FailureRecord]] = {tech: [] for tech in Technology}
     for fr in failure_set.failures:
         by_technology[fr.technology].append(fr)
     for tech, tech_failures in by_technology.items():
-        per_technology[tech] = _metrics(tech_failures, failure_set.records_total.get(tech, 0))
-        per_technology_dso[tech] = _metrics(
+        name = tech.value
+        per_technology[name] = _metrics(tech_failures, failure_set.records_total.get(tech, 0))
+        per_technology_dso[name] = _metrics(
             [fr for fr in tech_failures if fr.dso_inspected], failure_set.records_dso.get(tech, 0)
         )
+        shares = {column: column_stats.fraction(tech, column) for column in columns_for(tech)}
+        percents[name] = {column: percent(share) for column, share in shares.items()}
+        fractions[name] = {column: [share.numerator, share.denominator] for column, share in shares.items()}
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
-        histograms[tech] = distance_histogram(tech_failures, bin_width_km, overflow)
-        completeness[tech] = {column: column_stats.fraction(tech, column) for column in columns_for(tech)}
-    return QualityReport(
-        per_technology=per_technology,
-        per_technology_dso=per_technology_dso,
-        completeness=completeness,
-        histograms=histograms,
-        evaluated_counts=failure_set.evaluated_counts(),
-    )
+        histograms[name] = distance_histogram(tech_failures, bin_width_km, overflow)
+    evaluated = failure_set.evaluated_counts()
+    return {
+        "matrix": {
+            "cells": MATRIX_CELL_COUNT,
+            "checked_pairs": CHECKED_PAIR_COUNT,
+            "evaluated_counts": {_cell_key(tid, tech): count for (tid, tech), count in evaluated.items()},
+        },
+        "per_technology": per_technology,
+        "per_technology_dso": per_technology_dso,
+        "completeness_percent": percents,
+        "completeness_fraction": fractions,
+        "distance_histograms": histograms,
+    }
 
 
 FAILURE_CSV_COLUMNS = (
@@ -255,14 +240,18 @@ def _check_types(payload: dict, types: dict[str, tuple[type, ...]]) -> None:
 
 def failure_from_json(payload: dict) -> FailureRecord:
     _check_types(payload, _FAILURE_TYPES)
+    unit_id, technology, *context = (payload[key] for key in _FAILURE_TYPES)
+    tech = Technology(technology)
     tests = payload["tests"]
     for t in tests:
         _check_types(t, _TEST_TYPES)
-    unit_id, technology, *context = (payload[key] for key in _FAILURE_TYPES)
+        # The suite runs a test only for the technologies it is check-marked for.
+        if tech not in CHECKMARKS.get(t["test_id"], ()):
+            raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
     failed = tuple(
         RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
     )
-    return FailureRecord(unit_id, Technology(technology), *context, failed)
+    return FailureRecord(unit_id, tech, *context, failed)
 
 
 def _failures_ndjson(failures: Sequence[FailureRecord]) -> str:
@@ -290,71 +279,29 @@ def _failures_csv(failures: Sequence[FailureRecord]) -> str:
     return buf.getvalue()
 
 
-def _metrics_json(metrics: TechnologyMetrics) -> dict:
-    return {
-        "unit_count": metrics.unit_count,
-        "failing_unit_count": metrics.failing_unit_count,
-        "failure_share": metrics.failure_share,
-        "accumulated_failing_power_kw": metrics.accumulated_failing_power_kw,
-        "per_test": {str(tid): count for tid, count in metrics.per_test.items()},
-        "empty": metrics.unit_count == 0,
-    }
+def summary_json(summary: dict) -> str:
+    return json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def summary_json(report: QualityReport) -> str:
-    payload = {
-        "matrix": {
-            "cells": MATRIX_CELL_COUNT,
-            "checked_pairs": CHECKED_PAIR_COUNT,
-            "evaluated_counts": {
-                f"{tid}:{tech.value}": count for (tid, tech), count in report.evaluated_counts.items()
-            },
-        },
-        "per_technology": {
-            tech.value: _metrics_json(report.per_technology[tech]) for tech in Technology
-        },
-        "per_technology_dso": {
-            tech.value: _metrics_json(report.per_technology_dso[tech]) for tech in Technology
-        },
-        "completeness_percent": {
-            tech.value: {column: percent(frac) for column, frac in table.items()}
-            for tech, table in report.completeness.items()
-        },
-        "completeness_fraction": {
-            tech.value: {column: [frac.numerator, frac.denominator] for column, frac in table.items()}
-            for tech, table in report.completeness.items()
-        },
-        "distance_histograms": {
-            tech.value: {
-                "bin_width_km": hist.bin_width_km,
-                "overflow_km": hist.overflow_km,
-                "counts": list(hist.counts),
-                "overflow": hist.overflow,
-            }
-            for tech, hist in report.histograms.items()
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _completeness_csv(report: QualityReport) -> str:
+def _completeness_csv(summary: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["technology", "column", "fraction", "percent"])
-    for tech in Technology:
-        for column in columns_for(tech):
-            frac = report.completeness[tech][column]
-            writer.writerow([tech.value, column, f"{frac.numerator}/{frac.denominator}", percent(frac)])
+    for tech, fractions in summary["completeness_fraction"].items():
+        percents = summary["completeness_percent"][tech]
+        for column, (n, d) in fractions.items():
+            writer.writerow([tech, column, f"{n}/{d}", percents[column]])
     return buf.getvalue()
 
 
-def _histogram_csv(hist: Histogram) -> str:
+def _histogram_csv(hist: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bin_low_km", "bin_high_km", "count"])
-    for (low, high), count in zip(hist.edges_km(), hist.counts):
-        writer.writerow([repr(low), repr(high), count])
-    writer.writerow([repr(hist.overflow_km), "inf", hist.overflow])
+    width = hist["bin_width_km"]
+    for i, count in enumerate(hist["counts"]):
+        writer.writerow([repr(i * width), repr((i + 1) * width), count])
+    writer.writerow([repr(hist["overflow_km"]), "inf", hist["overflow"]])
     return buf.getvalue()
 
 
@@ -376,11 +323,12 @@ def _errors_by_district_csv(failures: Sequence[FailureRecord]) -> str:
 
 def export(
     failures: Sequence[FailureRecord],
-    report: QualityReport,
+    summary: dict,
     out_dir: str | Path,
     formats: Iterable[str] = ("ndjson", "csv", "summary"),
 ) -> list[Path]:
-    """Write failure and summary files; returns the written paths.
+    """Write failure files, and the summary files rendered from the
+    build_report document `summary`; returns the written paths.
 
     Each file is rendered and written to `<name>.tmp` in turn, and the
     temporary files are renamed only after every write has succeeded. A
@@ -406,11 +354,10 @@ def export(
         if "csv" in formats:
             emit("failures.csv", _failures_csv(failures))
         if "summary" in formats:
-            emit("summary.json", summary_json(report))
-            emit("completeness.csv", _completeness_csv(report))
-            for tech in Technology:
-                if tech in report.histograms:
-                    emit(f"distance_histogram_{tech.value}.csv", _histogram_csv(report.histograms[tech]))
+            emit("summary.json", summary_json(summary))
+            emit("completeness.csv", _completeness_csv(summary))
+            for tech, hist in summary["distance_histograms"].items():
+                emit(f"distance_histogram_{tech}.csv", _histogram_csv(hist))
             emit("errors_by_district.csv", _errors_by_district_csv(failures))
         for path in written:
             os.replace(tmp(path), path)
@@ -454,7 +401,7 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
         if not file.is_file():
             raise ReportError(f"missing {what} file: {file}")
     failures = load_failures_ndjson(failures_path)
-    cells = {f"{tid}:{tech.value}": tid for tid, techs in CHECKMARKS.items() for tech in techs}
+    cells = {_cell_key(tid, tech): tid for tid, techs in CHECKMARKS.items() for tech in techs}
     try:
         stored = json.loads(path.read_text(encoding="utf-8"))
         every, dso_only, fractions = blocks = [
@@ -462,8 +409,9 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
         ]
         if any(block.keys() != {tech.value for tech in Technology} for block in blocks):
             raise ValueError("a per-technology object does not name each technology")
+        counts = stored["matrix"]["evaluated_counts"]
         # An object, not a list; KeyError for a key that names no check-marked cell.
-        evaluated = {cells[key] for key in stored["matrix"]["evaluated_counts"].keys()}
+        evaluated = {cells[key] for key in counts.keys()}
         stats, records_dso = ColumnStats(), {}
         for tech in Technology:
             name, table = tech.value, fractions[tech.value]
@@ -481,6 +429,12 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
                 share = stats.fraction(tech, column)
                 if [n, d] != [share.numerator, share.denominator]:
                     raise ValueError(f"{name} {column} {[n, d]!r} is no share of {total} units")
+        # An evaluated test passes every unit of each technology it is check-marked for.
+        for tid in evaluated:
+            for tech in CHECKMARKS[tid]:
+                key = _cell_key(tid, tech)
+                if _count(counts.get(key), key) != stats.totals[tech]:
+                    raise ValueError(f"{key} counts {counts[key]} of {stats.totals[tech]} units")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
     return FailureSet(failures, dict(stats.totals), records_dso, tuple(sorted(evaluated))), stats

@@ -415,15 +415,15 @@ def test_criterion_6_distance_histogram():
     hist = distance_histogram(failures, bin_width_km=5.0, overflow_km=60.0)
     expected_counts = [2, 1, 1] + [0] * 8 + [1]
     ok = (
-        list(hist.counts) == expected_counts
-        and hist.overflow == 3
-        and sum(hist.counts) + hist.overflow == len(distances_km)
+        hist["counts"] == expected_counts
+        and hist["overflow"] == 3
+        and sum(hist["counts"]) + hist["overflow"] == len(distances_km)
     )
     report_line(
-        6, ok, f"bins {list(hist.counts)} overflow {hist.overflow} for distances {distances_km} km"
+        6, ok, f"bins {hist['counts']} overflow {hist['overflow']} for distances {distances_km} km"
     )
-    assert list(hist.counts) == expected_counts
-    assert hist.overflow == 3
+    assert hist["counts"] == expected_counts
+    assert hist["overflow"] == 3
 
 
 def test_criterion_7_pipeline_determinism(tmp_path):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from registrylint import report
+from registrylint import cli, report
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
 from registrylint.ingest import default_mapping
 from registrylint.model import Technology, columns_for
@@ -256,6 +256,21 @@ class TestReportCommand:
         assert main(["report", "--out", str(out), "--bin-width", "10"]) == EXIT_FATAL
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # and no *.tmp
 
+    def test_summary_json_is_the_document_given_to_export(self, synth_dir, tmp_path, monkeypatch):
+        documents = []
+
+        def recording_export(failures, summary, *args, **kwargs):
+            documents.append(summary)
+            return report.export(failures, summary, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "export", recording_export)
+        out = tmp_path / "run"
+        written = []
+        for args in (_validate_args(synth_dir, out), ["report", "--out", str(out), "--bin-width", "2"]):
+            main(args)
+            written.append(json.loads((out / "summary.json").read_text(encoding="utf-8")))
+        assert len(documents) == 2 and written == documents
+
     def test_missing_failures_file_exits_two(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_FATAL
         assert "missing failure file" in capsys.readouterr().err
@@ -345,6 +360,9 @@ _BAD_FAILURE_VALUES = {
     "report-negative-distance": lambda line: {
         **line, "tests": [{"test_id": 10, "detail": "outside", "measured": -12000.0, "measured_unit": "m"}]
     },
+    "report-unknown-test-id": lambda line: {**line, "tests": [{**line["tests"][0], "test_id": 99}]},
+    # Test 9 is check-marked for wind only.
+    "report-unmarked-test": lambda line: {**line, "technology": "biomass", "tests": [{**line["tests"][0], "test_id": 9}]},
 }
 
 
@@ -377,6 +395,9 @@ _BAD_SUMMARY_VALUES = {
     "report-wind-failures-without-wind-units": _without_wind_units,
     "report-dso-failures-without-dso-units": lambda summary: summary["per_technology_dso"]["wind"].update(unit_count=0),
     "report-unchecked-evaluated-cell": lambda summary: summary["matrix"]["evaluated_counts"].update({"9:solar": 20}),
+    "report-evaluated-count-string": lambda summary: summary["matrix"]["evaluated_counts"].update({"1:wind": "20"}),
+    "report-evaluated-count-not-unit-count": lambda summary: summary["matrix"]["evaluated_counts"].update({"1:wind": 7}),
+    "report-evaluated-cell-missing": lambda summary: summary["matrix"]["evaluated_counts"].pop("3:solar"),
     "report-completeness-without-a-column": lambda summary: summary["completeness_fraction"]["wind"].pop("owner_id"),
     "report-share-of-no-units": lambda summary: [
         summary[block]["solar"].update(unit_count=0) for block in ("per_technology", "per_technology_dso")

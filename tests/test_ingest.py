@@ -91,18 +91,31 @@ class TestParseRegistry:
         assert result.issues == []
         assert result.rows_total == 0
 
-    def test_unparseable_power_becomes_null_with_issue(self, tmp_path):
+    # float() and int() also take digit separators and non-ASCII digits.
+    @pytest.mark.parametrize(
+        "column, field, text",
+        [
+            ("power", "power_kw", "abc"),
+            ("power", "power_kw", "2_000"),
+            ("power", "power_kw", "\u0662\u0660\u0660\u0660"),
+            ("power", "power_kw", "\uff11\uff12.\uff15"),
+            ("installation year", "installation_year", "\u0662\u0660\u0661\u0667"),
+            ("coordinate", "coordinate", "48.1_748, 11.5961"),
+        ],
+        ids=["abc", "underscore", "arabic-indic", "fullwidth", "int-arabic-indic", "coordinate-underscore"],
+    )
+    def test_unparseable_power_becomes_null_with_issue(self, tmp_path, column, field, text):
         path = make_csv(
             tmp_path / "wind.csv",
             Technology.WIND,
-            [{"mastr id": "SEE900000000001", "power": "abc"}],
+            [{"mastr id": "SEE900000000001", column: text}],
         )
         result = read_table(path, Technology.WIND)
         (record,) = result.records
-        assert record.power_kw is None
+        assert getattr(record, field) is None
         (issue,) = result.issues
-        assert issue.field == "power_kw"
-        assert issue.value == "abc"
+        assert issue.field == field
+        assert issue.value == text
         assert result.rows_rejected == 0
 
     def test_german_decimal_comma(self, tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from registrylint.model import FailureRecord, RuleOutcome, Technology, UnitRecord
 from registrylint.report import (
-    Histogram,
     ReportError,
+    _histogram_csv,
     build_report,
     distance_histogram,
     export,
@@ -55,7 +55,7 @@ def _completeness(records, column: str) -> Fraction:
 
 
 def _wind_metrics(failures, records, dso_only=False):
-    """The wind row of a report over these failures and records."""
+    """The wind block of the summary document over these failures and records."""
     failure_set = FailureSet(
         failures=failures,
         records_total={Technology.WIND: len(records)},
@@ -63,7 +63,7 @@ def _wind_metrics(failures, records, dso_only=False):
         evaluated_tests=(),
     )
     report = build_report(failure_set, column_stats(records))
-    return (report.per_technology_dso if dso_only else report.per_technology)[Technology.WIND]
+    return report["per_technology_dso" if dso_only else "per_technology"]["wind"]
 
 
 class TestCompleteness:
@@ -105,13 +105,13 @@ class TestErrorShare:
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(100)]
         failures = [_location_failure(records[i].unit_id, 5000.0) for i in range(3)]
         metrics = _wind_metrics(failures, records)
-        assert metrics.failure_share == pytest.approx(0.03)
-        assert metrics.accumulated_failing_power_kw == pytest.approx(6000.0)
+        assert metrics["failure_share"] == pytest.approx(0.03)
+        assert metrics["accumulated_failing_power_kw"] == pytest.approx(6000.0)
 
     def test_no_failures(self):
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
         metrics = _wind_metrics([], records)
-        assert (metrics.failure_share, metrics.accumulated_failing_power_kw) == (0.0, 0.0)
+        assert (metrics["failure_share"], metrics["accumulated_failing_power_kw"]) == (0.0, 0.0)
 
     def test_dso_filter_restricts_both_sides(self):
         records = [_wind_unit(f"SEE9{i:011d}", dso=i % 2 == 0) for i in range(100)]
@@ -120,14 +120,14 @@ class TestErrorShare:
             _location_failure("SEE900000000001", 5000.0, dso=False),
         ]
         metrics = _wind_metrics(failures, records, dso_only=True)
-        assert metrics.failure_share == pytest.approx(1 / 50)
-        assert metrics.accumulated_failing_power_kw == pytest.approx(2000.0)
+        assert metrics["failure_share"] == pytest.approx(1 / 50)
+        assert metrics["accumulated_failing_power_kw"] == pytest.approx(2000.0)
 
     def test_test_filter(self):
         records = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
         metrics = _wind_metrics([_location_failure("SEE900000000000", 5000.0)], records)
-        assert metrics.per_test.get(11, 0) / metrics.unit_count == 0.0
-        assert metrics.per_test[10] / metrics.unit_count == pytest.approx(0.1)
+        assert metrics["per_test"].get("11", 0) / metrics["unit_count"] == 0.0
+        assert metrics["per_test"]["10"] / metrics["unit_count"] == pytest.approx(0.1)
 
 
 class TestDistanceHistogram:
@@ -138,19 +138,19 @@ class TestDistanceHistogram:
             _location_failure("C", 65_000.0),
         ]
         hist = distance_histogram(failures, bin_width_km=5.0, overflow_km=60.0)
-        assert hist.counts[0] == 1  # [0, 5)
-        assert hist.counts[1] == 1  # [5, 10)
-        assert sum(hist.counts[2:]) == 0
-        assert hist.overflow == 1
-        assert sum(hist.counts) + hist.overflow == 3
+        assert hist["counts"][0] == 1  # [0, 5)
+        assert hist["counts"][1] == 1  # [5, 10)
+        assert sum(hist["counts"][2:]) == 0
+        assert hist["overflow"] == 1
+        assert sum(hist["counts"]) + hist["overflow"] == 3
 
     def test_empty_failures(self):
         hist = distance_histogram([], bin_width_km=5.0, overflow_km=60.0)
-        assert sum(hist.counts) == 0 and hist.overflow == 0
+        assert sum(hist["counts"]) == 0 and hist["overflow"] == 0
 
     def test_overflow_boundary_lands_in_overflow(self):
         hist = distance_histogram([_location_failure("A", 60_000.0)], bin_width_km=5.0, overflow_km=60.0)
-        assert hist.overflow == 1
+        assert hist["overflow"] == 1
 
     def test_unmeasured_failures_not_binned(self):
         fr = FailureRecord(
@@ -159,7 +159,7 @@ class TestDistanceHistogram:
             failed=(RuleOutcome("A", 10, False, "unknown region key", None, None),),
         )
         hist = distance_histogram([fr])
-        assert sum(hist.counts) + hist.overflow == 0
+        assert sum(hist["counts"]) + hist["overflow"] == 0
 
     def test_non_positive_bin_width_rejected(self):
         with pytest.raises(ReportError, match="bin width"):
@@ -168,7 +168,7 @@ class TestDistanceHistogram:
     def test_bin_count_that_underflows_keeps_one_bin(self):
         # 1e-30 / 1e300 is 0.0 in floating point; a zero distance still needs a bin.
         hist = distance_histogram([_location_failure("A", 0.0)], bin_width_km=1e300, overflow_km=1e-30)
-        assert hist.counts == (1,) and hist.overflow == 0
+        assert hist["counts"] == [1] and hist["overflow"] == 0
 
     @pytest.mark.parametrize("width_km, overflow_km", [(0.7, 63.0), (3.3, 214.5)])
     def test_distance_just_below_overflow_lands_in_last_bin(self, width_km, overflow_km):
@@ -179,7 +179,7 @@ class TestDistanceHistogram:
         failure = _location_failure("A", distance_km * 1000.0)
         assert failure.failed[0].measured / 1000.0 == distance_km
         hist = distance_histogram([failure], bin_width_km=width_km, overflow_km=overflow_km)
-        assert hist.counts[-1] == sum(hist.counts) == 1 and hist.overflow == 0
+        assert hist["counts"][-1] == sum(hist["counts"]) == 1 and hist["overflow"] == 0
 
     @given(
         distances=st.lists(st.floats(min_value=0.0, max_value=500.0, allow_nan=False), max_size=40),
@@ -189,8 +189,8 @@ class TestDistanceHistogram:
         failures = [_location_failure(f"U{i}", d * 1000.0) for i, d in enumerate(distances)]
         coarse = distance_histogram(failures, bin_width_km=width, overflow_km=60.0)
         fine = distance_histogram(failures, bin_width_km=width / 2.0, overflow_km=60.0)
-        assert sum(coarse.counts) + coarse.overflow == sum(fine.counts) + fine.overflow == len(distances)
-        assert coarse.overflow == fine.overflow
+        assert sum(coarse["counts"]) + coarse["overflow"] == sum(fine["counts"]) + fine["overflow"] == len(distances)
+        assert coarse["overflow"] == fine["overflow"]
 
 
 class TestNdjsonRoundTrip:
@@ -257,8 +257,8 @@ class TestExport:
         # A unit can fail several tests, so tallies sum to at least the
         # distinct failing-unit count.
         _, report = run_outputs
-        for tech, metrics in report.per_technology.items():
-            assert sum(metrics.per_test.values()) >= metrics.failing_unit_count
+        for tech, metrics in report["per_technology"].items():
+            assert sum(metrics["per_test"].values()) >= metrics["failing_unit_count"]
 
     def test_completeness_csv_style(self, run_outputs, tmp_path):
         failure_set, report = run_outputs
@@ -272,7 +272,7 @@ class TestExport:
 
 class TestHistogramEdges:
     def test_edges_cover_overflow_threshold(self):
-        hist = Histogram(bin_width_km=7.0, overflow_km=60.0, counts=(0,) * 9, overflow=0)
-        edges = hist.edges_km()
+        hist = {"bin_width_km": 7.0, "overflow_km": 60.0, "counts": [0] * 9, "overflow": 0}
+        edges = [tuple(map(float, row.split(",")[:2])) for row in _histogram_csv(hist).splitlines()[1:-1]]
         assert edges[0] == (0.0, 7.0)
         assert edges[-1][1] >= 60.0
