@@ -170,13 +170,22 @@ def _parse_coordinate(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
+# From Python 3.11 on, date.fromisoformat also reads the ISO basic and week
+# forms ("20170101", "2017-W01-1"); a date cell is YYYY-MM-DD on every
+# version, and fromisoformat checks that its other characters are ASCII digits.
+def _parse_date(text: str) -> date:
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError("not a YYYY-MM-DD date")
+    return date.fromisoformat(text)
+
+
 # The cell codec of each UnitRecord field type: parse turns a stripped,
 # non-blank cell into the value that model.value_problem then checks (None:
 # the text is the value), and format writes a present value back.
 _CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
     "float | None": (_parse_float, repr),
     "int | None": (_parse_int, str),
-    "date | None": (date.fromisoformat, date.isoformat),
+    "date | None": (_parse_date, date.isoformat),
     "bool | None": (_parse_bool, lambda value: "1" if value else "0"),
     "tuple[float, float] | None": (_parse_coordinate, lambda value: f"{value[0]!r}, {value[1]!r}"),
     "str | None": (None, str),
@@ -231,72 +240,67 @@ class RegistryReader:
         blank = [None] * len(RECORD_FIELDS)
         blank[_FIELD_POS["technology"]] = self.technology
         with open(self.path, newline="", encoding="utf-8") as handle:
-            csv_reader = csv.reader(handle, delimiter=self.delimiter)
-            reader = self._rows(csv_reader)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{self.path}: missing header row")
-            index = {name: i for i, name in enumerate(header)}
-            missing = [e.raw for e in self.entries if e.raw not in index]
-            if missing:
-                raise IngestError(f"{self.path}: missing mandatory columns: {', '.join(missing)}")
-            # Text cells are stored as read; every other column gets its
-            # parse function here, once.
-            text_columns = []
-            parsed_columns = []
-            for e in self.entries:
-                parse = _codec(e)
-                if parse is None:
-                    text_columns.append((index[e.raw], _FIELD_POS[e.field]))
-                else:
-                    parsed_columns.append(
-                        (e.field, index[e.raw], _FIELD_POS[e.field], parse, e.field in CHECKED_FIELDS)
-                    )
-            width = len(header)
+            reader = csv.reader(handle, delimiter=self.delimiter)
+            # Undecodable bytes and csv errors (such as a cell over the field
+            # size limit) become an IngestError naming the file and line.
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise IngestError(f"{self.path}: missing header row")
+                index = {name: i for i, name in enumerate(header)}
+                missing = [e.raw for e in self.entries if e.raw not in index]
+                if missing:
+                    raise IngestError(f"{self.path}: missing mandatory columns: {', '.join(missing)}")
+                # Text cells are stored as read; every other column gets its
+                # parse function here, once.
+                text_columns = []
+                parsed_columns = []
+                for e in self.entries:
+                    parse = _codec(e)
+                    if parse is None:
+                        text_columns.append((index[e.raw], _FIELD_POS[e.field]))
+                    else:
+                        parsed_columns.append(
+                            (e.field, index[e.raw], _FIELD_POS[e.field], parse, e.field in CHECKED_FIELDS)
+                        )
+                width = len(header)
 
-            # A row starts on the line after the previous row's last line;
-            # quoted cells can hold newlines.
-            consumed = csv_reader.line_num
-            for row in reader:
-                line_no, consumed = consumed + 1, csv_reader.line_num
-                self.rows_total += 1
-                if len(row) != width:
-                    self.rows_rejected += 1
-                    issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
-                    continue
-                values = blank.copy()
-                for col, pos in text_columns:
-                    text = row[col].strip()
-                    if text:
-                        values[pos] = text
-                for name, col, pos, parse, checked in parsed_columns:
-                    text = row[col].strip()
-                    if not text:
+                # A row starts on the line after the previous row's last line;
+                # quoted cells can hold newlines.
+                consumed = reader.line_num
+                for row in reader:
+                    line_no, consumed = consumed + 1, reader.line_num
+                    self.rows_total += 1
+                    if len(row) != width:
+                        self.rows_rejected += 1
+                        issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
                         continue
-                    try:
-                        value = parse(text)
-                        problem = checked and value_problem(name, value)
-                        if problem:
-                            raise ValueError(problem)
-                        values[pos] = value
-                    except (ValueError, OverflowError) as exc:
-                        issues.append(ParseIssue(line_no, name, text, str(exc)))
-                mid = values[_MUNICIPALITY_POS]
-                if values[_DISTRICT_POS] is None and isinstance(mid, str) and len(mid) == 8 and mid.isdigit():
-                    values[_DISTRICT_POS] = mid[:5]
-                yield checked_record(values)
-
-    def _rows(self, reader) -> Iterator[list[str]]:
-        """The csv reader's rows; undecodable bytes and csv errors (such as
-        a cell over the field size limit) become an IngestError naming the
-        file and line."""
-        try:
-            yield from reader
-        except csv.Error as exc:
-            raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            line_no = _undecodable_line(self.path)
-            raise IngestError(f"{self.path}: line {line_no}: not utf-8 text ({exc.reason})") from None
+                    values = blank.copy()
+                    for col, pos in text_columns:
+                        text = row[col].strip()
+                        if text:
+                            values[pos] = text
+                    for name, col, pos, parse, checked in parsed_columns:
+                        text = row[col].strip()
+                        if not text:
+                            continue
+                        try:
+                            value = parse(text)
+                            problem = checked and value_problem(name, value)
+                            if problem:
+                                raise ValueError(problem)
+                            values[pos] = value
+                        except (ValueError, OverflowError) as exc:
+                            issues.append(ParseIssue(line_no, name, text, str(exc)))
+                    mid = values[_MUNICIPALITY_POS]
+                    if values[_DISTRICT_POS] is None and isinstance(mid, str) and len(mid) == 8 and mid.isdigit():
+                        values[_DISTRICT_POS] = mid[:5]
+                    yield checked_record(values)
+            except csv.Error as exc:
+                raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                line_no = _undecodable_line(self.path)
+                raise IngestError(f"{self.path}: line {line_no}: not utf-8 text ({exc.reason})") from None
 
 
 def _undecodable_line(path: Path) -> int:

@@ -4,8 +4,9 @@ Metrics: per-technology error shares and accumulated failing power (with
 a DSO-verified-subset variant of everything), column completeness, and
 distance-to-boundary histograms for location failures. build_report
 returns them as the summary.json document, a dict of JSON values, and
-export renders every summary file from that one document. Exports are
-deterministic: identical inputs produce byte-identical files.
+export renders every summary file from that one document. Every CSV file
+is written by _csv, where a null is an empty cell and a float its repr.
+Exports are deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -165,40 +166,22 @@ def build_report(
         fractions[name] = {column: [share.numerator, share.denominator] for column, share in shares.items()}
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
         histograms[name] = distance_histogram(tech_failures, bin_width_km, overflow)
-    evaluated = failure_set.evaluated_counts()
+    # An evaluated test sees every unit of each technology it is check-marked
+    # for; load_run checks this rule. The sort fixes the order of CHECKMARKS'
+    # sets, whose enum hashes differ from process to process.
+    evaluated = {
+        _cell_key(tid, tech): failure_set.records_total.get(tech, 0)
+        for tid in failure_set.evaluated_tests
+        for tech in sorted(CHECKMARKS[tid], key=lambda t: t.value)
+    }
     return {
-        "matrix": {
-            "cells": MATRIX_CELL_COUNT,
-            "checked_pairs": CHECKED_PAIR_COUNT,
-            "evaluated_counts": {_cell_key(tid, tech): count for (tid, tech), count in evaluated.items()},
-        },
+        "matrix": {"cells": MATRIX_CELL_COUNT, "checked_pairs": CHECKED_PAIR_COUNT, "evaluated_counts": evaluated},
         "per_technology": per_technology,
         "per_technology_dso": per_technology_dso,
         "completeness_percent": percents,
         "completeness_fraction": fractions,
         "distance_histograms": histograms,
     }
-
-
-FAILURE_CSV_COLUMNS = (
-    "unit_id",
-    "technology",
-    "test_ids",
-    "detail",
-    "measured",
-    "measured_unit",
-    "power_kw",
-    "district_id",
-    "municipality_id",
-)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # The keys of a failure line (in FailureRecord's field order) and of each
@@ -248,6 +231,10 @@ def failure_from_json(payload: dict) -> FailureRecord:
         # The suite runs a test only for the technologies it is check-marked for.
         if tech not in CHECKMARKS.get(t["test_id"], ()):
             raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
+    # The suite runs each test once and lists a failing unit's tests by id.
+    test_ids = [t["test_id"] for t in tests]
+    if not test_ids or test_ids != sorted(set(test_ids)):
+        raise ValueError(f"tests {test_ids} are not one or more distinct ids in ascending order")
     failed = tuple(
         RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
     )
@@ -258,25 +245,36 @@ def _failures_ndjson(failures: Sequence[FailureRecord]) -> str:
     return "".join(json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n" for fr in failures)
 
 
-def _failures_csv(failures: Sequence[FailureRecord]) -> str:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV file's text: csv writes None as an empty cell and a float as
+    its repr, the shortest text that reads back to the same float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FAILURE_CSV_COLUMNS)
-    for fr in failures:
-        writer.writerow(
-            [
-                _cell(fr.unit_id),
-                fr.technology.value,
-                ";".join(str(o.test_id) for o in fr.failed),
-                ";".join(o.detail for o in fr.failed),
-                ";".join(_cell(o.measured) for o in fr.failed),
-                ";".join(_cell(o.measured_unit) for o in fr.failed),
-                _cell(fr.power_kw),
-                _cell(fr.district_id),
-                _cell(fr.municipality_id),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _failures_csv(failures: Sequence[FailureRecord]) -> str:
+    header = (
+        "unit_id", "technology", "test_ids", "detail", "measured", "measured_unit", "power_kw", "district_id",
+        "municipality_id",
+    )
+    rows = (
+        (
+            fr.unit_id,
+            fr.technology.value,
+            ";".join(str(o.test_id) for o in fr.failed),
+            ";".join(o.detail for o in fr.failed),
+            ";".join("" if o.measured is None else repr(o.measured) for o in fr.failed),
+            ";".join(o.measured_unit or "" for o in fr.failed),
+            fr.power_kw,
+            fr.district_id,
+            fr.municipality_id,
+        )
+        for fr in failures
+    )
+    return _csv(header, rows)
 
 
 def summary_json(summary: dict) -> str:
@@ -284,25 +282,19 @@ def summary_json(summary: dict) -> str:
 
 
 def _completeness_csv(summary: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["technology", "column", "fraction", "percent"])
-    for tech, fractions in summary["completeness_fraction"].items():
-        percents = summary["completeness_percent"][tech]
-        for column, (n, d) in fractions.items():
-            writer.writerow([tech, column, f"{n}/{d}", percents[column]])
-    return buf.getvalue()
+    rows = (
+        (tech, column, f"{n}/{d}", summary["completeness_percent"][tech][column])
+        for tech, fractions in summary["completeness_fraction"].items()
+        for column, (n, d) in fractions.items()
+    )
+    return _csv(("technology", "column", "fraction", "percent"), rows)
 
 
 def _histogram_csv(hist: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_low_km", "bin_high_km", "count"])
     width = hist["bin_width_km"]
-    for i, count in enumerate(hist["counts"]):
-        writer.writerow([repr(i * width), repr((i + 1) * width), count])
-    writer.writerow([repr(hist["overflow_km"]), "inf", hist["overflow"]])
-    return buf.getvalue()
+    rows = [(i * width, (i + 1) * width, count) for i, count in enumerate(hist["counts"])]
+    rows.append((hist["overflow_km"], "inf", hist["overflow"]))
+    return _csv(("bin_low_km", "bin_high_km", "count"), rows)
 
 
 def _errors_by_district_csv(failures: Sequence[FailureRecord]) -> str:
@@ -313,12 +305,8 @@ def _errors_by_district_csv(failures: Sequence[FailureRecord]) -> str:
             key = (district, outcome.test_id)
             count, power = acc.get(key, (0, 0.0))
             acc[key] = (count + 1, power + (fr.power_kw or 0.0))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["district_id", "test_id", "count", "accumulated_power_kw"])
-    for (district, test_id), (count, power) in sorted(acc.items()):
-        writer.writerow([district, test_id, count, repr(power)])
-    return buf.getvalue()
+    rows = ((district, test_id, count, power) for (district, test_id), (count, power) in sorted(acc.items()))
+    return _csv(("district_id", "test_id", "count", "accumulated_power_kw"), rows)
 
 
 def export(

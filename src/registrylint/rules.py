@@ -559,14 +559,6 @@ class FailureSet:
     def total_records(self) -> int:
         return sum(self.records_total.values())
 
-    def evaluated_counts(self) -> dict[tuple[int, Technology], int]:
-        """Records passed through each evaluated (test, technology) cell."""
-        return {
-            (tid, tech): self.records_total.get(tech, 0)
-            for tid in self.evaluated_tests
-            for tech in sorted(CHECKMARKS[tid], key=lambda t: t.value)
-        }
-
     def failing_unit_count(self) -> int:
         return count_failing_units(self.failures)
 

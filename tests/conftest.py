@@ -6,7 +6,7 @@ import pytest
 
 from registrylint.model import Technology, UnitRecord
 from registrylint.geo import BoundarySet
-from registrylint.report import ColumnStats
+from registrylint.report import ColumnStats, build_report
 from registrylint.rules import Boundaries, RuleConfig, evaluate_record
 from registrylint.synth import make_boundary_grid
 
@@ -131,3 +131,13 @@ def column_stats(records) -> ColumnStats:
     for record in records:
         stats.update(record)
     return stats
+
+
+def evaluated_counts(failure_set, records) -> dict[tuple[int, Technology], int]:
+    """The summary's matrix.evaluated_counts, keyed by (test id, technology)."""
+    counts = build_report(failure_set, column_stats(records))["matrix"]["evaluated_counts"]
+    cells = {}
+    for key, count in counts.items():
+        tid, tech = key.split(":")
+        cells[(int(tid), Technology(tech))] = count
+    return cells

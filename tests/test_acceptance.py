@@ -18,7 +18,7 @@ from registrylint.report import distance_histogram, percent
 from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, check_unique_ids, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
-from conftest import column_stats, example_record, location_outcomes, outcome_of
+from conftest import column_stats, evaluated_counts, example_record, location_outcomes, outcome_of
 from geo_oracle import oracle_distance_to_boundary, oracle_point_in_region
 from test_geo import kernel_fixture_regions, lon_offset_deg, random_star_region, square_region
 from test_report import _location_failure, _wind_unit
@@ -488,7 +488,7 @@ def test_criterion_9_matrix_conformance(grid, config):
     mutated, _ = inject_errors(records, ErrorInjectionSpec(rates=spec_rates), 17, boundaries=grid)
     result = run_suite(mutated, grid, config)
 
-    evaluated = result.evaluated_counts()
+    evaluated = evaluated_counts(result, mutated)
     stray_evaluated = [(tid, t.value) for tid, t in evaluated if t not in CHECKMARKS[tid]]
     stray_failures = [
         (o.test_id, fr.technology.value)

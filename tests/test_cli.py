@@ -363,6 +363,10 @@ _BAD_FAILURE_VALUES = {
     "report-unknown-test-id": lambda line: {**line, "tests": [{**line["tests"][0], "test_id": 99}]},
     # Test 9 is check-marked for wind only.
     "report-unmarked-test": lambda line: {**line, "technology": "biomass", "tests": [{**line["tests"][0], "test_id": 9}]},
+    # The first failure is biomass, test 12 only.
+    "report-repeated-test": lambda line: {**line, "tests": line["tests"] * 2},
+    "report-tests-out-of-order": lambda line: {**line, "tests": [*line["tests"], {**line["tests"][0], "test_id": 1}]},
+    "report-no-tests": lambda line: {**line, "tests": []},
 }
 
 

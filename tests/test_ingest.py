@@ -91,31 +91,43 @@ class TestParseRegistry:
         assert result.issues == []
         assert result.rows_total == 0
 
-    # float() and int() also take digit separators and non-ASCII digits.
+    # float() and int() also take digit separators and non-ASCII digits, and
+    # date.fromisoformat takes the ISO basic and week forms from Python 3.11 on.
     @pytest.mark.parametrize(
-        "column, field, text",
+        "technology, column, field, text, reason",
         [
-            ("power", "power_kw", "abc"),
-            ("power", "power_kw", "2_000"),
-            ("power", "power_kw", "\u0662\u0660\u0660\u0660"),
-            ("power", "power_kw", "\uff11\uff12.\uff15"),
-            ("installation year", "installation_year", "\u0662\u0660\u0661\u0667"),
-            ("coordinate", "coordinate", "48.1_748, 11.5961"),
+            (Technology.WIND, "power", "power_kw", "abc", "not a number"),
+            (Technology.WIND, "power", "power_kw", "2_000", "not an ASCII number"),
+            (Technology.WIND, "power", "power_kw", "\u0662\u0660\u0660\u0660", "not an ASCII number"),
+            (Technology.WIND, "power", "power_kw", "\uff11\uff12.\uff15", "not an ASCII number"),
+            (Technology.WIND, "installation year", "installation_year", "\u0662\u0660\u0661\u0667", "not an ASCII number"),
+            (Technology.WIND, "coordinate", "coordinate", "48.1_748, 11.5961", "not an ASCII number"),
+            (Technology.WIND, "power", "power_kw", "inf", "not finite"),
+            (Technology.WIND, "grid operator inspection", "grid_operator_inspection", "vielleicht", "not a boolean"),
+            (Technology.WIND, "coordinate", "coordinate", "48.1", "expected 'latitude, longitude'"),
+            (Technology.WIND, "coordinate", "coordinate", "nan, 11.5", "not finite"),
+            (Technology.SOLAR, "number of modules", "number_of_modules", "-3", "negative count"),
+            (Technology.WIND, "commissioning date", "commissioning_date", "20170101", "not a YYYY-MM-DD date"),
+            (Technology.WIND, "commissioning date", "commissioning_date", "2017-W01-1", "not a YYYY-MM-DD date"),
         ],
-        ids=["abc", "underscore", "arabic-indic", "fullwidth", "int-arabic-indic", "coordinate-underscore"],
+        ids=[
+            "abc", "underscore", "arabic-indic", "fullwidth", "int-arabic-indic", "coordinate-underscore", "inf",
+            "not-a-boolean", "one-coordinate", "nan-coordinate", "negative-modules", "basic-date", "week-date",
+        ],
     )
-    def test_unparseable_power_becomes_null_with_issue(self, tmp_path, column, field, text):
+    def test_unparseable_power_becomes_null_with_issue(self, tmp_path, technology, column, field, text, reason):
         path = make_csv(
-            tmp_path / "wind.csv",
-            Technology.WIND,
+            tmp_path / "table.csv",
+            technology,
             [{"mastr id": "SEE900000000001", column: text}],
         )
-        result = read_table(path, Technology.WIND)
+        result = read_table(path, technology)
         (record,) = result.records
         assert getattr(record, field) is None
         (issue,) = result.issues
         assert issue.field == field
         assert issue.value == text
+        assert issue.reason == reason
         assert result.rows_rejected == 0
 
     def test_german_decimal_comma(self, tmp_path):

@@ -22,7 +22,7 @@ from registrylint.rules import (
 )
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
 
-from conftest import example_record, location_outcomes, outcome_of
+from conftest import evaluated_counts, example_record, location_outcomes, outcome_of
 from test_model import records
 
 
@@ -649,8 +649,8 @@ class TestRunSuite:
         assert 11 not in result.evaluated_tests
 
     def test_evaluated_counts_follow_matrix(self, grid, example_records, config):
-        result = run_suite(list(example_records.values()), grid, config)
-        counts = result.evaluated_counts()
+        records = list(example_records.values())
+        counts = evaluated_counts(run_suite(records, grid, config), records)
         assert all(tech in CHECKMARKS[tid] for tid, tech in counts)
         assert counts[(1, Technology.WIND)] == 1
         assert (6, Technology.WIND) not in counts

@@ -232,3 +232,45 @@ def test_reference_fixture_bytes_are_pinned(tmp_path):
     assert main(argv) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert written == _REFERENCE_DIGESTS
+
+
+# SHA-256 of the validate outputs of that fixture (rectangle-grid boundaries)
+# that bench/gate.py does not pin, and of the summary and histograms that
+# `report --bin-width 2 --overflow 100` rebuilds from them.
+_VALIDATE_DIGESTS = {
+    "completeness.csv": "1a1882ad3283266834ddaa514f6aa8265d74d9698ee8af78aaed5bec497a8286",
+    "errors_by_district.csv": "abaade3c807b0c7b0963bd06010158ec6d03b242d85f21346573d6b75398288c",
+    "distance_histogram_biomass.csv": "8f2272c79b6d10279ccaa49dadfe0aea0bf2e3c0f7d06f6f35ac2ae2bd5ac03b",
+    "distance_histogram_combustion.csv": "d71fece2d791d40e23e4937f0d176da5abd2ad5015c5b0c0b5ec0757d2af95b0",
+    "distance_histogram_hydro.csv": "a786a9ebbcc488f5dc9738354b943d3caf9dac2fe8e4d2c1f8825718b4863161",
+    "distance_histogram_solar.csv": "9cb4e0213bedc127ef0f4762d10f968af9daceba63012732dd17f442fad33911",
+    "distance_histogram_storage.csv": "d71fece2d791d40e23e4937f0d176da5abd2ad5015c5b0c0b5ec0757d2af95b0",
+    "distance_histogram_wind.csv": "5403ae4c2dd0831e799f737ce0cd01ec84c21fdec69c124672845ae8c8055efc",
+}
+_REPORT_DIGESTS = {
+    "summary.json": "0ea7fd1b79949e5ae9b3d7e03e4300587ed4e1900e1378d9aac1f10c9600d166",
+    "distance_histogram_biomass.csv": "7d1955a140f37004b91230df06334d5e1ad4fcf2be7850300f07a26c8345364c",
+    "distance_histogram_combustion.csv": "fc743e58b292241e635f58035aa7bab5ec9cb3098ce1d44bfb7d2bd3e7cfe1c8",
+    "distance_histogram_hydro.csv": "48d6391d70e994908b16fb2ec5d275bb660bdf393f57c04e67bf6e2153948485",
+    "distance_histogram_solar.csv": "dffc107ff8ffb0feb69773cce512b099211790e6cfa419dc9a267ce0534dec6b",
+    "distance_histogram_storage.csv": "fc743e58b292241e635f58035aa7bab5ec9cb3098ce1d44bfb7d2bd3e7cfe1c8",
+    "distance_histogram_wind.csv": "dffc107ff8ffb0feb69773cce512b099211790e6cfa419dc9a267ce0534dec6b",
+}
+
+
+def test_reference_fixture_outputs_are_pinned(tmp_path):
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    assert main(["synth", "--count", "200", "--seed", "7", "--error-rate", "0.05", "--out", str(fixture)]) == 0
+    argv = ["validate", "--out", str(out)]
+    for tech in Technology:
+        argv += ["--input", f"{tech.value}={fixture / f'{tech.value}.csv'}"]
+    for kind in ("districts", "municipalities"):
+        argv += [f"--{kind}", str(fixture / f"{kind}.geojson")]
+    assert main(argv) == 1  # the fixture has failing units
+
+    def digests(names):
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+    assert digests(_VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
+    assert main(["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]) == 0
+    assert digests(_REPORT_DIGESTS) == _REPORT_DIGESTS
