@@ -132,17 +132,18 @@ def cmd_validate(args) -> int:
         if missing:
             raise ConfigError(f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}")
 
+    delimiter = file_cfg.get("csv", {}).get("delimiter", ",")
+    readers = [
+        RegistryReader(path, tech, mapping, delimiter=delimiter)
+        for tech, path in sorted(inputs.items(), key=lambda kv: kv[0].value)
+    ]
+
     region_keys = file_cfg.get("boundary_keys", {})
     parsed = {
         level: parse_boundaries(path, level, region_key=region_keys.get(level))
         for level, path in boundary_files.items()
     }
     boundaries = Boundaries(districts=parsed.get("district"), municipalities=parsed.get("municipality"))
-    delimiter = file_cfg.get("csv", {}).get("delimiter", ",")
-    readers = [
-        RegistryReader(path, tech, mapping, delimiter=delimiter)
-        for tech, path in sorted(inputs.items(), key=lambda kv: kv[0].value)
-    ]
     stats = ColumnStats()
     failure_set = run_suite(_stream_records(readers, stats, args.dso_only), boundaries, rule_config)
     issues = sum(len(r.issues) for r in readers)

@@ -342,23 +342,24 @@ def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
     return best
 
 
-def outside_clearance_m(lat: float, lon: float, region: Region) -> float | None:
-    """None for a point inside the region, else its boundary clearance."""
+def buffer_clearance_m(lat: float, lon: float, region: Region, buffer_m: float) -> float | None:
+    """The location tests' verdict: None for a point inside the region or,
+    when buffer_m > 0, within buffer_m of its boundary; else the point's
+    boundary clearance in meters."""
     if point_in_region(lat, lon, region):
         return None
-    return boundary_clearance_m(lat, lon, region)
+    clearance = boundary_clearance_m(lat, lon, region)
+    return None if buffer_m > 0.0 and clearance <= buffer_m else clearance
 
 
 def contains_with_buffer(lat: float, lon: float, region: Region, buffer_m: float) -> bool:
     """True iff the point is inside the region or within buffer_m of its boundary."""
     if buffer_m < 0:
         raise ValueError(f"buffer_m must be >= 0, got {buffer_m!r}")
-    if point_in_region(lat, lon, region):
-        return True
-    return buffer_m > 0.0 and boundary_clearance_m(lat, lon, region) <= buffer_m
+    return buffer_clearance_m(lat, lon, region, buffer_m) is None
 
 
 def distance_to_boundary(lat: float, lon: float, region: Region) -> float:
     """0 for interior points, else min geodesic distance to the boundary."""
-    clearance = outside_clearance_m(lat, lon, region)
+    clearance = buffer_clearance_m(lat, lon, region, 0.0)
     return 0.0 if clearance is None else clearance

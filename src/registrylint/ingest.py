@@ -101,22 +101,22 @@ class ColumnMapping:
         entries: dict[Technology, tuple[MappingEntry, ...]] = {}
         for tech_name, rows in payload.items():
             try:
-                entries[Technology(tech_name)] = tuple(
-                    MappingEntry(raw=r[0], field=r[1], factor=_factor(r[2] if len(r) > 2 else None)) for r in rows
-                )
-            except (ValueError, TypeError, IndexError, OverflowError) as exc:
+                entries[Technology(tech_name)] = tuple(_entry(row) for row in rows)
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise IngestError(f"mapping for {tech_name!r} is malformed: {exc}") from None
         return cls(entries)
 
 
-def _factor(value) -> float:
-    """A mapping row's unit factor: a JSON number (not a string or boolean),
-    1 when absent or null."""
-    if value is None:
-        return 1.0
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"unit factor must be a number, got {value!r}")
-    return float(value)
+def _entry(row) -> MappingEntry:
+    """A mapping row: an array of the raw column and the field, two strings,
+    and an optional unit factor, a JSON number (not a string or boolean), 1
+    when absent or null."""
+    if not (isinstance(row, list) and len(row) in (2, 3) and all(isinstance(name, str) for name in row[:2])):
+        raise TypeError(f"a row is [raw column, field] or [raw column, field, unit factor], got {row!r}")
+    factor = 1.0 if len(row) == 2 or row[2] is None else row[2]
+    if isinstance(factor, bool) or not isinstance(factor, (int, float)):
+        raise TypeError(f"unit factor must be a number, got {factor!r}")
+    return MappingEntry(row[0], row[1], float(factor))
 
 
 def default_mapping() -> ColumnMapping:
@@ -212,7 +212,8 @@ class RegistryReader:
     checked as it is parsed (model.value_problem) and the column mapping
     only targets fields the technology carries, so records skip
     UnitRecord's own checks; only rows of the wrong width are rejected.
-    Tables are read as UTF-8.
+    Tables are read as UTF-8; a leading byte-order mark is dropped. A header
+    that names a mapped column more than once is an IngestError.
     """
 
     def __init__(
@@ -239,7 +240,7 @@ class RegistryReader:
         issues = self.issues
         blank = [None] * len(RECORD_FIELDS)
         blank[_FIELD_POS["technology"]] = self.technology
-        with open(self.path, newline="", encoding="utf-8") as handle:
+        with open(self.path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=self.delimiter)
             # Undecodable bytes and csv errors (such as a cell over the field
             # size limit) become an IngestError naming the file and line.
@@ -251,6 +252,9 @@ class RegistryReader:
                 missing = [e.raw for e in self.entries if e.raw not in index]
                 if missing:
                     raise IngestError(f"{self.path}: missing mandatory columns: {', '.join(missing)}")
+                repeated = [e.raw for e in self.entries if header.count(e.raw) > 1]
+                if repeated:
+                    raise IngestError(f"{self.path}: header names mapped columns more than once: {', '.join(repeated)}")
                 # Text cells are stored as read; every other column gets its
                 # parse function here, once.
                 text_columns = []

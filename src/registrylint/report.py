@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import RECORD_FIELDS, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
+from .model import FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
 from .rules import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT, FailureSet, count_failing_units
 
 # Distances beyond these defaults collapse into one overflow bin.
@@ -34,11 +34,7 @@ MAX_BINS = 100_000
 
 
 class ReportError(Exception):
-    """Raised for unusable report inputs (unknown columns, malformed failure files)."""
-
-
-# Completeness is tracked for every canonical column except the table key.
-_COMPLETENESS_COLUMNS: tuple[str, ...] = tuple(n for n in RECORD_FIELDS if n != "technology")
+    """Raised for unusable report inputs (malformed failure or summary files, histogram settings)."""
 
 
 def percent(fraction: Fraction) -> int:
@@ -48,30 +44,24 @@ def percent(fraction: Fraction) -> int:
 
 @dataclass
 class ColumnStats:
-    """Streaming per-technology non-null counters for the completeness table."""
+    """Streaming per-technology non-null counters for the completeness table;
+    the units are counted once, by the suite's FailureSet.records_total."""
 
-    totals: dict[Technology, int] = field(default_factory=dict)
     non_null: dict[Technology, dict[str, int]] = field(default_factory=dict)
 
     def update(self, record: UnitRecord) -> None:
         tech = record.technology
-        if tech not in self.totals:
-            self.totals[tech] = 0
-            self.non_null[tech] = {name: 0 for name in columns_for(tech)}
-        self.totals[tech] += 1
-        counters = self.non_null[tech]
+        counters = self.non_null.get(tech)
+        if counters is None:
+            counters = self.non_null[tech] = {name: 0 for name in columns_for(tech)}
         for name in counters:
             if getattr(record, name) is not None:
                 counters[name] += 1
 
-    def fraction(self, technology: Technology, column: str) -> Fraction:
-        """Non-null share of a column; an empty table is vacuously complete."""
-        if column not in _COMPLETENESS_COLUMNS:
-            raise ReportError(f"unknown column {column!r}")
-        total = self.totals.get(technology, 0)
-        if total == 0:
-            return Fraction(1)
-        return Fraction(self.non_null[technology][column], total)
+
+def _share(non_null: int, total: int) -> Fraction:
+    """A column's non-null share of `total` units; no units are vacuously complete."""
+    return Fraction(non_null, total) if total else Fraction(1)
 
 
 def distance_histogram(
@@ -150,18 +140,19 @@ def build_report(
 ) -> dict:
     """The summary.json document of one run, a dict of JSON values;
     overflow_km, when given, replaces every technology's default histogram
-    overflow threshold."""
+    overflow threshold. column_stats counts every technology with units."""
     per_technology, per_technology_dso, percents, fractions, histograms = {}, {}, {}, {}, {}
     by_technology: dict[Technology, list[FailureRecord]] = {tech: [] for tech in Technology}
     for fr in failure_set.failures:
         by_technology[fr.technology].append(fr)
     for tech, tech_failures in by_technology.items():
-        name = tech.value
-        per_technology[name] = _metrics(tech_failures, failure_set.records_total.get(tech, 0))
+        name, total = tech.value, failure_set.records_total.get(tech, 0)
+        per_technology[name] = _metrics(tech_failures, total)
         per_technology_dso[name] = _metrics(
             [fr for fr in tech_failures if fr.dso_inspected], failure_set.records_dso.get(tech, 0)
         )
-        shares = {column: column_stats.fraction(tech, column) for column in columns_for(tech)}
+        non_null = column_stats.non_null[tech] if total else dict.fromkeys(columns_for(tech), 0)
+        shares = {column: _share(non_null[column], total) for column in columns_for(tech)}
         percents[name] = {column: percent(share) for column, share in shares.items()}
         fractions[name] = {column: [share.numerator, share.denominator] for column, share in shares.items()}
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
@@ -400,10 +391,10 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
         counts = stored["matrix"]["evaluated_counts"]
         # An object, not a list; KeyError for a key that names no check-marked cell.
         evaluated = {cells[key] for key in counts.keys()}
-        stats, records_dso = ColumnStats(), {}
+        stats, records_total, records_dso = ColumnStats(), {}, {}
         for tech in Technology:
             name, table = tech.value, fractions[tech.value]
-            total = stats.totals[tech] = _count(every[name]["unit_count"], f"{name} unit_count")
+            total = records_total[tech] = _count(every[name]["unit_count"], f"{name} unit_count")
             dso = records_dso[tech] = _count(dso_only[name]["unit_count"], f"{name} DSO unit_count")
             if dso > total:
                 raise ValueError(f"{name} has {dso} DSO-inspected units of {total}")
@@ -413,16 +404,16 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
             for column, (n, d) in table.items():
                 if not _count(n, column) <= _count(d, column) or d == 0:
                     raise ValueError(f"{name} {column} is no fraction: {[n, d]!r}")
-                stats.non_null[tech][column] = n * total // d
-                share = stats.fraction(tech, column)
+                non_null = stats.non_null[tech][column] = n * total // d
+                share = _share(non_null, total)
                 if [n, d] != [share.numerator, share.denominator]:
                     raise ValueError(f"{name} {column} {[n, d]!r} is no share of {total} units")
         # An evaluated test passes every unit of each technology it is check-marked for.
         for tid in evaluated:
             for tech in CHECKMARKS[tid]:
                 key = _cell_key(tid, tech)
-                if _count(counts.get(key), key) != stats.totals[tech]:
-                    raise ValueError(f"{key} counts {counts[key]} of {stats.totals[tech]} units")
+                if _count(counts.get(key), key) != records_total[tech]:
+                    raise ValueError(f"{key} counts {counts[key]} of {records_total[tech]} units")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
-    return FailureSet(failures, dict(stats.totals), records_dso, tuple(sorted(evaluated))), stats
+    return FailureSet(failures, records_total, records_dso, tuple(sorted(evaluated))), stats

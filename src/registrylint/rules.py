@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .geo import BoundarySet, outside_clearance_m
+from .geo import BoundarySet, buffer_clearance_m
 from .model import POWER_FIELD, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
 
 
@@ -341,8 +341,8 @@ def _location(level_name: str, region_field: str):
     """Tests 10 and 11: coordinates lie in the registered region of one
     level, up to the configured buffer around its boundary.
 
-    The boundary clearance is computed once: it decides the buffer verdict
-    and is the failure's measured distance.
+    geo.buffer_clearance_m gives the verdict, and the boundary clearance
+    of a failing point, which is the failure's measured distance.
     """
 
     def compile_location(config, tech, boundaries, fail):
@@ -360,8 +360,8 @@ def _location(level_name: str, region_field: str):
             if region is None:
                 return fail(r.unit_id, f"unknown region key {region_id!r} ({level.level})")
             lat, lon = r.coordinate
-            clearance = outside_clearance_m(lat, lon, region)
-            if clearance is None or (buffer_m > 0.0 and clearance <= buffer_m):
+            clearance = buffer_clearance_m(lat, lon, region, buffer_m)
+            if clearance is None:
                 return None
             return fail(r.unit_id, f"coordinate {clearance:.0f} m outside registered {level.level} {region_id}",
                         clearance)
@@ -581,9 +581,9 @@ def run_suite(
     Emits one FailureRecord per unit failing at least one test, sorted by
     unit id (input order breaks ties), with all failed tests listed.
     Location tests run only when boundary sets are supplied. Output is
-    deterministic for identical input and configuration. Memory holds the
-    key fields of the first record per distinct unit id and of every
-    record of a duplicated id, and the failures.
+    deterministic for identical input and configuration. Memory holds one
+    flat tuple of key fields for the first record per distinct unit id and
+    for every record of a duplicated id, and the failures.
 
     jobs (>= 1) is kept for callers that pass it: the suite runs in the
     calling process, so the result does not depend on it.
@@ -594,12 +594,12 @@ def run_suite(
     checks = {tech: tuple(check for _, check in pairs) for tech, pairs in compiled.items()}
     totals: Counter[Technology] = Counter()
     dso_totals: Counter[Technology] = Counter()
-    # A record's meta is (unit_id, technology value, power_kw, district_id,
-    # municipality_id, dso): atomic values only, so the collector stops
-    # tracking these tuples at its first pass.
-    first_seen: dict[str, tuple[int, tuple]] = {}  # unit id -> (ordinal, meta)
-    duplicates: dict[str, list[tuple[int, tuple]]] = {}
-    failing: dict[int, tuple[tuple, list[RuleOutcome]]] = {}  # ordinal -> (meta, outcomes)
+    # A record's meta is (ordinal, unit_id, technology value, power_kw,
+    # district_id, municipality_id, dso): atomic values only, so the
+    # collector stops tracking these tuples at its first pass.
+    first_seen: dict[str, tuple] = {}  # unit id -> meta of its first record
+    duplicates: dict[str, list[tuple]] = {}
+    failing: dict[tuple, list[RuleOutcome]] = {}  # meta -> failed tests
     power_field = POWER_FIELD
     outcome_class = RuleOutcome
     for i, record in enumerate(records):
@@ -619,24 +619,22 @@ def run_suite(
         uid = record.unit_id
         if failed is None and uid is None:
             continue
-        meta = (uid, tech.value, getattr(record, power_field[tech]), record.district_id, record.municipality_id, dso)
+        meta = (i, uid, tech.value, getattr(record, power_field[tech]), record.district_id, record.municipality_id, dso)
         if failed is not None:
-            failing[i] = (meta, failed)
+            failing[meta] = failed
         if uid is not None:
-            first = first_seen.setdefault(uid, (i, meta))
-            if first[0] != i:
-                duplicates.setdefault(uid, [first]).append((i, meta))
+            first = first_seen.setdefault(uid, meta)
+            if first is not meta:
+                duplicates.setdefault(uid, [first]).append(meta)
 
     # Suite-level test 2: every record of a duplicate-id group fails.
     for uid, members in duplicates.items():
         outcome = _duplicate_id(uid, len(members))
-        for ordinal, meta in members:
-            failing.setdefault(ordinal, (meta, []))[1].append(outcome)
+        for meta in members:
+            failing.setdefault(meta, []).append(outcome)
 
     failures: list[FailureRecord] = []
-    for ordinal in sorted(failing, key=lambda o: (failing[o][0][0] or "", o)):
-        meta, outcomes = failing[ordinal]
+    for meta, outcomes in sorted(failing.items(), key=lambda item: (item[0][1] or "", item[0][0])):
         outcomes.sort(key=lambda o: o.test_id)
-        technology = Technology(meta[1])
-        failures.append(FailureRecord(meta[0], technology, meta[2], meta[3], meta[4], meta[5], tuple(outcomes)))
+        failures.append(FailureRecord(meta[1], Technology(meta[2]), *meta[3:], tuple(outcomes)))
     return FailureSet(failures, dict(totals), dict(dso_totals), evaluated)

@@ -1,13 +1,14 @@
 """Shared fixtures: boundary grids and consistent per-technology records."""
 
 from datetime import date
+from fractions import Fraction
 
 import pytest
 
 from registrylint.model import Technology, UnitRecord
 from registrylint.geo import BoundarySet
 from registrylint.report import ColumnStats, build_report
-from registrylint.rules import Boundaries, RuleConfig, evaluate_record
+from registrylint.rules import Boundaries, RuleConfig, evaluate_record, run_suite
 from registrylint.synth import make_boundary_grid
 
 # One municipality per technology so example records can carry coordinates
@@ -131,6 +132,14 @@ def column_stats(records) -> ColumnStats:
     for record in records:
         stats.update(record)
     return stats
+
+
+def completeness(records, technology: Technology, column: str) -> tuple[Fraction, int]:
+    """A column's completeness fraction and percent, as build_report writes
+    them into the summary of a run over these records."""
+    summary = build_report(run_suite(records), column_stats(records))
+    numerator, denominator = summary["completeness_fraction"][technology.value][column]
+    return Fraction(numerator, denominator), summary["completeness_percent"][technology.value][column]
 
 
 def evaluated_counts(failure_set, records) -> dict[tuple[int, Technology], int]:

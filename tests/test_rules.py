@@ -1,13 +1,15 @@
 """Test-catalog behavior: every published example value plus the suite
 invariants (matrix conformance, null ownership, determinism, aggregation)."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from registrylint.geo import EARTH_RADIUS_M
+from registrylint.geo import EARTH_RADIUS_M, boundary_clearance_m, contains_with_buffer
 from registrylint.model import POWER_FIELD, Technology, UnitRecord
 from registrylint.rules import (
     CATALOG,
@@ -291,6 +293,12 @@ class TestLocation:
         record = example_record(grid, Technology.WIND)
         out10, out11 = location_outcomes(record, districts, municipalities, cfg)
         assert out10.passed and out11.passed
+        # Lon 10.0 is the west edge of district 10001 and of its municipality
+        # 10001000; a point on an edge is inside, with no buffer too.
+        on_edge = replace(example_record(grid, Technology.WIND, municipality_id="10001000"), coordinate=(48.1, 10.0))
+        for config in (cfg, RuleConfig(buffer_m=0.0)):
+            out10, out11 = location_outcomes(on_edge, districts, municipalities, config)
+            assert out10.passed and out11.passed
 
     def test_just_outside_municipality_within_buffer(self, grid, indexed_grid, cfg):
         districts, municipalities = indexed_grid
@@ -315,6 +323,28 @@ class TestLocation:
         assert not out10.passed
         assert out10.measured == pytest.approx(30_000.0, rel=5e-3)
         assert not out11.passed
+
+    def test_1m_outside_with_no_buffer_fails_with_its_clearance(self, grid, indexed_grid):
+        districts, municipalities = indexed_grid
+        lat, lon = 48.1, 10.0 - lon_offset_deg(1.0, 48.1)  # west of district 10001 and municipality 10001000
+        record = replace(example_record(grid, Technology.WIND, municipality_id="10001000"), coordinate=(lat, lon))
+        outcomes = location_outcomes(record, districts, municipalities, RuleConfig(buffer_m=0.0))
+        for outcome, region in zip(outcomes, (districts.regions["10001"], municipalities.regions["10001000"])):
+            assert not outcome.passed
+            assert outcome.measured == boundary_clearance_m(lat, lon, region)
+            assert outcome.measured == pytest.approx(1.0, rel=5e-3)
+
+    @pytest.mark.parametrize("buffer_m", [0.0, 1400.0, 1600.0])
+    def test_verdict_is_contains_with_buffer(self, grid, indexed_grid, buffer_m):
+        districts, municipalities = indexed_grid
+        config = RuleConfig(buffer_m=buffer_m)
+        regions = (districts.regions["10001"], municipalities.regions["10001000"])
+        # West of lon 10.0, the edge both regions share; a negative offset is inside.
+        for offset_m in (-1200.0, 0.0, 1.0, 1200.0, 1500.0, 30_000.0):
+            lat, lon = 48.1, 10.0 - lon_offset_deg(offset_m, 48.1)
+            record = replace(example_record(grid, Technology.WIND, municipality_id="10001000"), coordinate=(lat, lon))
+            for outcome, region in zip(location_outcomes(record, districts, municipalities, config), regions):
+                assert outcome.passed == contains_with_buffer(lat, lon, region, buffer_m)
 
     def test_unknown_region_key_fails(self, grid, indexed_grid, cfg):
         districts, municipalities = indexed_grid
@@ -640,6 +670,20 @@ class TestRunSuite:
             assert sorted(suite_map[uid], key=lambda o: o.test_id) == sorted(
                 outcomes, key=lambda o: o.test_id
             )
+
+    def test_bookkeeping_peak_stays_under_200_bytes_per_record(self, grid, config):
+        records = [record for tech in Technology for record in generate_clean(tech, 1000, 11, grid)]
+        run_suite(records, None, config)  # warm-up
+        # A full collection empties the interpreter's tuple free lists, so
+        # that every tuple the suite keeps is a traced allocation.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_suite(records, None, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(records) <= 200
 
     def test_suite_without_boundaries_skips_location_tests(self, grid, config):
         record = replace(example_record(grid, Technology.WIND), coordinate=(0.0, 0.0))
