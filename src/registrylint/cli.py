@@ -89,14 +89,10 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
     return inputs
 
 
-def _stream_records(readers: list[RegistryReader], stats: ColumnStats, dso_only: bool) -> Iterable:
+def _stream_records(readers: list[RegistryReader]) -> Iterable:
     for reader in readers:
         print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
-        for record in reader:
-            if dso_only and record.grid_operator_inspection is not True:
-                continue
-            stats.update(record)
-            yield record
+        yield from reader
 
 
 def cmd_validate(args) -> int:
@@ -134,7 +130,7 @@ def cmd_validate(args) -> int:
 
     delimiter = file_cfg.get("csv", {}).get("delimiter", ",")
     readers = [
-        RegistryReader(path, tech, mapping, delimiter=delimiter)
+        RegistryReader(path, tech, mapping, delimiter=delimiter, dso_only=args.dso_only)
         for tech, path in sorted(inputs.items(), key=lambda kv: kv[0].value)
     ]
 
@@ -144,8 +140,8 @@ def cmd_validate(args) -> int:
         for level, path in boundary_files.items()
     }
     boundaries = Boundaries(districts=parsed.get("district"), municipalities=parsed.get("municipality"))
-    stats = ColumnStats()
-    failure_set = run_suite(_stream_records(readers, stats, args.dso_only), boundaries, rule_config)
+    failure_set = run_suite(_stream_records(readers), boundaries, rule_config)
+    stats = ColumnStats({reader.technology: reader.non_null for reader in readers})
     issues = sum(len(r.issues) for r in readers)
     rejected = sum(r.rows_rejected for r in readers)
     rows = sum(r.rows_total for r in readers)

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import date
+from itertools import compress, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -33,6 +34,8 @@ from .model import (
 _FIELD_POS = {name: i for i, name in enumerate(RECORD_FIELDS)}
 _MUNICIPALITY_POS = _FIELD_POS["municipality_id"]
 _DISTRICT_POS = _FIELD_POS["district_id"]
+_DSO_POS = _FIELD_POS["grid_operator_inspection"]
+_TECHNOLOGY_POS = _FIELD_POS["technology"]
 
 
 class IngestError(Exception):
@@ -133,13 +136,15 @@ def default_mapping() -> ColumnMapping:
 def _parse_float(text: str) -> float:
     if not text.isascii() or "_" in text:
         raise ValueError("not an ASCII number")
-    try:
-        value = float(text)
-    except ValueError:
+    if "," in text:
         # Accept German decimal commas ("5,5"), but not mixed separators.
-        if text.count(",") == 1 and "." not in text:
-            value = float(text.replace(",", "."))
-        else:
+        if text.count(",") > 1 or "." in text:
+            raise ValueError("not a number")
+        value = float(text.replace(",", "."))
+    else:
+        try:
+            value = float(text)
+        except ValueError:
             raise ValueError("not a number") from None
     if not math.isfinite(value):
         raise ValueError("not finite")
@@ -194,27 +199,46 @@ _CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
 _QUANTITY = "float | None"
 
 
-def _codec(entry: MappingEntry) -> Callable[[str], object] | None:
-    """The parse function of one mapped column, with its unit factor."""
+def _converter(entry: MappingEntry) -> Callable[[str], object] | None:
+    """The one call that turns a stripped, non-blank cell of a mapped column
+    into its field's value: parse, unit factor and model.value_problem. It
+    raises ValueError or OverflowError, whose text is the cell issue's
+    reason. None for a text column, whose text is the value."""
     parse = _CODECS[FIELD_TYPES[entry.field]][0]
-    factor = entry.factor
-    if factor == 1:
+    name, factor = entry.field, entry.factor
+    # Only quantities take a unit factor, and every quantity is checked.
+    if parse is None or name not in CHECKED_FIELDS:
         return parse
-    return lambda text: parse(text) * factor
+    def convert(text: str):
+        value = parse(text) if factor == 1 else parse(text) * factor
+        problem = value_problem(name, value)
+        if problem:
+            raise ValueError(problem)
+        return value
+
+    return convert
 
 
 class RegistryReader:
     """Streaming CSV reader yielding UnitRecords in file order.
 
-    Issues, row totals and rejected-row counts accumulate on the reader
-    while it is consumed. Memory holds one row and every ParseIssue, one
-    per unparseable cell, so it is not bounded by one row. Every cell is
-    checked as it is parsed (model.value_problem) and the column mapping
-    only targets fields the technology carries, so records skip
-    UnitRecord's own checks; only rows of the wrong width are rejected.
-    Tables are read as UTF-8; a leading byte-order mark is dropped. A header
-    that names a mapped column more than once is an IngestError.
+    Issues, row totals, rejected-row counts and the non-null count of each
+    column accumulate on the reader while it is consumed. The table is read
+    in blocks of BLOCK_ROWS rows, and each mapped column of a block is
+    converted as one list: one converter call per non-blank cell, which
+    parses it and checks the value (model.value_problem). Memory holds one
+    block and every ParseIssue, one per unparseable cell, so it is not
+    bounded by one block. Since every cell is checked and the column
+    mapping only targets fields the technology carries, records are built
+    by checked_record, without UnitRecord.__post_init__; only rows of the
+    wrong width are rejected. With dso_only, a row whose grid operator
+    inspection is not true is read for its cell issues but neither counted
+    nor yielded. Tables are read as UTF-8; a leading byte-order mark is
+    dropped. A header that names a mapped column more than once is an
+    IngestError.
     """
+
+    BLOCK_ROWS = 128  # rows converted together; memory holds one block of rows and values
 
     def __init__(
         self,
@@ -223,6 +247,7 @@ class RegistryReader:
         mapping: ColumnMapping | None = None,
         *,
         delimiter: str = ",",
+        dso_only: bool = False,
     ):
         if not isinstance(technology, Technology):
             raise TypeError(f"technology must be a Technology, got {technology!r}")
@@ -232,14 +257,19 @@ class RegistryReader:
         self.technology = technology
         self.entries = (mapping or default_mapping()).for_technology(technology)
         self.delimiter = delimiter
+        self.dso_only = dso_only
         self.issues: list[ParseIssue] = []
         self.rows_total = 0
         self.rows_rejected = 0
+        self._counts = [0] * len(RECORD_FIELDS)
+
+    @property
+    def non_null(self) -> dict[str, int]:
+        """Non-null values per column the technology carries, counted a
+        block at a time; complete once the reader is consumed."""
+        return {name: self._counts[_FIELD_POS[name]] for name in columns_for(self.technology)}
 
     def __iter__(self) -> Iterator[UnitRecord]:
-        issues = self.issues
-        blank = [None] * len(RECORD_FIELDS)
-        blank[_FIELD_POS["technology"]] = self.technology
         with open(self.path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=self.delimiter)
             # Undecodable bytes and csv errors (such as a cell over the field
@@ -255,56 +285,79 @@ class RegistryReader:
                 repeated = [e.raw for e in self.entries if header.count(e.raw) > 1]
                 if repeated:
                     raise IngestError(f"{self.path}: header names mapped columns more than once: {', '.join(repeated)}")
-                # Text cells are stored as read; every other column gets its
-                # parse function here, once.
-                text_columns = []
-                parsed_columns = []
-                for e in self.entries:
-                    parse = _codec(e)
-                    if parse is None:
-                        text_columns.append((index[e.raw], _FIELD_POS[e.field]))
-                    else:
-                        parsed_columns.append(
-                            (e.field, index[e.raw], _FIELD_POS[e.field], parse, e.field in CHECKED_FIELDS)
-                        )
+                # Each mapped column: its position in the header, the field it
+                # fills and the converter of its cells (None: text).
+                plan = [(index[e.raw], e.field, _FIELD_POS[e.field], _converter(e)) for e in self.entries]
                 width = len(header)
 
                 # A row starts on the line after the previous row's last line;
                 # quoted cells can hold newlines.
                 consumed = reader.line_num
-                for row in reader:
-                    line_no, consumed = consumed + 1, reader.line_num
-                    self.rows_total += 1
-                    if len(row) != width:
-                        self.rows_rejected += 1
-                        issues.append(ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}"))
-                        continue
-                    values = blank.copy()
-                    for col, pos in text_columns:
-                        text = row[col].strip()
-                        if text:
-                            values[pos] = text
-                    for name, col, pos, parse, checked in parsed_columns:
-                        text = row[col].strip()
-                        if not text:
-                            continue
-                        try:
-                            value = parse(text)
-                            problem = checked and value_problem(name, value)
-                            if problem:
-                                raise ValueError(problem)
-                            values[pos] = value
-                        except (ValueError, OverflowError) as exc:
-                            issues.append(ParseIssue(line_no, name, text, str(exc)))
-                    mid = values[_MUNICIPALITY_POS]
-                    if values[_DISTRICT_POS] is None and isinstance(mid, str) and len(mid) == 8 and mid.isdigit():
-                        values[_DISTRICT_POS] = mid[:5]
-                    yield checked_record(values)
+                while True:
+                    rows, lines, found = [], [], []
+                    for row in islice(reader, self.BLOCK_ROWS):
+                        line_no, consumed = consumed + 1, reader.line_num
+                        if len(row) == width:
+                            rows.append(row)
+                            lines.append(line_no)
+                        else:
+                            issue = ParseIssue(line_no, None, None, f"expected {width} cells, got {len(row)}")
+                            found.append((line_no, -1, issue))
+                    if not (rows or found):
+                        return
+                    self.rows_total += len(rows) + len(found)
+                    self.rows_rejected += len(found)
+                    values = self._block_values(rows, lines, plan, found) if rows else ()
+                    if found:
+                        found.sort(key=lambda item: item[:2])
+                        self.issues.extend(issue for _, _, issue in found)
+                    yield from map(checked_record, zip(*values))
             except csv.Error as exc:
                 raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
             except UnicodeDecodeError as exc:
                 line_no = _undecodable_line(self.path)
                 raise IngestError(f"{self.path}: line {line_no}: not utf-8 text ({exc.reason})") from None
+
+    def _block_values(self, rows: list[list[str]], lines: list[int], plan: list, found: list) -> list[list]:
+        """Each field's values, in RECORD_FIELDS order, over the kept rows of
+        a block, added to the non-null counts. The rows have the header's
+        width and start on `lines`. Cell issues go to `found`, keyed by line
+        and by the column's place in the mapping (a whole row's issue has
+        place -1)."""
+        nones = [None] * len(rows)
+        slots = [nones] * len(RECORD_FIELDS)
+        slots[_TECHNOLOGY_POS] = [self.technology] * len(rows)
+        table = list(zip(*rows))
+        for order, (col, name, pos, convert) in enumerate(plan):
+            texts = list(map(str.strip, table[col]))
+            if convert is None:
+                slots[pos] = [text or None for text in texts]
+                continue
+            try:
+                slots[pos] = [convert(text) if text else None for text in texts]
+            except (ValueError, OverflowError):
+                # A cell of this column is bad: convert it cell by cell.
+                slots[pos] = values = []
+                for line_no, text in zip(lines, texts):
+                    value = None
+                    if text:
+                        try:
+                            value = convert(text)
+                        except (ValueError, OverflowError) as exc:
+                            found.append((line_no, order, ParseIssue(line_no, name, text, str(exc))))
+                    values.append(value)
+        # A municipality id of eight digits gives a missing district id.
+        slots[_DISTRICT_POS] = [
+            mid[:5] if district is None and mid is not None and len(mid) == 8 and mid.isdigit() else district
+            for district, mid in zip(slots[_DISTRICT_POS], slots[_MUNICIPALITY_POS])
+        ]
+        if self.dso_only:
+            kept = [flag is True for flag in slots[_DSO_POS]]
+            slots = [list(compress(values, kept)) for values in slots]
+        counts = self._counts
+        for pos, values in enumerate(slots):
+            counts[pos] += len(values) - values.count(None)
+        return slots
 
 
 def _undecodable_line(path: Path) -> int:

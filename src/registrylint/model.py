@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class Technology(str, Enum):
@@ -32,16 +32,12 @@ def _field(raw: str, *technologies: str):
     return field(default=None, metadata={"raw": raw, "technologies": carried})
 
 
-@dataclass(frozen=True, slots=True)
-class UnitRecord:
-    """One registry unit after transformation to the common data model.
-
-    Each field's declaration is the one statement of its type, its column
-    in the standard export and the technologies that carry it. Immutable.
-    Construction enforces the structural invariants (field applicability
-    per technology, coordinate bounds, non-negative finite quantities).
-    Semantic plausibility is the rule engine's job, not the schema's.
-    """
+@dataclass(slots=True, repr=False, eq=False)
+class _RecordFields:
+    """UnitRecord's fields. Each declaration is the one statement of the
+    field's type, its column in the standard export and the technologies
+    that carry it. The generated __init__ only stores its arguments, one
+    slot each; checked_record builds records with it."""
 
     technology: Technology
     unit_id: str | None = _field("mastr id")
@@ -81,6 +77,22 @@ class UnitRecord:
     plant_type: str | None = _field("plant type", "hydro")
     type_of_inflow: str | None = _field("type of inflow", "hydro")
 
+
+# __slots__ is declared, not dataclass(slots=True), which on Python 3.10
+# would give each field a second slot here.
+@dataclass
+class UnitRecord(_RecordFields):
+    """One registry unit after transformation to the common data model.
+
+    Construction (UnitRecord(...), dataclasses.replace) enforces the
+    structural invariants: field applicability per technology, coordinate
+    bounds, non-negative finite quantities. Semantic plausibility is the
+    rule engine's job, not the schema's. Records are mutable, so not
+    hashable; an assignment is not checked.
+    """
+
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         tech = self.technology
         if not isinstance(tech, Technology):
@@ -97,7 +109,7 @@ class UnitRecord:
         for name in _TEXT_FIELDS:
             value = getattr(self, name)
             if value is not None and (not value or value.strip() != value):
-                object.__setattr__(self, name, value.strip() or None)
+                setattr(self, name, value.strip() or None)
 
 
 # Each field's annotation as written above: the one statement of its type,
@@ -112,7 +124,6 @@ SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
 # Field names in declaration order, reused by ingest and the rule config check.
 RECORD_FIELDS: tuple[str, ...] = tuple(FIELD_TYPES)
 _TEXT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if kind == "str | None")
-_SLOT_SETTERS = tuple(UnitRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
 
 # What a present value of a field must be, beyond the field existing for
 # the record's technology; value_problem tells why a value is not. Every
@@ -156,19 +167,21 @@ def columns_for(technology: Technology) -> tuple[str, ...]:
     return tuple(f.name for f in fields(UnitRecord) if technology in f.metadata.get("technologies", ()))
 
 
-def checked_record(values: list) -> UnitRecord:
-    """A UnitRecord from its field values in RECORD_FIELDS order, built
-    without running __post_init__.
+_store_fields = _RecordFields.__init__
+
+
+def checked_record(values: Sequence) -> UnitRecord:
+    """A UnitRecord from its field values in RECORD_FIELDS order, stored by
+    _RecordFields.__init__ without running UnitRecord.__post_init__.
 
     Only for values that already meet what __post_init__ checks: a
     Technology, no value in a field the technology does not carry
     (SPECIFIC_FIELDS), value_problem None for every present value, and
-    text stripped and not blank. Ingest meets it cell by cell; skipping
-    the generated __init__ and the checks halves the cost of a record.
+    text stripped and not blank. Ingest meets it cell by cell; the plain
+    slot stores cost about an eighth of a checked construction.
     """
     record = object.__new__(UnitRecord)
-    for setter, value in zip(_SLOT_SETTERS, values):
-        setter(record, value)
+    _store_fields(record, *values)
     return record
 
 

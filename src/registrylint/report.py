@@ -44,12 +44,15 @@ def percent(fraction: Fraction) -> int:
 
 @dataclass
 class ColumnStats:
-    """Streaming per-technology non-null counters for the completeness table;
-    the units are counted once, by the suite's FailureSet.records_total."""
+    """Per-technology non-null counters for the completeness table; the
+    units are counted once, by the suite's FailureSet.records_total.
+    validate takes each technology's counters from its RegistryReader."""
 
     non_null: dict[Technology, dict[str, int]] = field(default_factory=dict)
 
     def update(self, record: UnitRecord) -> None:
+        """Count one record's non-null columns. validate does not call it;
+        bench/traced.py times it and the tests use it to recount records."""
         tech = record.technology
         counters = self.non_null.get(tech)
         if counters is None:

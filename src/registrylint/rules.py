@@ -591,7 +591,10 @@ def run_suite(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     compiled, evaluated = _compile(config or RuleConfig(), Boundaries(*(boundaries or ())))
-    checks = {tech: tuple(check for _, check in pairs) for tech, pairs in compiled.items()}
+    # Per technology: its checks, its name for the meta and its power field.
+    plans = {
+        tech: (tuple(check for _, check in pairs), tech.value, POWER_FIELD[tech]) for tech, pairs in compiled.items()
+    }
     totals: Counter[Technology] = Counter()
     dso_totals: Counter[Technology] = Counter()
     # A record's meta is (ordinal, unit_id, technology value, power_kw,
@@ -600,7 +603,6 @@ def run_suite(
     first_seen: dict[str, tuple] = {}  # unit id -> meta of its first record
     duplicates: dict[str, list[tuple]] = {}
     failing: dict[tuple, list[RuleOutcome]] = {}  # meta -> failed tests
-    power_field = POWER_FIELD
     outcome_class = RuleOutcome
     for i, record in enumerate(records):
         tech = record.technology
@@ -608,8 +610,9 @@ def run_suite(
         dso = record.grid_operator_inspection is True
         if dso:
             dso_totals[tech] += 1
+        checks, name, power_field = plans[tech]
         failed = None
-        for check in checks[tech]:
+        for check in checks:
             outcome = check(record)
             if outcome.__class__ is outcome_class:
                 if failed is None:
@@ -619,7 +622,7 @@ def run_suite(
         uid = record.unit_id
         if failed is None and uid is None:
             continue
-        meta = (i, uid, tech.value, getattr(record, power_field[tech]), record.district_id, record.municipality_id, dso)
+        meta = (i, uid, name, getattr(record, power_field), record.district_id, record.municipality_id, dso)
         if failed is not None:
             failing[meta] = failed
         if uid is not None:

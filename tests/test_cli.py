@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from registrylint import cli, report
 from registrylint.cli import EXIT_CLEAN, EXIT_FAILURES, EXIT_FATAL, main
-from registrylint.ingest import default_mapping
+from registrylint.ingest import RegistryReader, default_mapping
 from registrylint.model import Technology, columns_for
 from registrylint.rules import RuleConfig
+
+from conftest import column_stats
 
 
 @pytest.fixture()
@@ -152,6 +154,24 @@ class TestValidateCommand:
                 dso_summary["per_technology"][tech]["unit_count"]
                 < full_summary["per_technology"][tech]["unit_count"]
             )
+
+    def test_dso_only_completeness_counts_only_dso_rows(self, synth_dir, tmp_path):
+        # Under --dso-only each column's completeness is a recount over the
+        # DSO-inspected rows of the input tables alone.
+        out = tmp_path / "dso"
+        assert main(_validate_args(synth_dir, out, "--dso-only")) in (EXIT_CLEAN, EXIT_FAILURES)
+        fractions = json.loads((out / "summary.json").read_text())["completeness_fraction"]
+        changed = 0
+        for tech in Technology:
+            records = list(RegistryReader(synth_dir / f"{tech.value}.csv", tech))
+            inspected = [r for r in records if r.grid_operator_inspection is True]
+            assert 0 < len(inspected) < len(records)
+            every, dso = column_stats(records).non_null[tech], column_stats(inspected).non_null[tech]
+            for column in columns_for(tech):
+                share = Fraction(dso[column], len(inspected))
+                assert fractions[tech.value][column] == [share.numerator, share.denominator], (tech, column)
+                changed += share != Fraction(every[column], len(records))
+        assert changed  # the filter changes some column's share
 
     def test_config_file_via_env(self, synth_dir, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.json"

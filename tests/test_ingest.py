@@ -7,7 +7,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from registrylint.ingest import (
     _CODECS,
@@ -20,10 +20,11 @@ from registrylint.ingest import (
     write_boundaries_geojson,
     write_registry_csv,
 )
-from registrylint.model import FIELD_TYPES, Technology
+from registrylint.model import FIELD_TYPES, Technology, UnitRecord, columns_for
 from registrylint.rules import RuleConfig, fields_read
 from registrylint.synth import generate_clean, make_boundary_grid
 
+from conftest import column_stats
 from test_model import records
 
 
@@ -259,6 +260,53 @@ class TestParseRegistry:
         assert result.rows_rejected == 1
         assert result.rows_total == len(result.records) + result.rows_rejected
 
+    @pytest.mark.parametrize("block_rows", [1, 2, RegistryReader.BLOCK_ROWS])
+    def test_issues_come_in_file_order_whatever_the_block_size(self, tmp_path, block_rows):
+        path = tmp_path / "wind.csv"
+        header = [e.raw for e in default_mapping().for_technology(Technology.WIND)]
+        cells = [
+            {"mastr id": "SEE900000000001", "power": "zwei", "hub height": "-1"},
+            {"mastr id": "SEE900000000002", "commissioning date": "2017-02-30"},
+            None,  # a short row
+            {"mastr id": "SEE900000000004", "power": "2", "hub height": "x", "commissioning date": "1.1.2017"},
+        ]
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row in cells:
+                writer.writerow(["SEE900000000003"] if row is None else [row.get(name, "") for name in header])
+        reader = RegistryReader(path, Technology.WIND)
+        reader.BLOCK_ROWS = block_rows
+        assert [r.unit_id for r in reader] == ["SEE900000000001", "SEE900000000002", "SEE900000000004"]
+        assert [(i.line, i.field) for i in reader.issues] == [
+            (2, "power_kw"),
+            (2, "hub_height_m"),
+            (3, "commissioning_date"),
+            (4, None),
+            (5, "commissioning_date"),
+            (5, "hub_height_m"),
+        ]
+        assert (reader.rows_total, reader.rows_rejected) == (4, 1)
+        assert (reader.non_null["power_kw"], reader.non_null["hub_height_m"]) == (1, 0)
+
+    def test_dso_only_reads_every_row_but_yields_and_counts_inspected_ones(self, tmp_path):
+        path = make_csv(
+            tmp_path / "wind.csv",
+            Technology.WIND,
+            [
+                {"mastr id": "SEE900000000001", "grid operator inspection": "1", "power": "2"},
+                {"mastr id": "SEE900000000002", "grid operator inspection": "0", "power": "x"},
+                {"mastr id": "SEE900000000003", "grid operator inspection": "", "power": "3"},
+                {"mastr id": "SEE900000000004", "grid operator inspection": "ja", "municipality id": "05774032"},
+            ],
+        )
+        reader = RegistryReader(path, Technology.WIND, dso_only=True)
+        assert [r.unit_id for r in reader] == ["SEE900000000001", "SEE900000000004"]
+        assert [(i.line, i.field) for i in reader.issues] == [(3, "power_kw")]
+        assert reader.rows_total == 4
+        counts = reader.non_null
+        assert (counts["unit_id"], counts["power_kw"], counts["municipality_id"], counts["district_id"]) == (2, 1, 1, 1)
+
     def test_custom_delimiter(self, tmp_path):
         path = make_csv(
             tmp_path / "wind.csv",
@@ -336,6 +384,25 @@ class TestRoundTrip:
         assert result.issues == []
         (again,) = result.records
         assert again == record
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        records_in=st.lists(records(), max_size=12),
+        block_rows=st.integers(min_value=1, max_value=RegistryReader.BLOCK_ROWS),
+    )
+    def test_tables_read_back_checked_records_and_their_counts(self, records_in, block_rows, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("tables")
+        for tech in Technology:
+            written = [r for r in records_in if r.technology is tech]
+            write_registry_csv(written, folder / f"{tech.value}.csv", tech)
+            reader = RegistryReader(folder / f"{tech.value}.csv", tech)
+            reader.BLOCK_ROWS = block_rows
+            read = list(reader)
+            assert read == written
+            assert all(type(r) is UnitRecord for r in read)
+            assert [replace(r) for r in read] == read  # UnitRecord's own checks pass
+            expected = column_stats(written).non_null.get(tech, dict.fromkeys(columns_for(tech), 0))
+            assert reader.non_null == expected
 
     def test_synthetic_table_round_trip(self, tmp_path, grid):
         records_out = generate_clean(Technology.SOLAR, 60, 11, grid)
