@@ -11,7 +11,8 @@ Each region builds its query structures on its first query (a region
 that is never queried costs nothing): a latitude-slab edge index for ray
 casting, after Haines, "Point in Polygon Strategies" (Graphics Gems IV,
 1994), and one lat/lon bounding box per block of consecutive edges, which
-bounds the clearance search from below.
+bounds the clearance search from below. An edge longer than
+_SEGMENT_SPLIT_M is split into pieces once, on its first evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from math import asin, cos, radians, sin, sqrt
 
 EARTH_RADIUS_M = 6_371_008.8
+_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 
 # Segments longer than this are split at their lat/lon midpoint before the
 # local-projection minimization; keeps the projection error negligible.
@@ -41,6 +44,8 @@ _BOUND_SLACK_M = 1e-3
 
 LatLon = tuple[float, float]
 Ring = tuple[LatLon, ...]
+# A piece of a long edge: its bounding box and its ends; see _split.
+Piece = tuple[tuple[float, float, float, float, float], tuple[float, float, float, float]]
 
 
 class GeometryError(ValueError):
@@ -142,10 +147,12 @@ class _Prepared:
     bounding box, where cos_min is the least cosine of a latitude in the
     box. Polygon part p starts at vertex part_start[p]. The edges whose
     latitude range meets slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
+    pieces[i] is the _split of edge i, for each edge longer than
+    _SEGMENT_SPLIT_M that a clearance query has evaluated.
     """
 
     __slots__ = ("vertices", "part_start", "edges", "block_box", "lat0", "lat1", "slab_scale", "slab_start",
-                 "slab_edges")
+                 "slab_edges", "pieces")
 
     def __init__(self, region: Region):
         vertices: list[LatLon] = []
@@ -194,6 +201,7 @@ class _Prepared:
         self.lat0, self.lat1, self.slab_scale = lat0, lat1, scale
         self.slab_start = array("I", accumulate(map(len, slabs), initial=0))
         self.slab_edges = array("I", chain.from_iterable(slabs))
+        self.pieces: dict[int, tuple[Piece, ...]] = {}
 
 
 def _prepare(region: Region) -> _Prepared:
@@ -227,50 +235,67 @@ def point_in_region(lat: float, lon: float, region: Region) -> bool:
     return parity != 0
 
 
-def _segment_distance_m(lat: float, lon: float, a: LatLon, b: LatLon) -> float:
-    """Min geodesic distance from a point to a lat/lon-straight segment."""
-    alat, alon = a
-    blat, blon = b
-    span = haversine_m(alat, alon, blat, blon)
-    if span > _SEGMENT_SPLIT_M:
-        mid = ((alat + blat) / 2.0, (alon + blon) / 2.0)
-        return min(_segment_distance_m(lat, lon, a, mid), _segment_distance_m(lat, lon, mid, b))
-    if span == 0.0:
-        return haversine_m(lat, lon, alat, alon)
-
+def _piece_distance_m(
+    lat: float, lon: float, rlat: float, coslat: float, alat: float, alon: float, blat: float, blon: float,
+) -> float:
+    """Min geodesic distance from a point to a lat/lon-straight segment at
+    most _SEGMENT_SPLIT_M long whose ends differ; rlat is radians(lat) and
+    coslat its cosine. Each distance is haversine_m's, bit for bit: the
+    same operations in the same order, with the query's terms computed once.
+    """
     # Seed with the foot point under a local equirectangular projection,
     # then refine along the segment with true haversine evaluations. The
     # distance is flat near its minimum, so the refinement converges fast.
-    coslat = math.cos(math.radians(lat))
-    ax = math.radians(_wrap_degrees(alon - lon)) * coslat
-    ay = math.radians(alat - lat)
-    bx = math.radians(_wrap_degrees(blon - lon)) * coslat
-    by = math.radians(blat - lat)
+    ax = radians(_wrap_degrees(alon - lon)) * coslat
+    ay = radians(alat - lat)
+    bx = radians(_wrap_degrees(blon - lon)) * coslat
+    by = radians(blat - lat)
     dx = bx - ax
     dy = by - ay
     denom = dx * dx + dy * dy
     t_seed = 0.0 if denom == 0.0 else min(1.0, max(0.0, -(ax * dx + ay * dy) / denom))
-
-    def dist_at(t: float) -> float:
-        return haversine_m(lat, lon, alat + t * (blat - alat), alon + t * (blon - alon))
-
-    best_t = t_seed
-    best = dist_at(t_seed)
-    # Coarse sweep guards against a poor seed on distorted projections.
-    for k in range(5):
-        t = k / 4.0
-        d = dist_at(t)
-        if d < best:
-            best, best_t = d, t
+    dlat_ab = blat - alat
+    dlon_ab = blon - alon
+    best, best_t = math.inf, t_seed
+    # First the seed, then a coarse sweep that guards against a poor seed on
+    # distorted projections, then 14 steps of a halving search around the
+    # best t so far. Each t is evaluated inline, as haversine_m(lat, lon,
+    # alat + t * dlat_ab, alon + t * dlon_ab).
+    ts: tuple[float, ...] = (t_seed, 0.0, 0.25, 0.5, 0.75, 1.0)
     step = 0.125
-    for _ in range(14):
-        for t in (best_t - step, best_t + step):
+    for _ in range(15):
+        for t in ts:
             if 0.0 <= t <= 1.0:
-                d = dist_at(t)
+                rlat2 = radians(alat + t * dlat_ab)
+                dlon = radians(alon + t * dlon_ab - lon)
+                a = sin((rlat2 - rlat) / 2.0) ** 2 + coslat * cos(rlat2) * sin(dlon / 2.0) ** 2
+                root = sqrt(a)
+                d = _EARTH_DIAMETER_M * asin(root if root < 1.0 else 1.0)
                 if d < best:
                     best, best_t = d, t
+        ts = (best_t - step, best_t + step)
         step /= 2.0
     return best
+
+
+def _split(alat: float, alon: float, blat: float, blon: float) -> tuple[Piece, ...]:
+    """The pieces of a segment longer than _SEGMENT_SPLIT_M: halves at the
+    lat/lon midpoint, split again until none is longer. A piece is a pair:
+    its bounding box (latlo, lathi, lonlo, lonhi, cos_min), as in a
+    block_box, and its ends (alat, alon, blat, blon). The ends of a piece
+    differ: it is half of a segment longer than _SEGMENT_SPLIT_M."""
+    mlat, mlon = (alat + blat) / 2.0, (alon + blon) / 2.0
+    pieces = []
+    for ends in ((alat, alon, mlat, mlon), (mlat, mlon, blat, blon)):
+        if haversine_m(*ends) > _SEGMENT_SPLIT_M:
+            pieces.extend(_split(*ends))
+        else:
+            plat, plon, qlat, qlon = ends
+            latlo, lathi = (plat, qlat) if plat <= qlat else (qlat, plat)
+            lonlo, lonhi = (plon, qlon) if plon <= qlon else (qlon, plon)
+            cos_min = min(cos(radians(latlo)), cos(radians(lathi)))
+            pieces.append(((latlo, lathi, lonlo, lonhi, cos_min), ends))
+    return tuple(pieces)
 
 
 def _wrap_degrees(dlon: float) -> float:
@@ -300,25 +325,33 @@ def _box_bound_m(
         dlat = 0.0
     east = (lon - lonlo) % 360.0  # how far east of the box's west edge
     dlon = 0.0 if east <= lonhi - lonlo else min(360.0 - east, (lon - lonhi) % 360.0)
-    a = math.sin(math.radians(dlat) / 2.0) ** 2 + coslat * cos_min * math.sin(math.radians(dlon) / 2.0) ** 2
-    distance = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    a = sin(radians(dlat) / 2.0) ** 2 + coslat * cos_min * sin(radians(dlon) / 2.0) ** 2
+    distance = _EARTH_DIAMETER_M * asin(min(1.0, sqrt(a)))
     return distance * (1.0 - _BOUND_SLACK) - _BOUND_SLACK_M
+
+
+def _check_query(lat: float, lon: float) -> None:
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ValueError(f"query at lat {lat!r}, lon {lon!r} outside WGS84 bounds")
 
 
 def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
     """Distance to the nearest ring of the region, ignoring containment.
 
     Visits blocks of edges in ascending order of a lower bound on their
-    distance, and a block's edges in ascending order of their own bound;
+    distance, a block's edges in ascending order of their own bound, and
+    a long edge's pieces in ascending order of theirs; at each level it
     stops at the first bound above the best distance found. The result is
-    the minimum of _segment_distance_m over every segment, bit for bit.
+    the minimum of _piece_distance_m over the pieces of every edge (a short
+    edge is one piece), bit for bit.
     """
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise ValueError(f"query at lat {lat!r}, lon {lon!r} outside WGS84 bounds")
+    _check_query(lat, lon)
     prep = region._prepared or _prepare(region)
     vertices = prep.vertices
     edges = prep.edges
-    coslat = math.cos(math.radians(lat))
+    pieces_of = prep.pieces
+    rlat = radians(lat)
+    coslat = cos(rlat)
     best = math.inf
     for block_bound, b in sorted((_box_bound_m(lat, lon, coslat, *box), b) for b, box in enumerate(prep.block_box)):
         if block_bound > best:
@@ -336,9 +369,25 @@ def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
         for bound, i in edge_bounds:
             if bound > best:
                 break
-            d = _segment_distance_m(lat, lon, vertices[i], vertices[i + 1])
-            if d < best:
-                best = d
+            pieces = pieces_of.get(i)
+            if pieces is None:
+                (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
+                span = haversine_m(alat, alon, blat, blon)
+                if span <= _SEGMENT_SPLIT_M:
+                    if span == 0.0:
+                        d = haversine_m(lat, lon, alat, alon)
+                    else:
+                        d = _piece_distance_m(lat, lon, rlat, coslat, alat, alon, blat, blon)
+                    if d < best:
+                        best = d
+                    continue
+                pieces = pieces_of[i] = _split(alat, alon, blat, blon)
+            for piece_bound, ends in sorted((_box_bound_m(lat, lon, coslat, *box), ends) for box, ends in pieces):
+                if piece_bound > best:
+                    break
+                d = _piece_distance_m(lat, lon, rlat, coslat, *ends)
+                if d < best:
+                    best = d
     return best
 
 
@@ -356,6 +405,11 @@ def contains_with_buffer(lat: float, lon: float, region: Region, buffer_m: float
     """True iff the point is inside the region or within buffer_m of its boundary."""
     if buffer_m < 0:
         raise ValueError(f"buffer_m must be >= 0, got {buffer_m!r}")
+    if buffer_m == 0.0:
+        # No clearance can bring an outside point within a zero buffer. A
+        # query outside WGS84 bounds is an error, as for any other buffer.
+        _check_query(lat, lon)
+        return point_in_region(lat, lon, region)
     return buffer_clearance_m(lat, lon, region, buffer_m) is None
 
 

@@ -4,9 +4,10 @@ Metrics: per-technology error shares and accumulated failing power (with
 a DSO-verified-subset variant of everything), column completeness, and
 distance-to-boundary histograms for location failures. build_report
 returns them as the summary.json document, a dict of JSON values, and
-export renders every summary file from that one document. Every CSV file
-is written by _csv, where a null is an empty cell and a float its repr.
-Exports are deterministic: identical inputs produce byte-identical files.
+export renders every summary file from that one document, and streams
+the failure files line by line. Every CSV file is written by _write_csv,
+where a null is an empty cell and a float its repr. Exports are
+deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from .model import FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
 from .rules import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT, FailureSet, count_failing_units
@@ -193,6 +195,8 @@ _TEST_TYPES = {"test_id": (int,), "detail": (str,), "measured": _NUMBER, "measur
 
 
 def failure_to_json(fr: FailureRecord) -> dict:
+    """The failures.ndjson object of fr, which failure_from_json reads
+    back. Export renders it with _failure_line, without building it."""
     payload = {key: getattr(fr, key) for key in _FAILURE_TYPES}
     payload["technology"] = fr.technology.value
     payload["tests"] = [{key: getattr(o, key) for key in _TEST_TYPES} for o in fr.failed]
@@ -235,40 +239,83 @@ def failure_from_json(payload: dict) -> FailureRecord:
     return FailureRecord(unit_id, tech, *context, failed)
 
 
-def _failures_ndjson(failures: Sequence[FailureRecord]) -> str:
-    return "".join(json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n" for fr in failures)
+def _json_scalar(value) -> str:
+    """value as json.dumps(value, ensure_ascii=False) writes a null, a
+    boolean, a string or a number: with json's own string encoder, and
+    int's or float's repr, NaN and Infinity spelled as json spells them."""
+    if value.__class__ is str:  # the common case first
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _failure_line(fr: FailureRecord) -> str:
+    """The failures.ndjson line of fr: json.dumps(failure_to_json(fr),
+    ensure_ascii=False) and a newline, rendered value by value in
+    failure_to_json's key order, without a dict or a JSONEncoder."""
+    j = _json_scalar
+    tests = ", ".join([
+        f'{{"test_id": {j(o.test_id)}, "detail": {j(o.detail)}, "measured": {j(o.measured)}, '
+        f'"measured_unit": {j(o.measured_unit)}}}'
+        for o in fr.failed
+    ])
+    return (
+        f'{{"unit_id": {j(fr.unit_id)}, "technology": {j(fr.technology.value)}, "power_kw": {j(fr.power_kw)}, '
+        f'"district_id": {j(fr.district_id)}, "municipality_id": {j(fr.municipality_id)}, '
+        f'"dso_inspected": {j(fr.dso_inspected)}, "tests": [{tests}]}}\n'
+    )
+
+
+def _write_csv(handle: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file's rows as they come: csv writes None as an empty
+    cell and a float as its repr, the shortest text that reads back to the
+    same float."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV file's text: csv writes None as an empty cell and a float as
-    its repr, the shortest text that reads back to the same float."""
+    """A CSV file's text, as _write_csv writes it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    _write_csv(buf, header, rows)
     return buf.getvalue()
 
 
-def _failures_csv(failures: Sequence[FailureRecord]) -> str:
-    header = (
-        "unit_id", "technology", "test_ids", "detail", "measured", "measured_unit", "power_kw", "district_id",
-        "municipality_id",
-    )
-    rows = (
-        (
+_FAILURES_CSV_HEADER = (
+    "unit_id", "technology", "test_ids", "detail", "measured", "measured_unit", "power_kw", "district_id",
+    "municipality_id",
+)
+
+
+def _failure_rows(failures: Iterable[FailureRecord]) -> Iterable[tuple]:
+    """The failures.csv rows, one per failure."""
+    for fr in failures:
+        failed = fr.failed
+        yield (
             fr.unit_id,
             fr.technology.value,
-            ";".join(str(o.test_id) for o in fr.failed),
-            ";".join(o.detail for o in fr.failed),
-            ";".join("" if o.measured is None else repr(o.measured) for o in fr.failed),
-            ";".join(o.measured_unit or "" for o in fr.failed),
+            ";".join([str(o.test_id) for o in failed]),
+            ";".join([o.detail for o in failed]),
+            ";".join(["" if o.measured is None else repr(o.measured) for o in failed]),
+            ";".join([o.measured_unit or "" for o in failed]),
             fr.power_kw,
             fr.district_id,
             fr.municipality_id,
         )
-        for fr in failures
-    )
-    return _csv(header, rows)
 
 
 def summary_json(summary: dict) -> str:
@@ -312,10 +359,10 @@ def export(
     """Write failure files, and the summary files rendered from the
     build_report document `summary`; returns the written paths.
 
-    Each file is rendered and written to `<name>.tmp` in turn, and the
-    temporary files are renamed only after every write has succeeded. A
-    run that fails leaves the previous outputs as they were and removes
-    its temporary files.
+    Each file is written to `<name>.tmp` in turn, the failure files line
+    by line, and the temporary files are renamed only after every write
+    has succeeded. A run that fails leaves the previous outputs as they
+    were and removes its temporary files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,16 +372,22 @@ def export(
     def tmp(path: Path) -> Path:
         return path.with_name(path.name + ".tmp")
 
-    def emit(name: str, text: str) -> None:
+    def open_tmp(name: str) -> IO[str]:
         path = out / name
         written.append(path)
-        tmp(path).write_text(text, encoding="utf-8")
+        return open(tmp(path), "w", encoding="utf-8")
+
+    def emit(name: str, text: str) -> None:
+        with open_tmp(name) as handle:
+            handle.write(text)
 
     try:
         if "ndjson" in formats:
-            emit("failures.ndjson", _failures_ndjson(failures))
+            with open_tmp("failures.ndjson") as handle:
+                handle.writelines(map(_failure_line, failures))
         if "csv" in formats:
-            emit("failures.csv", _failures_csv(failures))
+            with open_tmp("failures.csv") as handle:
+                _write_csv(handle, _FAILURES_CSV_HEADER, _failure_rows(failures))
         if "summary" in formats:
             emit("summary.json", summary_json(summary))
             emit("completeness.csv", _completeness_csv(summary))

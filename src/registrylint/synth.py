@@ -94,8 +94,12 @@ def _rect_ring(lat: float, lon: float, dlat: float, dlon: float):
     )
 
 
-def _sample_point_inside(rng: random.Random, region: Region, margin_m: float) -> tuple[float, float]:
-    minlat, minlon, maxlat, maxlon = region.bbox()
+def _sample_point_inside(
+    rng: random.Random, region: Region, bbox: tuple[float, float, float, float], margin_m: float
+) -> tuple[float, float]:
+    """A point inside the region at least margin_m from its boundary,
+    drawn uniformly from bbox, the region's bbox()."""
+    minlat, minlon, maxlat, maxlon = bbox
     for _ in range(500):
         lat = rng.uniform(minlat, maxlat)
         lon = rng.uniform(minlon, maxlon)
@@ -125,13 +129,17 @@ def generate_clean(
         raise SynthError("boundaries with both levels are required for generation")
     rng = random.Random(f"{seed}:{technology.value}")
     muni_ids = sorted(boundaries.municipalities.regions)
+    bboxes: dict[str, tuple[float, float, float, float]] = {}
     records = []
     for i in range(n):
         muni_id = rng.choice(muni_ids)
         muni = boundaries.municipalities.regions[muni_id]
         district_id = muni_id[:5]
         district = boundaries.districts.regions[district_id]
-        coordinate = _sample_point_inside(rng, muni, margin_m)
+        bbox = bboxes.get(muni_id)
+        if bbox is None:
+            bbox = bboxes[muni_id] = muni.bbox()
+        coordinate = _sample_point_inside(rng, muni, bbox, margin_m)
         year = rng.randint(1995 if technology in _YOUNG_TECHS else 1950, 2023)
         common = {
             "technology": technology,

@@ -11,10 +11,12 @@ from registrylint.geo import (
     EARTH_RADIUS_M,
     BoundarySet,
     GeometryError,
+    LatLon,
     PolygonGeom,
     Region,
+    _SEGMENT_SPLIT_M,
     _box_bound_m,
-    _segment_distance_m,
+    _wrap_degrees,
     boundary_clearance_m,
     contains_with_buffer,
     distance_to_boundary,
@@ -119,6 +121,8 @@ def kernel_fixture_regions() -> dict[str, Region]:
             ),
         ),
         "long-edges": random_star_region(rng, "long-edges", 47.0, 12.0, 120.0, 9),
+        # synth's district: a 0.5 degree rectangle with 56 and 37 km sides.
+        "rectangle": square_region("rectangle", 48.0, 10.0, 0.5, 0.5),
         "arctic": region("arctic", PolygonGeom(outer=jagged_ring(rng, 72.5, 25.0, 20.0, 40.0))),
         "antimeridian": region("antimeridian", PolygonGeom(outer=jagged_ring(rng, -17.0, 179.85, 20.0, 30.0))),
     }
@@ -144,6 +148,55 @@ def reference_point_in_region(lat: float, lon: float, region: Region) -> bool:
         if inside:
             return True
     return False
+
+
+# The clearance kernel before edges were split once per region: a recursive
+# split on every call and one haversine_m call per point. The kernel must
+# give its distances bit for bit.
+def _segment_distance_m(lat: float, lon: float, a: LatLon, b: LatLon) -> float:
+    """Min geodesic distance from a point to a lat/lon-straight segment."""
+    alat, alon = a
+    blat, blon = b
+    span = haversine_m(alat, alon, blat, blon)
+    if span > _SEGMENT_SPLIT_M:
+        mid = ((alat + blat) / 2.0, (alon + blon) / 2.0)
+        return min(_segment_distance_m(lat, lon, a, mid), _segment_distance_m(lat, lon, mid, b))
+    if span == 0.0:
+        return haversine_m(lat, lon, alat, alon)
+
+    # Seed with the foot point under a local equirectangular projection,
+    # then refine along the segment with true haversine evaluations. The
+    # distance is flat near its minimum, so the refinement converges fast.
+    coslat = math.cos(math.radians(lat))
+    ax = math.radians(_wrap_degrees(alon - lon)) * coslat
+    ay = math.radians(alat - lat)
+    bx = math.radians(_wrap_degrees(blon - lon)) * coslat
+    by = math.radians(blat - lat)
+    dx = bx - ax
+    dy = by - ay
+    denom = dx * dx + dy * dy
+    t_seed = 0.0 if denom == 0.0 else min(1.0, max(0.0, -(ax * dx + ay * dy) / denom))
+
+    def dist_at(t: float) -> float:
+        return haversine_m(lat, lon, alat + t * (blat - alat), alon + t * (blon - alon))
+
+    best_t = t_seed
+    best = dist_at(t_seed)
+    # Coarse sweep guards against a poor seed on distorted projections.
+    for k in range(5):
+        t = k / 4.0
+        d = dist_at(t)
+        if d < best:
+            best, best_t = d, t
+    step = 0.125
+    for _ in range(14):
+        for t in (best_t - step, best_t + step):
+            if 0.0 <= t <= 1.0:
+                d = dist_at(t)
+                if d < best:
+                    best, best_t = d, t
+        step /= 2.0
+    return best
 
 
 def exhaustive_clearance_m(lat: float, lon: float, region: Region) -> float:
@@ -231,6 +284,30 @@ class TestContainsWithBuffer:
             lat = rng.uniform(48.5, 49.5)
             lon = rng.uniform(7.5, 8.5)
             assert contains_with_buffer(lat, lon, region, 0.0) == point_in_region(lat, lon, region)
+
+    def test_zero_buffer_computes_no_clearance(self, monkeypatch):
+        rng = random.Random(13)
+        region = random_star_region(rng, "S", 49.0, 8.0, 25.0, 9)
+        calls = 0
+        clearance_m = geo.boundary_clearance_m
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return clearance_m(*args)
+
+        monkeypatch.setattr(geo, "boundary_clearance_m", counted)
+        outside = [(lat, 7.5 + 0.01 * k) for k, lat in enumerate((48.5, 49.5) * 50)]
+        assert not any(point_in_region(lat, lon, region) for lat, lon in outside)
+        assert not any(contains_with_buffer(lat, lon, region, 0.0) for lat, lon in outside)
+        assert calls == 0
+        assert contains_with_buffer(48.5, 7.5, region, 1500.0) is False and calls == 1
+
+    @pytest.mark.parametrize("query", [(float("nan"), 8.0), (49.0, 180.5)])
+    def test_zero_buffer_rejects_query_outside_wgs84(self, query):
+        region = square_region("A", 48.9, 7.9, 0.2, 0.2)
+        with pytest.raises(ValueError, match="outside WGS84 bounds"):
+            contains_with_buffer(*query, region, 0.0)
 
     def test_degenerate_region_raises(self):
         line = ((50.0, 10.0), (50.1, 10.1), (50.2, 10.2), (50.0, 10.0))
@@ -420,6 +497,7 @@ class TestKernelEquivalence:
         assert len(regions["multipart"].polygons) == 3
         assert len(regions["holed"].polygons[0].holes) == 2
         assert max(haversine_m(*a, *b) for a, b in edges(regions["long-edges"])) > 25_000.0
+        assert min(haversine_m(*a, *b) for a, b in edges(regions["rectangle"])) > 25_000.0
         assert regions["arctic"].bbox()[0] > 70.0
         lons = [lon for _, lon in regions["antimeridian"].polygons[0].outer]
         assert min(lons) < -179.0 and max(lons) > 179.0
@@ -521,14 +599,14 @@ class TestBlockClearance:
         region = block_fixture_regions()["jagged-4k"]
         edges = _edge_count(region)
         calls = 0
-        segment_distance_m = geo._segment_distance_m
+        piece_distance_m = geo._piece_distance_m
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return segment_distance_m(*args)
+            return piece_distance_m(*args)
 
-        monkeypatch.setattr(geo, "_segment_distance_m", counted)
+        monkeypatch.setattr(geo, "_piece_distance_m", counted)
         # 2 km east of the ring's eastern side, half way up.
         minlat, _, maxlat, maxlon = region.bbox()
         lat = (minlat + maxlat) / 2.0
@@ -536,6 +614,51 @@ class TestBlockClearance:
         clearance = boundary_clearance_m(lat, lon, region)
         assert 1_900.0 < clearance < 2_100.0
         assert 0 < calls < 0.05 * edges, (calls, edges)
+
+
+class TestEdgePieces:
+    """An edge longer than _SEGMENT_SPLIT_M is split once per region, on its
+    first evaluation, and a query evaluates only the pieces it must."""
+
+    def test_long_edges_are_split_once_and_short_edges_never(self):
+        region = kernel_fixture_regions()["long-edges"]
+        ring = region.polygons[0].outer
+        long_edges = {i for i, (a, b) in enumerate(zip(ring, ring[1:])) if haversine_m(*a, *b) > _SEGMENT_SPLIT_M}
+        assert long_edges and len(region.polygons) == 1 and not region.polygons[0].holes
+        copy = Region(region_id="copy", name="copy", polygons=region.polygons)
+        queries = _kernel_queries(random.Random(5), copy, 20)
+        first = [boundary_clearance_m(lat, lon, copy) for lat, lon in queries]
+        split_once = dict(copy._prepared.pieces)
+        assert split_once and set(split_once) <= long_edges
+        assert [boundary_clearance_m(lat, lon, copy) for lat, lon in queries] == first
+        assert copy._prepared.pieces.keys() == split_once.keys()
+        assert all(copy._prepared.pieces[i] is pieces for i, pieces in split_once.items())
+        for i, pieces in copy._prepared.pieces.items():
+            a, b = ring[i], ring[i + 1]
+            assert len(pieces) >= 2
+            assert all(haversine_m(*ends) <= _SEGMENT_SPLIT_M for _, ends in pieces)
+            assert (pieces[0][1][:2], pieces[-1][1][2:]) == (a, b)
+
+    def test_point_beside_one_piece_evaluates_no_far_piece(self, monkeypatch):
+        # 2 km west of the middle of the rectangle's 56 km west side, whose
+        # four 14 km pieces lie 0 to 21 km from the point's latitude.
+        region = square_region("R", 48.0, 10.0, 0.5, 0.5)
+        lat = 48.0 + 0.5 * 3 / 8
+        lon = 10.0 - lon_offset_deg(2_000.0, lat)
+        calls = []
+        piece_distance_m = geo._piece_distance_m
+
+        def counted(*args):
+            calls.append(args[4:])
+            return piece_distance_m(*args)
+
+        monkeypatch.setattr(geo, "_piece_distance_m", counted)
+        clearance = boundary_clearance_m(lat, lon, region)
+        assert clearance == exhaustive_clearance_m(lat, lon, region)
+        assert 1_990.0 < clearance < 2_010.0
+        assert len(calls) == 1
+        alat, alon, blat, blon = calls[0]
+        assert alon == blon == 10.0 and min(alat, blat) < lat < max(alat, blat)
 
 
 class TestRegionValidation:

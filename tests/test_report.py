@@ -1,15 +1,21 @@
 """Aggregation metrics and export determinism."""
 
+import csv
+import io
+import json
 import math
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from registrylint.model import FailureRecord, RuleOutcome, Technology, UnitRecord
 from registrylint.report import (
     ReportError,
+    _failure_line,
     _histogram_csv,
     build_report,
     distance_histogram,
@@ -197,6 +203,91 @@ class TestNdjsonRoundTrip:
     def test_failure_record_round_trips(self):
         fr = _location_failure("SEE900000000007", 12_345.6)
         assert failure_from_json(failure_to_json(fr)) == fr
+
+
+# Text with non-ASCII characters, quotes, backslashes and control characters,
+# all of it UTF-8 (a lone surrogate is no Unicode, and no export writes it).
+_texts = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\r\t\u2028\u00e9\u20ac\U0001f600,;'), st.characters(codec="utf-8"))
+)
+# None, booleans (a bool is an int to isinstance), integers and floats, with
+# -0.0, 1e16, NaN and infinities among them.
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]),
+)
+_failure_records = st.builds(
+    FailureRecord,
+    unit_id=st.none() | _texts,
+    technology=st.sampled_from(Technology),
+    power_kw=_values,
+    district_id=st.none() | _texts,
+    municipality_id=st.none() | _texts,
+    dso_inspected=st.booleans(),
+    failed=st.lists(
+        st.builds(RuleOutcome, st.none() | _texts, st.integers(), st.just(False), _texts, _values, st.none() | _texts),
+        min_size=1, max_size=4,
+    ).map(tuple),
+)
+
+
+def _parent_failures_csv(failures) -> str:
+    """failures.csv as export wrote it before it streamed the file: one
+    csv.writer into a StringIO, its text written at once."""
+    header = (
+        "unit_id", "technology", "test_ids", "detail", "measured", "measured_unit", "power_kw", "district_id",
+        "municipality_id",
+    )
+    rows = (
+        (
+            fr.unit_id,
+            fr.technology.value,
+            ";".join(str(o.test_id) for o in fr.failed),
+            ";".join(o.detail for o in fr.failed),
+            ";".join("" if o.measured is None else repr(o.measured) for o in fr.failed),
+            ";".join(o.measured_unit or "" for o in fr.failed),
+            fr.power_kw,
+            fr.district_id,
+            fr.municipality_id,
+        )
+        for fr in failures
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestStreamedFailureFiles:
+    """export streams the failure files; their bytes are json.dumps's and
+    the csv module's, as when each file was rendered whole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fr=_failure_records)
+    def test_ndjson_line_is_json_dumps(self, fr):
+        assert _failure_line(fr) == json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(failures=st.lists(_failure_records, max_size=5))
+    def test_streamed_files_equal_whole_renderings(self, failures):
+        ndjson = "".join(json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n" for fr in failures)
+        with tempfile.TemporaryDirectory() as tmp:
+            out, reference = Path(tmp) / "out", Path(tmp) / "reference"
+            reference.mkdir()
+            (reference / "failures.ndjson").write_text(ndjson, encoding="utf-8")
+            (reference / "failures.csv").write_text(_parent_failures_csv(failures), encoding="utf-8")
+            export(failures, {}, out, formats=("ndjson", "csv"))
+            for name in ("failures.ndjson", "failures.csv"):
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    def test_unrenderable_value_leaves_no_file(self, tmp_path):
+        fr = replace(_location_failure("SEE900000000007", 12_345.6), power_kw=Fraction(1, 3))
+        with pytest.raises(TypeError, match="Fraction"):
+            json.dumps(failure_to_json(fr))
+        with pytest.raises(TypeError, match="Fraction"):
+            export([fr], {}, tmp_path, formats=("ndjson",))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExport:
