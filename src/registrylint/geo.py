@@ -7,12 +7,13 @@ latitude/longitude space, matching how the boundary files are drawn and
 how ray casting interprets them. Points exactly on an edge count as
 inside.
 
-Each region builds its query structures on its first query (a region
-that is never queried costs nothing): a latitude-slab edge index for ray
-casting, after Haines, "Point in Polygon Strategies" (Graphics Gems IV,
-1994), and one lat/lon bounding box per block of consecutive edges, which
-bounds the clearance search from below. An edge longer than
-_SEGMENT_SPLIT_M is split into pieces once, on its first evaluation.
+A region builds its query structures when first queried (a region that
+is never queried costs nothing). Its first query builds a latitude-slab
+edge index for ray casting, after Haines, "Point in Polygon Strategies"
+(Graphics Gems IV, 1994). Its first clearance query builds a flat table of
+segments: every ring edge, an edge longer than _SEGMENT_SPLIT_M as its
+pieces, with one lat/lon bounding box per block of consecutive segments,
+which bounds the clearance search from below.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import asin, cos, radians, sin, sqrt
+from operator import add
 
 EARTH_RADIUS_M = 6_371_008.8
 _EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
@@ -30,11 +32,15 @@ _EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 # Segments longer than this are split at their lat/lon midpoint before the
 # local-projection minimization; keeps the projection error negligible.
 _SEGMENT_SPLIT_M = 25_000.0
+# No great-circle distance exceeds R * (|dlat| + |dlon|), the differences in
+# radians, so an edge whose degree differences sum to at most this is not
+# longer than _SEGMENT_SPLIT_M; the shrink covers float rounding in haversine_m.
+_SPLIT_SCREEN_DEG = math.degrees(_SEGMENT_SPLIT_M / EARTH_RADIUS_M) * (1.0 - 1e-9)
 
 # Ray casting: about this many edges per latitude slab.
 _EDGES_PER_SLAB = 4
-# Boundary clearance: consecutive edges that share one bounding box.
-_EDGES_PER_BLOCK = 16
+# Boundary clearance: consecutive segments that share one bounding box.
+_SEGMENTS_PER_BLOCK = 16
 # A clearance lower bound is shrunk by this share and these meters, far
 # more than float rounding in haversine_m (worst near the antipode) and in
 # the interpolated segment points can move a distance, so a bound never
@@ -44,8 +50,6 @@ _BOUND_SLACK_M = 1e-3
 
 LatLon = tuple[float, float]
 Ring = tuple[LatLon, ...]
-# A piece of a long edge: its bounding box and its ends; see _split.
-Piece = tuple[tuple[float, float, float, float, float], tuple[float, float, float, float]]
 
 
 class GeometryError(ValueError):
@@ -140,19 +144,15 @@ class _Prepared:
     """A region's query structures, compact enough to keep for every region.
 
     vertices concatenates the region's rings, sharing their vertex tuples;
-    edge i runs from vertices[i] to vertices[i + 1] and never joins two
-    rings. edges lists every edge i. Block b is the run of edges
-    edges[_EDGES_PER_BLOCK * b:_EDGES_PER_BLOCK * (b + 1)], which may span
-    rings, and block_box[b] = (latlo, lathi, lonlo, lonhi, cos_min) is its
-    bounding box, where cos_min is the least cosine of a latitude in the
-    box. Polygon part p starts at vertex part_start[p]. The edges whose
+    an edge i runs from vertices[i] to vertices[i + 1] and never joins two
+    rings. Polygon part p starts at vertex part_start[p]. The edges whose
     latitude range meets slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
-    pieces[i] is the _split of edge i, for each edge longer than
-    _SEGMENT_SPLIT_M that a clearance query has evaluated.
+    segments and block_box, the clearance's table (see _segment_table), are
+    None until the region's first clearance query.
     """
 
-    __slots__ = ("vertices", "part_start", "edges", "block_box", "lat0", "lat1", "slab_scale", "slab_start",
-                 "slab_edges", "pieces")
+    __slots__ = ("vertices", "part_start", "lat0", "lat1", "slab_scale", "slab_start", "slab_edges",
+                 "segments", "block_box")
 
     def __init__(self, region: Region):
         vertices: list[LatLon] = []
@@ -165,18 +165,6 @@ class _Prepared:
                 vertices.extend(ring)
                 edges.extend(range(first, len(vertices) - 1))
         lats = [lat for lat, _ in vertices]
-        lons = [lon for _, lon in vertices]
-        block_box = []
-        for n in range(0, len(edges), _EDGES_PER_BLOCK):
-            # A block's vertices are the slice from its first edge's start
-            # to its last edge's end: the ring joins it skips have both ends
-            # on edges of the block.
-            lo = edges[n]
-            hi = edges[min(n + _EDGES_PER_BLOCK, len(edges)) - 1] + 2
-            latlo, lathi = min(lats[lo:hi]), max(lats[lo:hi])
-            # cos is concave over [-90, 90], so its least value on the box is at a side.
-            cos_min = min(math.cos(math.radians(latlo)), math.cos(math.radians(lathi)))
-            block_box.append((latlo, lathi, min(lons[lo:hi]), max(lons[lo:hi]), cos_min))
         lat0 = min(lats)
         lat1 = max(lats)
         count = max(1, len(edges) // _EDGES_PER_SLAB)
@@ -196,18 +184,50 @@ class _Prepared:
                     slab.append(i)
         self.vertices = tuple(vertices)
         self.part_start = tuple(part_start)
-        self.edges = array("I", edges)
-        self.block_box = tuple(block_box)
         self.lat0, self.lat1, self.slab_scale = lat0, lat1, scale
         self.slab_start = array("I", accumulate(map(len, slabs), initial=0))
         self.slab_edges = array("I", chain.from_iterable(slabs))
-        self.pieces: dict[int, tuple[Piece, ...]] = {}
+        self.segments: array | None = None
+        self.block_box: tuple | None = None
 
 
 def _prepare(region: Region) -> _Prepared:
     prepared = _Prepared(region)
     object.__setattr__(region, "_prepared", prepared)
     return prepared
+
+
+def _segment_table(region: Region) -> tuple[array, tuple]:
+    """The clearance's segments and the bounding boxes of their blocks.
+
+    Segment s is segments[4 * s:4 * s + 4] = (alat, alon, blat, blon). The
+    table holds every ring edge in ring order; an edge longer than
+    _SEGMENT_SPLIT_M goes in as its _split pieces, in order. Block b is the
+    run of segments _SEGMENTS_PER_BLOCK * b to _SEGMENTS_PER_BLOCK * (b + 1) - 1,
+    which may span rings, and block_box[b] = (latlo, lathi, lonlo, lonhi,
+    cos_min) is its bounding box, where cos_min is the least cosine of a
+    latitude in the box.
+    """
+    # Built as a list of the rings' own floats, then stored as an array:
+    # cheaper than extending an array edge by edge and boxing its values
+    # again for the block boxes.
+    segments = []
+    for poly in region.polygons:
+        for ring in poly.rings():
+            for edge in map(add, ring, ring[1:]):
+                alat, alon, blat, blon = edge
+                if abs(blat - alat) + abs(blon - alon) > _SPLIT_SCREEN_DEG and haversine_m(*edge) > _SEGMENT_SPLIT_M:
+                    edge = _split(*edge)
+                segments.extend(edge)
+    block_box = []
+    for n in range(0, len(segments), 4 * _SEGMENTS_PER_BLOCK):
+        lats = segments[n : n + 4 * _SEGMENTS_PER_BLOCK : 2]
+        lons = segments[n + 1 : n + 4 * _SEGMENTS_PER_BLOCK : 2]
+        latlo, lathi = min(lats), max(lats)
+        # cos is concave over [-90, 90], so its least value on the box is at a side.
+        cos_min = min(cos(radians(latlo)), cos(radians(lathi)))
+        block_box.append((latlo, lathi, min(lons), max(lons), cos_min))
+    return array("d", segments), tuple(block_box)
 
 
 def point_in_region(lat: float, lon: float, region: Region) -> bool:
@@ -239,9 +259,10 @@ def _piece_distance_m(
     lat: float, lon: float, rlat: float, coslat: float, alat: float, alon: float, blat: float, blon: float,
 ) -> float:
     """Min geodesic distance from a point to a lat/lon-straight segment at
-    most _SEGMENT_SPLIT_M long whose ends differ; rlat is radians(lat) and
-    coslat its cosine. Each distance is haversine_m's, bit for bit: the
-    same operations in the same order, with the query's terms computed once.
+    most _SEGMENT_SPLIT_M long; rlat is radians(lat) and coslat its cosine.
+    Each distance is haversine_m's, bit for bit: the same operations in the
+    same order, with the query's terms computed once. So a segment with
+    equal ends gives haversine_m's distance to them, bit for bit.
     """
     # Seed with the foot point under a local equirectangular projection,
     # then refine along the segment with true haversine evaluations. The
@@ -278,24 +299,15 @@ def _piece_distance_m(
     return best
 
 
-def _split(alat: float, alon: float, blat: float, blon: float) -> tuple[Piece, ...]:
-    """The pieces of a segment longer than _SEGMENT_SPLIT_M: halves at the
-    lat/lon midpoint, split again until none is longer. A piece is a pair:
-    its bounding box (latlo, lathi, lonlo, lonhi, cos_min), as in a
-    block_box, and its ends (alat, alon, blat, blon). The ends of a piece
-    differ: it is half of a segment longer than _SEGMENT_SPLIT_M."""
+def _split(alat: float, alon: float, blat: float, blon: float) -> list[float]:
+    """The pieces of a segment longer than _SEGMENT_SPLIT_M, their ends
+    (alat, alon, blat, blon) one after another in order: halves at the
+    lat/lon midpoint, split again until none is longer."""
     mlat, mlon = (alat + blat) / 2.0, (alon + blon) / 2.0
-    pieces = []
-    for ends in ((alat, alon, mlat, mlon), (mlat, mlon, blat, blon)):
-        if haversine_m(*ends) > _SEGMENT_SPLIT_M:
-            pieces.extend(_split(*ends))
-        else:
-            plat, plon, qlat, qlon = ends
-            latlo, lathi = (plat, qlat) if plat <= qlat else (qlat, plat)
-            lonlo, lonhi = (plon, qlon) if plon <= qlon else (qlon, plon)
-            cos_min = min(cos(radians(latlo)), cos(radians(lathi)))
-            pieces.append(((latlo, lathi, lonlo, lonhi, cos_min), ends))
-    return tuple(pieces)
+    ends = []
+    for half in ((alat, alon, mlat, mlon), (mlat, mlon, blat, blon)):
+        ends.extend(_split(*half) if haversine_m(*half) > _SEGMENT_SPLIT_M else half)
+    return ends
 
 
 def _wrap_degrees(dlon: float) -> float:
@@ -338,56 +350,40 @@ def _check_query(lat: float, lon: float) -> None:
 def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
     """Distance to the nearest ring of the region, ignoring containment.
 
-    Visits blocks of edges in ascending order of a lower bound on their
-    distance, a block's edges in ascending order of their own bound, and
-    a long edge's pieces in ascending order of theirs; at each level it
-    stops at the first bound above the best distance found. The result is
-    the minimum of _piece_distance_m over the pieces of every edge (a short
-    edge is one piece), bit for bit.
+    Visits blocks of segments in ascending order of a lower bound on their
+    distance, then a block's segments in ascending order of their own
+    bound; at each level it stops at the first bound above the best
+    distance found. The result is the minimum of _piece_distance_m over
+    every segment of the region's table, bit for bit.
     """
     _check_query(lat, lon)
     prep = region._prepared or _prepare(region)
-    vertices = prep.vertices
-    edges = prep.edges
-    pieces_of = prep.pieces
+    if prep.segments is None:
+        prep.segments, prep.block_box = _segment_table(region)
+    segments = prep.segments
     rlat = radians(lat)
     coslat = cos(rlat)
     best = math.inf
     for block_bound, b in sorted((_box_bound_m(lat, lon, coslat, *box), b) for b, box in enumerate(prep.block_box)):
         if block_bound > best:
             break
-        # An edge lies in its block's latitude range, so the block's cos_min
-        # is at most the cosine of any latitude on the edge.
+        # A segment lies in its block's latitude range, so the block's
+        # cos_min is at most the cosine of any latitude on the segment.
         cos_min = prep.block_box[b][4]
-        edge_bounds = []
-        for i in edges[_EDGES_PER_BLOCK * b : _EDGES_PER_BLOCK * (b + 1)]:
-            (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
+        block = iter(segments[4 * _SEGMENTS_PER_BLOCK * b : 4 * _SEGMENTS_PER_BLOCK * (b + 1)])
+        segment_bounds = []
+        for ends in zip(block, block, block, block):
+            alat, alon, blat, blon = ends
             latlo, lathi = (alat, blat) if alat <= blat else (blat, alat)
             lonlo, lonhi = (alon, blon) if alon <= blon else (blon, alon)
-            edge_bounds.append((_box_bound_m(lat, lon, coslat, latlo, lathi, lonlo, lonhi, cos_min), i))
-        edge_bounds.sort()
-        for bound, i in edge_bounds:
+            segment_bounds.append((_box_bound_m(lat, lon, coslat, latlo, lathi, lonlo, lonhi, cos_min), ends))
+        segment_bounds.sort()
+        for bound, ends in segment_bounds:
             if bound > best:
                 break
-            pieces = pieces_of.get(i)
-            if pieces is None:
-                (alat, alon), (blat, blon) = vertices[i], vertices[i + 1]
-                span = haversine_m(alat, alon, blat, blon)
-                if span <= _SEGMENT_SPLIT_M:
-                    if span == 0.0:
-                        d = haversine_m(lat, lon, alat, alon)
-                    else:
-                        d = _piece_distance_m(lat, lon, rlat, coslat, alat, alon, blat, blon)
-                    if d < best:
-                        best = d
-                    continue
-                pieces = pieces_of[i] = _split(alat, alon, blat, blon)
-            for piece_bound, ends in sorted((_box_bound_m(lat, lon, coslat, *box), ends) for box, ends in pieces):
-                if piece_bound > best:
-                    break
-                d = _piece_distance_m(lat, lon, rlat, coslat, *ends)
-                if d < best:
-                    best = d
+            d = _piece_distance_m(lat, lon, rlat, coslat, *ends)
+            if d < best:
+                best = d
     return best
 
 

@@ -125,6 +125,10 @@ def kernel_fixture_regions() -> dict[str, Region]:
         "rectangle": square_region("rectangle", 48.0, 10.0, 0.5, 0.5),
         "arctic": region("arctic", PolygonGeom(outer=jagged_ring(rng, 72.5, 25.0, 20.0, 40.0))),
         "antimeridian": region("antimeridian", PolygonGeom(outer=jagged_ring(rng, -17.0, 179.85, 20.0, 30.0))),
+        # The corner (48.0, 9.2) twice: a zero-length edge.
+        "repeated-vertex": region("repeated-vertex", PolygonGeom(
+            outer=((48.0, 9.0), (48.0, 9.2), (48.0, 9.2), (48.1, 9.25), (48.2, 9.2), (48.2, 9.0), (48.0, 9.0)),
+        )),
     }
 
 
@@ -197,6 +201,20 @@ def _segment_distance_m(lat: float, lon: float, a: LatLon, b: LatLon) -> float:
                     best, best_t = d, t
         step /= 2.0
     return best
+
+
+def reference_segments(region: Region) -> list[tuple[LatLon, LatLon]]:
+    """Every ring edge in ring order; an edge longer than _SEGMENT_SPLIT_M
+    as its halves at the lat/lon midpoint, split again until none is longer."""
+
+    def split(a: LatLon, b: LatLon) -> list[tuple[LatLon, LatLon]]:
+        if haversine_m(*a, *b) <= _SEGMENT_SPLIT_M:
+            return [(a, b)]
+        mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+        return split(a, mid) + split(mid, b)
+
+    return [segment for poly in region.polygons for ring in poly.rings() for a, b in zip(ring, ring[1:])
+            for segment in split(a, b)]
 
 
 def exhaustive_clearance_m(lat: float, lon: float, region: Region) -> float:
@@ -501,6 +519,17 @@ class TestKernelEquivalence:
         assert regions["arctic"].bbox()[0] > 70.0
         lons = [lon for _, lon in regions["antimeridian"].polygons[0].outer]
         assert min(lons) < -179.0 and max(lons) > 179.0
+        assert min(haversine_m(*a, *b) for a, b in edges(regions["repeated-vertex"])) == 0.0
+
+    def test_zero_length_segment_gives_haversine_to_its_vertex(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            lat, lon = rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)
+            vlat, vlon = rng.choice([(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)),
+                                     (lat + rng.uniform(-0.1, 0.1), lon + rng.uniform(-0.1, 0.1))])
+            rlat = math.radians(lat)
+            d = geo._piece_distance_m(lat, lon, rlat, math.cos(rlat), vlat, vlon, vlat, vlon)
+            assert d == haversine_m(lat, lon, vlat, vlon), (lat, lon, vlat, vlon)
 
     def test_multipart_overlap_counts_inside(self):
         region = kernel_fixture_regions()["multipart"]
@@ -514,8 +543,9 @@ class TestKernelEquivalence:
 @functools.cache
 def block_fixture_regions() -> dict[str, Region]:
     """Regions whose edge counts sit around multiples of the clearance
-    block size (16 edges), whose blocks straddle ring and part ends, that
-    straddle the antimeridian, or that have over 4,000 edges."""
+    block size (16 segments), whose blocks straddle ring and part ends or
+    start mid-edge, that straddle the antimeridian, or that have over
+    4,000 edges."""
     rng = random.Random(16)
 
     def region(rid, *polygons):
@@ -535,6 +565,9 @@ def block_fixture_regions() -> dict[str, Region]:
         PolygonGeom(outer=star_ring(rng, 48.6, 7.6, 15.0, 19), holes=(star_ring(rng, 48.6, 7.6, 3.0, 7),)),
     )
     regions["jagged-4k"] = region("jagged-4k", PolygonGeom(outer=jagged_ring(rng, 50.0, 8.0, 50.0, 50.0, 50.0)))
+    # Every edge over 25 km: blocks of segments start part way along an edge.
+    regions["long-edges"] = kernel_fixture_regions()["long-edges"]
+    regions["rectangle"] = kernel_fixture_regions()["rectangle"]
     return regions
 
 
@@ -558,11 +591,12 @@ def _far_queries(rng: random.Random, region: Region, count: int) -> list[tuple[f
 
 
 def _block_end_queries(rng: random.Random, region: Region, limit: int) -> list[tuple[float, float]]:
-    """Points within 2 m of the vertices where one clearance block ends and
-    the next begins, where the two blocks' bounds and distances nearly tie."""
-    edges = [(a, b) for poly in region.polygons for ring in poly.rings() for a, b in zip(ring, ring[1:])]
-    size = geo._EDGES_PER_BLOCK
-    ends = [v for k in range(size, len(edges), size) for v in (edges[k - 1][1], edges[k][0])]
+    """Points within 2 m of the segment ends where one clearance block ends
+    and the next begins, where the two blocks' bounds and distances nearly
+    tie."""
+    segments = reference_segments(region)
+    size = geo._SEGMENTS_PER_BLOCK
+    ends = [v for k in range(size, len(segments), size) for v in (segments[k - 1][1], segments[k][0])]
     points = []
     for vlat, vlon in ends[:limit]:
         for _ in range(8):
@@ -575,8 +609,8 @@ def _block_end_queries(rng: random.Random, region: Region, limit: int) -> list[t
 
 
 class TestBlockClearance:
-    """The clearance searches blocks of 16 consecutive edges before their
-    edges; it must still give the exhaustive minimum, bit for bit."""
+    """The clearance searches blocks of 16 consecutive segments before
+    their segments; it must still give the exhaustive minimum, bit for bit."""
 
     def test_fixtures_have_the_intended_shape(self):
         regions = block_fixture_regions()
@@ -585,6 +619,11 @@ class TestBlockClearance:
         assert _edge_count(regions["jagged-4k"]) >= 4_000
         lons = [lon for _, lon in regions["ring-33-antimeridian"].polygons[0].outer]
         assert min(lons) < -179.9 and max(lons) > 179.9
+        # Some block of long-edges starts part way along an edge.
+        vertices = set(regions["long-edges"].polygons[0].outer)
+        segments = reference_segments(regions["long-edges"])
+        size = geo._SEGMENTS_PER_BLOCK
+        assert any(segments[k][0] not in vertices for k in range(size, len(segments), size))
 
     @pytest.mark.parametrize("name", sorted(block_fixture_regions()))
     def test_clearance_is_exact_minimum_over_all_segments(self, name):
@@ -616,28 +655,87 @@ class TestBlockClearance:
         assert 0 < calls < 0.05 * edges, (calls, edges)
 
 
+def _table_segments(region: Region) -> list[tuple[LatLon, LatLon]]:
+    """The region's clearance table as ((alat, alon), (blat, blon)) pairs."""
+    table = region._prepared.segments
+    return [((table[s], table[s + 1]), (table[s + 2], table[s + 3])) for s in range(0, len(table), 4)]
+
+
+def _threshold_scale(origin: LatLon, direction: tuple[float, float], over: bool) -> float:
+    """The scale of the lat/lon direction at which an edge from origin
+    reaches _SEGMENT_SPLIT_M: the largest float scale whose haversine_m is
+    at most that, or the next float above it when over."""
+    lo, hi = 0.0, 2.0 ** -10
+    while haversine_m(*origin, *_along(origin, direction, hi)) <= _SEGMENT_SPLIT_M:
+        lo, hi = hi, 2.0 * hi
+    while (lo + hi) / 2.0 not in (lo, hi):
+        mid = (lo + hi) / 2.0
+        if haversine_m(*origin, *_along(origin, direction, mid)) > _SEGMENT_SPLIT_M:
+            hi = mid
+        else:
+            lo = mid
+    return hi if over else lo
+
+
+def _along(origin: LatLon, direction: tuple[float, float], scale: float) -> LatLon:
+    lon = origin[1] + scale * direction[1]
+    return origin[0] + scale * direction[0], (lon + 180.0) % 360.0 - 180.0
+
+
 class TestEdgePieces:
-    """An edge longer than _SEGMENT_SPLIT_M is split once per region, on its
-    first evaluation, and a query evaluates only the pieces it must."""
+    """The clearance's table holds every ring edge, an edge longer than
+    _SEGMENT_SPLIT_M as its pieces; it is built once per region, on the
+    first clearance query, and a query evaluates only the pieces it must."""
 
     def test_long_edges_are_split_once_and_short_edges_never(self):
-        region = kernel_fixture_regions()["long-edges"]
-        ring = region.polygons[0].outer
-        long_edges = {i for i, (a, b) in enumerate(zip(ring, ring[1:])) if haversine_m(*a, *b) > _SEGMENT_SPLIT_M}
-        assert long_edges and len(region.polygons) == 1 and not region.polygons[0].holes
-        copy = Region(region_id="copy", name="copy", polygons=region.polygons)
+        # The long-edges ring around a hole of short edges.
+        long_ring = kernel_fixture_regions()["long-edges"].polygons[0].outer
+        hole = star_ring(random.Random(8), 47.0, 12.0, 10.0, 12)
+        copy = Region(region_id="copy", name="copy", polygons=(PolygonGeom(outer=long_ring, holes=(hole,)),))
+        edges = [(a, b) for ring in (long_ring, hole) for a, b in zip(ring, ring[1:])]
+        assert any(haversine_m(*a, *b) > _SEGMENT_SPLIT_M for a, b in edges)
+        assert any(haversine_m(*a, *b) <= _SEGMENT_SPLIT_M for a, b in edges)
         queries = _kernel_queries(random.Random(5), copy, 20)
+        inside = [point_in_region(lat, lon, copy) for lat, lon in queries]
+        assert any(inside) and not all(inside)
+        # Ray casts alone build no clearance table.
+        assert copy._prepared.segments is None
         first = [boundary_clearance_m(lat, lon, copy) for lat, lon in queries]
-        split_once = dict(copy._prepared.pieces)
-        assert split_once and set(split_once) <= long_edges
+        table = copy._prepared.segments
         assert [boundary_clearance_m(lat, lon, copy) for lat, lon in queries] == first
-        assert copy._prepared.pieces.keys() == split_once.keys()
-        assert all(copy._prepared.pieces[i] is pieces for i, pieces in split_once.items())
-        for i, pieces in copy._prepared.pieces.items():
-            a, b = ring[i], ring[i + 1]
+        assert copy._prepared.segments is table
+        segments = iter(_table_segments(copy))
+        for a, b in edges:
+            if haversine_m(*a, *b) <= _SEGMENT_SPLIT_M:
+                assert next(segments) == (a, b)
+                continue
+            pieces = [next(segments)]
+            while pieces[-1][1] != b:
+                pieces.append(next(segments))
             assert len(pieces) >= 2
-            assert all(haversine_m(*ends) <= _SEGMENT_SPLIT_M for _, ends in pieces)
-            assert (pieces[0][1][:2], pieces[-1][1][2:]) == (a, b)
+            assert all(haversine_m(*p, *q) <= _SEGMENT_SPLIT_M for p, q in pieces)
+            assert pieces[0][0] == a and all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        assert next(segments, None) is None
+
+    @pytest.mark.parametrize("over", [False, True], ids=["under", "over"])
+    @pytest.mark.parametrize(
+        "origin, direction",
+        [((50.0, 10.0), (1.0, 0.0)), ((0.0, 10.0), (0.0, 1.0)), ((50.0, 10.0), (0.0, 1.0)),
+         ((50.0, 10.0), (-1.0, 1.0)), ((89.85, -90.0), (0.0, 1.0)), ((-17.0, 179.9), (0.3, 1.0))],
+        ids=["meridian", "equator", "parallel", "diagonal", "near-pole", "antimeridian"],
+    )
+    def test_split_screen_changes_no_segment(self, origin, direction, over):
+        # Edges just under and just over _SEGMENT_SPLIT_M, the first edge of
+        # a triangle whose third vertex sits off the first edge's middle.
+        scale = _threshold_scale(origin, direction, over)
+        end = _along(origin, direction, scale)
+        assert (haversine_m(*origin, *end) > _SEGMENT_SPLIT_M) == over
+        mlat, mlon = _along(origin, direction, scale / 2.0)
+        third = (mlat - 0.001 * direction[1], mlon + 0.001 * direction[0])
+        region = Region(region_id="E", name="E", polygons=(PolygonGeom(outer=(origin, end, third, origin)),))
+        boundary_clearance_m(*third, region)
+        assert _table_segments(region) == reference_segments(region)
+        assert (len(reference_segments(region)) > 3) == over
 
     def test_point_beside_one_piece_evaluates_no_far_piece(self, monkeypatch):
         # 2 km west of the middle of the rectangle's 56 km west side, whose
