@@ -13,6 +13,7 @@ import codecs
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from datetime import date
 from itertools import compress, islice
@@ -154,7 +155,11 @@ def _parse_float(text: str) -> float:
 def _parse_int(text: str) -> int:
     if not text.isascii() or "_" in text:
         raise ValueError("not an ASCII number")
-    return int(text)
+    value = int(text)
+    # The tests compute with integers as floats (test 6's watts per module).
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError("beyond the float range")
+    return value
 
 
 def _parse_bool(text: str) -> bool:

@@ -64,11 +64,6 @@ class ColumnStats:
                 counters[name] += 1
 
 
-def _share(non_null: int, total: int) -> Fraction:
-    """A column's non-null share of `total` units; no units are vacuously complete."""
-    return Fraction(non_null, total) if total else Fraction(1)
-
-
 def distance_histogram(
     failures: Iterable[FailureRecord],
     bin_width_km: float = DEFAULT_BIN_WIDTH_KM,
@@ -130,7 +125,8 @@ def _metrics(failures: Sequence[FailureRecord], total: int) -> dict:
         "unit_count": total,
         "failing_unit_count": failing,
         "failure_share": failing / total if total else 0.0,
-        "accumulated_failing_power_kw": power,
+        # JSON has no number for a sum beyond the float range.
+        "accumulated_failing_power_kw": power if math.isfinite(power) else None,
         "per_test": {str(test_id): count for test_id, count in per_test.items()},
         "empty": total == 0,
     }
@@ -156,8 +152,11 @@ def build_report(
         per_technology_dso[name] = _metrics(
             [fr for fr in tech_failures if fr.dso_inspected], failure_set.records_dso.get(tech, 0)
         )
-        non_null = column_stats.non_null[tech] if total else dict.fromkeys(columns_for(tech), 0)
-        shares = {column: _share(non_null[column], total) for column in columns_for(tech)}
+        if total:
+            non_null = column_stats.non_null[tech]
+            shares = {column: Fraction(non_null[column], total) for column in columns_for(tech)}
+        else:  # no units are vacuously complete
+            shares = dict.fromkeys(columns_for(tech), Fraction(1))
         percents[name] = {column: percent(share) for column, share in shares.items()}
         fractions[name] = {column: [share.numerator, share.denominator] for column, share in shares.items()}
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
@@ -346,7 +345,10 @@ def _errors_by_district_csv(failures: Sequence[FailureRecord]) -> str:
             key = (district, outcome.test_id)
             count, power = acc.get(key, (0, 0.0))
             acc[key] = (count + 1, power + (fr.power_kw or 0.0))
-    rows = ((district, test_id, count, power) for (district, test_id), (count, power) in sorted(acc.items()))
+    rows = (
+        (district, test_id, count, power if math.isfinite(power) else None)
+        for (district, test_id), (count, power) in sorted(acc.items())
+    )
     return _csv(("district_id", "test_id", "count", "accumulated_power_kw"), rows)
 
 
@@ -430,7 +432,9 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
     """The FailureSet and ColumnStats that validate built for the run whose
     failures.ndjson and summary.json are in out_dir. A column's non-null
     count is its completeness fraction times its technology's unit count.
-    A summary that no validate run could have written is a ReportError."""
+    The summary must render, by summary_json, as build_report's document of
+    these at its own histogram settings (report writes one bin width, and one
+    overflow or each technology's default); any other is a ReportError."""
     failures_path, path = Path(out_dir) / "failures.ndjson", Path(out_dir) / "summary.json"
     for file, what in ((failures_path, "failure"), (path, "summary")):
         if not file.is_file():
@@ -439,37 +443,32 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
     cells = {_cell_key(tid, tech): tid for tid, techs in CHECKMARKS.items() for tech in techs}
     try:
         stored = json.loads(path.read_text(encoding="utf-8"))
-        every, dso_only, fractions = blocks = [
+        every, dso_only, fractions = (
             stored[key] for key in ("per_technology", "per_technology_dso", "completeness_fraction")
-        ]
-        if any(block.keys() != {tech.value for tech in Technology} for block in blocks):
-            raise ValueError("a per-technology object does not name each technology")
-        counts = stored["matrix"]["evaluated_counts"]
+        )
         # An object, not a list; KeyError for a key that names no check-marked cell.
-        evaluated = {cells[key] for key in counts.keys()}
+        evaluated = {cells[key] for key in stored["matrix"]["evaluated_counts"].keys()}
         stats, records_total, records_dso = ColumnStats(), {}, {}
         for tech in Technology:
-            name, table = tech.value, fractions[tech.value]
+            name = tech.value
             total = records_total[tech] = _count(every[name]["unit_count"], f"{name} unit_count")
             dso = records_dso[tech] = _count(dso_only[name]["unit_count"], f"{name} DSO unit_count")
             if dso > total:
                 raise ValueError(f"{name} has {dso} DSO-inspected units of {total}")
-            if table.keys() != set(columns_for(tech)):
-                raise ValueError(f"{name} completeness does not list the columns {name} carries")
             stats.non_null[tech] = {}
-            for column, (n, d) in table.items():
+            for column, (n, d) in fractions[name].items():
                 if not _count(n, column) <= _count(d, column) or d == 0:
                     raise ValueError(f"{name} {column} is no fraction: {[n, d]!r}")
-                non_null = stats.non_null[tech][column] = n * total // d
-                share = _share(non_null, total)
-                if [n, d] != [share.numerator, share.denominator]:
-                    raise ValueError(f"{name} {column} {[n, d]!r} is no share of {total} units")
-        # An evaluated test passes every unit of each technology it is check-marked for.
-        for tid in evaluated:
-            for tech in CHECKMARKS[tid]:
-                key = _cell_key(tid, tech)
-                if _count(counts.get(key), key) != records_total[tech]:
-                    raise ValueError(f"{key} counts {counts[key]} of {records_total[tech]} units")
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-        raise ReportError(f"{path} is not a validate summary: {exc!r}") from None
-    return FailureSet(failures, records_total, records_dso, tuple(sorted(evaluated))), stats
+                stats.non_null[tech][column] = n * total // d
+        failure_set = FailureSet(failures, records_total, records_dso, tuple(sorted(evaluated)))
+        histograms = stored["distance_histograms"].values()
+        widths = {float(hist["bin_width_km"]) for hist in histograms}
+        overflows = {float(hist["overflow_km"]) for hist in histograms}
+        rebuilt = build_report(
+            failure_set, stats, bin_width_km=min(widths), overflow_km=overflows.pop() if len(overflows) == 1 else None
+        )
+        if summary_json(rebuilt) != summary_json(stored):
+            raise ValueError("it differs from the summary of its own counts, failures and histogram settings")
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError) as exc:
+        raise ReportError(f"{path} is not a summary that validate or report writes: {exc!r}") from None
+    return failure_set, stats

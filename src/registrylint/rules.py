@@ -191,6 +191,10 @@ class CatalogTest(NamedTuple):
     compile: Callable[..., Check | None] | None
 
     def fail(self, unit_id: str | None, detail: str, measured: float | None = None) -> RuleOutcome:
+        """The test's failing outcome. A measured value beyond the float
+        range is null, since JSON has no number for it."""
+        if measured is not None and not math.isfinite(measured):
+            measured = None
         return RuleOutcome(unit_id, self.test_id, False, detail, measured, None if measured is None else self.unit)
 
 
@@ -326,7 +330,10 @@ def _rotor_power(config, tech, boundaries, fail):
             return None
         if diameter <= 0:
             return fail(r.unit_id, "non-positive rotor diameter")
-        swept = math.pi * (diameter / 2.0) ** 2
+        try:
+            swept = math.pi * (diameter / 2.0) ** 2
+        except OverflowError:  # float ** raises where a product would give inf
+            swept = math.inf
         if swept == 0.0:
             return fail(r.unit_id, "rotor swept area rounds to zero")
         specific = power * 1000.0 / swept

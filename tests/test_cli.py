@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -418,9 +419,14 @@ def _without_wind_units(summary: dict) -> None:
     summary["completeness_fraction"]["wind"] = {column: [1, 1] for column in summary["completeness_fraction"]["wind"]}
 
 
+def _one_more_wind_distance(summary: dict) -> None:
+    summary["distance_histograms"]["wind"]["counts"][0] += 1
+
+
 # summary.json documents that no validate run could have written beside its
 # failures.ndjson: a value that is no count or no fraction, a technology or a
-# column left out, counts that disagree with each other or with the failures.
+# column left out, counts that disagree with each other or with the failures,
+# and any other value that differs from the one its counts and failures give.
 # The wind table of the shared run has 20 units, 13 of them DSO-inspected;
 # 3 wind units fail, 2 of them DSO-inspected.
 _BAD_SUMMARY_VALUES = {
@@ -451,6 +457,25 @@ _BAD_SUMMARY_VALUES = {
     "report-completeness-unknown-column": lambda summary: summary["completeness_fraction"]["wind"].update(
         volts=[1, 1]
     ),
+    "report-failing-unit-count": lambda summary: summary["per_technology"]["wind"].update(failing_unit_count=999),
+    "report-per-test-tally": lambda summary: summary["per_technology"]["wind"]["per_test"].update(
+        {"12": summary["per_technology"]["wind"]["per_test"].get("12", 0) + 1}
+    ),
+    "report-failing-power": lambda summary: summary["per_technology"]["wind"].update(
+        accumulated_failing_power_kw=summary["per_technology"]["wind"]["accumulated_failing_power_kw"] + 1.0
+    ),
+    "report-completeness-percent": lambda summary: summary["completeness_percent"]["wind"].update(
+        owner_id=summary["completeness_percent"]["wind"]["owner_id"] - 1
+    ),
+    "report-matrix-cells": lambda summary: summary["matrix"].update(cells=91),
+    "report-failure-share": lambda summary: summary["per_technology"]["wind"].update(
+        failure_share=summary["per_technology"]["wind"]["failure_share"] + 0.01
+    ),
+    "report-empty-flag": lambda summary: summary["per_technology"]["wind"].update(
+        empty=not summary["per_technology"]["wind"]["empty"]
+    ),
+    "report-histogram-counts": _one_more_wind_distance,
+    "report-unknown-top-level-key": lambda summary: summary.update(notes="edited by hand"),
 }
 # `report` histogram settings that are unusable; a 1e-300 km bin width needs
 # more bins than a list can hold.
@@ -547,6 +572,12 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
         _BAD_SUMMARY_VALUES[case](summary)
         (out / "summary.json").write_text(json.dumps(summary))
+    elif case == "report-mixed-bin-widths":
+        # Wind's histogram as `report --bin-width 2` writes it, beside the others at 5 km.
+        summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
+        rebinned = report.build_report(*report.load_run(root / "run"), bin_width_km=2.0)
+        summary["distance_histograms"]["wind"] = rebinned["distance_histograms"]["wind"]
+        (out / "summary.json").write_text(report.summary_json(summary))
     elif case in _BAD_HISTOGRAM_ARGS:
         return ["report", "--out", str(out), *_BAD_HISTOGRAM_ARGS[case]]
     else:
@@ -561,7 +592,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
      "geojson-object-position", "geojson-string-position", "geojson-bool-position", "geojson-nested-too-deeply",
      "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
      "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
-     *_BAD_SUMMARY_VALUES, *_BAD_HISTOGRAM_ARGS],
+     *_BAD_SUMMARY_VALUES, "report-mixed-bin-widths", *_BAD_HISTOGRAM_ARGS],
 )
 def test_malformed_input_exits_two_with_one_json_line(small_run, tmp_path, case):
     args = _malformed_case(case, small_run, tmp_path)
@@ -665,7 +696,10 @@ def test_report_with_one_replaced_value_keeps_the_exit_code_contract(small_run, 
 _CELL_TEXTS = st.one_of(
     st.text(max_size=10),
     st.from_regex(r"-?[0-9]{0,12}([.,][0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True),
-    st.sampled_from(["nan", "inf", "1e400", "2024-02-30", "ja", "nein", "50.1, 10.2", "91.0, 200.0", "1,5,0"]),
+    st.sampled_from(
+        ["nan", "inf", "1e400", "1e200", "1e308", "9" * 400, "2024-02-30", "ja", "nein", "50.1, 10.2", "91.0, 200.0",
+         "1,5,0"]
+    ),
 )
 
 
@@ -710,3 +744,56 @@ def test_validate_with_one_changed_input_keeps_the_exit_code_contract(small_run,
         json.loads(line)
         if code != EXIT_FATAL:
             assert (code == EXIT_FAILURES) == bool((out / "failures.ndjson").read_bytes())
+            # report accepts every output of validate and writes the same bytes.
+            before = _file_bytes(out)
+            assert _run_main(["report", "--out", str(out)])[0] == EXIT_CLEAN
+            assert _file_bytes(out) == before
+
+
+def _file_bytes(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _no_json_constant(name: str):
+    raise ValueError(f"{name} is no JSON number")
+
+
+# Finite cells, per table and data row, that gave a measured value or a power
+# sum beyond the float range (Infinity in the JSON outputs) or an
+# OverflowError in the suite. Each case sets the cells its test also reads.
+_OVERFLOWING_CELLS = {
+    "module-power": ("solar", {1: {"power gross": "1e308", "number of modules": "1"}}),
+    "inverter-ratio": ("solar", {1: {"power gross": "10", "power inverter": "1e-308"}}),
+    "wind-power-sum": ("wind", {row: {"power": "1e308", "rotor diameter": "100"} for row in (1, 2)}),
+    "year-digits": ("wind", {1: {"installation year": "9" * 400}}),
+    "module-count-digits": ("solar", {1: {"power gross": "10", "number of modules": "1" + "0" * 399}}),
+    "rotor-diameter": ("wind", {1: {"power": "3000", "rotor diameter": "1e200"}}),
+}
+
+
+@pytest.mark.parametrize("case", _OVERFLOWING_CELLS)
+def test_cells_beyond_the_float_range_keep_the_json_outputs_finite(small_run, tmp_path, case):
+    inputs, out = tmp_path / "in", tmp_path / "run"
+    shutil.copytree(small_run / "in", inputs)
+    name, rows = _OVERFLOWING_CELLS[case]
+    with open(inputs / f"{name}.csv", newline="", encoding="utf-8") as handle:
+        table = list(csv.reader(handle))
+    for row, cells in rows.items():
+        for column, text in cells.items():
+            table[row][table[0].index(column)] = text
+    with open(inputs / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(table)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "registrylint.cli", *_validate_args(inputs, out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_FAILURES and "Traceback" not in done.stderr, done.stderr
+    (line,) = done.stdout.strip().splitlines()
+    json.loads(line)
+    for line in (out / "failures.ndjson").read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=_no_json_constant)
+    json.loads((out / "summary.json").read_text(encoding="utf-8"), parse_constant=_no_json_constant)
+    before = _file_bytes(out)
+    assert _run_main(["report", "--out", str(out)])[0] == EXIT_CLEAN
+    assert _file_bytes(out) == before

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -258,7 +259,8 @@ _REPORT_DIGESTS = {
 }
 
 
-def test_reference_fixture_outputs_are_pinned(tmp_path):
+def _validate_reference_fixture(tmp_path) -> Path:
+    """validate's output directory for the reference fixture."""
     fixture, out = tmp_path / "fixture", tmp_path / "out"
     assert main(["synth", "--count", "200", "--seed", "7", "--error-rate", "0.05", "--out", str(fixture)]) == 0
     argv = ["validate", "--out", str(out)]
@@ -267,10 +269,31 @@ def test_reference_fixture_outputs_are_pinned(tmp_path):
     for kind in ("districts", "municipalities"):
         argv += [f"--{kind}", str(fixture / f"{kind}.geojson")]
     assert main(argv) == 1  # the fixture has failing units
+    return out
 
-    def digests(names):
-        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
-    assert digests(_VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
+def _digests(out: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_reference_fixture_outputs_are_pinned(tmp_path):
+    out = _validate_reference_fixture(tmp_path)
+    assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
     assert main(["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]) == 0
-    assert digests(_REPORT_DIGESTS) == _REPORT_DIGESTS
+    assert _digests(out, _REPORT_DIGESTS) == _REPORT_DIGESTS
+
+
+def test_report_accepts_the_summaries_that_validate_and_report_write(tmp_path):
+    out = _validate_reference_fixture(tmp_path)
+    assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    # The summary is compared as a document, whatever its file's formatting.
+    summary = out / "summary.json"
+    summary.write_text(json.dumps(json.loads(summary.read_text(encoding="utf-8"))), encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+    # A rebinned summary, with one overflow for every technology, reads back.
+    assert main(["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]) == 0
+    assert _digests(out, _REPORT_DIGESTS) == _REPORT_DIGESTS
+    assert main(["report", "--out", str(out)]) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
