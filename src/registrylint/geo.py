@@ -364,12 +364,18 @@ def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
     rlat = radians(lat)
     coslat = cos(rlat)
     best = math.inf
-    for block_bound, b in sorted((_box_bound_m(lat, lon, coslat, *box), b) for b, box in enumerate(prep.block_box)):
+    boxes = prep.block_box
+    # The first block searched has no bound to beat, so a region of one
+    # block (every small rectangle) needs no block bound.
+    ranked = [(0.0, 0)] if len(boxes) == 1 else sorted(
+        (_box_bound_m(lat, lon, coslat, *box), b) for b, box in enumerate(boxes)
+    )
+    for block_bound, b in ranked:
         if block_bound > best:
             break
         # A segment lies in its block's latitude range, so the block's
         # cos_min is at most the cosine of any latitude on the segment.
-        cos_min = prep.block_box[b][4]
+        cos_min = boxes[b][4]
         block = iter(segments[4 * _SEGMENTS_PER_BLOCK * b : 4 * _SEGMENTS_PER_BLOCK * (b + 1)])
         segment_bounds = []
         for ends in zip(block, block, block, block):

@@ -13,10 +13,10 @@ import codecs
 import csv
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import compress, islice
+from itertools import compress, islice, repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -27,7 +27,7 @@ from .model import (
     RECORD_FIELDS,
     Technology,
     UnitRecord,
-    checked_record,
+    checked_records,
     columns_for,
     value_problem,
 )
@@ -37,6 +37,7 @@ _MUNICIPALITY_POS = _FIELD_POS["municipality_id"]
 _DISTRICT_POS = _FIELD_POS["district_id"]
 _DSO_POS = _FIELD_POS["grid_operator_inspection"]
 _TECHNOLOGY_POS = _FIELD_POS["technology"]
+_REGION_POS = (_MUNICIPALITY_POS, _DISTRICT_POS)
 
 
 class IngestError(Exception):
@@ -155,20 +156,17 @@ def _parse_float(text: str) -> float:
 def _parse_int(text: str) -> int:
     if not text.isascii() or "_" in text:
         raise ValueError("not an ASCII number")
-    value = int(text)
-    # The tests compute with integers as floats (test 6's watts per module).
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError("beyond the float range")
-    return value
+    return int(text)
+
+
+_BOOLS = {"1": True, "true": True, "ja": True, "yes": True, "0": False, "false": False, "nein": False, "no": False}
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "ja", "yes"):
-        return True
-    if lowered in ("0", "false", "nein", "no"):
-        return False
-    raise ValueError("not a boolean")
+    value = _BOOLS.get(text.lower())
+    if value is None:
+        raise ValueError("not a boolean")
+    return value
 
 
 def _parse_coordinate(text: str) -> tuple[float, float]:
@@ -189,19 +187,72 @@ def _parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
+# The column forms of the parses above. Each takes the stripped, non-blank
+# cells of one column of a block and gives the values the cell parse gives
+# them, in one C-level map of the field type's own parse after a screen of
+# the whole column; where some cell might not parse, it raises, and the
+# column is converted cell by cell. The screen of numeric columns: ASCII,
+# no "_", and no n or N, so no NaN or infinity text. "1e999" still reads
+# as infinity, which the extremes check of _column_converter refuses.
+def _screened(texts: list[str]) -> str:
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined or "n" in joined or "N" in joined:
+        raise ValueError("screened out")
+    return joined
+
+
+def _float_column(texts: list[str]) -> list[float]:
+    # A cell holding a comma and a point reads as two points, which float()
+    # refuses, as _parse_float refuses the cell.
+    if "," in _screened(texts):
+        texts = map(str.replace, texts, repeat(","), repeat("."))
+    return list(map(float, texts))
+
+
+def _int_column(texts: list[str]) -> list[int]:
+    _screened(texts)
+    return list(map(int, texts))
+
+
+def _bool_column(texts: list[str]) -> list[bool]:
+    return list(map(_BOOLS.__getitem__, map(str.lower, texts)))
+
+
+def _coordinate_column(texts: list[str]) -> list[tuple[float, float]]:
+    _screened(texts)
+    parts = list(map(str.split, texts, repeat(",")))
+    if set(map(len, parts)) != {2}:
+        raise ValueError("screened out")
+    return list(zip(map(float, map(itemgetter(0), parts)), map(float, map(itemgetter(1), parts))))
+
+
+def _date_column(texts: list[str]) -> list[date]:
+    joined, dashes = "".join(texts), "-" * len(texts)
+    if set(map(len, texts)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
+        raise ValueError("screened out")
+    return list(map(date.fromisoformat, texts))
+
+
 # The cell codec of each UnitRecord field type: parse turns a stripped,
 # non-blank cell into the value that model.value_problem then checks (None:
-# the text is the value), and format writes a present value back.
-_CODECS: dict[str, tuple[Callable[[str], object] | None, Callable]] = {
-    "float | None": (_parse_float, repr),
-    "int | None": (_parse_int, str),
-    "date | None": (_parse_date, date.isoformat),
-    "bool | None": (_parse_bool, lambda value: "1" if value else "0"),
-    "tuple[float, float] | None": (_parse_coordinate, lambda value: f"{value[0]!r}, {value[1]!r}"),
-    "str | None": (None, str),
+# the text is the value), column does so for a column's such cells at once,
+# and format writes a present value back.
+_CODECS: dict[str, tuple[Callable[[str], object] | None, Callable[[list[str]], list] | None, Callable]] = {
+    "float | None": (_parse_float, _float_column, repr),
+    "int | None": (_parse_int, _int_column, str),
+    "date | None": (_parse_date, _date_column, date.isoformat),
+    "bool | None": (_parse_bool, _bool_column, lambda value: "1" if value else "0"),
+    "tuple[float, float] | None": (
+        _parse_coordinate,
+        _coordinate_column,
+        lambda value: f"{value[0]!r}, {value[1]!r}",
+    ),
+    "str | None": (None, None, str),
 }
 # The one field type a mapping's unit factor applies to.
 _QUANTITY = "float | None"
+# What a converter raises for a cell it cannot convert.
+_CELL_ERRORS = (ValueError, OverflowError)
 
 
 def _converter(entry: MappingEntry) -> Callable[[str], object] | None:
@@ -224,18 +275,48 @@ def _converter(entry: MappingEntry) -> Callable[[str], object] | None:
     return convert
 
 
+def _column_converter(entry: MappingEntry) -> Callable[[list[str]], list] | None:
+    """_converter over a list of a column's stripped, non-blank cells: the
+    column parse, the unit factor, and model.value_problem on the least and
+    greatest value (per axis for a coordinate), which is exact because every
+    value rule is a monotone bound and the screens let no NaN through. It
+    gives the values _converter gives the cells, or raises ValueError,
+    OverflowError or KeyError when some cell may not convert; the caller
+    then converts the column cell by cell, which alone gives cell issues
+    their reasons. None for a text column."""
+    column = _CODECS[FIELD_TYPES[entry.field]][1]
+    name, factor = entry.field, entry.factor
+    if column is None or name not in CHECKED_FIELDS:
+        return column
+    def convert(texts: list[str]) -> list:
+        values = column(texts) if factor == 1 else list(map(mul, column(texts), repeat(factor)))
+        if isinstance(values[0], tuple):
+            axes = list(zip(*values))
+            extremes = (tuple(map(min, axes)), tuple(map(max, axes)))
+        else:
+            extremes = (min(values), max(values))
+        if value_problem(name, extremes[0]) or value_problem(name, extremes[1]):
+            raise ValueError("a value breaks its field's rule")
+        return values
+
+    return convert
+
+
 class RegistryReader:
     """Streaming CSV reader yielding UnitRecords in file order.
 
     Issues, row totals, rejected-row counts and the non-null count of each
     column accumulate on the reader while it is consumed. The table is read
     in blocks of BLOCK_ROWS rows, and each mapped column of a block is
-    converted as one list: one converter call per non-blank cell, which
-    parses it and checks the value (model.value_problem). Memory holds one
-    block and every ParseIssue, one per unparseable cell, so it is not
-    bounded by one block. Since every cell is checked and the column
-    mapping only targets fields the technology carries, records are built
-    by checked_record, without UnitRecord.__post_init__; only rows of the
+    converted as one list by _column_converter: a screen, one map of the
+    field type's parse and model.value_problem on the column's extremes.
+    A column that fails any of them is converted cell by cell by
+    _converter, which gives each unparseable cell its ParseIssue. Region
+    ids are kept as one string per distinct id. Memory holds one block,
+    the distinct region ids and every ParseIssue, so it is not bounded by
+    one block. Since every cell is checked and the column mapping only
+    targets fields the technology carries, records are built by
+    checked_records, without UnitRecord.__post_init__; only rows of the
     wrong width are rejected. With dso_only, a row whose grid operator
     inspection is not true is read for its cell issues but neither counted
     nor yielded. Tables are read as UTF-8; a leading byte-order mark is
@@ -243,7 +324,7 @@ class RegistryReader:
     IngestError.
     """
 
-    BLOCK_ROWS = 128  # rows converted together; memory holds one block of rows and values
+    BLOCK_ROWS = 128  # rows converted together; memory holds one block of rows, values and records
 
     def __init__(
         self,
@@ -267,6 +348,8 @@ class RegistryReader:
         self.rows_total = 0
         self.rows_rejected = 0
         self._counts = [0] * len(RECORD_FIELDS)
+        # One string per distinct region id; a blank id cell reads as None.
+        self._ids: dict[str, str | None] = {"": None}
 
     @property
     def non_null(self) -> dict[str, int]:
@@ -291,8 +374,12 @@ class RegistryReader:
                 if repeated:
                     raise IngestError(f"{self.path}: header names mapped columns more than once: {', '.join(repeated)}")
                 # Each mapped column: its position in the header, the field it
-                # fills and the converter of its cells (None: text).
-                plan = [(index[e.raw], e.field, _FIELD_POS[e.field], _converter(e)) for e in self.entries]
+                # fills and the converters of its cells and of a column of
+                # them (None: text).
+                plan = [
+                    (index[e.raw], e.field, _FIELD_POS[e.field], _converter(e), _column_converter(e))
+                    for e in self.entries
+                ]
                 width = len(header)
 
                 # A row starts on the line after the previous row's last line;
@@ -312,11 +399,11 @@ class RegistryReader:
                         return
                     self.rows_total += len(rows) + len(found)
                     self.rows_rejected += len(found)
-                    values = self._block_values(rows, lines, plan, found) if rows else ()
+                    records = checked_records(self._block_values(rows, lines, plan, found)) if rows else ()
                     if found:
                         found.sort(key=lambda item: item[:2])
                         self.issues.extend(issue for _, _, issue in found)
-                    yield from map(checked_record, zip(*values))
+                    yield from records
             except csv.Error as exc:
                 raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
             except UnicodeDecodeError as exc:
@@ -332,36 +419,55 @@ class RegistryReader:
         nones = [None] * len(rows)
         slots = [nones] * len(RECORD_FIELDS)
         slots[_TECHNOLOGY_POS] = [self.technology] * len(rows)
+        filled = [0] * len(RECORD_FIELDS)  # the non-null values of each field
+        filled[_TECHNOLOGY_POS] = len(rows)
         table = list(zip(*rows))
-        for order, (col, name, pos, convert) in enumerate(plan):
+        intern = self._ids.setdefault
+        for order, (col, name, pos, convert, convert_column) in enumerate(plan):
             texts = list(map(str.strip, table[col]))
+            present = texts if all(texts) else list(filter(None, texts))
+            filled[pos] = len(present)
             if convert is None:
-                slots[pos] = [text or None for text in texts]
+                if pos in _REGION_POS:
+                    slots[pos] = list(map(intern, texts, texts))
+                else:
+                    slots[pos] = texts if present is texts else [text or None for text in texts]
+                continue
+            if not present:
                 continue
             try:
-                slots[pos] = [convert(text) if text else None for text in texts]
-            except (ValueError, OverflowError):
-                # A cell of this column is bad: convert it cell by cell.
+                values = convert_column(present)
+            except (*_CELL_ERRORS, KeyError):  # KeyError: a cell outside the boolean table
+                # A cell of this column may be bad: convert it cell by cell.
                 slots[pos] = values = []
                 for line_no, text in zip(lines, texts):
                     value = None
                     if text:
                         try:
                             value = convert(text)
-                        except (ValueError, OverflowError) as exc:
+                        except _CELL_ERRORS as exc:
                             found.append((line_no, order, ParseIssue(line_no, name, text, str(exc))))
                     values.append(value)
+                filled[pos] = len(values) - values.count(None)
+                continue
+            if present is not texts:
+                # Blank cells are None; the others take the values in order.
+                values = iter(values)
+                values = [next(values) if text else None for text in texts]
+            slots[pos] = values
         # A municipality id of eight digits gives a missing district id.
-        slots[_DISTRICT_POS] = [
-            mid[:5] if district is None and mid is not None and len(mid) == 8 and mid.isdigit() else district
+        slots[_DISTRICT_POS] = districts = [
+            intern(mid[:5], mid[:5])
+            if district is None and mid is not None and len(mid) == 8 and mid.isdigit()
+            else district
             for district, mid in zip(slots[_DISTRICT_POS], slots[_MUNICIPALITY_POS])
         ]
+        filled[_DISTRICT_POS] = len(districts) - districts.count(None)
         if self.dso_only:
             kept = [flag is True for flag in slots[_DSO_POS]]
             slots = [list(compress(values, kept)) for values in slots]
-        counts = self._counts
-        for pos, values in enumerate(slots):
-            counts[pos] += len(values) - values.count(None)
+            filled = [len(values) - values.count(None) for values in slots]
+        self._counts = list(map(add, self._counts, filled))
         return slots
 
 
@@ -381,7 +487,7 @@ def write_registry_csv(records: Iterable[UnitRecord], path: str | Path, technolo
     """Write records as a comma-separated table of the default mapping's raw
     columns, which RegistryReader reads back to the same values."""
     entries = default_mapping().for_technology(technology)
-    columns = [(e.field, _CODECS[FIELD_TYPES[e.field]][1]) for e in entries]
+    columns = [(e.field, _CODECS[FIELD_TYPES[e.field]][2]) for e in entries]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([e.raw for e in entries])

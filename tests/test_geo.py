@@ -654,6 +654,29 @@ class TestBlockClearance:
         assert 1_900.0 < clearance < 2_100.0
         assert 0 < calls < 0.05 * edges, (calls, edges)
 
+    @pytest.mark.parametrize("name", ["ring-3", "ring-15", "ring-16", "rectangle"])
+    def test_one_block_region_takes_no_block_bound(self, name, monkeypatch):
+        # One _box_bound_m call per segment: one fewer than a search that
+        # also bounds the block, with the same distances bit for bit.
+        region = block_fixture_regions()[name]
+        rng = random.Random(name)
+        queries = _kernel_queries(rng, region, 20) + _far_queries(rng, region, 10)
+        calls = 0
+        box_bound_m = geo._box_bound_m
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return box_bound_m(*args)
+
+        monkeypatch.setattr(geo, "_box_bound_m", counted)
+        for lat, lon in queries:
+            before = calls
+            clearance = boundary_clearance_m(lat, lon, region)
+            assert len(region._prepared.block_box) == 1
+            assert calls - before == len(region._prepared.segments) // 4
+            assert clearance.hex() == exhaustive_clearance_m(lat, lon, region).hex(), (lat, lon)
+
 
 def _table_segments(region: Region) -> list[tuple[LatLon, LatLon]]:
     """The region's clearance table as ((alat, alon), (blat, blon)) pairs."""

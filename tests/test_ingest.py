@@ -7,10 +7,11 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from registrylint.ingest import (
     _CODECS,
+    _converter,
     ColumnMapping,
     IngestError,
     MappingEntry,
@@ -410,6 +411,96 @@ class TestRoundTrip:
         write_registry_csv(records_out, path, Technology.SOLAR)
         result = read_table(path, Technology.SOLAR)
         assert result.records == records_out
+
+
+# Cells that the column path must read as the cell path does: blanks,
+# NaN and infinity text, digit separators, non-ASCII digits, padded and
+# signed numbers, decimal commas alone and beside a point, integers beyond
+# the float range, dates in the wrong shape or not in the calendar, boolean
+# spellings, and coordinates with a third part or out of bounds.
+_ODD_CELLS = [
+    "", "   ", "nan", "NaN", "-inf", "inf", "1e999", "1_0", "\u0662", " 5 ", "5,5", "1,2,3", "1,5.0", "-0.0",
+    "1" * 400, "-" + "1" * 400, "+7", "-3", "20170101", "2017-02-30", "2017-W01-1", "JA", "yes", "vielleicht",
+    "48.1,10.2,0", "48.1,200.5", "-91.0, 10.0", "48.1, 1e999", "48.1, nan",
+]
+_QUANTITIES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False).map(repr)
+# The solar columns of each non-text field type, with cells of that type.
+_TYPED_COLUMNS = {
+    "power gross": _QUANTITIES,
+    "power net": _QUANTITIES.map(lambda text: text.replace(".", ",")),
+    "area": st.one_of(_QUANTITIES, st.integers(min_value=0, max_value=10**6).map(str)),
+    "number of modules": st.integers(min_value=0, max_value=10**310).map(str),
+    "installation year": st.integers(min_value=-10**4, max_value=10**4).map(str),
+    "commissioning date": st.dates().map(lambda day: day.isoformat()),
+    "grid operator inspection": st.sampled_from(["1", "0", "ja", "Nein", "TRUE", "false", "yes", "no"]),
+    "coordinate": st.tuples(
+        st.floats(min_value=-90.0, max_value=90.0), st.floats(min_value=-180.0, max_value=180.0)
+    ).map(lambda point: f"{point[0]!r}, {point[1]!r}"),
+}
+
+
+@st.composite
+def solar_columns(draw) -> list[dict[str, str]]:
+    """Rows of a solar table whose typed columns hold cells of their type,
+    with some of _ODD_CELLS among them."""
+    count = draw(st.integers(min_value=1, max_value=24))
+    columns = {}
+    for raw, cells in _TYPED_COLUMNS.items():
+        odd = draw(st.sampled_from([0.0, 0.1, 0.5]))  # the share of odd cells
+        columns[raw] = [
+            draw(st.sampled_from(_ODD_CELLS)) if odd and draw(st.floats(0.0, 1.0)) < odd else draw(cells)
+            for _ in range(count)
+        ]
+    return [
+        {"mastr id": f"SEE9{row:011d}", **{raw: cells[row] for raw, cells in columns.items()}}
+        for row in range(count)
+    ]
+
+
+class TestColumnConversion:
+    """A block's columns are converted a column at a time, falling back to
+    one conversion per cell; values, non-null counts and issues must equal
+    a conversion of each stripped cell by itself."""
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-3, 1e300])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=solar_columns(), block_rows=st.integers(min_value=1, max_value=10))
+    @example(rows=[{"power gross": "1.5"}, {"power gross": "nan"}], block_rows=2)
+    @example(rows=[{"coordinate": "48.1, 10.2"}, {"coordinate": "48.1,200.5"}], block_rows=2)
+    @example(rows=[{"commissioning date": "2017-01-01"}, {"commissioning date": "20170101"}], block_rows=2)
+    @example(rows=[{"power net": "1,5"}, {"power net": "2.0"}, {"power net": "1,5.0"}], block_rows=3)
+    def test_columns_read_as_their_cells_one_by_one(self, rows, block_rows, factor, tmp_path_factory):
+        entries = {
+            tech: tuple(
+                MappingEntry(e.raw, e.field, factor if FIELD_TYPES[e.field] == "float | None" else 1.0)
+                for e in default_mapping().for_technology(tech)
+            )
+            for tech in Technology
+        }
+        mapping = ColumnMapping(entries)
+        path = make_csv(tmp_path_factory.mktemp("columns") / "solar.csv", Technology.SOLAR, rows)
+        reader = RegistryReader(path, Technology.SOLAR, mapping)
+        reader.BLOCK_ROWS = block_rows
+        records = list(reader)
+
+        expected_values, expected_issues = {}, []
+        for line, row in enumerate(rows, start=2):
+            for entry in mapping.for_technology(Technology.SOLAR):
+                text, value = row.get(entry.raw, "").strip(), None
+                convert = _converter(entry)
+                if text and convert is None:
+                    value = text
+                elif text:
+                    try:
+                        value = convert(text)
+                    except (ValueError, OverflowError) as exc:
+                        expected_issues.append((line, entry.field, text, str(exc)))
+                expected_values.setdefault(entry.field, []).append(value)
+        assert [(i.line, i.field, i.value, i.reason) for i in reader.issues] == expected_issues
+        for name, values in expected_values.items():
+            # repr tells -0.0 from 0.0.
+            assert [repr(getattr(record, name)) for record in records] == list(map(repr, values)), name
+            assert reader.non_null[name] == len(values) - values.count(None), name
 
 
 class TestParseBoundaries:

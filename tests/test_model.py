@@ -122,6 +122,21 @@ class TestStructuralInvariants:
             UnitRecord(technology=Technology.WIND, coordinate=(0.0, 200.0))
         UnitRecord(technology=Technology.WIND, coordinate=(90.0, 180.0))  # corners are legal
 
+    # The rules compute with integers as floats, so neither integer field
+    # may hold one beyond the float range.
+    def test_module_count_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match=r"number_of_modules.*\(beyond the float range\)"):
+            UnitRecord(technology=Technology.SOLAR, unit_id="SEE900000000001", power_gross_kw=10.0,
+                       number_of_modules=10**400)
+        UnitRecord(technology=Technology.SOLAR, number_of_modules=int(1.7e308))
+
+    def test_installation_year_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match=r"installation_year.*\(beyond the float range\)"):
+            UnitRecord(technology=Technology.WIND, unit_id="SEE900000000001", installation_year=10**400)
+        with pytest.raises(ValueError, match=r"installation_year.*\(beyond the float range\)"):
+            UnitRecord(technology=Technology.WIND, installation_year=-(10**400))
+        UnitRecord(technology=Technology.WIND, installation_year=-2)  # no bound but the float range
+
     def test_technology_must_be_enum(self):
         with pytest.raises(ValueError, match="technology"):
             UnitRecord(technology="wind")
