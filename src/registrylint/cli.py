@@ -32,7 +32,7 @@ from .ingest import (
 )
 from .model import Technology
 from .report import ColumnStats, ReportError, build_report, export, load_run
-from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_suite
+from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_blocks
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 _CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
@@ -89,10 +89,10 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
     return inputs
 
 
-def _stream_records(readers: list[RegistryReader]) -> Iterable:
+def _stream_blocks(readers: list[RegistryReader]) -> Iterable:
     for reader in readers:
         print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
-        yield from reader
+        yield from reader.blocks()
 
 
 def cmd_validate(args) -> int:
@@ -140,7 +140,7 @@ def cmd_validate(args) -> int:
         for level, path in boundary_files.items()
     }
     boundaries = Boundaries(districts=parsed.get("district"), municipalities=parsed.get("municipality"))
-    failure_set = run_suite(_stream_records(readers), boundaries, rule_config)
+    failure_set = run_blocks(_stream_blocks(readers), boundaries, rule_config)
     stats = ColumnStats({reader.technology: reader.non_null for reader in readers})
     issues = sum(len(r.issues) for r in readers)
     rejected = sum(r.rows_rejected for r in readers)

@@ -16,13 +16,15 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date
 from itertools import compress, islice, repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .geo import BoundarySet, GeometryError, PolygonGeom, Region
 from .model import (
+    BLOCK_ROWS,
     CHECKED_FIELDS,
+    FIELD_POS,
     FIELD_TYPES,
     RECORD_FIELDS,
     Technology,
@@ -32,11 +34,10 @@ from .model import (
     value_problem,
 )
 
-_FIELD_POS = {name: i for i, name in enumerate(RECORD_FIELDS)}
-_MUNICIPALITY_POS = _FIELD_POS["municipality_id"]
-_DISTRICT_POS = _FIELD_POS["district_id"]
-_DSO_POS = _FIELD_POS["grid_operator_inspection"]
-_TECHNOLOGY_POS = _FIELD_POS["technology"]
+_MUNICIPALITY_POS = FIELD_POS["municipality_id"]
+_DISTRICT_POS = FIELD_POS["district_id"]
+_DSO_POS = FIELD_POS["grid_operator_inspection"]
+_TECHNOLOGY_POS = FIELD_POS["technology"]
 _REGION_POS = (_MUNICIPALITY_POS, _DISTRICT_POS)
 
 
@@ -191,9 +192,10 @@ def _parse_date(text: str) -> date:
 # cells of one column of a block and gives the values the cell parse gives
 # them, in one C-level map of the field type's own parse after a screen of
 # the whole column; where some cell might not parse, it raises, and the
-# column is converted cell by cell. The screen of numeric columns: ASCII,
-# no "_", and no n or N, so no NaN or infinity text. "1e999" still reads
-# as infinity, which the extremes check of _column_converter refuses.
+# column is converted in halves (_convert_halves). The screen of numeric
+# columns: ASCII, no "_", and no n or N, so no NaN or infinity text.
+# "1e999" still reads as infinity, which the extremes check of
+# _column_converter refuses.
 def _screened(texts: list[str]) -> str:
     joined = "".join(texts)
     if not joined.isascii() or "_" in joined or "n" in joined or "N" in joined:
@@ -219,11 +221,13 @@ def _bool_column(texts: list[str]) -> list[bool]:
 
 
 def _coordinate_column(texts: list[str]) -> list[tuple[float, float]]:
+    # With one comma in every cell, the joined column splits into each
+    # cell's two parts in order.
     _screened(texts)
-    parts = list(map(str.split, texts, repeat(",")))
-    if set(map(len, parts)) != {2}:
+    if set(map(str.count, texts, repeat(","))) != {1}:
         raise ValueError("screened out")
-    return list(zip(map(float, map(itemgetter(0), parts)), map(float, map(itemgetter(1), parts))))
+    values = list(map(float, ",".join(texts).split(",")))
+    return list(zip(values[::2], values[1::2]))
 
 
 def _date_column(texts: list[str]) -> list[date]:
@@ -282,8 +286,9 @@ def _column_converter(entry: MappingEntry) -> Callable[[list[str]], list] | None
     value rule is a monotone bound and the screens let no NaN through. It
     gives the values _converter gives the cells, or raises ValueError,
     OverflowError or KeyError when some cell may not convert; the caller
-    then converts the column cell by cell, which alone gives cell issues
-    their reasons. None for a text column."""
+    then converts the cells in halves (_convert_halves), down to single
+    cells converted by _converter, which alone gives cell issues their
+    reasons. None for a text column."""
     column = _CODECS[FIELD_TYPES[entry.field]][1]
     name, factor = entry.field, entry.factor
     if column is None or name not in CHECKED_FIELDS:
@@ -303,19 +308,23 @@ def _column_converter(entry: MappingEntry) -> Callable[[list[str]], list] | None
 
 
 class RegistryReader:
-    """Streaming CSV reader yielding UnitRecords in file order.
+    """Streaming CSV reader of one technology's table, in file order.
 
+    blocks() yields the table as blocks of BLOCK_ROWS rows, each a list of
+    columns, one per field in RECORD_FIELDS order, with its row count;
+    iterating the reader yields UnitRecords built from those blocks.
     Issues, row totals, rejected-row counts and the non-null count of each
-    column accumulate on the reader while it is consumed. The table is read
-    in blocks of BLOCK_ROWS rows, and each mapped column of a block is
-    converted as one list by _column_converter: a screen, one map of the
-    field type's parse and model.value_problem on the column's extremes.
-    A column that fails any of them is converted cell by cell by
-    _converter, which gives each unparseable cell its ParseIssue. Region
-    ids are kept as one string per distinct id. Memory holds one block,
-    the distinct region ids and every ParseIssue, so it is not bounded by
-    one block. Since every cell is checked and the column mapping only
-    targets fields the technology carries, records are built by
+    column accumulate on the reader while it is consumed. Each mapped
+    column of a block is converted as one list by _column_converter: a
+    screen, one map of the field type's parse and model.value_problem on
+    the column's extremes. A column that fails any of them is split in
+    halves, each converted the same way, down to single cells, which
+    _converter converts one by one, giving each unparseable cell its
+    ParseIssue. Region ids are kept as one string per distinct id. Memory
+    holds one block, the distinct region ids and every ParseIssue, so it
+    is not bounded by one block. Since every cell is checked and the
+    column mapping only targets fields the technology carries, a block
+    meets UnitRecord's invariants, and records are built by
     checked_records, without UnitRecord.__post_init__; only rows of the
     wrong width are rejected. With dso_only, a row whose grid operator
     inspection is not true is read for its cell issues but neither counted
@@ -324,7 +333,7 @@ class RegistryReader:
     IngestError.
     """
 
-    BLOCK_ROWS = 128  # rows converted together; memory holds one block of rows, values and records
+    BLOCK_ROWS = BLOCK_ROWS  # rows converted together; memory holds one block of rows and values
 
     def __init__(
         self,
@@ -355,9 +364,17 @@ class RegistryReader:
     def non_null(self) -> dict[str, int]:
         """Non-null values per column the technology carries, counted a
         block at a time; complete once the reader is consumed."""
-        return {name: self._counts[_FIELD_POS[name]] for name in columns_for(self.technology)}
+        return {name: self._counts[FIELD_POS[name]] for name in columns_for(self.technology)}
 
     def __iter__(self) -> Iterator[UnitRecord]:
+        for _, columns in self.blocks():
+            yield from checked_records(columns)
+
+    def blocks(self) -> Iterator[tuple[int, list[list]]]:
+        """The table's kept rows as (row count, columns) blocks, in file
+        order; a block's columns hold one value per row for each field in
+        RECORD_FIELDS order. A block's issues are recorded before it is
+        yielded, and a block that keeps no row is not yielded."""
         with open(self.path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=self.delimiter)
             # Undecodable bytes and csv errors (such as a cell over the field
@@ -377,7 +394,7 @@ class RegistryReader:
                 # fills and the converters of its cells and of a column of
                 # them (None: text).
                 plan = [
-                    (index[e.raw], e.field, _FIELD_POS[e.field], _converter(e), _column_converter(e))
+                    (index[e.raw], e.field, FIELD_POS[e.field], _converter(e), _column_converter(e))
                     for e in self.entries
                 ]
                 width = len(header)
@@ -399,11 +416,13 @@ class RegistryReader:
                         return
                     self.rows_total += len(rows) + len(found)
                     self.rows_rejected += len(found)
-                    records = checked_records(self._block_values(rows, lines, plan, found)) if rows else ()
+                    columns = self._block_values(rows, lines, plan, found) if rows else None
+                    count = len(columns[_TECHNOLOGY_POS]) if columns else 0
                     if found:
                         found.sort(key=lambda item: item[:2])
                         self.issues.extend(issue for _, _, issue in found)
-                    yield from records
+                    if count:
+                        yield count, columns
             except csv.Error as exc:
                 raise IngestError(f"{self.path}: line {reader.line_num}: {exc}") from None
             except UnicodeDecodeError as exc:
@@ -437,19 +456,11 @@ class RegistryReader:
                 continue
             try:
                 values = convert_column(present)
-            except (*_CELL_ERRORS, KeyError):  # KeyError: a cell outside the boolean table
-                # A cell of this column may be bad: convert it cell by cell.
-                slots[pos] = values = []
-                for line_no, text in zip(lines, texts):
-                    value = None
-                    if text:
-                        try:
-                            value = convert(text)
-                        except _CELL_ERRORS as exc:
-                            found.append((line_no, order, ParseIssue(line_no, name, text, str(exc))))
-                    values.append(value)
+            except (*_CELL_ERRORS, KeyError):
+                # Some cell of this column may be bad: convert it in halves.
+                present_lines = lines if present is texts else list(compress(lines, texts))
+                values = _convert_halves(present, present_lines, convert, convert_column, found, order, name)
                 filled[pos] = len(values) - values.count(None)
-                continue
             if present is not texts:
                 # Blank cells are None; the others take the values in order.
                 values = iter(values)
@@ -469,6 +480,31 @@ class RegistryReader:
             filled = [len(values) - values.count(None) for values in slots]
         self._counts = list(map(add, self._counts, filled))
         return slots
+
+
+def _convert_halves(
+    texts: list[str], lines: list[int], convert, convert_column, found: list, order: int, name: str
+) -> list:
+    """The values of a column's stripped, non-blank cells, which start on
+    `lines`, once their column conversion has raised; None for a cell that
+    does not convert. Each half is converted by `convert_column` again, and
+    a half that raises is split in turn, down to single cells. A single cell
+    that raises is converted by `convert` (_converter's), whose error gives
+    the cell issue added to `found`, keyed by line and `order`."""
+    if len(texts) == 1:
+        try:
+            return [convert(texts[0])]
+        except _CELL_ERRORS as exc:
+            found.append((lines[0], order, ParseIssue(lines[0], name, texts[0], str(exc))))
+            return [None]
+    half = len(texts) // 2
+    values = []
+    for part, part_lines in ((texts[:half], lines[:half]), (texts[half:], lines[half:])):
+        try:
+            values += convert_column(part)
+        except (*_CELL_ERRORS, KeyError):  # KeyError: a cell outside the boolean table
+            values += _convert_halves(part, part_lines, convert, convert_column, found, order, name)
+    return values
 
 
 def _undecodable_line(path: Path) -> int:

@@ -126,6 +126,10 @@ SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
 }
 # Field names in declaration order, reused by ingest and the rule config check.
 RECORD_FIELDS: tuple[str, ...] = tuple(FIELD_TYPES)
+# A block holds rows of one technology as columns, one per field in
+# RECORD_FIELDS order; FIELD_POS gives a field's column.
+FIELD_POS: dict[str, int] = {name: i for i, name in enumerate(RECORD_FIELDS)}
+BLOCK_ROWS = 128  # rows per block, read and checked together
 _TEXT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if kind == "str | None")
 
 # What a present value of a field must be, beyond the field existing for

@@ -9,8 +9,12 @@ spans 15 x 6 = 90 test instances, of which 53 check-marked cells run.
 
 CATALOG is the only definition of the tests and of the fields they read:
 the suite loop, evaluate_record, the check-mark matrix and the fields a
-run's column mapping must give all follow from it. Every check is a pure
-function of one record; uniqueness is the one suite-level test.
+run's column mapping must give all follow from it. Checks run a block at a
+time: a block holds rows of one technology as columns, one per record
+field, and a check is a pure function of a block that gives one result per
+row. The suite (run_blocks) takes the reader's blocks as they come;
+run_suite groups records into blocks and evaluate_record runs a block of
+one record. Uniqueness is the one suite-level test.
 """
 
 from __future__ import annotations
@@ -19,11 +23,24 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from itertools import compress, groupby, islice, repeat
+from operator import attrgetter, is_, is_not, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from .geo import BoundarySet, buffer_clearance_m
-from .model import POWER_FIELD, FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
+from .model import (
+    BLOCK_ROWS,
+    FIELD_POS,
+    POWER_FIELD,
+    RECORD_FIELDS,
+    FailureRecord,
+    RuleOutcome,
+    Technology,
+    UnitRecord,
+    columns_for,
+)
+
+_TECHNOLOGY = FIELD_POS["technology"]
 
 
 class ConfigError(ValueError):
@@ -169,16 +186,18 @@ class Boundaries(NamedTuple):
     municipalities: BoundarySet | None = None
 
 
-# A compiled check: None for a plain pass, the measured value for a
-# measured pass, the failing RuleOutcome otherwise.
-Check = Callable[[UnitRecord], "RuleOutcome | float | None"]
+# A compiled check takes a block (one column per field, in RECORD_FIELDS
+# order, of rows of one technology) and gives one result per row: None for
+# a plain pass, the measured value for a measured pass, the failing
+# RuleOutcome otherwise.
+Check = Callable[[Sequence[Sequence]], list]
 
 
 class CatalogTest(NamedTuple):
     """One row of the catalog.
 
     compile(config, technology, boundaries, fail) returns the test's check
-    for records of one technology, or None when the test cannot run on
+    for blocks of one technology, or None when the test cannot run on
     these inputs (no boundaries for a location test); compile is None for
     the suite-level uniqueness test. reads names the fields the check
     reads (test 1 reads the configured required_fields besides). unit is
@@ -203,40 +222,55 @@ def _field_of(name: str, tech: Technology) -> str:
     return POWER_FIELD[tech] if name == "power" else name
 
 
+def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple]:
+    """A block's columns of two or more named fields, as a tuple."""
+    return itemgetter(*(FIELD_POS[name] for name in names))
+
+
 def _required_fields(config, tech, boundaries, fail):
     """Test 1: required fields must not be null ("power" is the rated power)."""
-    names = tuple((name, _field_of(name, tech)) for name in config.required_fields)
+    names = config.required_fields
+    positions = [FIELD_POS[_field_of(name, tech)] for name in names]
+    unit_ids = FIELD_POS["unit_id"]
 
-    def check(r):
-        nulls = ()
-        for name, attr in names:
-            if getattr(r, attr) is None:
-                nulls += (name,)
-        return fail(r.unit_id, "null required fields: " + ", ".join(nulls)) if nulls else None
+    def check(block):
+        rows = zip(*[block[pos] for pos in positions]) if positions else repeat(())
+        return [
+            None
+            if None not in values
+            else fail(uid, "null required fields: " + ", ".join(compress(names, map(is_, values, repeat(None)))))
+            for uid, values in zip(block[unit_ids], rows)
+        ]
 
     return check
 
 
 def _gross_vs_net(config, tech, boundaries, fail):
     """Test 3: gross power must be at least net power."""
+    columns = _columns("unit_id", "power_gross_kw", "power_net_kw")
 
-    def check(r):
-        gross, net = r.power_gross_kw, r.power_net_kw
-        if gross is not None and net is not None and gross < net:
-            return fail(r.unit_id, f"gross power {gross} kW below net power {net} kW", net - gross)
-        return None
+    def check(block):
+        return [
+            fail(uid, f"gross power {gross} kW below net power {net} kW", net - gross)
+            if gross is not None and net is not None and gross < net
+            else None
+            for uid, gross, net in zip(*columns(block))
+        ]
 
     return check
 
 
 def _inverter_vs_net(config, tech, boundaries, fail):
     """Test 4: inverter power must be at least net power."""
+    columns = _columns("unit_id", "power_inverter_kw", "power_net_kw")
 
-    def check(r):
-        inverter, net = r.power_inverter_kw, r.power_net_kw
-        if inverter is not None and net is not None and inverter < net:
-            return fail(r.unit_id, f"inverter power {inverter} kW below net power {net} kW", net - inverter)
-        return None
+    def check(block):
+        return [
+            fail(uid, f"inverter power {inverter} kW below net power {net} kW", net - inverter)
+            if inverter is not None and net is not None and inverter < net
+            else None
+            for uid, inverter, net in zip(*columns(block))
+        ]
 
     return check
 
@@ -247,16 +281,23 @@ def _id_formats(config, tech, boundaries, fail):
     unit_id_ok = re.compile(config.unit_id_pattern, re.ASCII).fullmatch
     municipality_id_ok = re.compile(config.municipality_id_pattern, re.ASCII).fullmatch
     zip_ok = re.compile(config.zip_pattern, re.ASCII).fullmatch
+    columns = _columns("unit_id", "municipality_id", "zip_code")
 
-    def check(r):
-        bad = ()
-        if r.unit_id is not None and unit_id_ok(r.unit_id) is None:
-            bad += ("unit_id",)
-        if r.municipality_id is not None and municipality_id_ok(r.municipality_id) is None:
-            bad += ("municipality_id",)
-        if r.zip_code is not None and zip_ok(r.zip_code) is None:
-            bad += ("zip_code",)
-        return fail(r.unit_id, "fields not matching pattern: " + ", ".join(bad)) if bad else None
+    def bad(*values):
+        named = zip(("unit_id", "municipality_id", "zip_code"), values, (unit_id_ok, municipality_id_ok, zip_ok))
+        return ", ".join(name for name, value, ok in named if value is not None and ok(value) is None)
+
+    # Municipality ids and zip codes repeat within a block: each distinct one is matched once.
+    def check(block):
+        uids, mids, codes = columns(block)
+        bad_mids = {mid for mid in set(mids) if mid is not None and municipality_id_ok(mid) is None}
+        bad_codes = {code for code in set(codes) if code is not None and zip_ok(code) is None}
+        return [
+            None
+            if (uid is None or unit_id_ok(uid)) and mid not in bad_mids and code not in bad_codes
+            else fail(uid, "fields not matching pattern: " + bad(uid, mid, code))
+            for uid, mid, code in zip(uids, mids, codes)
+        ]
 
     return check
 
@@ -264,17 +305,20 @@ def _id_formats(config, tech, boundaries, fail):
 def _module_power(config, tech, boundaries, fail):
     """Test 6: gross power per module within the accepted range."""
     low, high = config.module_power_range_w
+    columns = _columns("unit_id", "power_gross_kw", "number_of_modules")
 
-    def check(r):
-        gross, modules = r.power_gross_kw, r.number_of_modules
-        if gross is None or modules is None:
-            return None
-        if modules == 0:
-            return fail(r.unit_id, "zero modules")
-        per_module_w = gross * 1000.0 / modules
-        if not low <= per_module_w <= high:
-            return fail(r.unit_id, f"{per_module_w:.1f} W per module outside [{low:g}, {high:g}] W", per_module_w)
-        return per_module_w
+    # Each row's value is named by := in the condition, which is evaluated first.
+    def check(block):
+        return [
+            None
+            if gross is None or modules is None
+            else fail(uid, "zero modules")
+            if modules == 0
+            else per_module_w
+            if low <= (per_module_w := gross * 1000.0 / modules) <= high
+            else fail(uid, f"{per_module_w:.1f} W per module outside [{low:g}, {high:g}] W", per_module_w)
+            for uid, gross, modules in zip(*columns(block))
+        ]
 
     return check
 
@@ -286,17 +330,19 @@ def _inverter_ratio(config, tech, boundaries, fail):
     does not depend on which of the fields carries the error.
     """
     factor = config.inverter_ratio_factor
+    columns = _columns("unit_id", "power_gross_kw", "power_inverter_kw")
 
-    def check(r):
-        gross, inverter = r.power_gross_kw, r.power_inverter_kw
-        if gross is None or inverter is None:
-            return None
-        if gross == 0 or inverter == 0:
-            return fail(r.unit_id, "zero power")
-        ratio = max(gross / inverter, inverter / gross)
-        if ratio >= factor:
-            return fail(r.unit_id, f"gross/inverter power differ by factor {ratio:.1f}", ratio)
-        return ratio
+    def check(block):
+        return [
+            None
+            if gross is None or inverter is None
+            else fail(uid, "zero power")
+            if gross == 0 or inverter == 0
+            else fail(uid, f"gross/inverter power differ by factor {ratio:.1f}", ratio)
+            if (ratio := max(gross / inverter, inverter / gross)) >= factor
+            else ratio
+            for uid, gross, inverter in zip(*columns(block))
+        ]
 
     return check
 
@@ -305,41 +351,49 @@ def _area_density(config, tech, boundaries, fail):
     """Test 8: power density of ground-mounted PV within the accepted range."""
     ground_types = config.ground_unit_types
     low, high = config.area_density_range_mw_per_ha
+    columns = _columns("unit_id", "unit_type", "power_gross_kw", "area_ha")
 
-    def check(r):
-        gross, area = r.power_gross_kw, r.area_ha
-        if r.unit_type not in ground_types or gross is None or area is None:
-            return None
-        if area <= 0:
-            return fail(r.unit_id, "non-positive area")
-        density = gross / 1000.0 / area
-        if not low <= density <= high:
-            return fail(r.unit_id, f"{density:.3f} MW/ha outside [{low:g}, {high:g}] MW/ha", density)
-        return density
+    def check(block):
+        return [
+            None
+            if unit_type not in ground_types or gross is None or area is None
+            else fail(uid, "non-positive area")
+            if area <= 0
+            else density
+            if low <= (density := gross / 1000.0 / area) <= high
+            else fail(uid, f"{density:.3f} MW/ha outside [{low:g}, {high:g}] MW/ha", density)
+            for uid, unit_type, gross, area in zip(*columns(block))
+        ]
 
     return check
+
+
+def _swept_area_m2(diameter: float) -> float:
+    """The area a rotor of this diameter sweeps."""
+    try:
+        return math.pi * (diameter / 2.0) ** 2
+    except OverflowError:  # float ** raises where a product would give inf
+        return math.inf
 
 
 def _rotor_power(config, tech, boundaries, fail):
     """Test 9: wind power per rotor swept area within the accepted range."""
     low, high = config.rotor_specific_power_range_w_per_m2
+    columns = _columns("unit_id", "power_kw", "rotor_diameter_m")
 
-    def check(r):
-        power, diameter = r.power_kw, r.rotor_diameter_m
-        if power is None or diameter is None:
-            return None
-        if diameter <= 0:
-            return fail(r.unit_id, "non-positive rotor diameter")
-        try:
-            swept = math.pi * (diameter / 2.0) ** 2
-        except OverflowError:  # float ** raises where a product would give inf
-            swept = math.inf
-        if swept == 0.0:
-            return fail(r.unit_id, "rotor swept area rounds to zero")
-        specific = power * 1000.0 / swept
-        if not low <= specific <= high:
-            return fail(r.unit_id, f"{specific:.1f} W/m2 outside [{low:g}, {high:g}] W/m2", specific)
-        return specific
+    def check(block):
+        return [
+            None
+            if power is None or diameter is None
+            else fail(uid, "non-positive rotor diameter")
+            if diameter <= 0
+            else fail(uid, "rotor swept area rounds to zero")
+            if (swept := _swept_area_m2(diameter)) == 0.0
+            else specific
+            if low <= (specific := power * 1000.0 / swept) <= high
+            else fail(uid, f"{specific:.1f} W/m2 outside [{low:g}, {high:g}] W/m2", specific)
+            for uid, power, diameter in zip(*columns(block))
+        ]
 
     return check
 
@@ -356,22 +410,21 @@ def _location(level_name: str, region_field: str):
         level = getattr(boundaries, level_name)
         if level is None:
             return None
-        regions, buffer_m = level.regions, config.buffer_m
-        region_of = attrgetter(region_field)
+        region_of, buffer_m, name = level.regions.get, config.buffer_m, level.level
+        columns = _columns("unit_id", "coordinate", region_field)
 
-        def check(r):
-            region_id = region_of(r)
-            if r.coordinate is None or region_id is None:
-                return None
-            region = regions.get(region_id)
-            if region is None:
-                return fail(r.unit_id, f"unknown region key {region_id!r} ({level.level})")
-            lat, lon = r.coordinate
-            clearance = buffer_clearance_m(lat, lon, region, buffer_m)
-            if clearance is None:
-                return None
-            return fail(r.unit_id, f"coordinate {clearance:.0f} m outside registered {level.level} {region_id}",
-                        clearance)
+        def check(block):
+            ids, coordinates, region_ids = columns(block)
+            return [
+                None
+                if coordinate is None or region_id is None
+                else fail(uid, f"unknown region key {region_id!r} ({name})")
+                if region is None
+                else None
+                if (clearance := buffer_clearance_m(coordinate[0], coordinate[1], region, buffer_m)) is None
+                else fail(uid, f"coordinate {clearance:.0f} m outside registered {name} {region_id}", clearance)
+                for uid, coordinate, region_id, region in zip(ids, coordinates, region_ids, map(region_of, region_ids))
+            ]
 
         return check
 
@@ -383,17 +436,19 @@ def _power_range(config, tech, boundaries, fail):
 
     Lower bound exclusive (power must be positive), upper bound inclusive.
     """
-    power_field = POWER_FIELD[tech]
     low_mw, high_mw = config.power_range_mw[tech]
     low_kw, high_kw = low_mw * 1000.0, high_mw * 1000.0
+    columns = _columns("unit_id", POWER_FIELD[tech])
 
-    def check(r):
-        power = getattr(r, power_field)
-        if power is None:
-            return None
-        if not low_kw < power <= high_kw:
-            return fail(r.unit_id, f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
-        return power
+    def check(block):
+        return [
+            None
+            if power is None
+            else power
+            if low_kw < power <= high_kw
+            else fail(uid, f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
+            for uid, power in zip(*columns(block))
+        ]
 
     return check
 
@@ -401,29 +456,34 @@ def _power_range(config, tech, boundaries, fail):
 def _installation_year(config, tech, boundaries, fail):
     """Test 13: installation year within the technology's accepted window."""
     low, high = config.year_min[tech], config.year_max
+    columns = _columns("unit_id", "installation_year")
 
-    def check(r):
-        year = r.installation_year
-        if year is None:
-            return None
-        if not low <= year <= high:
-            return fail(r.unit_id, f"installation year {year} outside [{low}, {high}]", float(year))
-        return year
+    def check(block):
+        return [
+            None
+            if year is None
+            else year
+            if low <= year <= high
+            else fail(uid, f"installation year {year} outside [{low}, {high}]", float(year))
+            for uid, year in zip(*columns(block))
+        ]
 
     return check
 
 
 def _hub_height(config, tech, boundaries, fail):
     """Test 14: hub height must not be below the rotor radius."""
+    columns = _columns("unit_id", "hub_height_m", "rotor_diameter_m")
 
-    def check(r):
-        hub, diameter = r.hub_height_m, r.rotor_diameter_m
-        if hub is None or diameter is None:
-            return None
-        radius = diameter / 2.0
-        if hub < radius:
-            return fail(r.unit_id, f"hub height {hub:g} m below rotor radius {radius:g} m", hub)
-        return hub
+    def check(block):
+        return [
+            None
+            if hub is None or diameter is None
+            else fail(uid, f"hub height {hub:g} m below rotor radius {radius:g} m", hub)
+            if hub < (radius := diameter / 2.0)
+            else hub
+            for uid, hub, diameter in zip(*columns(block))
+        ]
 
     return check
 
@@ -437,17 +497,23 @@ def _balcony_power(config, tech, boundaries, fail):
     cap = config.balcony_limit_kw + config.balcony_tolerance_kw
     name_cap = config.balcony_name_limit_kw
     unit_types, keywords = config.balcony_unit_types, config.balcony_keywords
+    columns = _columns("unit_id", "power_net_kw", "unit_type", "unit_name")
 
-    def check(r):
-        net = r.power_net_kw
-        if net is None:
-            return None
-        problems = ()
-        if net > cap and r.unit_type in unit_types:
-            problems += (f"balcony unit with net power {net:g} kW > {cap:g} kW",)
-        if net > name_cap and r.unit_name is not None and any(k in r.unit_name.lower() for k in keywords):
-            problems += (f"balcony-named unit with net power {net:g} kW > {name_cap:g} kW",)
-        return fail(r.unit_id, " / ".join(problems), net) if problems else None
+    def problems(net, unit_type, name):
+        found = ()
+        if net > cap and unit_type in unit_types:
+            found += (f"balcony unit with net power {net:g} kW > {cap:g} kW",)
+        if net > name_cap and name is not None and any(k in name.lower() for k in keywords):
+            found += (f"balcony-named unit with net power {net:g} kW > {name_cap:g} kW",)
+        return found
+
+    def check(block):
+        return [
+            None
+            if net is None or not (net > cap or net > name_cap) or not (found := problems(net, unit_type, name))
+            else fail(uid, " / ".join(found), net)
+            for uid, net, unit_type, name in zip(*columns(block))
+        ]
 
     return check
 
@@ -520,15 +586,17 @@ def evaluate_record(
     districts: BoundarySet | None = None,
     municipalities: BoundarySet | None = None,
 ) -> list[RuleOutcome]:
-    """All applicable per-record outcomes (passes included), by test id.
+    """All applicable per-record outcomes (passes included), by test id,
+    from the suite's checks run on a block of this one record.
 
     A measured pass carries its value and the test's unit. Location tests
     run only for the boundary sets given; test 2 is suite-level.
     """
     checks, _ = _compile(config or RuleConfig(), Boundaries(districts, municipalities))
+    block = [[getattr(record, name)] for name in RECORD_FIELDS]
     outcomes = []
     for test, check in checks[record.technology]:
-        result = check(record)
+        (result,) = check(block)
         if result.__class__ is not RuleOutcome:
             measured = None if result is None else float(result)
             unit = None if result is None else test.unit
@@ -576,6 +644,10 @@ def count_failing_units(failures: Iterable[FailureRecord]) -> int:
     return len(set(ids) - {None}) + ids.count(None)
 
 
+# The fields of a row's meta besides its unit id and rated power.
+_META_FIELDS = ("district_id", "municipality_id", "grid_operator_inspection")
+
+
 def run_suite(
     records: Iterable[UnitRecord],
     boundaries: Boundaries | tuple | None = None,
@@ -583,61 +655,95 @@ def run_suite(
     *,
     jobs: int = 1,
 ) -> FailureSet:
-    """Apply the full catalog to a record stream.
-
-    Emits one FailureRecord per unit failing at least one test, sorted by
-    unit id (input order breaks ties), with all failed tests listed.
-    Location tests run only when boundary sets are supplied. Output is
-    deterministic for identical input and configuration. Memory holds one
-    flat tuple of key fields for the first record per distinct unit id and
-    for every record of a duplicated id, and the failures.
+    """Apply the full catalog to a record stream: run_blocks over blocks
+    of up to BLOCK_ROWS consecutive records of one technology, holding the
+    fields that the checks and the suite read.
 
     jobs (>= 1) is kept for callers that pass it: the suite runs in the
     calling process, so the result does not depend on it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    config = config or RuleConfig()
+    read = {
+        tech: tuple(fields_read(config, tech) | {"technology", "unit_id", POWER_FIELD[tech], *_META_FIELDS})
+        for tech in Technology
+    }
+
+    def blocks():
+        for tech, group in groupby(records, attrgetter("technology")):
+            while chunk := list(islice(group, BLOCK_ROWS)):
+                block = [[None] * len(chunk)] * len(RECORD_FIELDS)
+                for name in read[tech]:
+                    block[FIELD_POS[name]] = list(map(attrgetter(name), chunk))
+                yield len(chunk), block
+
+    return run_blocks(blocks(), boundaries, config)
+
+
+def run_blocks(
+    blocks: Iterable[tuple[int, Sequence[Sequence]]],
+    boundaries: Boundaries | tuple | None = None,
+    config: RuleConfig | None = None,
+) -> FailureSet:
+    """Apply the full catalog to a stream of (row count, columns) blocks,
+    as RegistryReader.blocks gives them: rows of one technology, one
+    column per field in RECORD_FIELDS order.
+
+    Emits one FailureRecord per unit failing at least one test, sorted by
+    unit id (the row's place in the stream breaks ties), with all failed
+    tests listed. Location tests run only when boundary sets are supplied.
+    Output is deterministic for identical input and configuration. Memory
+    holds one block, one flat tuple of key fields for the first row per
+    distinct unit id and for every row of a duplicated id, and the
+    failures.
+    """
     compiled, evaluated = _compile(config or RuleConfig(), Boundaries(*(boundaries or ())))
-    # Per technology: its checks, its name for the meta and its power field.
+    # Per technology: its checks, its name for the meta and the meta's columns.
     plans = {
-        tech: (tuple(check for _, check in pairs), tech.value, POWER_FIELD[tech]) for tech, pairs in compiled.items()
+        tech: (
+            tuple(check for _, check in pairs),
+            tech.value,
+            _columns("unit_id", POWER_FIELD[tech], *_META_FIELDS),
+        )
+        for tech, pairs in compiled.items()
     }
     totals: Counter[Technology] = Counter()
     dso_totals: Counter[Technology] = Counter()
-    # A record's meta is (ordinal, unit_id, technology value, power_kw,
+    # A row's meta is (ordinal, unit_id, technology value, power_kw,
     # district_id, municipality_id, dso): atomic values only, so the
     # collector stops tracking these tuples at its first pass.
-    first_seen: dict[str, tuple] = {}  # unit id -> meta of its first record
+    first_seen: dict[str, tuple] = {}  # unit id -> meta of its first row
     duplicates: dict[str, list[tuple]] = {}
     failing: dict[tuple, list[RuleOutcome]] = {}  # meta -> failed tests
+    first_of = first_seen.setdefault
     outcome_class = RuleOutcome
-    for i, record in enumerate(records):
-        tech = record.technology
-        totals[tech] += 1
-        dso = record.grid_operator_inspection is True
-        if dso:
-            dso_totals[tech] += 1
-        checks, name, power_field = plans[tech]
-        failed = None
+    ordinal = 0
+    for count, block in blocks:
+        tech = block[_TECHNOLOGY][0]
+        checks, name, meta_columns = plans[tech]
+        ids, power, districts, municipalities, inspected = meta_columns(block)
+        dso = list(map(is_, inspected, repeat(True)))
+        totals[tech] += count
+        dso_count = dso.count(True)
+        if dso_count:
+            dso_totals[tech] += dso_count
+        metas = list(zip(range(ordinal, ordinal + count), ids, repeat(name), power, districts, municipalities, dso))
+        ordinal += count
         for check in checks:
-            outcome = check(record)
-            if outcome.__class__ is outcome_class:
-                if failed is None:
-                    failed = [outcome]
-                else:
-                    failed.append(outcome)
-        uid = record.unit_id
-        if failed is None and uid is None:
-            continue
-        meta = (i, uid, name, getattr(record, power_field), record.district_id, record.municipality_id, dso)
-        if failed is not None:
-            failing[meta] = failed
-        if uid is not None:
-            first = first_seen.setdefault(uid, meta)
-            if first is not meta:
-                duplicates.setdefault(uid, [first]).append(meta)
+            results = check(block)
+            for row in [row for row, result in enumerate(results) if result.__class__ is outcome_class]:
+                failing.setdefault(metas[row], []).append(results[row])
+        if None in ids:  # rows without an id are test 1's concern, not test 2's
+            kept = list(map(is_not, ids, repeat(None)))
+            ids, metas = list(compress(ids, kept)), list(compress(metas, kept))
+        firsts = list(map(first_of, ids, metas))
+        repeated = list(map(is_not, firsts, metas))
+        if True in repeated:
+            for first, meta in compress(zip(firsts, metas), repeated):
+                duplicates.setdefault(meta[1], [first]).append(meta)
 
-    # Suite-level test 2: every record of a duplicate-id group fails.
+    # Suite-level test 2: every row of a duplicate-id group fails.
     for uid, members in duplicates.items():
         outcome = _duplicate_id(uid, len(members))
         for meta in members:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from registrylint.cli import main
 from registrylint.model import Technology, UnitRecord
 from registrylint.geo import BoundarySet
 from registrylint.report import ColumnStats, build_report
@@ -36,6 +37,14 @@ def indexed_grid(grid) -> tuple[BoundarySet, BoundarySet]:
 @pytest.fixture(scope="session")
 def config() -> RuleConfig:
     return RuleConfig()
+
+
+@pytest.fixture(scope="session")
+def reference_tables(tmp_path_factory):
+    """The reference fixture (synth --count 200 --seed 7 --error-rate 0.05), shared read-only."""
+    folder = tmp_path_factory.mktemp("reference")
+    assert main(["synth", "--count", "200", "--seed", "7", "--error-rate", "0.05", "--out", str(folder)]) == 0
+    return folder
 
 
 def _muni_center(grid: Boundaries, muni_id: str) -> tuple[float, float]:

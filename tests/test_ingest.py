@@ -503,6 +503,44 @@ class TestColumnConversion:
             assert reader.non_null[name] == len(values) - values.count(None), name
 
 
+    @pytest.mark.parametrize("bad_rows", [(0,), (5, 6), (1, 64, 127), tuple(range(0, 128, 16))])
+    def test_a_bad_cell_sends_few_cells_down_the_cell_path(self, tmp_path, monkeypatch, bad_rows):
+        # A 128-row block whose date and power columns hold a few bad cells:
+        # the column is converted in halves, so each bad cell costs at most
+        # 8 cell conversions, and the issues and values stay those of a
+        # conversion cell by cell.
+        rows = [
+            {"mastr id": f"SEE9{row:011d}", "commissioning date": "2017-01-01", "power": f"{row + 1}.5"}
+            for row in range(RegistryReader.BLOCK_ROWS)
+        ]
+        for row in bad_rows:
+            rows[row].update({"commissioning date": "1.1.2017", "power": "zwei"})
+        path = make_csv(tmp_path / "wind.csv", Technology.WIND, rows)
+        calls = []
+
+        def counting(entry):
+            convert = _converter(entry)
+            if convert is None:
+                return None
+
+            def count(text):
+                calls.append(entry.field)
+                return convert(text)
+
+            return count
+
+        monkeypatch.setattr("registrylint.ingest._converter", counting)
+        reader = RegistryReader(path, Technology.WIND)
+        records = list(reader)
+        for name in ("commissioning_date", "power_kw"):
+            assert 1 <= calls.count(name) <= 8 * len(bad_rows)
+        assert [(i.line, i.field) for i in reader.issues] == [
+            (row + 2, name) for row in bad_rows for name in ("commissioning_date", "power_kw")
+        ]
+        assert [r.power_kw for r in records] == [None if row in bad_rows else row + 1.5 for row in range(128)]
+        assert reader.non_null["commissioning_date"] == reader.non_null["power_kw"] == 128 - len(bad_rows)
+
+
 class TestParseBoundaries:
     def _write(self, path, features):
         path.write_text(json.dumps({"type": "FeatureCollection", "features": features}), encoding="utf-8")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from registrylint.geo import EARTH_RADIUS_M, boundary_clearance_m, contains_with_buffer
-from registrylint.model import POWER_FIELD, Technology, UnitRecord
+from registrylint.ingest import RegistryReader, write_registry_csv
+from registrylint.model import BLOCK_ROWS, POWER_FIELD, RECORD_FIELDS, Technology, UnitRecord
 from registrylint.rules import (
     CATALOG,
     CHECKMARKS,
@@ -20,6 +21,7 @@ from registrylint.rules import (
     check_unique_ids,
     evaluate_record,
     fields_read,
+    run_blocks,
     run_suite,
 )
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
@@ -509,15 +511,16 @@ class TestConfig:
 
 
 class _Spy:
-    """A record stand-in that logs the name of every attribute read from it."""
+    """A one-record block stand-in that logs the field of every column read from it."""
 
     def __init__(self, record: UnitRecord):
         self._record = record
         self.read: set[str] = set()
 
-    def __getattr__(self, name):
+    def __getitem__(self, pos):
+        name = RECORD_FIELDS[pos]
         self.read.add(name)
-        return getattr(self._record, name)
+        return [getattr(self._record, name)]
 
 
 class TestMatrix:
@@ -553,9 +556,9 @@ class TestMatrix:
         assert fields_read(owner, Technology.WIND) == expected[Technology.WIND] - {"operating_status"} | {"owner_id"}
 
     def test_reads_name_every_field_a_check_reads(self, grid, config):
-        # Each applicable check runs on clean and failing synth records; a
-        # spy logs every record attribute it asks for. The reads of a row
-        # are exactly what its check reads.
+        # Each applicable check runs on one-record blocks of clean and
+        # failing synth records; a spy logs every column it asks for. The
+        # reads of a row are exactly what its check reads.
         def resolve(names, tech):
             return {POWER_FIELD[tech] if name == "power" else name for name in names}
 
@@ -715,3 +718,39 @@ class TestRunSuite:
             )
         )
         assert required_null == (1 in failing)
+
+
+class TestBlockPath:
+    """validate runs the suite on the reader's blocks (run_blocks); run_suite
+    groups records into blocks of its own. Both give the same FailureSet."""
+
+    @pytest.mark.parametrize("dso_only", [False, True])
+    def test_records_and_reader_blocks_give_one_result(self, reference_tables, grid, config, dso_only):
+        def readers():
+            return [
+                RegistryReader(reference_tables / f"{tech.value}.csv", tech, dso_only=dso_only)
+                for tech in sorted(Technology, key=lambda tech: tech.value)
+            ]
+
+        from_records = run_suite([record for reader in readers() for record in reader], grid, config)
+        from_blocks = run_blocks((block for reader in readers() for block in reader.blocks()), grid, config)
+        assert from_blocks == from_records
+        assert from_blocks.failures and from_blocks.records_dso
+
+    def test_duplicate_id_across_tables_and_a_block_edge_keeps_input_order(self, tmp_path, grid, config):
+        solar = generate_clean(Technology.SOLAR, 3, 3, grid)
+        wind = generate_clean(Technology.WIND, BLOCK_ROWS + 2, 4, grid)
+        uid = wind[BLOCK_ROWS - 1].unit_id  # the last row of the first block
+        wind[BLOCK_ROWS] = replace(wind[BLOCK_ROWS], unit_id=uid)  # the first row of the second
+        solar[1] = replace(solar[1], unit_id=uid)
+        for tech, records_out in ((Technology.SOLAR, solar), (Technology.WIND, wind)):
+            write_registry_csv(records_out, tmp_path / f"{tech.value}.csv", tech)
+        readers = [RegistryReader(tmp_path / f"{tech.value}.csv", tech) for tech in (Technology.SOLAR, Technology.WIND)]
+        result = run_blocks((block for reader in readers for block in reader.blocks()), grid, config)
+        assert [(fr.unit_id, fr.technology, fr.power_kw, fr.test_ids) for fr in result.failures] == [
+            (uid, Technology.SOLAR, solar[1].power_net_kw, (2,)),
+            (uid, Technology.WIND, wind[BLOCK_ROWS - 1].power_kw, (2,)),
+            (uid, Technology.WIND, wind[BLOCK_ROWS].power_kw, (2,)),
+        ]
+        assert {fr.failed[0].measured for fr in result.failures} == {3.0}
+        assert run_suite(solar + wind, grid, config) == result

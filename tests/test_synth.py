@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from registrylint.cli import main
-from registrylint.model import POWER_FIELD, Technology
+from registrylint.model import POWER_FIELD, Technology, UnitRecord
 from registrylint.rules import RuleConfig, run_suite
 from registrylint.synth import (
     ERROR_CLASSES,
@@ -259,10 +259,22 @@ _REPORT_DIGESTS = {
 }
 
 
-def _validate_reference_fixture(tmp_path) -> Path:
-    """validate's output directory for the reference fixture."""
-    fixture, out = tmp_path / "fixture", tmp_path / "out"
+# The reference fixture's digests that bench/gate.py pins.
+_GATE_DIGESTS = {
+    "failures.ndjson": "e7f1a5031fb632f28fb1f3f23084f36e4cd535b5495b70fe8082a6b5e3627ff7",
+    "failures.csv": "bb74e5fb9975d69d98f049249d0c201112013187b56ec904dc5a14d8e53377fb",
+    "summary.json": "0ee61c3d7ab54c09097debf1f3e8a1d08927237341c76657bce1e537f520ef8f",
+}
+
+
+def _reference_fixture(tmp_path) -> Path:
+    fixture = tmp_path / "fixture"
     assert main(["synth", "--count", "200", "--seed", "7", "--error-rate", "0.05", "--out", str(fixture)]) == 0
+    return fixture
+
+
+def _validate(fixture: Path, out: Path) -> Path:
+    """validate's output directory for a fixture of all six tables."""
     argv = ["validate", "--out", str(out)]
     for tech in Technology:
         argv += ["--input", f"{tech.value}={fixture / f'{tech.value}.csv'}"]
@@ -270,6 +282,11 @@ def _validate_reference_fixture(tmp_path) -> Path:
         argv += [f"--{kind}", str(fixture / f"{kind}.geojson")]
     assert main(argv) == 1  # the fixture has failing units
     return out
+
+
+def _validate_reference_fixture(tmp_path) -> Path:
+    """validate's output directory for the reference fixture."""
+    return _validate(_reference_fixture(tmp_path), tmp_path / "out")
 
 
 def _digests(out: Path, names) -> dict[str, str]:
@@ -281,6 +298,22 @@ def test_reference_fixture_outputs_are_pinned(tmp_path):
     assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
     assert main(["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]) == 0
     assert _digests(out, _REPORT_DIGESTS) == _REPORT_DIGESTS
+
+
+def test_validate_builds_no_unit_record(tmp_path, monkeypatch):
+    # The reader's blocks go to the suite as columns: with record building
+    # and UnitRecord's checks both made to raise, validate writes the same bytes.
+    fixture = _reference_fixture(tmp_path)
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("validate built a UnitRecord")
+
+    monkeypatch.setattr("registrylint.model.checked_records", no_records)
+    monkeypatch.setattr("registrylint.ingest.checked_records", no_records)
+    monkeypatch.setattr(UnitRecord, "__post_init__", no_records)
+    out = _validate(fixture, tmp_path / "out")
+    assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
+    assert _digests(out, _GATE_DIGESTS) == _GATE_DIGESTS
 
 
 def test_report_accepts_the_summaries_that_validate_and_report_write(tmp_path):
