@@ -20,16 +20,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .geo import GeometryError
-from .ingest import (
-    DEFAULT_REGION_KEYS,
-    ColumnMapping,
-    IngestError,
-    RegistryReader,
-    default_mapping,
-    parse_boundaries,
-    write_boundaries_geojson,
-    write_registry_csv,
-)
 from .model import Technology
 from .report import ColumnStats, ReportError, build_report, export, load_run
 from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_blocks
@@ -43,6 +33,8 @@ EXIT_FATAL = 2
 
 
 def _load_config_file(path: str | None) -> dict:
+    from .ingest import DEFAULT_REGION_KEYS
+
     resolved = path or os.environ.get(CONFIG_ENV_VAR)
     if not resolved:
         return {}
@@ -89,13 +81,16 @@ def _parse_inputs(pairs: list[str]) -> dict[Technology, Path]:
     return inputs
 
 
-def _stream_blocks(readers: list[RegistryReader]) -> Iterable:
+def _stream_blocks(readers: list) -> Iterable:
     for reader in readers:
         print(f"reading {reader.path} ({reader.technology.value})", file=sys.stderr)
         yield from reader.blocks()
 
 
 def cmd_validate(args) -> int:
+    # Imported here, as in cmd_synth, so that report does not load the reader.
+    from .ingest import ColumnMapping, RegistryReader, default_mapping, parse_boundaries
+
     # Every setting and input file is checked before a boundary or row is read.
     # --jobs is accepted for existing command lines and changes nothing.
     if args.jobs < 1:
@@ -183,6 +178,7 @@ def _print_tally(summary: dict) -> None:
 
 def cmd_synth(args) -> int:
     # Imported here, so that validate and report do not load synth.
+    from .ingest import write_boundaries_geojson, write_registry_csv
     from .synth import ErrorInjectionSpec, GroundTruth, generate_clean, inject_errors, make_boundary_grid
 
     if args.count < 0:
@@ -286,12 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ingest_error() -> type:
+    """ingest.IngestError, imported only once a command has raised."""
+    from .ingest import IngestError
+
+    return IngestError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, GeometryError, ReportError, OSError) as exc:
+    except (ConfigError, _ingest_error(), GeometryError, ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL

@@ -10,10 +10,17 @@ inside.
 A region builds its query structures when first queried (a region that
 is never queried costs nothing). Its first query builds a latitude-slab
 edge index for ray casting, after Haines, "Point in Polygon Strategies"
-(Graphics Gems IV, 1994). Its first clearance query builds a flat table of
-segments: every ring edge, an edge longer than _SEGMENT_SPLIT_M as its
-pieces, with one lat/lon bounding box per block of consecutive segments,
-which bounds the clearance search from below.
+(Graphics Gems IV, 1994). The query that brings its ray casts up to its
+edge count builds a uniform cell grid over its bounding box (Haines, and
+Zalik and Kolingerova, "A cell-based point-in-polygon algorithm suitable
+for large sets of points", Computers & Geosciences 27(10), 2001): a cell
+that no edge's box meets holds the ray cast's answer for every point in
+it, so a query there needs no ray cast. Its first clearance query builds
+a flat table of segments: every ring edge, an edge longer than
+_SEGMENT_SPLIT_M as its pieces, with one lat/lon bounding box per block
+of consecutive segments, which bounds the clearance search from below.
+The location verdict needs no exact clearance for a point within the
+buffer, so that search stops at the first segment within it.
 """
 
 from __future__ import annotations
@@ -39,6 +46,16 @@ _SPLIT_SCREEN_DEG = math.degrees(_SEGMENT_SPLIT_M / EARTH_RADIUS_M) * (1.0 - 1e-
 
 # Ray casting: about this many edges per latitude slab.
 _EDGES_PER_SLAB = 4
+# Cell grid: about one cell per edge, with at least _GRID_MIN_SIDE and at
+# most _GRID_MAX_SIDE cells per side. An edge's box is grown by
+# _CELL_MARGIN_DEG before it marks cells mixed: far more than float
+# rounding can move a ray cast's crossing longitude (under 1e-12 degrees).
+_GRID_MIN_SIDE = 16
+_GRID_MAX_SIDE = 256
+_CELL_MARGIN_DEG = 1e-9
+# A cell's tag. A grid under construction marks a pure cell not yet tagged
+# _UNTAGGED.
+_MIXED, _INSIDE, _OUTSIDE, _UNTAGGED = 0, 1, 2, 255
 # Boundary clearance: consecutive segments that share one bounding box.
 _SEGMENTS_PER_BLOCK = 16
 # A clearance lower bound is shrunk by this share and these meters, far
@@ -148,11 +165,15 @@ class _Prepared:
     rings. Polygon part p starts at vertex part_start[p]. The edges whose
     latitude range meets slab k are slab_edges[slab_start[k]:slab_start[k + 1]].
     segments and block_box, the clearance's table (see _segment_table), are
-    None until the region's first clearance query.
+    None until the region's first clearance query. cells, the cell grid
+    (see _cell_grid), is None until buffer_clearance_m has made as many ray
+    casts as the region has edges; casts_to_grid counts them down. lon0,
+    lon1, row_scale, col_scale and stride are set with cells.
     """
 
     __slots__ = ("vertices", "part_start", "lat0", "lat1", "slab_scale", "slab_start", "slab_edges",
-                 "segments", "block_box")
+                 "segments", "block_box", "casts_to_grid", "cells", "lon0", "lon1", "row_scale", "col_scale",
+                 "stride")
 
     def __init__(self, region: Region):
         vertices: list[LatLon] = []
@@ -189,6 +210,8 @@ class _Prepared:
         self.slab_edges = array("I", chain.from_iterable(slabs))
         self.segments: array | None = None
         self.block_box: tuple | None = None
+        self.casts_to_grid = len(edges)
+        self.cells: bytearray | None = None
 
 
 def _prepare(region: Region) -> _Prepared:
@@ -228,6 +251,67 @@ def _segment_table(region: Region) -> tuple[array, tuple]:
         cos_min = min(cos(radians(latlo)), cos(radians(lathi)))
         block_box.append((latlo, lathi, min(lons), max(lons), cos_min))
     return array("d", segments), tuple(block_box)
+
+
+def _cell_grid(region: Region, prep: _Prepared) -> bytearray:
+    """Build the region's cell grid into prep and return its cells.
+
+    side cells per side, about one cell per edge, cover the bounding box. A
+    point in the box falls in row int((lat - lat0) * row_scale) and column
+    int((lon - lon0) * col_scale), each in 0..side, so the grid has side + 1
+    rows and columns; cell (r, c) is cells[r * stride + c]. A cell is _MIXED
+    if any edge's box, grown by _CELL_MARGIN_DEG, meets it. Both maps are
+    monotone, so a point in a pure cell lies outside every grown box, where
+    rounding cannot change the ray cast's answer, and the points of a run
+    of pure cells in a row, with those of a pure cell in the previous row
+    and one of the run's columns, form a connected set that no edge
+    crosses. So a run takes the tag of such a cell or, if there is none,
+    the ray cast's answer at one cell centre: _INSIDE or _OUTSIDE.
+    """
+    edges = [edge for poly in region.polygons for ring in poly.rings() for edge in map(add, ring, ring[1:])]
+    side = min(_GRID_MAX_SIDE, max(_GRID_MIN_SIDE, math.isqrt(len(edges) - 1) + 1))
+    lons = [lon for _, lon in prep.vertices]
+    lat0, lon0 = prep.lat0, min(lons)
+    prep.lon0, prep.lon1 = lon0, max(lons)
+    # A region encloses some area, so its box has both extents.
+    row_scale = prep.row_scale = side / (prep.lat1 - lat0)
+    col_scale = prep.col_scale = side / (prep.lon1 - lon0)
+    stride = prep.stride = side + 1
+    cells = bytearray([_UNTAGGED]) * (stride * stride)
+    for alat, alon, blat, blon in edges:
+        latlo, lathi = (alat, blat) if alat <= blat else (blat, alat)
+        lonlo, lonhi = (alon, blon) if alon <= blon else (blon, alon)
+        c0 = min(side, max(0, int((lonlo - _CELL_MARGIN_DEG - lon0) * col_scale)))
+        c1 = min(side, max(0, int((lonhi + _CELL_MARGIN_DEG - lon0) * col_scale)))
+        r0 = min(side, max(0, int((latlo - _CELL_MARGIN_DEG - lat0) * row_scale)))
+        r1 = min(side, max(0, int((lathi + _CELL_MARGIN_DEG - lat0) * row_scale)))
+        mixed = bytes(c1 - c0 + 1)
+        for start in range(r0 * stride + c0, r1 * stride + c0 + 1, stride):
+            cells[start : start + c1 - c0 + 1] = mixed
+    for r in range(stride):
+        row_end = (r + 1) * stride
+        lat = lat0 + (r + 0.5) / row_scale
+        start = cells.find(_UNTAGGED, r * stride, row_end)
+        while start >= 0:
+            end = cells.find(_MIXED, start, row_end)
+            end = row_end if end < 0 else end
+            # A pure cell of the previous row in the run's columns joins the
+            # run to that cell's run.
+            joined = cells[start - stride : end - stride].replace(b"\0", b"") if r else b""
+            c = start - r * stride
+            lon = lon0 + (c + 0.5) / col_scale
+            if joined:
+                tag = joined[0]
+            elif int((lat - lat0) * row_scale) == r and int((lon - lon0) * col_scale) == c:
+                tag = _INSIDE if point_in_region(lat, lon, region) else _OUTSIDE
+            else:
+                # The centre falls outside its cell only when the cell is
+                # narrower than rounding; such a run stays mixed.
+                tag = _MIXED
+            cells[start:end] = bytes([tag]) * (end - start)
+            start = cells.find(_UNTAGGED, end, row_end)
+    prep.cells = cells
+    return cells
 
 
 def point_in_region(lat: float, lon: float, region: Region) -> bool:
@@ -347,14 +431,16 @@ def _check_query(lat: float, lon: float) -> None:
         raise ValueError(f"query at lat {lat!r}, lon {lon!r} outside WGS84 bounds")
 
 
-def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
+def boundary_clearance_m(lat: float, lon: float, region: Region, stop_at_m: float = -math.inf) -> float:
     """Distance to the nearest ring of the region, ignoring containment.
 
     Visits blocks of segments in ascending order of a lower bound on their
     distance, then a block's segments in ascending order of their own
     bound; at each level it stops at the first bound above the best
     distance found. The result is the minimum of _piece_distance_m over
-    every segment of the region's table, bit for bit.
+    every segment of the region's table, bit for bit, unless some segment
+    lies within stop_at_m: then the search stops at the first such segment
+    and returns its distance, which is at most stop_at_m.
     """
     _check_query(lat, lon)
     prep = region._prepared or _prepare(region)
@@ -389,6 +475,8 @@ def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
                 break
             d = _piece_distance_m(lat, lon, rlat, coslat, *ends)
             if d < best:
+                if d <= stop_at_m:
+                    return d
                 best = d
     return best
 
@@ -396,10 +484,29 @@ def boundary_clearance_m(lat: float, lon: float, region: Region) -> float:
 def buffer_clearance_m(lat: float, lon: float, region: Region, buffer_m: float) -> float | None:
     """The location tests' verdict: None for a point inside the region or,
     when buffer_m > 0, within buffer_m of its boundary; else the point's
-    boundary clearance in meters."""
-    if point_in_region(lat, lon, region):
+    boundary clearance in meters.
+
+    A region's query that brings its ray casts up to its edge count builds
+    its cell grid. Then a point in a pure cell takes the cell's tag, the
+    ray cast's answer there; any other point takes the ray cast.
+    """
+    prep = region._prepared or _prepare(region)
+    cells = prep.cells
+    if cells is None:
+        prep.casts_to_grid -= 1
+        if prep.casts_to_grid == 0:
+            cells = _cell_grid(region, prep)
+    tag = _MIXED
+    if cells is not None and prep.lat0 <= lat <= prep.lat1 and prep.lon0 <= lon <= prep.lon1:
+        tag = cells[int((lat - prep.lat0) * prep.row_scale) * prep.stride + int((lon - prep.lon0) * prep.col_scale)]
+        if tag == _INSIDE:
+            return None
+    if tag == _MIXED and point_in_region(lat, lon, region):
         return None
-    clearance = boundary_clearance_m(lat, lon, region)
+    # A clearance of at most buffer_m passes whatever it is; a search that
+    # finds none runs to the end and returns the exact clearance. With
+    # buffer_m <= 0 it can stop only at a distance of 0, the minimum.
+    clearance = boundary_clearance_m(lat, lon, region, buffer_m)
     return None if buffer_m > 0.0 and clearance <= buffer_m else clearance
 
 

@@ -364,7 +364,9 @@ def export(
     Each file is written to `<name>.tmp` in turn, the failure files line
     by line, and the temporary files are renamed only after every write
     has succeeded. A run that fails leaves the previous outputs as they
-    were and removes its temporary files.
+    were and removes its temporary files. A value that the csv module
+    refuses to write (Python 3.10 refuses a NUL) is a ReportError that
+    names the file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -379,9 +381,9 @@ def export(
         written.append(path)
         return open(tmp(path), "w", encoding="utf-8")
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, render, *args) -> None:
         with open_tmp(name) as handle:
-            handle.write(text)
+            handle.write(render(*args))
 
     try:
         if "ndjson" in formats:
@@ -391,16 +393,19 @@ def export(
             with open_tmp("failures.csv") as handle:
                 _write_csv(handle, _FAILURES_CSV_HEADER, _failure_rows(failures))
         if "summary" in formats:
-            emit("summary.json", summary_json(summary))
-            emit("completeness.csv", _completeness_csv(summary))
+            emit("summary.json", summary_json, summary)
+            emit("completeness.csv", _completeness_csv, summary)
             for tech, hist in summary["distance_histograms"].items():
-                emit(f"distance_histogram_{tech}.csv", _histogram_csv(hist))
-            emit("errors_by_district.csv", _errors_by_district_csv(failures))
+                emit(f"distance_histogram_{tech}.csv", _histogram_csv, hist)
+            emit("errors_by_district.csv", _errors_by_district_csv, failures)
         for path in written:
             os.replace(tmp(path), path)
-    except BaseException:
+    except BaseException as exc:
         for path in written:
             tmp(path).unlink(missing_ok=True)
+        if isinstance(exc, csv.Error):
+            # The file being written is the last one opened.
+            raise ReportError(f"{written[-1]}: cannot write a value as CSV: {exc}") from None
         raise
     return written
 

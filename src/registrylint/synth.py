@@ -105,7 +105,9 @@ def _sample_point_inside(
         lon = rng.uniform(minlon, maxlon)
         if not point_in_region(lat, lon, region):
             continue
-        if boundary_clearance_m(lat, lon, region) >= margin_m:
+        # The search may stop at the first segment closer than margin_m: its
+        # distance fails the test as the exact clearance would.
+        if boundary_clearance_m(lat, lon, region, math.nextafter(margin_m, -math.inf)) >= margin_m:
             return (lat, lon)
     raise SynthError(f"cannot place a point inside region {region.region_id!r} with margin {margin_m} m")
 

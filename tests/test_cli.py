@@ -289,6 +289,21 @@ class TestReportCommand:
         assert main(["report", "--out", str(out), "--bin-width", "10"]) == EXIT_FATAL
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # and no *.tmp
 
+    def test_value_csv_refuses_exits_two_naming_the_file(self, synth_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        main(_validate_args(synth_dir, out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def refusing(handle, header, rows):
+            # What Python 3.10's csv.writer raises for a NUL in a cell.
+            handle.write(",".join(header))
+            raise csv.Error("need to escape, but no escapechar set")
+
+        monkeypatch.setattr(report, "_write_csv", refusing)
+        assert main(["report", "--out", str(out)]) == EXIT_FATAL
+        assert f"{out / 'failures.csv'}: cannot write a value as CSV" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # and no *.tmp
+
     def test_summary_json_is_the_document_given_to_export(self, synth_dir, tmp_path, monkeypatch):
         documents = []
 
@@ -310,10 +325,11 @@ class TestReportCommand:
 
 
 def test_cli_import_leaves_synth_and_process_pools_out():
-    # Every validate pays for what the CLI module imports (setup_s).
+    # Every validate and report pays for what the CLI module imports
+    # (setup_s, report_s); report reads no registry table.
     code = (
         "import sys, registrylint.cli; "
-        "names = ('registrylint.synth', 'multiprocessing', 'concurrent.futures.process'); "
+        "names = ('registrylint.synth', 'registrylint.ingest', 'multiprocessing', 'concurrent.futures.process'); "
         "print([m for m in names if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

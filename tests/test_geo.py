@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from registrylint import geo
 from registrylint.geo import (
@@ -18,6 +19,7 @@ from registrylint.geo import (
     _box_bound_m,
     _wrap_degrees,
     boundary_clearance_m,
+    buffer_clearance_m,
     contains_with_buffer,
     distance_to_boundary,
     haversine_m,
@@ -802,3 +804,169 @@ class TestRegionValidation:
                 region_id="X", name="X",
                 polygons=(PolygonGeom(outer=((50.0, 10.0), (50.2, 10.2), (50.0, 10.0))),),
             )
+
+
+@functools.cache
+def gridded_fixture(name: str) -> Region:
+    """A copy of a kernel fixture region with its cell grid built."""
+    region = kernel_fixture_regions()[name]
+    copy = Region(region_id=region.region_id, name=region.name, polygons=region.polygons)
+    geo._cell_grid(copy, geo._prepare(copy))
+    return copy
+
+
+def _cell_of(region: Region, lat: float, lon: float) -> int:
+    """The tag of the grid cell that buffer_clearance_m looks up for a point in the box."""
+    prep = region._prepared
+    return prep.cells[int((lat - prep.lat0) * prep.row_scale) * prep.stride + int((lon - prep.lon0) * prep.col_scale)]
+
+
+@st.composite
+def grid_queries(draw):
+    """A fixture region with its grid, and a point on a cell corner or side,
+    on a ring vertex, on an edge midpoint or at random in and around the
+    box, moved by up to two ulps in each coordinate."""
+    name = draw(st.sampled_from(sorted(kernel_fixture_regions())))
+    region = gridded_fixture(name)
+    prep = region._prepared
+    side = prep.stride - 1
+    edges = [(a, b) for poly in region.polygons for ring in poly.rings() for a, b in zip(ring, ring[1:])]
+    kind = draw(st.sampled_from(["corner", "row side", "column side", "vertex", "midpoint", "random"]))
+    row = st.integers(-1, side + 2) if kind in ("corner", "row side") else st.floats(-1.0, side + 2.0)
+    column = st.integers(-1, side + 2) if kind in ("corner", "column side") else st.floats(-1.0, side + 2.0)
+    lat = prep.lat0 + draw(row) / prep.row_scale
+    lon = prep.lon0 + draw(column) / prep.col_scale
+    if kind == "vertex":
+        lat, lon = draw(st.sampled_from(edges))[0]
+    elif kind == "midpoint":
+        (alat, alon), (blat, blon) = draw(st.sampled_from(edges))
+        lat, lon = (alat + blat) / 2.0, (alon + blon) / 2.0
+    for _ in range(draw(st.integers(0, 2))):
+        lat = math.nextafter(lat, draw(st.sampled_from([-math.inf, math.inf])))
+    for _ in range(draw(st.integers(0, 2))):
+        lon = math.nextafter(lon, draw(st.sampled_from([-math.inf, math.inf])))
+    return region, min(90.0, max(-90.0, lat)), min(180.0, max(-180.0, lon))
+
+
+class TestCellGrid:
+    """buffer_clearance_m answers a point in a pure cell from the region's
+    cell grid; the answer must be the ray cast's."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(query=grid_queries())
+    def test_grid_answers_as_the_ray_cast(self, query):
+        region, lat, lon = query
+        # With no buffer, the verdict is None exactly for an inside point.
+        assert (buffer_clearance_m(lat, lon, region, 0.0) is None) == point_in_region(lat, lon, region), (lat, lon)
+
+    @pytest.mark.parametrize("name", sorted(kernel_fixture_regions()))
+    def test_pure_cells_hold_the_ray_cast_at_their_corners(self, name):
+        # Every corner of every pure cell, and the points one ulp inside it.
+        region = gridded_fixture(name)
+        prep = region._prepared
+        tags = {geo._MIXED: 0, geo._INSIDE: 0, geo._OUTSIDE: 0}
+        for r in range(prep.stride):
+            for c in range(prep.stride):
+                tag = prep.cells[r * prep.stride + c]
+                tags[tag] += 1
+                if tag == geo._MIXED:
+                    continue
+                for lat in (prep.lat0 + r / prep.row_scale, prep.lat0 + (r + 1) / prep.row_scale):
+                    for lon in (prep.lon0 + c / prep.col_scale, prep.lon0 + (c + 1) / prep.col_scale):
+                        for qlat in (lat, math.nextafter(lat, -math.inf), math.nextafter(lat, math.inf)):
+                            for qlon in (lon, math.nextafter(lon, -math.inf), math.nextafter(lon, math.inf)):
+                                if (prep.lat0 <= qlat <= prep.lat1 and prep.lon0 <= qlon <= prep.lon1
+                                        and _cell_of(region, qlat, qlon) == tag):
+                                    assert (tag == geo._INSIDE) == point_in_region(qlat, qlon, region), (qlat, qlon)
+        assert tags[geo._INSIDE] > 0, tags
+        # The rectangles fill their boxes; the margin marks the cells along their edges mixed.
+        assert (tags[geo._OUTSIDE] > 0) == (name not in ("rectangle", "repeated-vertex")), tags
+
+    def test_fixtures_have_the_intended_grids(self):
+        sides = {name: gridded_fixture(name)._prepared.stride - 1 for name in kernel_fixture_regions()}
+        assert sides["rectangle"] == geo._GRID_MIN_SIDE
+        assert geo._GRID_MIN_SIDE < sides["jagged"] < sides["jagged-large"] < geo._GRID_MAX_SIDE
+        assert all(geo._GRID_MIN_SIDE <= side <= geo._GRID_MAX_SIDE for side in sides.values())
+
+    @pytest.mark.parametrize("name", ["rectangle", "jagged", "multipart"])
+    def test_grid_is_built_on_the_query_that_reaches_the_edge_count(self, name):
+        region = kernel_fixture_regions()[name]
+        copy = Region(region_id=region.region_id, name=region.name, polygons=region.polygons)
+        edges = _edge_count(copy)
+        lat, lon = _kernel_queries(random.Random(name), copy, 1)[0]
+        for _ in range(edges - 1):
+            buffer_clearance_m(lat, lon, copy, 1500.0)
+        assert copy._prepared.cells is None
+        buffer_clearance_m(lat, lon, copy, 1500.0)
+        assert copy._prepared.cells is not None
+
+    def test_other_calls_count_no_ray_cast_toward_the_grid(self):
+        region = kernel_fixture_regions()["rectangle"]
+        copy = Region(region_id=region.region_id, name=region.name, polygons=region.polygons)
+        for _ in range(10):
+            point_in_region(48.25, 10.25, copy)
+            contains_with_buffer(48.25, 10.25, copy, 0.0)
+            boundary_clearance_m(48.25, 10.25, copy)
+        assert copy._prepared.cells is None
+
+    def test_pure_cell_takes_no_ray_cast(self, monkeypatch):
+        region = gridded_fixture("rectangle")
+        calls = []
+        monkeypatch.setattr(geo, "point_in_region", lambda *args: calls.append(args) or True)
+        assert buffer_clearance_m(48.25, 10.25, region, 1500.0) is None  # the centre: a pure inside cell
+        assert calls == []
+        assert buffer_clearance_m(48.0, 10.25, region, 1500.0) is None  # on the southern edge: mixed
+        assert len(calls) == 1
+
+
+def _outside_queries(region: Region, count: int) -> list[tuple[float, float]]:
+    """Points outside the region, up to 3 km from its vertices."""
+    return [(lat, lon) for lat, lon in _kernel_queries(random.Random(region.region_id), region, count)
+            if not point_in_region(lat, lon, region) and boundary_clearance_m(lat, lon, region) < 3_000.0]
+
+
+class TestThresholdClearance:
+    """A search that may stop at the first segment within buffer_m gives
+    the full search's verdict, and a failing point its distance bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rectangle", "long-edges", "jagged", "holed"])
+    def test_verdict_at_the_buffer_and_one_ulp_either_side(self, name):
+        region = kernel_fixture_regions()[name]
+        queries = _outside_queries(region, 40)
+        assert len(queries) >= 10
+        for lat, lon in queries:
+            clearance = boundary_clearance_m(lat, lon, region)
+            for buffer_m in (math.nextafter(clearance, -math.inf), clearance, math.nextafter(clearance, math.inf)):
+                verdict = buffer_clearance_m(lat, lon, region, buffer_m)
+                if clearance <= buffer_m:
+                    assert verdict is None, (lat, lon, buffer_m)
+                else:
+                    assert verdict.hex() == clearance.hex(), (lat, lon, buffer_m)
+                stopped = boundary_clearance_m(lat, lon, region, buffer_m)
+                assert (stopped <= buffer_m) == (clearance <= buffer_m)
+                assert stopped >= clearance
+                if clearance > buffer_m:
+                    assert stopped.hex() == clearance.hex()
+
+    def test_point_within_the_buffer_evaluates_fewer_segments(self, monkeypatch):
+        region = kernel_fixture_regions()["jagged"]
+        queries = _outside_queries(region, 60)
+        calls = 0
+        piece_distance_m = geo._piece_distance_m
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return piece_distance_m(*args)
+
+        monkeypatch.setattr(geo, "_piece_distance_m", counted)
+        full = stopped = 0
+        for lat, lon in queries:
+            calls = 0
+            clearance = boundary_clearance_m(lat, lon, region)
+            full += calls
+            calls = 0
+            boundary_clearance_m(lat, lon, region, clearance + 100.0)
+            stopped += calls
+            assert calls >= 1
+        assert stopped < full
