@@ -1,7 +1,6 @@
 """Validation engine for energy-unit registry tables."""
 
-from .model import FailureRecord, RuleOutcome, Technology, UnitRecord
-from .rules import Boundaries, FailureSet, RuleConfig, run_suite
+from .model import FailureRecord, FailureSet, RuleOutcome, Technology, UnitRecord
 
 __version__ = "0.1.0"
 
@@ -16,3 +15,15 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+# Names resolved from rules on first access, so that importing the package
+# (as every command does) loads neither the checks nor the geometry kernel.
+_FROM_RULES = frozenset({"Boundaries", "RuleConfig", "run_suite"})
+
+
+def __getattr__(name: str):
+    if name not in _FROM_RULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import rules
+
+    return getattr(rules, name)

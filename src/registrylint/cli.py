@@ -19,10 +19,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
-from .geo import GeometryError
+from .catalog import ConfigError
 from .model import Technology
 from .report import ColumnStats, ReportError, build_report, export, load_run
-from .rules import Boundaries, ConfigError, RuleConfig, fields_read, run_blocks
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 _CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
@@ -88,8 +87,10 @@ def _stream_blocks(readers: list) -> Iterable:
 
 
 def cmd_validate(args) -> int:
-    # Imported here, as in cmd_synth, so that report does not load the reader.
+    # Imported here, as in cmd_synth, so that report loads neither the
+    # reader, nor the checks, nor the geometry kernel.
     from .ingest import ColumnMapping, RegistryReader, default_mapping, parse_boundaries
+    from .rules import Boundaries, RuleConfig, fields_read, run_blocks
 
     # Every setting and input file is checked before a boundary or row is read.
     # --jobs is accepted for existing command lines and changes nothing.
@@ -282,11 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ingest_error() -> type:
-    """ingest.IngestError, imported only once a command has raised."""
+def _fatal_errors() -> tuple[type, ...]:
+    """The errors a command reports with exit 2. ingest's and geo's are
+    imported only once a command has raised, so that report loads neither."""
+    from .geo import GeometryError
     from .ingest import IngestError
 
-    return IngestError
+    return ConfigError, IngestError, GeometryError, ReportError, OSError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -294,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, _ingest_error(), GeometryError, ReportError, OSError) as exc:
+    except _fatal_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_FATAL

@@ -3,7 +3,8 @@
 One record per registered unit. Common fields are shared by every
 technology; technology-specific fields are structurally absent (must be
 None) for tables that do not carry them, mirroring the transformed
-registry layout.
+registry layout. The results of a suite run (RuleOutcome, FailureRecord,
+FailureSet) are defined here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from datetime import date
 from enum import Enum
 from functools import cache
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Technology(str, Enum):
@@ -232,3 +233,26 @@ class FailureRecord:
     @property
     def test_ids(self) -> tuple[int, ...]:
         return tuple(o.test_id for o in self.failed)
+
+
+@dataclass
+class FailureSet:
+    """Results of one suite run: all failures plus the run's accounting."""
+
+    failures: list[FailureRecord]
+    records_total: dict[Technology, int]
+    records_dso: dict[Technology, int]
+    evaluated_tests: tuple[int, ...]
+
+    @property
+    def total_records(self) -> int:
+        return sum(self.records_total.values())
+
+    def failing_unit_count(self) -> int:
+        return count_failing_units(self.failures)
+
+
+def count_failing_units(failures: Iterable[FailureRecord]) -> int:
+    """Distinct failing unit ids; failures of records without an id count singly."""
+    ids = [fr.unit_id for fr in failures]
+    return len(set(ids) - {None}) + ids.count(None)

@@ -19,13 +19,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .model import FailureRecord, RuleOutcome, Technology, UnitRecord, columns_for
-from .rules import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT, FailureSet, count_failing_units
+from .catalog import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT
+from .model import FailureRecord, FailureSet, RuleOutcome, Technology, UnitRecord, columns_for, count_failing_units
 
 # Distances beyond these defaults collapse into one overflow bin.
 DEFAULT_OVERFLOW_KM = 60.0
@@ -39,9 +40,16 @@ class ReportError(Exception):
     """Raised for unusable report inputs (malformed failure or summary files, histogram settings)."""
 
 
-def percent(fraction: Fraction) -> int:
-    """Integer percent, rounded half up (display convention)."""
-    return int(fraction * 100 + Fraction(1, 2))
+def percent(numerator: int, denominator: int) -> int:
+    """The integer percent of the share numerator/denominator, rounded half
+    up (display convention), for 0 <= numerator <= denominator."""
+    return (200 * numerator + denominator) // (2 * denominator)
+
+
+def _lowest_terms(numerator: int, denominator: int) -> tuple[int, int]:
+    """The share numerator/denominator in lowest terms."""
+    divisor = math.gcd(numerator, denominator)
+    return numerator // divisor, denominator // divisor
 
 
 @dataclass
@@ -154,11 +162,11 @@ def build_report(
         )
         if total:
             non_null = column_stats.non_null[tech]
-            shares = {column: Fraction(non_null[column], total) for column in columns_for(tech)}
+            shares = {column: _lowest_terms(non_null[column], total) for column in columns_for(tech)}
         else:  # no units are vacuously complete
-            shares = dict.fromkeys(columns_for(tech), Fraction(1))
-        percents[name] = {column: percent(share) for column, share in shares.items()}
-        fractions[name] = {column: [share.numerator, share.denominator] for column, share in shares.items()}
+            shares = dict.fromkeys(columns_for(tech), (1, 1))
+        percents[name] = {column: percent(*share) for column, share in shares.items()}
+        fractions[name] = {column: list(share) for column, share in shares.items()}
         overflow = OVERFLOW_KM_BY_TECHNOLOGY.get(tech, DEFAULT_OVERFLOW_KM) if overflow_km is None else overflow_km
         histograms[name] = distance_histogram(tech_failures, bin_width_km, overflow)
     # An evaluated test sees every unit of each technology it is check-marked
@@ -218,24 +226,68 @@ def _check_types(payload: dict, types: dict[str, tuple[type, ...]]) -> None:
             value.encode("utf-8")  # UnicodeEncodeError is a ValueError
 
 
+# The screen failure_from_json runs before _check_types: each key's value
+# in key order, and every tuple of value types that _check_types accepts.
+_failure_values = itemgetter(*_FAILURE_TYPES)
+_test_values = itemgetter(*_TEST_TYPES)
+_FAILURE_SIGNATURES = frozenset(product(*_FAILURE_TYPES.values()))
+_TEST_SIGNATURES = frozenset(product(*_TEST_TYPES.values()))
+_TECHNOLOGIES = {tech.value: tech for tech in Technology}
+# The ids of the tests check-marked for each technology.
+_MARKED = {tech: frozenset(tid for tid, techs in CHECKMARKS.items() if tech in techs) for tech in Technology}
+
+
 def failure_from_json(payload: dict) -> FailureRecord:
-    _check_types(payload, _FAILURE_TYPES)
-    unit_id, technology, *context = (payload[key] for key in _FAILURE_TYPES)
-    tech = Technology(technology)
-    tests = payload["tests"]
-    for t in tests:
-        _check_types(t, _TEST_TYPES)
-        # The suite runs a test only for the technologies it is check-marked for.
-        if tech not in CHECKMARKS.get(t["test_id"], ()):
-            raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
+    """The FailureRecord of a failures.ndjson object.
+
+    A record, and each of its tests, passes a screen: all keys present,
+    its value types one of the allowed signatures, every number within the
+    float range, all text ASCII, and each test id check-marked for the
+    technology. Only a record or test that misses the screen goes through
+    _check_types, which raises the refusal (or passes non-ASCII text that
+    is valid Unicode), so every refusal keeps its exception and message.
+    """
+    try:
+        values = _failure_values(payload)
+    except (KeyError, TypeError):  # _check_types raises it, or an earlier key's error
+        values = None
+    if (
+        values is None
+        or tuple(map(type, values)) not in _FAILURE_SIGNATURES
+        or not (values[2] is None or -_FLOAT_MAX <= values[2] <= _FLOAT_MAX)
+        or not f"{values[0]}{values[1]}{values[3]}{values[4]}".isascii()
+    ):
+        _check_types(payload, _FAILURE_TYPES)
+    unit_id, technology, *context = values
+    tech = _TECHNOLOGIES.get(technology) or Technology(technology)
+    marked = _MARKED[tech]
+    failed = []
+    last = 0  # the previous test's id; check-marked ids are >= 1
+    in_order = True
+    for t in payload["tests"]:
+        try:
+            test = _test_values(t)
+        except (KeyError, TypeError):
+            test = None
+        if (
+            test is None
+            or tuple(map(type, test)) not in _TEST_SIGNATURES
+            or test[0] not in marked
+            or not (test[2] is None or -_FLOAT_MAX <= test[2] <= _FLOAT_MAX)
+            or not f"{test[1]}{test[3]}".isascii()
+        ):
+            _check_types(t, _TEST_TYPES)
+            # The suite runs a test only for the technologies it is check-marked for.
+            if t["test_id"] not in marked:
+                raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
+        test_id, detail, measured, measured_unit = test
+        in_order = in_order and test_id > last
+        last = test_id
+        failed.append(RuleOutcome(unit_id, test_id, False, detail, measured, measured_unit))
     # The suite runs each test once and lists a failing unit's tests by id.
-    test_ids = [t["test_id"] for t in tests]
-    if not test_ids or test_ids != sorted(set(test_ids)):
-        raise ValueError(f"tests {test_ids} are not one or more distinct ids in ascending order")
-    failed = tuple(
-        RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
-    )
-    return FailureRecord(unit_id, tech, *context, failed)
+    if not (failed and in_order):
+        raise ValueError(f"tests {[o.test_id for o in failed]} are not one or more distinct ids in ascending order")
+    return FailureRecord(unit_id, tech, *context, tuple(failed))
 
 
 def _json_scalar(value) -> str:
@@ -410,6 +462,26 @@ def export(
     return written
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """json.loads(line) for a line without surrounding whitespace.
+
+    json.loads scans one value from the first non-blank character and
+    refuses text after it, so a scan from 0 that ends at the line's end is
+    its result; any other line goes through json.loads, which raises its
+    own error. Up to Python 3.11 the scan counts against the recursion
+    limit two calls fewer than in json.loads, so a line nested within two
+    levels of the limit reads as a value, which failure_from_json refuses.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:  # no value at the line's start
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
 def load_failures_ndjson(path: str | Path) -> list[FailureRecord]:
     failures = []
     try:
@@ -418,7 +490,7 @@ def load_failures_ndjson(path: str | Path) -> list[FailureRecord]:
                 line = line.strip()
                 if line:
                     try:
-                        failures.append(failure_from_json(json.loads(line)))
+                        failures.append(failure_from_json(_json_line(line)))
                     except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         raise ReportError(f"{path}: line {line_no} is not a failure record: {exc!r}") from None
     except UnicodeDecodeError as exc:

@@ -7,14 +7,17 @@ height and balcony-class capacity. Each test applies only to the
 technologies whose records carry every field it reads; the full grid
 spans 15 x 6 = 90 test instances, of which 53 check-marked cells run.
 
-CATALOG is the only definition of the tests and of the fields they read:
-the suite loop, evaluate_record, the check-mark matrix and the fields a
-run's column mapping must give all follow from it. Checks run a block at a
-time: a block holds rows of one technology as columns, one per record
-field, and a check is a pure function of a block that gives one result per
-row. The suite (run_blocks) takes the reader's blocks as they come;
-run_suite groups records into blocks and evaluate_record runs a block of
-one record. Uniqueness is the one suite-level test.
+Each test's row (id, fields read, unit, and the name of the function
+here that compiles its check) lives in catalog.CATALOG, the only
+definition of the tests and of the fields they read; rules exposes the
+table, the check-mark matrix and its counts under the same names. The
+suite loop, evaluate_record, the matrix and the fields a run's column
+mapping must give all follow from it. Checks run a block at a time: a
+block holds rows of one technology as columns, one per record field, and
+a check is a pure function of a block that gives one result per row. The
+suite (run_blocks) takes the reader's blocks as they come; run_suite
+groups records into blocks and evaluate_record runs a block of one
+record. Uniqueness is the one suite-level test.
 """
 
 from __future__ import annotations
@@ -27,24 +30,32 @@ from itertools import compress, groupby, islice, repeat
 from operator import attrgetter, is_, is_not, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
+from .catalog import (  # CatalogTest, the matrix counts and ConfigError are exposed here too
+    CATALOG,
+    CHECKED_PAIR_COUNT,
+    CHECKMARKS,
+    MATRIX_CELL_COUNT,
+    UNIQUE_IDS,
+    CatalogTest,
+    ConfigError,
+    field_of,
+)
 from .geo import BoundarySet, buffer_clearance_m
-from .model import (
+from .model import (  # count_failing_units is exposed here too
     BLOCK_ROWS,
     FIELD_POS,
     POWER_FIELD,
     RECORD_FIELDS,
     FailureRecord,
+    FailureSet,
     RuleOutcome,
     Technology,
     UnitRecord,
     columns_for,
+    count_failing_units,
 )
 
 _TECHNOLOGY = FIELD_POS["technology"]
-
-
-class ConfigError(ValueError):
-    """Raised for rule configurations that violate their invariants."""
 
 
 def _default_power_range_mw() -> dict[Technology, tuple[float, float]]:
@@ -116,7 +127,7 @@ class RuleConfig:
                 if hint == tuple[float, float] and not item[0] < item[1]:
                     raise ConfigError(f"{name}: lower bound must be below upper bound")
         for name in self.required_fields:
-            if any(_field_of(name, tech) not in columns_for(tech) for tech in Technology):
+            if any(field_of(name, tech) not in columns_for(tech) for tech in Technology):
                 raise ConfigError(f"required_fields: {name!r} is not a field that every technology carries")
         for name in ("unit_id_pattern", "municipality_id_pattern", "zip_pattern"):
             try:
@@ -193,35 +204,6 @@ class Boundaries(NamedTuple):
 Check = Callable[[Sequence[Sequence]], list]
 
 
-class CatalogTest(NamedTuple):
-    """One row of the catalog.
-
-    compile(config, technology, boundaries, fail) returns the test's check
-    for blocks of one technology, or None when the test cannot run on
-    these inputs (no boundaries for a location test); compile is None for
-    the suite-level uniqueness test. reads names the fields the check
-    reads (test 1 reads the configured required_fields besides). unit is
-    the unit of the value the test measures, on a pass or a failure.
-    """
-
-    test_id: int
-    reads: tuple[str, ...]
-    unit: str | None
-    compile: Callable[..., Check | None] | None
-
-    def fail(self, unit_id: str | None, detail: str, measured: float | None = None) -> RuleOutcome:
-        """The test's failing outcome. A measured value beyond the float
-        range is null, since JSON has no number for it."""
-        if measured is not None and not math.isfinite(measured):
-            measured = None
-        return RuleOutcome(unit_id, self.test_id, False, detail, measured, None if measured is None else self.unit)
-
-
-def _field_of(name: str, tech: Technology) -> str:
-    """The record field a catalog or configured name stands for: "power" is the rated-power field."""
-    return POWER_FIELD[tech] if name == "power" else name
-
-
 def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple]:
     """A block's columns of two or more named fields, as a tuple."""
     return itemgetter(*(FIELD_POS[name] for name in names))
@@ -230,7 +212,7 @@ def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple]:
 def _required_fields(config, tech, boundaries, fail):
     """Test 1: required fields must not be null ("power" is the rated power)."""
     names = config.required_fields
-    positions = [FIELD_POS[_field_of(name, tech)] for name in names]
+    positions = [FIELD_POS[field_of(name, tech)] for name in names]
     unit_ids = FIELD_POS["unit_id"]
 
     def check(block):
@@ -431,6 +413,10 @@ def _location(level_name: str, region_field: str):
     return compile_location
 
 
+_district_location = _location("districts", "district_id")
+_municipality_location = _location("municipalities", "municipality_id")
+
+
 def _power_range(config, tech, boundaries, fail):
     """Test 12: rated power within the technology's plausible range.
 
@@ -518,47 +504,16 @@ def _balcony_power(config, tech, boundaries, fail):
     return check
 
 
-_UNIQUE_IDS = CatalogTest(2, ("unit_id",), "records", None)  # suite-level
-
-CATALOG: tuple[CatalogTest, ...] = (
-    CatalogTest(1, (), None, _required_fields),
-    _UNIQUE_IDS,
-    CatalogTest(3, ("power_gross_kw", "power_net_kw"), "kW", _gross_vs_net),
-    CatalogTest(4, ("power_inverter_kw", "power_net_kw"), "kW", _inverter_vs_net),
-    CatalogTest(5, ("unit_id", "municipality_id", "zip_code"), None, _id_formats),
-    CatalogTest(6, ("power_gross_kw", "number_of_modules"), "W/module", _module_power),
-    CatalogTest(7, ("power_gross_kw", "power_inverter_kw"), "ratio", _inverter_ratio),
-    CatalogTest(8, ("unit_type", "power_gross_kw", "area_ha"), "MW/ha", _area_density),
-    CatalogTest(9, ("power_kw", "rotor_diameter_m"), "W/m2", _rotor_power),
-    CatalogTest(10, ("coordinate", "district_id"), "m", _location("districts", "district_id")),
-    CatalogTest(11, ("coordinate", "municipality_id"), "m", _location("municipalities", "municipality_id")),
-    CatalogTest(12, ("power",), "kW", _power_range),
-    CatalogTest(13, ("installation_year",), "year", _installation_year),
-    CatalogTest(14, ("hub_height_m", "rotor_diameter_m"), "m", _hub_height),
-    CatalogTest(15, ("power_net_kw", "unit_type", "unit_name"), "kW", _balcony_power),
-)
-
-# Which technologies each test applies to: those carrying every field it reads.
-CHECKMARKS: dict[int, frozenset[Technology]] = {
-    test.test_id: frozenset(
-        tech for tech in Technology if all(_field_of(name, tech) in columns_for(tech) for name in test.reads)
-    )
-    for test in CATALOG
-}
-MATRIX_CELL_COUNT = len(CATALOG) * len(Technology)  # full grid: 90
-CHECKED_PAIR_COUNT = sum(len(techs) for techs in CHECKMARKS.values())  # 53
-
-
 def fields_read(config: RuleConfig, technology: Technology) -> frozenset[str]:
     """Every record field the run reads from a technology's records: the
     reads of the tests that apply to it and the required fields."""
     names = [name for test in CATALOG if technology in CHECKMARKS[test.test_id] for name in test.reads]
-    return frozenset(_field_of(name, technology) for name in (*names, *config.required_fields))
+    return frozenset(field_of(name, technology) for name in (*names, *config.required_fields))
 
 
 def _duplicate_id(unit_id: str, count: int) -> RuleOutcome:
     """Test 2's failure for each of `count` records sharing a unit id."""
-    return _UNIQUE_IDS.fail(unit_id, f"duplicate unit id ({count} records)", float(count))
+    return UNIQUE_IDS.fail(unit_id, f"duplicate unit id ({count} records)", float(count))
 
 
 def _compile(
@@ -619,29 +574,6 @@ def check_unique_ids(records: Iterable[UnitRecord]) -> list[RuleOutcome]:
         if n >= 2:
             out.extend([_duplicate_id(unit_id, n)] * n)
     return out
-
-
-@dataclass
-class FailureSet:
-    """Results of one suite run: all failures plus the run's accounting."""
-
-    failures: list[FailureRecord]
-    records_total: dict[Technology, int]
-    records_dso: dict[Technology, int]
-    evaluated_tests: tuple[int, ...]
-
-    @property
-    def total_records(self) -> int:
-        return sum(self.records_total.values())
-
-    def failing_unit_count(self) -> int:
-        return count_failing_units(self.failures)
-
-
-def count_failing_units(failures: Iterable[FailureRecord]) -> int:
-    """Distinct failing unit ids; failures of records without an id count singly."""
-    ids = [fr.unit_id for fr in failures]
-    return len(set(ids) - {None}) + ids.count(None)
 
 
 # The fields of a row's meta besides its unit id and rated power.

@@ -401,14 +401,14 @@ def test_criterion_4_injection_round_trip(config):
 def test_criterion_5_completeness():
     table = [_wind_unit(f"SEE9{i:011d}", owner=i < 97) for i in range(100)]
     fraction, written = completeness(table, Technology.WIND, "owner_id")
-    rendered = str(percent(fraction))
+    rendered = str(percent(*fraction.as_integer_ratio()))
     ok = (fraction.numerator, fraction.denominator) == (97, 100) and rendered == "97"
     report_line(5, ok, f"known null pattern: fraction {fraction}, rendered {rendered!r}")
     assert (fraction.numerator, fraction.denominator) == (97, 100)
     assert rendered == "97"
     assert str(written) == rendered
     fraction, written = completeness([_wind_unit("A")], Technology.WIND, "owner_id")
-    assert str(percent(fraction)) == "100"
+    assert str(percent(*fraction.as_integer_ratio())) == "100"
     assert str(written) == "100"
 
 

@@ -14,9 +14,11 @@ from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
 import catalog_oracle
+from registrylint import rules
+from registrylint.catalog import CHECKMARKS
 from registrylint.ingest import RegistryReader
 from registrylint.model import Technology, UnitRecord
-from registrylint.rules import CHECKMARKS, RuleConfig, run_blocks, run_suite
+from registrylint.rules import RuleConfig, run_blocks, run_suite
 
 CONFIG = RuleConfig()
 
@@ -186,6 +188,7 @@ def _threshold_records() -> list[UnitRecord]:
 
 def test_oracle_matrix_is_the_catalog_matrix():
     assert catalog_oracle.APPLIES_TO == CHECKMARKS
+    assert rules.CHECKMARKS is CHECKMARKS
     assert sum(map(len, catalog_oracle.APPLIES_TO.values())) == 53
 
 

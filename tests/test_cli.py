@@ -324,17 +324,48 @@ class TestReportCommand:
         assert "missing failure file" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_synth_and_process_pools_out():
-    # Every validate and report pays for what the CLI module imports
-    # (setup_s, report_s); report reads no registry table.
-    code = (
-        "import sys, registrylint.cli; "
-        "names = ('registrylint.synth', 'registrylint.ingest', 'multiprocessing', 'concurrent.futures.process'); "
-        "print([m for m in names if m in sys.modules])"
-    )
+def _fresh_interpreter(code: str):
+    """The JSON value that code, run in a fresh interpreter on this
+    checkout, prints on its last stdout line."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "[]", done.stderr
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_synth_and_process_pools_out(synth_dir, tmp_path):
+    # Every validate and report pays for what it imports (setup_s,
+    # report_s). report reads a run back: it loads the catalog table, but
+    # not the checks, the geometry kernel, the registry reader or synth.
+    out = tmp_path / "run"
+    validate = f"import json, sys\nfrom registrylint.cli import main\nmain({_validate_args(synth_dir, out)!r})\n"
+    assert _fresh_interpreter(validate + "print(json.dumps('registrylint.synth' in sys.modules))") is False
+    heavy = ("registrylint.rules", "registrylint.geo", "registrylint.ingest", "registrylint.synth", "fractions")
+    pools = ("multiprocessing", "concurrent.futures.process")
+    report_run = (
+        "import json, sys\n"
+        "def loaded(names): return [m for m in names if m in sys.modules]\n"
+        "import registrylint\n"
+        f"stages = [loaded({heavy!r})]\n"
+        "import registrylint.cli\n"
+        f"stages.append(loaded({heavy + pools!r}))\n"
+        f"stages.append(registrylint.cli.main(['report', '--out', {str(out)!r}]))\n"
+        f"stages.append(loaded({heavy!r}))\n"
+        "print(json.dumps(stages))"
+    )
+    assert _fresh_interpreter(report_run) == [[], [], EXIT_CLEAN, []]
+
+
+def test_package_names_resolve_from_their_modules():
+    import registrylint
+    from registrylint import model, rules
+
+    for name in ("Boundaries", "RuleConfig", "run_suite"):
+        assert getattr(registrylint, name) is getattr(rules, name)
+    assert registrylint.Technology is model.Technology and registrylint.FailureSet is model.FailureSet
+    assert rules.FailureSet is model.FailureSet
+    with pytest.raises(AttributeError, match="no attribute 'run_blocks'"):
+        registrylint.run_blocks
 
 
 class TestUsageErrors:

@@ -1,9 +1,11 @@
 """Aggregation metrics and export determinism."""
 
+import copy
 import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -12,11 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from registrylint.catalog import CHECKMARKS
 from registrylint.model import FailureRecord, RuleOutcome, Technology, UnitRecord
 from registrylint.report import (
     ReportError,
     _failure_line,
     _histogram_csv,
+    _json_line,
+    _lowest_terms,
     build_report,
     distance_histogram,
     export,
@@ -59,7 +64,7 @@ def _location_failure(uid: str, distance_m: float, tech=Technology.WIND, distric
 def _completeness(records, column: str) -> Fraction:
     """A wind column's completeness fraction in the summary; its percent is the fraction's."""
     fraction, rendered = completeness(records, Technology.WIND, column)
-    assert rendered == percent(fraction)
+    assert rendered == percent(*fraction.as_integer_ratio())
     return fraction
 
 
@@ -80,7 +85,7 @@ class TestCompleteness:
         table = [_wind_unit(f"SEE9{i:011d}", owner=i < 97) for i in range(100)]
         frac = _completeness(table, "owner_id")
         assert frac == Fraction(97, 100)
-        assert percent(frac) == 97
+        assert percent(*frac.as_integer_ratio()) == 97
 
     def test_all_null_column(self):
         table = [_wind_unit(f"SEE9{i:011d}") for i in range(10)]
@@ -90,10 +95,18 @@ class TestCompleteness:
         assert _completeness([], "owner_id") == 1
 
     def test_rounding_is_half_up(self):
-        assert percent(Fraction(995, 1000)) == 100
-        assert percent(Fraction(994, 1000)) == 99
-        assert percent(Fraction(1, 200)) == 1
-        assert percent(Fraction(1, 201)) == 0
+        assert percent(995, 1000) == 100
+        assert percent(994, 1000) == 99
+        assert percent(1, 200) == 1
+        assert percent(1, 201) == 0
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), denominator=st.integers(1, 2**63) | st.sampled_from([1, 2, 200, 2**63]))
+    def test_share_and_percent_are_fractions(self, data, denominator):
+        numerator = data.draw(st.integers(0, denominator) | st.sampled_from([0, denominator]))
+        share = Fraction(numerator, denominator)
+        assert _lowest_terms(numerator, denominator) == (share.numerator, share.denominator)
+        assert percent(numerator, denominator) == int(share * 100 + Fraction(1, 2))
 
     def test_column_stats_match_direct_computation(self, grid):
         records = generate_clean(Technology.SOLAR, 40, 3, grid)
@@ -103,7 +116,7 @@ class TestCompleteness:
         direct = Fraction(sum(r.owner_id is not None for r in records), len(records))
         assert fraction == direct
         assert fraction == Fraction(38, 40)
-        assert rendered == percent(direct)
+        assert rendered == percent(*direct.as_integer_ratio())
 
 
 class TestErrorShare:
@@ -229,6 +242,155 @@ _failure_records = st.builds(
         min_size=1, max_size=4,
     ).map(tuple),
 )
+
+
+# failure_from_json as it read a line before its type-signature screen: each
+# key checked in turn. The fast path must agree with it on every payload.
+_REF_TEXT = (str, type(None))
+_REF_NUMBER = (int, float, type(None))
+_REF_FAILURE_TYPES = {
+    "unit_id": _REF_TEXT, "technology": (str,), "power_kw": _REF_NUMBER, "district_id": _REF_TEXT,
+    "municipality_id": _REF_TEXT, "dso_inspected": (bool,),
+}
+_REF_TEST_TYPES = {"test_id": (int,), "detail": (str,), "measured": _REF_NUMBER, "measured_unit": _REF_TEXT}
+
+
+def _reference_check_types(payload, types):
+    for key, kinds in types.items():
+        value = payload[key]
+        kind = value.__class__
+        if kind not in kinds:
+            raise TypeError(f"{key} has the wrong type: {value!r}")
+        if kind is float or kind is int:
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{key} is not a finite float: {value!r}")
+        elif kind is str and not value.isascii():
+            value.encode("utf-8")
+
+
+def _reference_failure_from_json(payload):
+    _reference_check_types(payload, _REF_FAILURE_TYPES)
+    unit_id, technology, *context = (payload[key] for key in _REF_FAILURE_TYPES)
+    tech = Technology(technology)
+    tests = payload["tests"]
+    for t in tests:
+        _reference_check_types(t, _REF_TEST_TYPES)
+        if tech not in CHECKMARKS.get(t["test_id"], ()):
+            raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
+    test_ids = [t["test_id"] for t in tests]
+    if not test_ids or test_ids != sorted(set(test_ids)):
+        raise ValueError(f"tests {test_ids} are not one or more distinct ids in ascending order")
+    failed = tuple(
+        RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
+    )
+    return FailureRecord(unit_id, tech, *context, failed)
+
+
+@st.composite
+def _failure_payloads(draw):
+    """A failures.ndjson object that validate could write."""
+    tech = draw(st.sampled_from(Technology))
+    marked = sorted(tid for tid, techs in CHECKMARKS.items() if tech in techs)
+    test_ids = sorted(draw(st.lists(st.sampled_from(marked), min_size=1, max_size=4, unique=True)))
+    text = st.none() | _texts
+    number = st.none() | st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+    tests = [
+        {"test_id": tid, "detail": draw(_texts), "measured": draw(number), "measured_unit": draw(text)}
+        for tid in test_ids
+    ]
+    return {
+        "unit_id": draw(text), "technology": tech.value, "power_kw": draw(number), "district_id": draw(text),
+        "municipality_id": draw(text), "dso_inspected": draw(st.booleans()), "tests": tests,
+    }
+
+
+# What a malformed line may hold in place of a value: a boolean or text
+# where a number belongs, a number where text belongs, NaN, 1e400 (which
+# json reads as inf), a 400-digit integer, a lone surrogate, or a container.
+_BAD_VALUES = [
+    True, False, "12", "", "\u00e9", 7, 1.5, -0.0, None, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+    "\ud800", "ok\udfff", [], {}, [1], {"test_id": 3},
+]
+
+
+@st.composite
+def _mutated_payloads(draw):
+    """A valid failure object with one to three mutations: a replaced or
+    missing value of the record or of a test, an unmarked or repeated test
+    id, tests out of order, or no tests."""
+    payload = draw(_failure_payloads())
+    for _ in range(draw(st.integers(1, 3))):
+        tests = payload["tests"] if isinstance(payload.get("tests"), list) else []
+        dicts = [t for t in tests if isinstance(t, dict)]
+        kind = draw(st.sampled_from(["replace", "delete", "test id", "repeat", "swap", "no tests"]))
+        target = draw(st.sampled_from([payload, *dicts]))
+        if kind == "replace":
+            target[draw(st.sampled_from(sorted(target)))] = draw(st.sampled_from(_BAD_VALUES))
+        elif kind == "delete" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "test id" and dicts:
+            draw(st.sampled_from(dicts))["test_id"] = draw(st.sampled_from([0, 2, 9, 14, 16, 99, -1, 10**400]))
+        elif kind == "repeat" and tests:
+            tests.append(copy.deepcopy(draw(st.sampled_from(tests))))
+        elif kind == "swap" and len(tests) > 1:
+            tests[0], tests[-1] = tests[-1], tests[0]
+        elif kind == "no tests":
+            payload["tests"] = []
+    return payload
+
+
+def _read_back(read, payload):
+    """read(payload), or the type and message of the exception it raises."""
+    try:
+        return read(copy.deepcopy(payload))
+    except Exception as exc:  # every refusal is compared by type and message
+        return type(exc), str(exc)
+
+
+class TestReadBackAgreesWithReference:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_failure_payloads())
+    def test_valid_payloads(self, payload):
+        expected = _reference_failure_from_json(payload)
+        assert failure_from_json(payload) == expected
+        assert failure_from_json(json.loads(json.dumps(payload, ensure_ascii=False))) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(payload=_failure_payloads())
+    def test_every_replaced_or_missing_value(self, payload):
+        for target in range(-1, len(payload["tests"])):
+            for key in payload if target < 0 else payload["tests"][target]:
+                for value in (*_BAD_VALUES, KeyError):
+                    mutated = copy.deepcopy(payload)
+                    where = mutated if target < 0 else mutated["tests"][target]
+                    if value is KeyError:
+                        del where[key]
+                    else:
+                        where[key] = value
+                    assert _read_back(failure_from_json, mutated) == _read_back(
+                        _reference_failure_from_json, mutated
+                    ), (target, key, value)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(payload=_mutated_payloads())
+    def test_mutated_payloads(self, payload):
+        assert _read_back(failure_from_json, payload) == _read_back(_reference_failure_from_json, payload)
+
+    @pytest.mark.parametrize("payload", ["text", 7, None, [], [{"unit_id": None}]])
+    def test_payloads_that_are_no_object(self, payload):
+        assert _read_back(failure_from_json, payload) == _read_back(_reference_failure_from_json, payload)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        payload=_failure_payloads(),
+        cut=st.integers(0, 400),
+        insert=st.sampled_from(["", " ", "\ufeff", "x", "}", "]", ",", '"', "\\", "1", "[", "{", "NaN", "\n"]),
+        where=st.sampled_from(["start", "cut", "end"]),
+    )
+    def test_json_line_is_json_loads(self, payload, cut, insert, where):
+        text = json.dumps(payload, ensure_ascii=False)
+        line = {"start": insert + text, "cut": text[:cut] + insert + text[cut:], "end": text + insert}[where].strip()
+        assert _read_back(_json_line, line) == _read_back(json.loads, line)
 
 
 def _parent_failures_csv(failures) -> str:
