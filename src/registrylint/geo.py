@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import asin, cos, radians, sin, sqrt
 from operator import add
+from typing import NamedTuple
 
 EARTH_RADIUS_M = 6_371_008.8
 _EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
@@ -103,8 +103,7 @@ def _ring_area_deg2(ring: Ring) -> float:
     return abs(total) / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class PolygonGeom:
+class PolygonGeom(NamedTuple):
     """One polygon part: an outer ring plus zero or more holes."""
 
     outer: Ring
@@ -115,27 +114,27 @@ class PolygonGeom:
         yield from self.holes
 
 
-@dataclass(frozen=True, slots=True)
 class Region:
     """An administrative region: one or more polygon parts under one key."""
 
-    region_id: str
-    name: str
-    polygons: tuple[PolygonGeom, ...]
-    # Query structures, built by _prepare() on the first query.
-    _prepared: _Prepared | None = field(init=False, default=None, repr=False, compare=False)
+    __slots__ = ("region_id", "name", "polygons", "_prepared")
 
-    def __post_init__(self) -> None:
-        if not self.polygons:
-            raise GeometryError(f"region {self.region_id!r} has no polygons")
+    def __init__(self, region_id: str, name: str, polygons: tuple[PolygonGeom, ...]):
+        if not polygons:
+            raise GeometryError(f"region {region_id!r} has no polygons")
         area = 0.0
-        for poly in self.polygons:
-            _check_ring(poly.outer, f"region {self.region_id!r}")
+        for poly in polygons:
+            _check_ring(poly.outer, f"region {region_id!r}")
             for hole in poly.holes:
-                _check_ring(hole, f"region {self.region_id!r}")
+                _check_ring(hole, f"region {region_id!r}")
             area += _ring_area_deg2(poly.outer)
         if area == 0.0:
-            raise GeometryError(f"degenerate (zero-area) polygon for region {self.region_id!r}")
+            raise GeometryError(f"degenerate (zero-area) polygon for region {region_id!r}")
+        self.region_id = region_id
+        self.name = name
+        self.polygons = polygons
+        # Query structures, built by _prepare() on the first query.
+        self._prepared: _Prepared | None = None
 
     def bbox(self) -> tuple[float, float, float, float]:
         lats = [lat for poly in self.polygons for lat, _ in poly.outer]
@@ -143,12 +142,14 @@ class Region:
         return (min(lats), min(lons), max(lats), max(lons))
 
 
-@dataclass(frozen=True, slots=True)
 class BoundarySet:
     """Administrative polygons of one level, keyed by region id."""
 
-    level: str  # "district" or "municipality"
-    regions: dict[str, Region]
+    __slots__ = ("level", "regions")
+
+    def __init__(self, level: str, regions: dict[str, Region]):
+        self.level = level  # "district" or "municipality"
+        self.regions = regions
 
     def __iter__(self):
         return iter(self.regions.values())
@@ -215,8 +216,7 @@ class _Prepared:
 
 
 def _prepare(region: Region) -> _Prepared:
-    prepared = _Prepared(region)
-    object.__setattr__(region, "_prepared", prepared)
+    prepared = region._prepared = _Prepared(region)
     return prepared
 
 

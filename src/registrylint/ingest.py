@@ -13,12 +13,11 @@ import codecs
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
 from datetime import date
 from itertools import compress, islice, repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .geo import BoundarySet, GeometryError, PolygonGeom, Region
 from .model import (
@@ -26,13 +25,15 @@ from .model import (
     CHECKED_FIELDS,
     FIELD_POS,
     FIELD_TYPES,
+    RAW_COLUMNS,
     RECORD_FIELDS,
     Technology,
-    UnitRecord,
-    checked_records,
     columns_for,
     value_problem,
 )
+
+if TYPE_CHECKING:
+    from .model import UnitRecord
 
 _MUNICIPALITY_POS = FIELD_POS["municipality_id"]
 _DISTRICT_POS = FIELD_POS["district_id"]
@@ -45,29 +46,27 @@ class IngestError(Exception):
     """Fatal input problem: bad header, malformed boundary file, etc."""
 
 
-@dataclass(frozen=True, slots=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     line: int  # 1-based line number in the source file
     field: str | None
     value: str | None
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class MappingEntry:
+class MappingEntry(NamedTuple):
     raw: str  # column name in the raw export
     field: str  # canonical UnitRecord field
     factor: float = 1.0  # multiplicative unit conversion, quantities (float fields) only
 
 
-@dataclass(frozen=True)
 class ColumnMapping:
     """Per-technology mapping from raw columns to canonical fields."""
 
-    entries: dict[Technology, tuple[MappingEntry, ...]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        for tech, tech_entries in self.entries.items():
+    def __init__(self, entries: dict[Technology, tuple[MappingEntry, ...]]):
+        self.entries = entries
+        for tech, tech_entries in entries.items():
             targets = [e.field for e in tech_entries]
             carried = columns_for(tech)
             for entry in tech_entries:
@@ -127,10 +126,9 @@ def _entry(row) -> MappingEntry:
 
 def default_mapping() -> ColumnMapping:
     """Mapping for the standard transformed export: each field's raw column
-    as its UnitRecord declaration names it."""
-    raw = {f.name: f.metadata["raw"] for f in fields(UnitRecord) if f.metadata}
+    as model.RECORD_TABLE names it."""
     return ColumnMapping(
-        {tech: tuple(MappingEntry(raw[name], name) for name in columns_for(tech)) for tech in Technology}
+        {tech: tuple(MappingEntry(RAW_COLUMNS[name], name) for name in columns_for(tech)) for tech in Technology}
     )
 
 
@@ -367,6 +365,8 @@ class RegistryReader:
         return {name: self._counts[FIELD_POS[name]] for name in columns_for(self.technology)}
 
     def __iter__(self) -> Iterator[UnitRecord]:
+        from .model import checked_records  # built on first use, see model
+
         for _, columns in self.blocks():
             yield from checked_records(columns)
 

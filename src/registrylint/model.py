@@ -5,6 +5,13 @@ technology; technology-specific fields are structurally absent (must be
 None) for tables that do not carry them, mirroring the transformed
 registry layout. The results of a suite run (RuleOutcome, FailureRecord,
 FailureSet) are defined here too.
+
+RECORD_TABLE states each record field once: its name, its type, its
+column in the standard export and the technologies that carry it.
+FIELD_TYPES, RECORD_FIELDS, FIELD_POS, SPECIFIC_FIELDS, RAW_COLUMNS and
+columns_for all read it. UnitRecord, a dataclass, and checked_records are
+built from the table on first access (PEP 562 module __getattr__):
+validate and report build no record, so neither imports dataclasses.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field, fields
-from datetime import date
 from enum import Enum
 from functools import cache
 from itertools import repeat
@@ -29,101 +34,64 @@ class Technology(str, Enum):
     WIND = "wind"
 
 
-def _field(raw: str, *technologies: str):
-    """A UnitRecord field, None unless given, read from the export column
-    `raw` and carried by `technologies` (every technology when none is named)."""
-    carried = frozenset(Technology(name) for name in technologies) or frozenset(Technology)
-    return field(default=None, metadata={"raw": raw, "technologies": carried})
+# UnitRecord's fields in order: (name, type, column in the standard export,
+# technologies that carry it; every technology when none is named).
+# technology has no column: a table's technology is given with its path.
+# Every other field is None unless given. coordinate is (latitude,
+# longitude), WGS84.
+RECORD_TABLE: tuple[tuple[str, ...], ...] = (
+    ("technology", "Technology", ""),
+    ("unit_id", "str | None", "mastr id"),
+    ("owner_id", "str | None", "unit owner mastr id"),
+    ("operating_status", "str | None", "operating status"),
+    ("grid_operator_inspection", "bool | None", "grid operator inspection"),
+    ("commissioning_date", "date | None", "commissioning date"),
+    ("planned_commissioning_date", "date | None", "planned commissioning date"),
+    ("installation_year", "int | None", "installation year"),
+    ("download_date", "date | None", "download date"),
+    ("zip_code", "str | None", "zip code"),
+    ("municipality", "str | None", "municipality"),
+    ("municipality_id", "str | None", "municipality id"),
+    ("district", "str | None", "district"),
+    ("district_id", "str | None", "district id"),
+    ("coordinate", "tuple[float, float] | None", "coordinate"),
+    ("unit_name", "str | None", "unit name"),
+    ("power_gross_kw", "float | None", "power gross", "solar", "storage"),
+    ("power_inverter_kw", "float | None", "power inverter", "solar", "storage"),
+    ("power_net_kw", "float | None", "power net", "solar", "storage"),
+    ("power_kw", "float | None", "power", "biomass", "combustion", "hydro", "wind"),
+    ("number_of_modules", "int | None", "number of modules", "solar"),
+    ("unit_type", "str | None", "unit type", "solar"),
+    ("area_ha", "float | None", "area", "solar"),
+    ("orientation", "str | None", "orientation", "solar"),
+    ("orientation_secondary", "str | None", "orientation secondary", "solar"),
+    ("storage_capacity_kwh", "float | None", "storage capacity", "storage"),
+    ("battery_technology", "str | None", "battery technology", "storage"),
+    ("hub_height_m", "float | None", "hub height", "wind"),
+    ("rotor_diameter_m", "float | None", "rotor diameter", "wind"),
+    ("position", "str | None", "position", "wind"),
+    ("manufacturer", "str | None", "manufacturer", "wind"),
+    ("type_description", "str | None", "type description", "wind"),
+    ("combustion_technology", "str | None", "combustion technology", "biomass"),
+    ("fuel_type", "str | None", "fuel type", "biomass"),
+    ("energy_carrier", "str | None", "energy carrier", "combustion"),
+    ("plant_type", "str | None", "plant type", "hydro"),
+    ("type_of_inflow", "str | None", "type of inflow", "hydro"),
+)
 
-
-@dataclass(slots=True, repr=False, eq=False)
-class _RecordFields:
-    """UnitRecord's fields. Each declaration is the one statement of the
-    field's type, its column in the standard export and the technologies
-    that carry it. The generated __init__ only stores its arguments, one
-    slot each; checked_records builds records with it."""
-
-    technology: Technology
-    unit_id: str | None = _field("mastr id")
-    owner_id: str | None = _field("unit owner mastr id")
-    operating_status: str | None = _field("operating status")
-    grid_operator_inspection: bool | None = _field("grid operator inspection")
-    commissioning_date: date | None = _field("commissioning date")
-    planned_commissioning_date: date | None = _field("planned commissioning date")
-    installation_year: int | None = _field("installation year")
-    download_date: date | None = _field("download date")
-    zip_code: str | None = _field("zip code")
-    municipality: str | None = _field("municipality")
-    municipality_id: str | None = _field("municipality id")
-    district: str | None = _field("district")
-    district_id: str | None = _field("district id")
-    coordinate: tuple[float, float] | None = _field("coordinate")  # (latitude, longitude), WGS84
-    unit_name: str | None = _field("unit name")
-    power_gross_kw: float | None = _field("power gross", "solar", "storage")
-    power_inverter_kw: float | None = _field("power inverter", "solar", "storage")
-    power_net_kw: float | None = _field("power net", "solar", "storage")
-    power_kw: float | None = _field("power", "biomass", "combustion", "hydro", "wind")
-    number_of_modules: int | None = _field("number of modules", "solar")
-    unit_type: str | None = _field("unit type", "solar")
-    area_ha: float | None = _field("area", "solar")
-    orientation: str | None = _field("orientation", "solar")
-    orientation_secondary: str | None = _field("orientation secondary", "solar")
-    storage_capacity_kwh: float | None = _field("storage capacity", "storage")
-    battery_technology: str | None = _field("battery technology", "storage")
-    hub_height_m: float | None = _field("hub height", "wind")
-    rotor_diameter_m: float | None = _field("rotor diameter", "wind")
-    position: str | None = _field("position", "wind")
-    manufacturer: str | None = _field("manufacturer", "wind")
-    type_description: str | None = _field("type description", "wind")
-    combustion_technology: str | None = _field("combustion technology", "biomass")
-    fuel_type: str | None = _field("fuel type", "biomass")
-    energy_carrier: str | None = _field("energy carrier", "combustion")
-    plant_type: str | None = _field("plant type", "hydro")
-    type_of_inflow: str | None = _field("type of inflow", "hydro")
-
-
-# __slots__ is declared, not dataclass(slots=True), which on Python 3.10
-# would give each field a second slot here.
-@dataclass
-class UnitRecord(_RecordFields):
-    """One registry unit after transformation to the common data model.
-
-    Construction (UnitRecord(...), dataclasses.replace) enforces the
-    structural invariants: field applicability per technology, coordinate
-    bounds, non-negative finite quantities. Semantic plausibility is the
-    rule engine's job, not the schema's. Records are mutable, so not
-    hashable; an assignment is not checked.
-    """
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        tech = self.technology
-        if not isinstance(tech, Technology):
-            raise ValueError(f"technology must be a Technology, got {tech!r}")
-        for name, techs in SPECIFIC_FIELDS.items():
-            if tech not in techs and getattr(self, name) is not None:
-                raise ValueError(f"field {name!r} does not exist for technology {tech.value!r}")
-        for name, requirement in _REQUIREMENTS.items():
-            value = getattr(self, name)
-            problem = None if value is None else value_problem(name, value)
-            if problem:
-                raise ValueError(f"field {name!r} must be {requirement} ({problem}), got {value!r}")
-        # Text is kept as a table cell reads back: stripped, blank as None.
-        for name in _TEXT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (not value or value.strip() != value):
-                setattr(self, name, value.strip() or None)
-
-
-# Each field's annotation as written above: the one statement of its type,
-# from which ingest picks the field's cell codec.
-FIELD_TYPES: dict[str, str] = {f.name: f.type for f in fields(UnitRecord)}
+# Each field's type, from which ingest picks the field's cell codec.
+FIELD_TYPES: dict[str, str] = {name: kind for name, kind, *_ in RECORD_TABLE}
+# Each field's column in the standard export.
+RAW_COLUMNS: dict[str, str] = {name: raw for name, _, raw, *_ in RECORD_TABLE if raw}
+# The technologies carrying each field read from a column.
+_CARRIED: dict[str, frozenset[Technology]] = {
+    name: frozenset(map(Technology, technologies)) or frozenset(Technology)
+    for name, _, raw, *technologies in RECORD_TABLE
+    if raw
+}
 # The technologies carrying each field that not all technologies carry.
 SPECIFIC_FIELDS: dict[str, frozenset[Technology]] = {
-    f.name: f.metadata["technologies"]
-    for f in fields(UnitRecord)
-    if f.metadata and len(f.metadata["technologies"]) < len(Technology)
+    name: technologies for name, technologies in _CARRIED.items() if len(technologies) < len(Technology)
 }
 # Field names in declaration order, reused by ingest and the rule config check.
 RECORD_FIELDS: tuple[str, ...] = tuple(FIELD_TYPES)
@@ -177,27 +145,86 @@ def value_problem(name: str, value) -> str | None:
 def columns_for(technology: Technology) -> tuple[str, ...]:
     """Every field a technology's records carry, in RECORD_FIELDS order,
     without technology itself."""
-    return tuple(f.name for f in fields(UnitRecord) if technology in f.metadata.get("technologies", ()))
+    return tuple(name for name, technologies in _CARRIED.items() if technology in technologies)
 
 
-_store_fields = _RecordFields.__init__
+def _check_record(record) -> None:
+    """UnitRecord.__post_init__: the structural invariants (see UnitRecord)."""
+    tech = record.technology
+    if not isinstance(tech, Technology):
+        raise ValueError(f"technology must be a Technology, got {tech!r}")
+    for name, techs in SPECIFIC_FIELDS.items():
+        if tech not in techs and getattr(record, name) is not None:
+            raise ValueError(f"field {name!r} does not exist for technology {tech.value!r}")
+    for name, requirement in _REQUIREMENTS.items():
+        value = getattr(record, name)
+        problem = None if value is None else value_problem(name, value)
+        if problem:
+            raise ValueError(f"field {name!r} must be {requirement} ({problem}), got {value!r}")
+    # Text is kept as a table cell reads back: stripped, blank as None.
+    for name in _TEXT_FIELDS:
+        value = getattr(record, name)
+        if value is not None and (not value or value.strip() != value):
+            setattr(record, name, value.strip() or None)
 
 
-def checked_records(columns: Sequence[list]) -> list[UnitRecord]:
-    """UnitRecords from columns of field values, one column per field in
-    RECORD_FIELDS order, each record stored by _RecordFields.__init__
-    without running UnitRecord.__post_init__.
+_UNIT_RECORD_DOC = """One registry unit after transformation to the common data model.
 
-    Only for values that already meet what __post_init__ checks: a
-    Technology, no value in a field the technology does not carry
-    (SPECIFIC_FIELDS), value_problem None for every present value, and
-    text stripped and not blank. Ingest meets it a column at a time; the
-    plain slot stores cost about an eighth of a checked construction, and
-    one map over the columns builds no row tuple.
+    Construction (UnitRecord(...), dataclasses.replace) enforces the
+    structural invariants: field applicability per technology, coordinate
+    bounds, non-negative finite quantities. Semantic plausibility is the
+    rule engine's job, not the schema's. Records are mutable, so not
+    hashable; an assignment is not checked.
     """
-    records = list(map(object.__new__, repeat(UnitRecord, len(columns[0]))))
-    deque(map(_store_fields, records, *columns), maxlen=0)
-    return records
+
+
+def __getattr__(name: str):
+    """UnitRecord and checked_records, built from RECORD_TABLE on first
+    access and kept as module attributes.
+
+    UnitRecord is a dataclass over a store-only parent, a slotted
+    dataclass with one slot per field whose generated __init__ only
+    stores its arguments; UnitRecord adds __post_init__'s checks, and
+    __slots__ = () (dataclass(slots=True) would give each field a second
+    slot here on Python 3.10).
+    """
+    if name not in ("UnitRecord", "checked_records"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import field, make_dataclass
+
+    spec = [
+        (field_name, kind) if field_name == "technology" else (field_name, kind, field(default=None))
+        for field_name, kind, *_ in RECORD_TABLE
+    ]
+    store = make_dataclass("_RecordFields", spec, namespace={"__module__": __name__}, slots=True, repr=False, eq=False)
+    record_class = make_dataclass(
+        "UnitRecord",
+        [],
+        bases=(store,),
+        namespace={
+            "__module__": __name__, "__doc__": _UNIT_RECORD_DOC, "__slots__": (), "__post_init__": _check_record
+        },
+    )
+    store_fields = store.__init__
+
+    def checked_records(columns: Sequence[list]) -> list[UnitRecord]:
+        """UnitRecords from columns of field values, one column per field in
+        RECORD_FIELDS order, each record stored by the parent's __init__
+        without running UnitRecord.__post_init__.
+
+        Only for values that already meet what __post_init__ checks: a
+        Technology, no value in a field the technology does not carry
+        (SPECIFIC_FIELDS), value_problem None for every present value, and
+        text stripped and not blank. Ingest meets it a column at a time; the
+        plain slot stores cost about an eighth of a checked construction, and
+        one map over the columns builds no row tuple.
+        """
+        records = list(map(object.__new__, repeat(record_class, len(columns[0]))))
+        deque(map(store_fields, records, *columns), maxlen=0)
+        return records
+
+    globals().update(UnitRecord=record_class, checked_records=checked_records)
+    return globals()[name]
 
 
 # The field holding a unit's rated power: net power for solar and storage
@@ -218,8 +245,7 @@ class RuleOutcome(NamedTuple):
     measured_unit: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     """All failed tests of one unit, with the context needed for triage."""
 
     unit_id: str | None
@@ -235,8 +261,7 @@ class FailureRecord:
         return tuple(o.test_id for o in self.failed)
 
 
-@dataclass
-class FailureSet:
+class FailureSet(NamedTuple):
     """Results of one suite run: all failures plus the run's accounting."""
 
     failures: list[FailureRecord]

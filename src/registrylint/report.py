@@ -18,15 +18,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import product
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .catalog import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT
-from .model import FailureRecord, FailureSet, RuleOutcome, Technology, UnitRecord, columns_for, count_failing_units
+from .model import FailureRecord, FailureSet, RuleOutcome, Technology, columns_for, count_failing_units
+
+if TYPE_CHECKING:
+    from .model import UnitRecord
 
 # Distances beyond these defaults collapse into one overflow bin.
 DEFAULT_OVERFLOW_KM = 60.0
@@ -52,13 +54,15 @@ def _lowest_terms(numerator: int, denominator: int) -> tuple[int, int]:
     return numerator // divisor, denominator // divisor
 
 
-@dataclass
 class ColumnStats:
     """Per-technology non-null counters for the completeness table; the
     units are counted once, by the suite's FailureSet.records_total.
     validate takes each technology's counters from its RegistryReader."""
 
-    non_null: dict[Technology, dict[str, int]] = field(default_factory=dict)
+    __slots__ = ("non_null",)
+
+    def __init__(self, non_null: dict[Technology, dict[str, int]] | None = None):
+        self.non_null = {} if non_null is None else non_null
 
     def update(self, record: UnitRecord) -> None:
         """Count one record's non-null columns. validate does not call it;
@@ -188,7 +192,7 @@ def build_report(
 
 
 # The keys of a failure line (in FailureRecord's field order) and of each
-# of its tests, in the order failure_to_json writes them, with the types
+# of its tests, in the order _failure_line writes them, with the types
 # their values may have. JSON gives these exact types, so a boolean is no
 # number.
 _TEXT = (str, type(None))
@@ -199,15 +203,6 @@ _FAILURE_TYPES = {
     "dso_inspected": (bool,),
 }
 _TEST_TYPES = {"test_id": (int,), "detail": (str,), "measured": _NUMBER, "measured_unit": _TEXT}
-
-
-def failure_to_json(fr: FailureRecord) -> dict:
-    """The failures.ndjson object of fr, which failure_from_json reads
-    back. Export renders it with _failure_line, without building it."""
-    payload = {key: getattr(fr, key) for key in _FAILURE_TYPES}
-    payload["technology"] = fr.technology.value
-    payload["tests"] = [{key: getattr(o, key) for key in _TEST_TYPES} for o in fr.failed]
-    return payload
 
 
 def _check_types(payload: dict, types: dict[str, tuple[type, ...]]) -> None:
@@ -314,9 +309,11 @@ def _json_scalar(value) -> str:
 
 
 def _failure_line(fr: FailureRecord) -> str:
-    """The failures.ndjson line of fr: json.dumps(failure_to_json(fr),
-    ensure_ascii=False) and a newline, rendered value by value in
-    failure_to_json's key order, without a dict or a JSONEncoder."""
+    """The failures.ndjson line of fr, which failure_from_json reads back:
+    what json.dumps(..., ensure_ascii=False) writes of the object with the
+    keys of _FAILURE_TYPES and "tests", each test with the keys of
+    _TEST_TYPES, and a newline. It is rendered value by value, without a
+    dict or a JSONEncoder."""
     j = _json_scalar
     tests = ", ".join([
         f'{{"test_id": {j(o.test_id)}, "detail": {j(o.detail)}, "measured": {j(o.measured)}, '

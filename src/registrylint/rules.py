@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from itertools import compress, groupby, islice, repeat
 from operator import attrgetter, is_, is_not, itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, get_args, get_origin
 
 from .catalog import (  # CatalogTest, the matrix counts and ConfigError are exposed here too
     CATALOG,
@@ -50,10 +49,12 @@ from .model import (  # count_failing_units is exposed here too
     FailureSet,
     RuleOutcome,
     Technology,
-    UnitRecord,
     columns_for,
     count_failing_units,
 )
+
+if TYPE_CHECKING:
+    from .model import UnitRecord
 
 _TECHNOLOGY = FIELD_POS["technology"]
 
@@ -82,50 +83,60 @@ def _default_year_min() -> dict[Technology, int]:
     }
 
 
-@dataclass(frozen=True)
 class RuleConfig:
     """Thresholds and patterns for the test catalog.
 
-    Defaults are the published reference values; every field can be
-    overridden from the run configuration file. Construction checks each
-    value against its field's type (a float must be finite, a tuple has
-    the annotated arity) and the invariants below, raising ConfigError.
+    FIELDS lists each field as (name, type, default). Defaults are the
+    published reference values; a dict field's default is the function
+    that makes it, so each config gets its own dict. Every field can be
+    given as a keyword argument, and overridden from the run
+    configuration file. Construction checks each value against its
+    field's type (a float must be finite, a tuple has the annotated
+    arity) and the invariants below, raising ConfigError. A config
+    refuses assignment after construction.
     """
 
-    required_fields: tuple[str, ...] = ("unit_id", "municipality_id", "operating_status", "power")
-    unit_id_pattern: str = r"[A-Z]{3}\d{12}"
-    municipality_id_pattern: str = r"\d{8}"
-    zip_pattern: str = r"\d{5}"
-    module_power_range_w: tuple[float, float] = (50.0, 700.0)
-    inverter_ratio_factor: float = 20.0
-    area_density_range_mw_per_ha: tuple[float, float] = (0.05, 1.5)
-    rotor_specific_power_range_w_per_m2: tuple[float, float] = (160.0, 700.0)
-    buffer_m: float = 1500.0
-    power_range_mw: dict[Technology, tuple[float, float]] = field(default_factory=_default_power_range_mw)
-    year_min: dict[Technology, int] = field(default_factory=_default_year_min)
-    year_max: int = 2030
-    balcony_limit_kw: float = 1.0
-    balcony_tolerance_kw: float = 0.2
-    balcony_name_limit_kw: float = 5.0
-    balcony_keywords: tuple[str, ...] = ("balkon", "balcony")
-    balcony_unit_types: tuple[str, ...] = ("Balkonkraftwerk",)
-    ground_unit_types: tuple[str, ...] = ("Freifläche",)
+    FIELDS: tuple[tuple[str, object, object], ...] = (
+        ("required_fields", tuple[str, ...], ("unit_id", "municipality_id", "operating_status", "power")),
+        ("unit_id_pattern", str, r"[A-Z]{3}\d{12}"),
+        ("municipality_id_pattern", str, r"\d{8}"),
+        ("zip_pattern", str, r"\d{5}"),
+        ("module_power_range_w", tuple[float, float], (50.0, 700.0)),
+        ("inverter_ratio_factor", float, 20.0),
+        ("area_density_range_mw_per_ha", tuple[float, float], (0.05, 1.5)),
+        ("rotor_specific_power_range_w_per_m2", tuple[float, float], (160.0, 700.0)),
+        ("buffer_m", float, 1500.0),
+        ("power_range_mw", dict[Technology, tuple[float, float]], _default_power_range_mw),
+        ("year_min", dict[Technology, int], _default_year_min),
+        ("year_max", int, 2030),
+        ("balcony_limit_kw", float, 1.0),
+        ("balcony_tolerance_kw", float, 0.2),
+        ("balcony_name_limit_kw", float, 5.0),
+        ("balcony_keywords", tuple[str, ...], ("balkon", "balcony")),
+        ("balcony_unit_types", tuple[str, ...], ("Balkonkraftwerk",)),
+        ("ground_unit_types", tuple[str, ...], ("Freifläche",)),
+    )
+    __slots__ = tuple(name for name, _, _ in FIELDS)
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            hint, value = _FIELD_TYPES[f.name], getattr(self, f.name)
-            named = [(f.name, value)]
+    def __init__(self, **values) -> None:
+        unknown = [name for name in values if name not in self.__slots__]
+        if unknown:
+            raise TypeError(f"RuleConfig.__init__() got an unexpected keyword argument {unknown[0]!r}")
+        for name, hint, default in self.FIELDS:
+            value = values[name] if name in values else default() if get_origin(hint) is dict else default
+            object.__setattr__(self, name, value)
+            named = [(name, value)]
             if get_origin(hint) is dict:
                 if not isinstance(value, dict) or set(value) != set(Technology):
-                    raise ConfigError(f"{f.name} must give a value for every technology")
+                    raise ConfigError(f"{name} must give a value for every technology")
                 hint = get_args(hint)[1]
-                named = [(f"{f.name}[{tech.value}]", item) for tech, item in value.items()]
-            for name, item in named:
+                named = [(f"{name}[{tech.value}]", item) for tech, item in value.items()]
+            for label, item in named:
                 if not _conforms(item, hint):
                     type_name = hint.__name__ if isinstance(hint, type) else str(hint)
-                    raise ConfigError(f"{name} must be of type {type_name}, got {item!r}")
+                    raise ConfigError(f"{label} must be of type {type_name}, got {item!r}")
                 if hint == tuple[float, float] and not item[0] < item[1]:
-                    raise ConfigError(f"{name}: lower bound must be below upper bound")
+                    raise ConfigError(f"{label}: lower bound must be below upper bound")
         for name in self.required_fields:
             if any(field_of(name, tech) not in columns_for(tech) for tech in Technology):
                 raise ConfigError(f"required_fields: {name!r} is not a field that every technology carries")
@@ -144,15 +155,20 @@ class RuleConfig:
         if self.balcony_tolerance_kw < 0:
             raise ConfigError("balcony_tolerance_kw must be >= 0")
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
     @classmethod
     def from_dict(cls, payload: dict) -> RuleConfig:
         """A config from the `rules` object of a run configuration file:
         arrays become tuples, and per-technology objects override the
         defaults of the technologies they name."""
-        known = {f.name for f in fields(cls)}
         kwargs: dict = {}
         for key, value in payload.items():
-            if key not in known:
+            if key not in cls.__slots__:
                 raise ConfigError(f"unknown rule config key {key!r}")
             if key in ("power_range_mw", "year_min"):
                 if not isinstance(value, dict):
@@ -168,9 +184,6 @@ class RuleConfig:
                 value = tuple(value)
             kwargs[key] = value
         return cls(**kwargs)
-
-
-_FIELD_TYPES = get_type_hints(RuleConfig)
 
 
 def _conforms(value, hint) -> bool:
@@ -558,22 +571,6 @@ def evaluate_record(
             result = RuleOutcome(record.unit_id, test.test_id, True, "", measured, unit)
         outcomes.append(result)
     return outcomes
-
-
-def check_unique_ids(records: Iterable[UnitRecord]) -> list[RuleOutcome]:
-    """Test 2 on its own: one failure per record in a duplicate-id group.
-
-    An independent reference for the suite's bookkeeping. Single pass;
-    memory grows with the number of distinct ids only. Records without an
-    id are test 1's concern and are skipped here.
-    """
-    counts: Counter[str] = Counter(record.unit_id for record in records if record.unit_id is not None)
-    out = []
-    for unit_id in sorted(counts):
-        n = counts[unit_id]
-        if n >= 2:
-            out.extend([_duplicate_id(unit_id, n)] * n)
-    return out
 
 
 # The fields of a row's meta besides its unit id and rated power.

@@ -7,7 +7,8 @@ tests 10 and 11 need boundaries; geo_oracle covers them. Each function
 takes a record and the config and returns None for a pass or the failure's
 measured value, where UNMEASURED stands for a failure that measures
 nothing. A measured value that is not finite is reported as None, as JSON
-has no number for it.
+has no number for it. check_unique_ids gives test 2's failing outcomes
+whole, as the suite reports them.
 
 The arithmetic of a measured quantity (watts per module, power density,
 specific rotor power, the gross/inverter ratio) is part of the catalog's
@@ -22,7 +23,7 @@ import math
 import re
 from collections import Counter
 
-from registrylint.model import Technology, UnitRecord
+from registrylint.model import RuleOutcome, Technology, UnitRecord
 from registrylint.rules import RuleConfig
 
 ALL = frozenset(Technology)
@@ -241,3 +242,17 @@ def failures(records: list[UnitRecord], config: RuleConfig) -> list[tuple[str | 
         if failed:
             found.append(((record.unit_id or "", ordinal), record.unit_id, tuple(sorted(failed))))
     return [(unit_id, failed) for _, unit_id, failed in sorted(found)]
+
+
+def check_unique_ids(records) -> list[RuleOutcome]:
+    """Test 2 on its own, as the suite reports it: one failing outcome per
+    record in a duplicate-id group, by unit id, measuring the group's size
+    in records. Single pass; memory grows with the number of distinct ids
+    only. Records without an id are test 1's concern and are skipped."""
+    counts = Counter(record.unit_id for record in records if record.unit_id is not None)
+    out = []
+    for unit_id in sorted(counts):
+        n = counts[unit_id]
+        if n >= 2:
+            out.extend([RuleOutcome(unit_id, 2, False, f"duplicate unit id ({n} records)", float(n), "records")] * n)
+    return out

@@ -15,9 +15,10 @@ from registrylint.cli import EXIT_FAILURES, main
 from registrylint.geo import EARTH_RADIUS_M, contains_with_buffer, distance_to_boundary
 from registrylint.model import Technology
 from registrylint.report import distance_histogram, percent
-from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, check_unique_ids, run_suite
+from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
+from catalog_oracle import check_unique_ids
 from conftest import completeness, evaluated_counts, example_record, location_outcomes, outcome_of
 from geo_oracle import oracle_distance_to_boundary, oracle_point_in_region
 from test_geo import kernel_fixture_regions, lon_offset_deg, random_star_region, square_region

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -9,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,14 +333,29 @@ def _fresh_interpreter(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# What neither validate nor report imports: dataclasses (model builds
+# UnitRecord with it on first use only) and, on Python 3.11, which the
+# benchmark runs, inspect, which dataclasses imports.
+_NOT_AT_START = ("dataclasses", "inspect") if sys.version_info[:2] == (3, 11) else ("dataclasses",)
+
+
 def test_cli_import_leaves_synth_and_process_pools_out(synth_dir, tmp_path):
     # Every validate and report pays for what it imports (setup_s,
     # report_s). report reads a run back: it loads the catalog table, but
     # not the checks, the geometry kernel, the registry reader or synth.
     out = tmp_path / "run"
-    validate = f"import json, sys\nfrom registrylint.cli import main\nmain({_validate_args(synth_dir, out)!r})\n"
-    assert _fresh_interpreter(validate + "print(json.dumps('registrylint.synth' in sys.modules))") is False
+    validate = (
+        "import json, sys\n"
+        "def loaded(names): return [m for m in names if m in sys.modules]\n"
+        "import registrylint.cli\n"
+        f"stages = [loaded({_NOT_AT_START!r})]\n"
+        f"stages.append(registrylint.cli.main({_validate_args(synth_dir, out)!r}))\n"
+        f"stages.append(loaded(('registrylint.synth', *{_NOT_AT_START!r})))\n"
+        "print(json.dumps(stages))"
+    )
+    assert _fresh_interpreter(validate) == [[], EXIT_FAILURES, []]
     heavy = ("registrylint.rules", "registrylint.geo", "registrylint.ingest", "registrylint.synth", "fractions")
+    heavy += _NOT_AT_START
     pools = ("multiprocessing", "concurrent.futures.process")
     report_run = (
         "import json, sys\n"
@@ -364,8 +379,29 @@ def test_package_names_resolve_from_their_modules():
         assert getattr(registrylint, name) is getattr(rules, name)
     assert registrylint.Technology is model.Technology and registrylint.FailureSet is model.FailureSet
     assert rules.FailureSet is model.FailureSet
-    with pytest.raises(AttributeError, match="no attribute 'run_blocks'"):
-        registrylint.run_blocks
+    # Built on first access, once: the package and model give one class.
+    assert registrylint.UnitRecord is model.UnitRecord
+    for module, name in ((registrylint, "run_blocks"), (model, "RecordFields"), (model, "run_suite")):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(module, name)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_validate_leaves_the_collector_as_it_found_it(synth_dir, tmp_path, collecting):
+    # validate turns the cyclic collector off to read and check; a run that
+    # ends, or one whose reading fails (a table without its header's
+    # columns), leaves it as it was.
+    bad = tmp_path / "bad"
+    shutil.copytree(synth_dir, bad)
+    (bad / "wind.csv").write_text("no such column\n1\n", encoding="utf-8")
+    try:
+        if not collecting:
+            gc.disable()
+        for fixtures, code in ((synth_dir, EXIT_FAILURES), (bad, EXIT_FATAL)):
+            assert main(_validate_args(fixtures, tmp_path / "out")) == code
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
 
 
 class TestUsageErrors:
@@ -753,7 +789,7 @@ _CELL_TEXTS = st.one_of(
 def _rules_json() -> dict:
     """The default `rules` section of a run configuration, as JSON values."""
     defaults = RuleConfig()
-    return json.loads(json.dumps({f.name: getattr(defaults, f.name) for f in fields(defaults)}))
+    return json.loads(json.dumps({name: getattr(defaults, name) for name, _, _ in RuleConfig.FIELDS}))
 
 
 @settings(max_examples=40, deadline=None)

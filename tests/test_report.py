@@ -26,7 +26,6 @@ from registrylint.report import (
     distance_histogram,
     export,
     failure_from_json,
-    failure_to_json,
     load_failures_ndjson,
     percent,
     summary_json,
@@ -35,6 +34,24 @@ from registrylint.rules import FailureSet, run_suite
 from registrylint.synth import generate_clean
 
 from conftest import column_stats, completeness, example_record
+
+
+def failure_to_json(fr: FailureRecord) -> dict:
+    """The failures.ndjson object of fr, which failure_from_json reads back:
+    FailureRecord's fields, the technology by name and each failed test as
+    an object, in the order export writes them."""
+    return {
+        "unit_id": fr.unit_id,
+        "technology": fr.technology.value,
+        "power_kw": fr.power_kw,
+        "district_id": fr.district_id,
+        "municipality_id": fr.municipality_id,
+        "dso_inspected": fr.dso_inspected,
+        "tests": [
+            {"test_id": o.test_id, "detail": o.detail, "measured": o.measured, "measured_unit": o.measured_unit}
+            for o in fr.failed
+        ],
+    }
 
 
 def _wind_unit(uid: str, power_kw=2000.0, dso=True, owner=True) -> UnitRecord:
@@ -453,7 +470,7 @@ class TestStreamedFailureFiles:
                 assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
     def test_unrenderable_value_leaves_no_file(self, tmp_path):
-        fr = replace(_location_failure("SEE900000000007", 12_345.6), power_kw=Fraction(1, 3))
+        fr = _location_failure("SEE900000000007", 12_345.6)._replace(power_kw=Fraction(1, 3))
         with pytest.raises(TypeError, match="Fraction"):
             json.dumps(failure_to_json(fr))
         with pytest.raises(TypeError, match="Fraction"):

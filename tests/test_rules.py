@@ -18,7 +18,6 @@ from registrylint.rules import (
     MATRIX_CELL_COUNT,
     RuleConfig,
     ConfigError,
-    check_unique_ids,
     evaluate_record,
     fields_read,
     run_blocks,
@@ -26,6 +25,7 @@ from registrylint.rules import (
 )
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
 
+from catalog_oracle import check_unique_ids
 from conftest import evaluated_counts, example_record, location_outcomes, outcome_of
 from test_model import records
 

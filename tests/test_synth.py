@@ -302,14 +302,14 @@ def test_reference_fixture_outputs_are_pinned(tmp_path):
 
 def test_validate_builds_no_unit_record(tmp_path, monkeypatch):
     # The reader's blocks go to the suite as columns: with record building
-    # and UnitRecord's checks both made to raise, validate writes the same bytes.
+    # and UnitRecord's checks both made to raise, validate writes the same
+    # bytes. The reader looks checked_records up in model when iterated.
     fixture = _reference_fixture(tmp_path)
 
     def no_records(*args, **kwargs):
         raise AssertionError("validate built a UnitRecord")
 
     monkeypatch.setattr("registrylint.model.checked_records", no_records)
-    monkeypatch.setattr("registrylint.ingest.checked_records", no_records)
     monkeypatch.setattr(UnitRecord, "__post_init__", no_records)
     out = _validate(fixture, tmp_path / "out")
     assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS

@@ -1,6 +1,7 @@
 """validate on tables with every CSV shape the reader has to get right."""
 
 import csv
+import gc
 import io
 import json
 from dataclasses import replace
@@ -12,7 +13,7 @@ from registrylint.cli import main
 from registrylint.ingest import RegistryReader, parse_boundaries
 from registrylint.model import Technology
 from registrylint.report import build_report, export
-from registrylint.rules import Boundaries, RuleConfig, run_suite
+from registrylint.rules import Boundaries, RuleConfig, run_blocks, run_suite
 
 from conftest import column_stats
 
@@ -117,3 +118,55 @@ class TestMessyTables:
         dup = {f["unit_id"] for f in failures if any(t["test_id"] == 2 for t in f["tests"])}
         solar = list(csv.reader(io.StringIO((messy_dir / "solar.csv").read_text(encoding="utf-8"), newline="")))
         assert {solar[3][0], solar[1][0]} <= dup
+
+
+def _cut_tables(reference: Path, out: Path, rows: int) -> Path:
+    """The first `rows` rows of each reference table, with a bad
+    commissioning date in every 7th row and every 11th row cut short."""
+    out.mkdir()
+    for tech in TECHS:
+        with open(reference / f"{tech}.csv", newline="", encoding="utf-8") as handle:
+            header, *body = list(csv.reader(handle))
+        body = body[:rows]
+        column = header.index("commissioning date")
+        for row in body[::7]:
+            row[column] = "x"
+        for i in range(3, len(body), 11):
+            body[i] = body[i][:-2]
+        with open(out / f"{tech}.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *body])
+    return out
+
+
+def _cyclic_garbage(tables: Path, boundaries: Boundaries) -> tuple[int, tuple[int, int, int]]:
+    """The unreachable objects found once a read and suite run with the
+    collector off, as validate runs them, are dropped; and the run's
+    failure, cell issue and rejected row counts."""
+    gc.collect()
+    gc.disable()
+    try:
+        readers = [RegistryReader(tables / f"{tech}.csv", Technology(tech)) for tech in TECHS]
+        failure_set = run_blocks((block for reader in readers for block in reader.blocks()), boundaries, RuleConfig())
+        counts = (
+            len(failure_set.failures),
+            sum(len(reader.issues) for reader in readers),
+            sum(reader.rows_rejected for reader in readers),
+        )
+        del readers, failure_set
+        return gc.collect(), counts
+    finally:
+        gc.enable()
+
+
+def test_read_and_suite_leave_no_cyclic_garbage_that_grows_with_the_rows(reference_tables, tmp_path):
+    boundaries = Boundaries(
+        parse_boundaries(reference_tables / "districts.geojson", "district"),
+        parse_boundaries(reference_tables / "municipalities.geojson", "municipality"),
+    )
+    small = _cut_tables(reference_tables, tmp_path / "small", 30)
+    large = _cut_tables(reference_tables, tmp_path / "large", 200)
+    _cyclic_garbage(small, boundaries)  # first-use caches and region structures
+    small_garbage, small_counts = _cyclic_garbage(small, boundaries)
+    large_garbage, large_counts = _cyclic_garbage(large, boundaries)
+    assert all(0 < n < m for n, m in zip(small_counts, large_counts)), (small_counts, large_counts)
+    assert large_garbage <= small_garbage
