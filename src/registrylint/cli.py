@@ -3,10 +3,16 @@
 validate wires the whole pipeline (parse registry tables and boundaries,
 run the test catalog, export failures and metrics) in one invocation.
 synth produces seeded test fixtures with an answer key; report rebuilds
-the aggregate outputs from previously exported failures.
+the aggregate outputs from previously exported failures, and leaves the
+failure files as validate wrote them.
 
 Exit codes: 0 = ran clean, 1 = ran and found failures, 2 = fatal error.
 Progress goes to stderr; stdout carries exactly one final JSON line.
+
+main() runs one command and returns its exit code; run() is the process
+entry of both `python -m registrylint.cli` and the console script. It
+freezes the heap once main() has returned, so the interpreter's final
+collections do not walk objects that the process is about to drop.
 """
 
 from __future__ import annotations
@@ -231,10 +237,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # The failure files are validate's; report rewrites the aggregate files.
     out_dir = Path(args.out)
-    failure_set, column_stats = load_run(out_dir)
-    summary = build_report(failure_set, column_stats, bin_width_km=args.bin_width, overflow_km=args.overflow)
-    written = export(failure_set.failures, summary, out_dir, formats=("csv", "summary"))
+    stored = load_run(out_dir)
+    summary, text = stored.summary, stored.summary_text
+    if (args.bin_width, args.overflow) != (stored.bin_width_km, stored.overflow_km):
+        summary = build_report(
+            stored.failure_set, stored.column_stats, bin_width_km=args.bin_width, overflow_km=args.overflow
+        )
+        text = None
+    written = export(stored.failure_set.failures, summary, out_dir, formats=("summary",), summary_text=text)
     print(json.dumps({"out_dir": str(out_dir), "files": len(written)}, sort_keys=True))
     return EXIT_CLEAN
 
@@ -313,5 +325,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
 
 
+def run() -> None:
+    """The process entry: main's command, then its exit code.
+
+    Every output file is written in a with block and renamed before main
+    returns, so once it has returned, what is left on the heap only waits
+    for the OS to take it back. gc.freeze() moves it out of the cyclic
+    collector's reach, and the interpreter's collections at exit walk
+    nothing; atexit handlers and the flush of the standard streams still
+    run. main() itself changes no collector state, since the tests call it
+    in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

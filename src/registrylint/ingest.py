@@ -15,7 +15,7 @@ import json
 import math
 from datetime import date
 from itertools import compress, islice, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -543,8 +543,8 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
 
     Multipolygon features become multiple polygon parts under one region
     id, named by the feature's `name` property. Duplicate region ids, missing region keys, unclosed rings,
-    coordinates that are not JSON numbers, vertices that are not finite or lie outside WGS84 bounds, and
-    non-polygon geometries are fatal.
+    coordinates that are not JSON numbers, vertices that are not finite or lie outside WGS84 bounds,
+    non-polygon geometries and ring edges across the antimeridian are fatal.
     """
     if level not in DEFAULT_REGION_KEYS:
         raise IngestError(f"unknown boundary level {level!r}")
@@ -593,7 +593,30 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
             regions[region_id] = Region(region_id=region_id, name=str(name), polygons=tuple(polygons))
         except GeometryError as exc:
             raise IngestError(f"{path}: feature {idx}: {exc}") from None
+        for poly in polygons:
+            for ring in poly.rings():
+                edge = _antimeridian_edge(ring)
+                if edge is not None:
+                    (alat, alon), (blat, blon) = edge
+                    raise IngestError(
+                        f"{path}: feature {idx}: the ring edge from [{alon!r}, {alat!r}] to [{blon!r}, {blat!r}] "
+                        "spans more than 180 degrees of longitude (an edge across the antimeridian)"
+                    )
     return BoundarySet(level=level, regions=regions)
+
+
+_LON = itemgetter(1)
+
+
+def _antimeridian_edge(ring) -> tuple | None:
+    """The first edge of ring whose ends differ by more than 180 degrees of
+    longitude, or None. The geometry kernel takes such an edge the long way
+    round, while haversine_m takes it the short way. A ring whose longitudes
+    span at most 180 degrees has none, which settles nearly every ring."""
+    lons = list(map(_LON, ring))
+    if max(lons) - min(lons) <= 180.0:
+        return None
+    return next((edge for edge in zip(ring, ring[1:]) if abs(edge[1][1] - edge[0][1]) > 180.0), None)
 
 
 def write_boundaries_geojson(boundary_set: BoundarySet, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from itertools import product
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .catalog import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT
 from .model import FailureRecord, FailureSet, RuleOutcome, Technology, columns_for, count_failing_units
@@ -406,9 +406,11 @@ def export(
     summary: dict,
     out_dir: str | Path,
     formats: Iterable[str] = ("ndjson", "csv", "summary"),
+    summary_text: str | None = None,
 ) -> list[Path]:
     """Write failure files, and the summary files rendered from the
     build_report document `summary`; returns the written paths.
+    summary_text, when given, is summary_json(summary), already rendered.
 
     Each file is written to `<name>.tmp` in turn, the failure files line
     by line, and the temporary files are renamed only after every write
@@ -442,7 +444,8 @@ def export(
             with open_tmp("failures.csv") as handle:
                 _write_csv(handle, _FAILURES_CSV_HEADER, _failure_rows(failures))
         if "summary" in formats:
-            emit("summary.json", summary_json, summary)
+            with open_tmp("summary.json") as handle:
+                handle.write(summary_json(summary) if summary_text is None else summary_text)
             emit("completeness.csv", _completeness_csv, summary)
             for tech, hist in summary["distance_histograms"].items():
                 emit(f"distance_histogram_{tech}.csv", _histogram_csv, hist)
@@ -502,13 +505,28 @@ def _count(value, what: str) -> int:
     return value
 
 
-def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
+class StoredRun(NamedTuple):
+    """What load_run reads back from a validate or report output directory."""
+
+    failure_set: FailureSet
+    column_stats: ColumnStats
+    # The stored histogram settings, as build_report takes them.
+    bin_width_km: float
+    overflow_km: float | None
+    # build_report's document at those settings and its summary_json text.
+    summary: dict
+    summary_text: str
+
+
+def load_run(out_dir: str | Path) -> StoredRun:
     """The FailureSet and ColumnStats that validate built for the run whose
     failures.ndjson and summary.json are in out_dir. A column's non-null
     count is its completeness fraction times its technology's unit count.
     The summary must render, by summary_json, as build_report's document of
     these at its own histogram settings (report writes one bin width, and one
-    overflow or each technology's default); any other is a ReportError."""
+    overflow or each technology's default); any other is a ReportError.
+    That document comes back too, so that a report at the same settings
+    neither builds nor renders it again."""
     failures_path, path = Path(out_dir) / "failures.ndjson", Path(out_dir) / "summary.json"
     for file, what in ((failures_path, "failure"), (path, "summary")):
         if not file.is_file():
@@ -516,7 +534,8 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
     failures = load_failures_ndjson(failures_path)
     cells = {_cell_key(tid, tech): tid for tid, techs in CHECKMARKS.items() for tech in techs}
     try:
-        stored = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        stored = json.loads(text)
         every, dso_only, fractions = (
             stored[key] for key in ("per_technology", "per_technology_dso", "completeness_fraction")
         )
@@ -538,11 +557,12 @@ def load_run(out_dir: str | Path) -> tuple[FailureSet, ColumnStats]:
         histograms = stored["distance_histograms"].values()
         widths = {float(hist["bin_width_km"]) for hist in histograms}
         overflows = {float(hist["overflow_km"]) for hist in histograms}
-        rebuilt = build_report(
-            failure_set, stats, bin_width_km=min(widths), overflow_km=overflows.pop() if len(overflows) == 1 else None
-        )
-        if summary_json(rebuilt) != summary_json(stored):
+        bin_width_km, overflow_km = min(widths), overflows.pop() if len(overflows) == 1 else None
+        rebuilt = build_report(failure_set, stats, bin_width_km=bin_width_km, overflow_km=overflow_km)
+        rendered = summary_json(rebuilt)
+        # The file as summary_json wrote it needs no second rendering.
+        if rendered != text and rendered != summary_json(stored):
             raise ValueError("it differs from the summary of its own counts, failures and histogram settings")
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError, OverflowError) as exc:
         raise ReportError(f"{path} is not a summary that validate or report writes: {exc!r}") from None
-    return failure_set, stats
+    return StoredRun(failure_set, stats, bin_width_km, overflow_km, rebuilt, rendered)

@@ -11,13 +11,12 @@ Each test's row (id, fields read, unit, and the name of the function
 here that compiles its check) lives in catalog.CATALOG, the only
 definition of the tests and of the fields they read; rules exposes the
 table, the check-mark matrix and its counts under the same names. The
-suite loop, evaluate_record, the matrix and the fields a run's column
-mapping must give all follow from it. Checks run a block at a time: a
-block holds rows of one technology as columns, one per record field, and
-a check is a pure function of a block that gives one result per row. The
-suite (run_blocks) takes the reader's blocks as they come; run_suite
-groups records into blocks and evaluate_record runs a block of one
-record. Uniqueness is the one suite-level test.
+suite loop, the matrix and the fields a run's column mapping must give
+all follow from it. Checks run a block at a time: a block holds rows of
+one technology as columns, one per record field, and a check is a pure
+function of a block that gives one result per row. The suite
+(run_blocks) takes the reader's blocks as they come, and run_suite
+groups records into blocks. Uniqueness is the one suite-level test.
 """
 
 from __future__ import annotations
@@ -546,31 +545,6 @@ def _compile(
                     evaluated.add(test.test_id)
         checks[tech] = tuple(pairs)
     return checks, tuple(sorted(evaluated))
-
-
-def evaluate_record(
-    record: UnitRecord,
-    config: RuleConfig | None = None,
-    districts: BoundarySet | None = None,
-    municipalities: BoundarySet | None = None,
-) -> list[RuleOutcome]:
-    """All applicable per-record outcomes (passes included), by test id,
-    from the suite's checks run on a block of this one record.
-
-    A measured pass carries its value and the test's unit. Location tests
-    run only for the boundary sets given; test 2 is suite-level.
-    """
-    checks, _ = _compile(config or RuleConfig(), Boundaries(districts, municipalities))
-    block = [[getattr(record, name)] for name in RECORD_FIELDS]
-    outcomes = []
-    for test, check in checks[record.technology]:
-        (result,) = check(block)
-        if result.__class__ is not RuleOutcome:
-            measured = None if result is None else float(result)
-            unit = None if result is None else test.unit
-            result = RuleOutcome(record.unit_id, test.test_id, True, "", measured, unit)
-        outcomes.append(result)
-    return outcomes
 
 
 # The fields of a row's meta besides its unit id and rated power.

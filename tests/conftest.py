@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from registrylint.cli import main
-from registrylint.model import Technology, UnitRecord
+from registrylint.model import RECORD_FIELDS, RuleOutcome, Technology, UnitRecord
 from registrylint.geo import BoundarySet
 from registrylint.report import ColumnStats, build_report
-from registrylint.rules import Boundaries, RuleConfig, evaluate_record, run_suite
+from registrylint.rules import Boundaries, RuleConfig, _compile, run_suite
 from registrylint.synth import make_boundary_grid
 
 # One municipality per technology so example records can carry coordinates
@@ -122,6 +122,31 @@ def example_record(grid: Boundaries, technology: Technology, **overrides) -> Uni
 @pytest.fixture(scope="session")
 def example_records(grid) -> dict[Technology, UnitRecord]:
     return {tech: example_record(grid, tech) for tech in Technology}
+
+
+def evaluate_record(
+    record: UnitRecord,
+    config: RuleConfig | None = None,
+    districts: BoundarySet | None = None,
+    municipalities: BoundarySet | None = None,
+) -> list[RuleOutcome]:
+    """All applicable per-record outcomes (passes included), by test id,
+    from the suite's checks run on a block of this one record.
+
+    A measured pass carries its value and the test's unit. Location tests
+    run only for the boundary sets given; test 2 is suite-level.
+    """
+    checks, _ = _compile(config or RuleConfig(), Boundaries(districts, municipalities))
+    block = [[getattr(record, name)] for name in RECORD_FIELDS]
+    outcomes = []
+    for test, check in checks[record.technology]:
+        (result,) = check(block)
+        if result.__class__ is not RuleOutcome:
+            measured = None if result is None else float(result)
+            unit = None if result is None else test.unit
+            result = RuleOutcome(record.unit_id, test.test_id, True, "", measured, unit)
+        outcomes.append(result)
+    return outcomes
 
 
 def outcome_of(test_id: int, record: UnitRecord, config=None, districts=None, municipalities=None):

@@ -268,6 +268,27 @@ class TestReportCommand:
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob
 
+    @pytest.mark.parametrize("extra", [[], ["--bin-width", "2", "--overflow", "100"]], ids=["rerun", "rebin"])
+    def test_leaves_the_failure_files_as_validate_wrote_them(self, synth_dir, tmp_path, capsys, extra):
+        out = tmp_path / "run"
+        main(_validate_args(synth_dir, out))
+        names = ("failures.ndjson", "failures.csv")
+        before = {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns) for name in names}
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), *extra]) == EXIT_CLEAN
+        assert {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns) for name in names} == before
+        # summary.json, completeness.csv, six histograms and errors_by_district.csv.
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line) == {"out_dir": str(out), "files": 3 + len(Technology)} and len(Technology) == 6
+
+    def test_needs_no_failures_csv(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        main(_validate_args(synth_dir, out))
+        (out / "failures.csv").unlink()
+        assert main(["report", "--out", str(out), "--bin-width", "2"]) == EXIT_CLEAN
+        assert main(["report", "--out", str(out)]) == EXIT_CLEAN
+        assert not (out / "failures.csv").exists()
+
     def test_histogram_parameters(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         main(_validate_args(synth_dir, out))
@@ -301,7 +322,8 @@ class TestReportCommand:
 
         monkeypatch.setattr(report, "_write_csv", refusing)
         assert main(["report", "--out", str(out)]) == EXIT_FATAL
-        assert f"{out / 'failures.csv'}: cannot write a value as CSV" in capsys.readouterr().err
+        # completeness.csv is the first CSV file that report writes.
+        assert f"{out / 'completeness.csv'}: cannot write a value as CSV" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # and no *.tmp
 
     def test_summary_json_is_the_document_given_to_export(self, synth_dir, tmp_path, monkeypatch):
@@ -390,18 +412,47 @@ def test_package_names_resolve_from_their_modules():
 def test_validate_leaves_the_collector_as_it_found_it(synth_dir, tmp_path, collecting):
     # validate turns the cyclic collector off to read and check; a run that
     # ends, or one whose reading fails (a table without its header's
-    # columns), leaves it as it was.
+    # columns), leaves it as it was. No command freezes the heap in main():
+    # only run(), the process entry, does.
     bad = tmp_path / "bad"
     shutil.copytree(synth_dir, bad)
     (bad / "wind.csv").write_text("no such column\n1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    commands = [
+        (_validate_args(synth_dir, out), EXIT_FAILURES),
+        (_validate_args(bad, tmp_path / "bad-out"), EXIT_FATAL),
+        (["report", "--out", str(out)], EXIT_CLEAN),
+        (["report", "--out", str(out), "--bin-width", "2"], EXIT_CLEAN),
+        (["report", "--out", str(tmp_path / "bad-out")], EXIT_FATAL),
+        (["synth", "--count", "20", "--seed", "1", "--error-rate", "0.1", "--out", str(tmp_path / "synth")], EXIT_CLEAN),
+    ]
     try:
         if not collecting:
             gc.disable()
-        for fixtures, code in ((synth_dir, EXIT_FAILURES), (bad, EXIT_FATAL)):
-            assert main(_validate_args(fixtures, tmp_path / "out")) == code
-            assert gc.isenabled() is collecting
+        frozen = gc.get_freeze_count()
+        for argv, code in commands:
+            assert main(argv) == code, argv
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen), argv
     finally:
         gc.enable()
+
+
+def test_run_exits_with_the_code_of_main_after_freezing_the_heap(synth_dir, tmp_path):
+    # In a fresh interpreter: run() returns main's exit code, its output is
+    # complete, the heap is frozen by then, and atexit handlers still run.
+    code = (
+        "import atexit, gc, sys\n"
+        "from registrylint import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv[1:] = {_validate_args(synth_dir, tmp_path / 'out')!r}\n"
+        "cli.run()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_FAILURES, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert json.loads(line)["failing_units"] > 0
+    assert done.stderr.splitlines()[-1] == "frozen True"
 
 
 class TestUsageErrors:
@@ -617,6 +668,9 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
             ring[:] = [[str(lon), str(lat)] for lon, lat in ring]
         elif case == "geojson-bool-position":
             payload["features"][2]["geometry"]["coordinates"][0][1] = [True, True]
+        elif case == "geojson-antimeridian-edge":
+            ring = [[179.9, -17.0], [-179.9, -17.0], [-179.9, -16.9], [179.9, -16.9], [179.9, -17.0]]
+            payload["features"][2]["geometry"] = {"type": "Polygon", "coordinates": [ring]}
         elif case == "geojson-zero-area":
             # A region no record references, whose ring encloses no area.
             line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
@@ -658,7 +712,8 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     elif case == "report-mixed-bin-widths":
         # Wind's histogram as `report --bin-width 2` writes it, beside the others at 5 km.
         summary = json.loads((root / "run" / "summary.json").read_text(encoding="utf-8"))
-        rebinned = report.build_report(*report.load_run(root / "run"), bin_width_km=2.0)
+        run = report.load_run(root / "run")
+        rebinned = report.build_report(run.failure_set, run.column_stats, bin_width_km=2.0)
         summary["distance_histograms"]["wind"] = rebinned["distance_histograms"]["wind"]
         (out / "summary.json").write_text(report.summary_json(summary))
     elif case in _BAD_HISTOGRAM_ARGS:
@@ -673,6 +728,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     [*_BAD_CONFIGS, "config-nested-too-deeply", "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "geojson-huge-coordinate",
      "geojson-object-position", "geojson-string-position", "geojson-bool-position", "geojson-nested-too-deeply",
+     "geojson-antimeridian-edge",
      "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
      "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
      *_BAD_SUMMARY_VALUES, "report-mixed-bin-widths", *_BAD_HISTOGRAM_ARGS],

@@ -649,6 +649,40 @@ class TestParseBoundaries:
         with pytest.raises(IngestError, match="unsupported geometry"):
             parse_boundaries(path, "district")
 
+    def test_edge_across_the_antimeridian_fatal_naming_feature_and_edge(self, tmp_path):
+        # The square from lon 179.9 to -179.9 has two edges that span 359.8
+        # degrees one way and 0.2 degrees the other.
+        ring = [[179.9, -17.0], [-179.9, -17.0], [-179.9, -16.9], [179.9, -16.9], [179.9, -17.0]]
+        feature = {
+            "type": "Feature",
+            "properties": {"krs": "10002"},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }
+        square = {
+            "type": "Feature",
+            "properties": {"krs": "10001"},
+            "geometry": {"type": "Polygon", "coordinates": [self._square(10.0, 48.0)]},
+        }
+        path = self._write(tmp_path / "districts.geojson", [square, feature])
+        message = r"districts\.geojson: feature 1: the ring edge from \[179\.9, -17\.0\] to \[-179\.9, -17\.0\] spans"
+        with pytest.raises(IngestError, match=message):
+            parse_boundaries(path, "district")
+
+    def test_edges_of_at_most_180_degrees_parse(self, tmp_path):
+        # A band that spans 240 degrees of longitude in edges of 60 degrees,
+        # and a square whose edges end on the antimeridian.
+        band = [[lon, 1.0] for lon in (-120.0, -60.0, 0.0, 60.0, 120.0)]
+        band += [[lon, 2.0] for lon in (120.0, 60.0, 0.0, -60.0, -120.0)] + [[-120.0, 1.0]]
+        edge = [[179.0, 1.0], [180.0, 1.0], [180.0, 2.0], [179.0, 2.0], [179.0, 1.0]]
+        path = self._write(
+            tmp_path / "districts.geojson",
+            [
+                {"type": "Feature", "properties": {"krs": key}, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                for key, ring in (("10001", band), ("10002", edge))
+            ],
+        )
+        assert set(parse_boundaries(path, "district").regions) == {"10001", "10002"}
+
     def test_write_then_parse_round_trip(self, tmp_path):
         grid = make_boundary_grid(2, 2)
         path = tmp_path / "munis.geojson"

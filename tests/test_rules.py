@@ -18,7 +18,6 @@ from registrylint.rules import (
     MATRIX_CELL_COUNT,
     RuleConfig,
     ConfigError,
-    evaluate_record,
     fields_read,
     run_blocks,
     run_suite,
@@ -26,7 +25,7 @@ from registrylint.rules import (
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors
 
 from catalog_oracle import check_unique_ids
-from conftest import evaluated_counts, example_record, location_outcomes, outcome_of
+from conftest import evaluate_record, evaluated_counts, example_record, location_outcomes, outcome_of
 from test_model import records
 
 

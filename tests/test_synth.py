@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -273,14 +276,19 @@ def _reference_fixture(tmp_path) -> Path:
     return fixture
 
 
-def _validate(fixture: Path, out: Path) -> Path:
-    """validate's output directory for a fixture of all six tables."""
+def _validate_argv(fixture: Path, out: Path) -> list[str]:
+    """validate's arguments for a fixture of all six tables."""
     argv = ["validate", "--out", str(out)]
     for tech in Technology:
         argv += ["--input", f"{tech.value}={fixture / f'{tech.value}.csv'}"]
     for kind in ("districts", "municipalities"):
         argv += [f"--{kind}", str(fixture / f"{kind}.geojson")]
-    assert main(argv) == 1  # the fixture has failing units
+    return argv
+
+
+def _validate(fixture: Path, out: Path) -> Path:
+    """validate's output directory for a fixture of all six tables."""
+    assert main(_validate_argv(fixture, out)) == 1  # the fixture has failing units
     return out
 
 
@@ -298,6 +306,28 @@ def test_reference_fixture_outputs_are_pinned(tmp_path):
     assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
     assert main(["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]) == 0
     assert _digests(out, _REPORT_DIGESTS) == _REPORT_DIGESTS
+
+
+def test_process_entry_writes_the_pinned_bytes(tmp_path):
+    # validate and report through `python -m registrylint.cli`, which ends
+    # in run()'s frozen exit: every output byte is on disk, and each
+    # command prints exactly one JSON line.
+    out = tmp_path / "out"
+    validate = _validate_argv(_reference_fixture(tmp_path), out)
+    report = ["report", "--out", str(out), "--bin-width", "2", "--overflow", "100"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv, code, pinned in (
+        (validate, 1, {**_GATE_DIGESTS, **_VALIDATE_DIGESTS}),
+        (report, 0, {**_REPORT_DIGESTS, "failures.ndjson": _GATE_DIGESTS["failures.ndjson"],
+                     "failures.csv": _GATE_DIGESTS["failures.csv"]}),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "registrylint.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == code, done.stderr
+        (line,) = done.stdout.splitlines()
+        assert isinstance(json.loads(line), dict)
+        assert _digests(out, pinned) == pinned
 
 
 def test_validate_builds_no_unit_record(tmp_path, monkeypatch):
