@@ -132,163 +132,108 @@ def default_mapping() -> ColumnMapping:
     )
 
 
-# float() and int() also read digit separators ("2_000") and non-ASCII
-# digits; a numeric cell is ASCII text without an underscore.
-def _parse_float(text: str) -> float:
-    if not text.isascii() or "_" in text:
+# The parse of each field type, over the stripped, non-blank cells of one
+# column of a block: the values, or a ValueError that names what a cell
+# breaks. Each parse is the only statement of its cell format, and on a
+# column of one cell its error text is that cell's issue reason. Numeric
+# cells are ASCII without "_": float() and int() also read digit separators
+# ("2_000") and non-ASCII digits.
+def _ascii(texts: list[str]) -> str:
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined:
         raise ValueError("not an ASCII number")
-    if "," in text:
-        # Accept German decimal commas ("5,5"), but not mixed separators.
-        if text.count(",") > 1 or "." in text:
-            raise ValueError("not a number")
-        value = float(text.replace(",", "."))
-    else:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError("not a number") from None
-    if not math.isfinite(value):
+    return joined
+
+
+def _finite(values: list[float]) -> list[float]:
+    # A sum of finite values is finite unless it overflows; only then, or
+    # with a NaN or infinity among them, are the values checked one by one.
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ValueError("not finite")
-    return value
+    return values
 
 
-def _parse_int(text: str) -> int:
-    if not text.isascii() or "_" in text:
-        raise ValueError("not an ASCII number")
-    return int(text)
+def _float_column(texts: list[str]) -> list[float]:
+    # German decimal commas ("5,5"): a cell holding two commas, or a comma
+    # and a point, reads as two points, which float() refuses.
+    if "," in _ascii(texts):
+        texts = map(str.replace, texts, repeat(","), repeat("."))
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        raise ValueError("not a number") from None
+    return _finite(values)
+
+
+def _int_column(texts: list[str]) -> list[int]:
+    _ascii(texts)
+    return list(map(int, texts))
 
 
 _BOOLS = {"1": True, "true": True, "ja": True, "yes": True, "0": False, "false": False, "nein": False, "no": False}
 
 
-def _parse_bool(text: str) -> bool:
-    value = _BOOLS.get(text.lower())
-    if value is None:
-        raise ValueError("not a boolean")
-    return value
-
-
-def _parse_coordinate(text: str) -> tuple[float, float]:
-    if not text.isascii() or "_" in text:
-        raise ValueError("not an ASCII number")
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected 'latitude, longitude'")
-    return (float(parts[0]), float(parts[1]))
-
-
-# From Python 3.11 on, date.fromisoformat also reads the ISO basic and week
-# forms ("20170101", "2017-W01-1"); a date cell is YYYY-MM-DD on every
-# version, and fromisoformat checks that its other characters are ASCII digits.
-def _parse_date(text: str) -> date:
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
-        raise ValueError("not a YYYY-MM-DD date")
-    return date.fromisoformat(text)
-
-
-# The column forms of the parses above. Each takes the stripped, non-blank
-# cells of one column of a block and gives the values the cell parse gives
-# them, in one C-level map of the field type's own parse after a screen of
-# the whole column; where some cell might not parse, it raises, and the
-# column is converted in halves (_convert_halves). The screen of numeric
-# columns: ASCII, no "_", and no n or N, so no NaN or infinity text.
-# "1e999" still reads as infinity, which the extremes check of
-# _column_converter refuses.
-def _screened(texts: list[str]) -> str:
-    joined = "".join(texts)
-    if not joined.isascii() or "_" in joined or "n" in joined or "N" in joined:
-        raise ValueError("screened out")
-    return joined
-
-
-def _float_column(texts: list[str]) -> list[float]:
-    # A cell holding a comma and a point reads as two points, which float()
-    # refuses, as _parse_float refuses the cell.
-    if "," in _screened(texts):
-        texts = map(str.replace, texts, repeat(","), repeat("."))
-    return list(map(float, texts))
-
-
-def _int_column(texts: list[str]) -> list[int]:
-    _screened(texts)
-    return list(map(int, texts))
-
-
 def _bool_column(texts: list[str]) -> list[bool]:
-    return list(map(_BOOLS.__getitem__, map(str.lower, texts)))
+    values = list(map(_BOOLS.get, map(str.lower, texts)))
+    if None in values:
+        raise ValueError("not a boolean")
+    return values
 
 
 def _coordinate_column(texts: list[str]) -> list[tuple[float, float]]:
     # With one comma in every cell, the joined column splits into each
     # cell's two parts in order.
-    _screened(texts)
+    _ascii(texts)
     if set(map(str.count, texts, repeat(","))) != {1}:
-        raise ValueError("screened out")
-    values = list(map(float, ",".join(texts).split(",")))
+        raise ValueError("expected 'latitude, longitude'")
+    values = _finite(list(map(float, ",".join(texts).split(","))))
     return list(zip(values[::2], values[1::2]))
 
 
+# From Python 3.11 on, date.fromisoformat also reads the ISO basic and week
+# forms ("20170101", "2017-W01-1"); a date cell is YYYY-MM-DD on every
+# version, and fromisoformat checks that its other characters are ASCII digits.
 def _date_column(texts: list[str]) -> list[date]:
     joined, dashes = "".join(texts), "-" * len(texts)
     if set(map(len, texts)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
-        raise ValueError("screened out")
+        raise ValueError("not a YYYY-MM-DD date")
     return list(map(date.fromisoformat, texts))
 
 
-# The cell codec of each UnitRecord field type: parse turns a stripped,
-# non-blank cell into the value that model.value_problem then checks (None:
-# the text is the value), column does so for a column's such cells at once,
-# and format writes a present value back.
-_CODECS: dict[str, tuple[Callable[[str], object] | None, Callable[[list[str]], list] | None, Callable]] = {
-    "float | None": (_parse_float, _float_column, repr),
-    "int | None": (_parse_int, _int_column, str),
-    "date | None": (_parse_date, _date_column, date.isoformat),
-    "bool | None": (_parse_bool, _bool_column, lambda value: "1" if value else "0"),
-    "tuple[float, float] | None": (
-        _parse_coordinate,
-        _coordinate_column,
-        lambda value: f"{value[0]!r}, {value[1]!r}",
-    ),
-    "str | None": (None, None, str),
+# The cell codec of each UnitRecord field type: column is the parse above
+# (None: the text is the value), whose values model.value_problem then
+# checks, and format writes a present value back.
+_CODECS: dict[str, tuple[Callable[[list[str]], list] | None, Callable]] = {
+    "float | None": (_float_column, repr),
+    "int | None": (_int_column, str),
+    "date | None": (_date_column, date.isoformat),
+    "bool | None": (_bool_column, lambda value: "1" if value else "0"),
+    "tuple[float, float] | None": (_coordinate_column, lambda value: f"{value[0]!r}, {value[1]!r}"),
+    "str | None": (None, str),
 }
 # The one field type a mapping's unit factor applies to.
 _QUANTITY = "float | None"
 # What a converter raises for a cell it cannot convert.
 _CELL_ERRORS = (ValueError, OverflowError)
-
-
-def _converter(entry: MappingEntry) -> Callable[[str], object] | None:
-    """The one call that turns a stripped, non-blank cell of a mapped column
-    into its field's value: parse, unit factor and model.value_problem. It
-    raises ValueError or OverflowError, whose text is the cell issue's
-    reason. None for a text column, whose text is the value."""
-    parse = _CODECS[FIELD_TYPES[entry.field]][0]
-    name, factor = entry.field, entry.factor
-    # Only quantities take a unit factor, and every quantity is checked.
-    if parse is None or name not in CHECKED_FIELDS:
-        return parse
-    def convert(text: str):
-        value = parse(text) if factor == 1 else parse(text) * factor
-        problem = value_problem(name, value)
-        if problem:
-            raise ValueError(problem)
-        return value
-
-    return convert
+# A column that fails to convert is converted again in runs of this many
+# cells, and a run that fails cell by cell: at most this many one-cell
+# conversions per bad cell, and little more than one per cell when the
+# whole column is bad.
+_CELLS_PER_RUN = 8
 
 
 def _column_converter(entry: MappingEntry) -> Callable[[list[str]], list] | None:
-    """_converter over a list of a column's stripped, non-blank cells: the
-    column parse, the unit factor, and model.value_problem on the least and
-    greatest value (per axis for a coordinate), which is exact because every
-    value rule is a monotone bound and the screens let no NaN through. It
-    gives the values _converter gives the cells, or raises ValueError,
-    OverflowError or KeyError when some cell may not convert; the caller
-    then converts the cells in halves (_convert_halves), down to single
-    cells converted by _converter, which alone gives cell issues their
-    reasons. None for a text column."""
-    column = _CODECS[FIELD_TYPES[entry.field]][1]
+    """The one call that turns a list of a mapped column's stripped,
+    non-blank cells into their field's values: the field type's parse, the
+    unit factor, and model.value_problem on the least and greatest value
+    (per axis for a coordinate), which is exact because every value rule is
+    a monotone bound and the parses let no NaN through. It raises
+    ValueError or OverflowError when some cell does not convert; on a list
+    of one cell, the error's text is that cell's issue reason. None for a
+    text column."""
+    column = _CODECS[FIELD_TYPES[entry.field]][0]
     name, factor = entry.field, entry.factor
+    # Only quantities take a unit factor, and every quantity is checked.
     if column is None or name not in CHECKED_FIELDS:
         return column
     def convert(texts: list[str]) -> list:
@@ -298,8 +243,9 @@ def _column_converter(entry: MappingEntry) -> Callable[[list[str]], list] | None
             extremes = (tuple(map(min, axes)), tuple(map(max, axes)))
         else:
             extremes = (min(values), max(values))
-        if value_problem(name, extremes[0]) or value_problem(name, extremes[1]):
-            raise ValueError("a value breaks its field's rule")
+        problem = value_problem(name, extremes[0]) or value_problem(name, extremes[1])
+        if problem:
+            raise ValueError(problem)
         return values
 
     return convert
@@ -313,22 +259,21 @@ class RegistryReader:
     iterating the reader yields UnitRecords built from those blocks.
     Issues, row totals, rejected-row counts and the non-null count of each
     column accumulate on the reader while it is consumed. Each mapped
-    column of a block is converted as one list by _column_converter: a
-    screen, one map of the field type's parse and model.value_problem on
-    the column's extremes. A column that fails any of them is split in
-    halves, each converted the same way, down to single cells, which
-    _converter converts one by one, giving each unparseable cell its
-    ParseIssue. Region ids are kept as one string per distinct id. Memory
-    holds one block, the distinct region ids and every ParseIssue, so it
-    is not bounded by one block. Since every cell is checked and the
-    column mapping only targets fields the technology carries, a block
-    meets UnitRecord's invariants, and records are built by
-    checked_records, without UnitRecord.__post_init__; only rows of the
-    wrong width are rejected. With dso_only, a row whose grid operator
-    inspection is not true is read for its cell issues but neither counted
-    nor yielded. Tables are read as UTF-8; a leading byte-order mark is
-    dropped. A header that names a mapped column more than once is an
-    IngestError.
+    column of a block is converted as one list by _column_converter: one
+    parse of the field type over the column and model.value_problem on the
+    column's extremes. A column that fails is converted again in runs of
+    _CELLS_PER_RUN cells, and a run that fails one cell at a time; the
+    error of a one-cell column gives its cell's ParseIssue. Region ids are
+    kept as one string per distinct id. Memory holds one block, the
+    distinct region ids and every ParseIssue, so it is not bounded by one
+    block. Since every cell is checked and the column mapping only targets
+    fields the technology carries, a block meets UnitRecord's invariants,
+    and records are built by checked_records, without
+    UnitRecord.__post_init__; only rows of the wrong width are rejected.
+    With dso_only, a row whose grid operator inspection is not true is
+    read for its cell issues but neither counted nor yielded. Tables are
+    read as UTF-8; a leading byte-order mark is dropped. A header that
+    names a mapped column more than once is an IngestError.
     """
 
     BLOCK_ROWS = BLOCK_ROWS  # rows converted together; memory holds one block of rows and values
@@ -391,12 +336,8 @@ class RegistryReader:
                 if repeated:
                     raise IngestError(f"{self.path}: header names mapped columns more than once: {', '.join(repeated)}")
                 # Each mapped column: its position in the header, the field it
-                # fills and the converters of its cells and of a column of
-                # them (None: text).
-                plan = [
-                    (index[e.raw], e.field, FIELD_POS[e.field], _converter(e), _column_converter(e))
-                    for e in self.entries
-                ]
+                # fills and the converter of its cells (None: text).
+                plan = [(index[e.raw], e.field, FIELD_POS[e.field], _column_converter(e)) for e in self.entries]
                 width = len(header)
 
                 # A row starts on the line after the previous row's last line;
@@ -442,7 +383,7 @@ class RegistryReader:
         filled[_TECHNOLOGY_POS] = len(rows)
         table = list(zip(*rows))
         intern = self._ids.setdefault
-        for order, (col, name, pos, convert, convert_column) in enumerate(plan):
+        for order, (col, name, pos, convert) in enumerate(plan):
             texts = list(map(str.strip, table[col]))
             present = texts if all(texts) else list(filter(None, texts))
             filled[pos] = len(present)
@@ -455,11 +396,10 @@ class RegistryReader:
             if not present:
                 continue
             try:
-                values = convert_column(present)
-            except (*_CELL_ERRORS, KeyError):
-                # Some cell of this column may be bad: convert it in halves.
+                values = convert(present)
+            except _CELL_ERRORS:
                 present_lines = lines if present is texts else list(compress(lines, texts))
-                values = _convert_halves(present, present_lines, convert, convert_column, found, order, name)
+                values = _convert_cells(present, present_lines, convert, found, order, name)
                 filled[pos] = len(values) - values.count(None)
             if present is not texts:
                 # Blank cells are None; the others take the values in order.
@@ -482,28 +422,24 @@ class RegistryReader:
         return slots
 
 
-def _convert_halves(
-    texts: list[str], lines: list[int], convert, convert_column, found: list, order: int, name: str
-) -> list:
+def _convert_cells(texts: list[str], lines: list[int], convert, found: list, order: int, name: str) -> list:
     """The values of a column's stripped, non-blank cells, which start on
-    `lines`, once their column conversion has raised; None for a cell that
-    does not convert. Each half is converted by `convert_column` again, and
-    a half that raises is split in turn, down to single cells. A single cell
-    that raises is converted by `convert` (_converter's), whose error gives
-    the cell issue added to `found`, keyed by line and `order`."""
-    if len(texts) == 1:
-        try:
-            return [convert(texts[0])]
-        except _CELL_ERRORS as exc:
-            found.append((lines[0], order, ParseIssue(lines[0], name, texts[0], str(exc))))
-            return [None]
-    half = len(texts) // 2
+    `lines`, once `convert` has refused the whole column; None for a cell
+    that does not convert. The cells are converted in runs of
+    _CELLS_PER_RUN, and the cells of a run that fails one at a time, each
+    error giving the cell issue added to `found`, keyed by line and `order`."""
     values = []
-    for part, part_lines in ((texts[:half], lines[:half]), (texts[half:], lines[half:])):
+    for start in range(0, len(texts), _CELLS_PER_RUN):
+        run = texts[start : start + _CELLS_PER_RUN]
         try:
-            values += convert_column(part)
-        except (*_CELL_ERRORS, KeyError):  # KeyError: a cell outside the boolean table
-            values += _convert_halves(part, part_lines, convert, convert_column, found, order, name)
+            values += convert(run)
+        except _CELL_ERRORS:
+            for text, line in zip(run, lines[start : start + _CELLS_PER_RUN]):
+                try:
+                    values += convert([text])
+                except _CELL_ERRORS as exc:
+                    found.append((line, order, ParseIssue(line, name, text, str(exc))))
+                    values.append(None)
     return values
 
 
@@ -523,7 +459,7 @@ def write_registry_csv(records: Iterable[UnitRecord], path: str | Path, technolo
     """Write records as a comma-separated table of the default mapping's raw
     columns, which RegistryReader reads back to the same values."""
     entries = default_mapping().for_technology(technology)
-    columns = [(e.field, _CODECS[FIELD_TYPES[e.field]][2]) for e in entries]
+    columns = [(e.field, _CODECS[FIELD_TYPES[e.field]][1]) for e in entries]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([e.raw for e in entries])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from registrylint.ingest import (
     _CODECS,
-    _converter,
+    _column_converter,
     ColumnMapping,
     IngestError,
     MappingEntry,
@@ -457,6 +457,235 @@ def solar_columns(draw) -> list[dict[str, str]]:
     ]
 
 
+# Each of _ODD_CELLS, the cells of test_unparseable_power_becomes_null_with_issue
+# and cells with one comma that float() refuses, as the reader reads it in
+# each typed field: the value's repr, or the reason of its cell issue. The
+# columns after the cell: a quantity at unit factors 1, 1e-3 and 1e300, number
+# of modules, installation year, a date, grid operator inspection and
+# coordinate.
+_PINNED_CELLS = [
+    ("", "None", "None", "None", "None", "None", "None", "None", "None"),
+    ("   ", "None", "None", "None", "None", "None", "None", "None", "None"),
+    (
+        "nan", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'nan'",
+        "invalid literal for int() with base 10: 'nan'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "NaN", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'NaN'",
+        "invalid literal for int() with base 10: 'NaN'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "-inf", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: '-inf'",
+        "invalid literal for int() with base 10: '-inf'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "inf", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'inf'",
+        "invalid literal for int() with base 10: 'inf'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "1e999", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: '1e999'",
+        "invalid literal for int() with base 10: '1e999'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "1_0", "not an ASCII number", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "\u0662", "not an ASCII number", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        " 5 ", "5.0", "0.005", "5e+300", "5", "5", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "5,5", "5.5", "0.0055", "5.5e+300", "invalid literal for int() with base 10: '5,5'",
+        "invalid literal for int() with base 10: '5,5'", "not a YYYY-MM-DD date", "not a boolean", "(5.0, 5.0)",
+    ),
+    (
+        "1,2,3", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: '1,2,3'",
+        "invalid literal for int() with base 10: '1,2,3'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "1,5.0", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: '1,5.0'",
+        "invalid literal for int() with base 10: '1,5.0'", "not a YYYY-MM-DD date", "not a boolean", "(1.0, 5.0)",
+    ),
+    (
+        "-0.0", "-0.0", "-0.0", "-0.0", "invalid literal for int() with base 10: '-0.0'",
+        "invalid literal for int() with base 10: '-0.0'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "1" * 400, "not finite", "not finite", "not finite", "beyond the float range", "beyond the float range",
+        "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "-" + "1" * 400, "not finite", "not finite", "not finite", "beyond the float range", "beyond the float range",
+        "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "+7", "7.0", "0.007", "7e+300", "7", "7", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "-3", "negative value", "negative value", "negative value", "negative count", "-3", "not a YYYY-MM-DD date",
+        "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "20170101", "20170101.0", "20170.101", "2.0170101000000002e+307", "20170101", "20170101",
+        "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "2017-02-30", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '2017-02-30'", "invalid literal for int() with base 10: '2017-02-30'",
+        "day is out of range for month", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "2017-W01-1", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '2017-W01-1'", "invalid literal for int() with base 10: '2017-W01-1'",
+        "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "JA", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'JA'",
+        "invalid literal for int() with base 10: 'JA'", "not a YYYY-MM-DD date", "True",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "yes", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'yes'",
+        "invalid literal for int() with base 10: 'yes'", "not a YYYY-MM-DD date", "True",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "vielleicht", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: 'vielleicht'", "invalid literal for int() with base 10: 'vielleicht'",
+        "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
+    ),
+    (
+        "48.1,10.2,0", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '48.1,10.2,0'",
+        "invalid literal for int() with base 10: '48.1,10.2,0'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "48.1,200.5", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '48.1,200.5'", "invalid literal for int() with base 10: '48.1,200.5'",
+        "not a YYYY-MM-DD date", "not a boolean", "out of WGS84 bounds",
+    ),
+    (
+        "-91.0, 10.0", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '-91.0, 10.0'",
+        "invalid literal for int() with base 10: '-91.0, 10.0'", "not a YYYY-MM-DD date", "not a boolean",
+        "out of WGS84 bounds",
+    ),
+    (
+        "48.1, 1e999", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '48.1, 1e999'",
+        "invalid literal for int() with base 10: '48.1, 1e999'", "not a YYYY-MM-DD date", "not a boolean",
+        "not finite",
+    ),
+    (
+        "48.1, nan", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: '48.1, nan'", "invalid literal for int() with base 10: '48.1, nan'",
+        "not a YYYY-MM-DD date", "not a boolean", "not finite",
+    ),
+    (
+        "abc", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'abc'",
+        "invalid literal for int() with base 10: 'abc'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "2_000", "not an ASCII number", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "\u0662\u0660\u0660\u0660", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "\uff11\uff12.\uff15", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "\u0662\u0660\u0661\u0667", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "48.1_748, 11.5961", "not an ASCII number", "not an ASCII number", "not an ASCII number",
+        "not an ASCII number", "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
+    ),
+    (
+        "48.1", "48.1", "0.048100000000000004", "4.81e+301", "invalid literal for int() with base 10: '48.1'",
+        "invalid literal for int() with base 10: '48.1'", "not a YYYY-MM-DD date", "not a boolean",
+        "expected 'latitude, longitude'",
+    ),
+    (
+        "nan, 11.5", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: 'nan, 11.5'", "invalid literal for int() with base 10: 'nan, 11.5'",
+        "not a YYYY-MM-DD date", "not a boolean", "not finite",
+    ),
+    (
+        ",", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: ','",
+        "invalid literal for int() with base 10: ','", "not a YYYY-MM-DD date", "not a boolean",
+        "could not convert string to float: ''",
+    ),
+    (
+        "a,b", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'a,b'",
+        "invalid literal for int() with base 10: 'a,b'", "not a YYYY-MM-DD date", "not a boolean",
+        "could not convert string to float: 'a'",
+    ),
+    (
+        "  ,  ", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: ','",
+        "invalid literal for int() with base 10: ','", "not a YYYY-MM-DD date", "not a boolean",
+        "could not convert string to float: ''",
+    ),
+    (
+        "nan, nan", "not a number", "not a number", "not a number",
+        "invalid literal for int() with base 10: 'nan, nan'", "invalid literal for int() with base 10: 'nan, nan'",
+        "not a YYYY-MM-DD date", "not a boolean", "not finite",
+    ),
+
+]
+# Each typed solar column, with its unit factor and its column of _PINNED_CELLS.
+_PINNED_COLUMNS = [
+    *[
+        (raw, factor, outcome)
+        for raw in ("power gross", "power inverter", "power net", "area")
+        for factor, outcome in ((1.0, 1), (1e-3, 2), (1e300, 3))
+    ],
+    ("number of modules", 1.0, 4),
+    ("installation year", 1.0, 5),
+    *[(raw, 1.0, 6) for raw in ("commissioning date", "planned commissioning date", "download date")],
+    ("grid operator inspection", 1.0, 7),
+    ("coordinate", 1.0, 8),
+]
+
+
+def count_conversions(monkeypatch) -> list[tuple[str, int]]:
+    """The field and the cell count of each column conversion the reader
+    makes from now on, as it makes them."""
+    calls = []
+
+    def counting(entry):
+        convert = _column_converter(entry)
+        if convert is None:
+            return None
+
+        def count(texts):
+            calls.append((entry.field, len(texts)))
+            return convert(texts)
+
+        return count
+
+    monkeypatch.setattr("registrylint.ingest._column_converter", counting)
+    return calls
+
+
 class TestColumnConversion:
     """A block's columns are converted a column at a time, falling back to
     one conversion per cell; values, non-null counts and issues must equal
@@ -487,12 +716,12 @@ class TestColumnConversion:
         for line, row in enumerate(rows, start=2):
             for entry in mapping.for_technology(Technology.SOLAR):
                 text, value = row.get(entry.raw, "").strip(), None
-                convert = _converter(entry)
+                convert = _column_converter(entry)
                 if text and convert is None:
                     value = text
                 elif text:
                     try:
-                        value = convert(text)
+                        (value,) = convert([text])
                     except (ValueError, OverflowError) as exc:
                         expected_issues.append((line, entry.field, text, str(exc)))
                 expected_values.setdefault(entry.field, []).append(value)
@@ -506,9 +735,9 @@ class TestColumnConversion:
     @pytest.mark.parametrize("bad_rows", [(0,), (5, 6), (1, 64, 127), tuple(range(0, 128, 16))])
     def test_a_bad_cell_sends_few_cells_down_the_cell_path(self, tmp_path, monkeypatch, bad_rows):
         # A 128-row block whose date and power columns hold a few bad cells:
-        # the column is converted in halves, so each bad cell costs at most
-        # 8 cell conversions, and the issues and values stay those of a
-        # conversion cell by cell.
+        # the column is converted in runs of 8 cells, so each bad cell costs
+        # at most 8 one-cell conversions, and the issues and values stay
+        # those of a conversion cell by cell.
         rows = [
             {"mastr id": f"SEE9{row:011d}", "commissioning date": "2017-01-01", "power": f"{row + 1}.5"}
             for row in range(RegistryReader.BLOCK_ROWS)
@@ -516,29 +745,65 @@ class TestColumnConversion:
         for row in bad_rows:
             rows[row].update({"commissioning date": "1.1.2017", "power": "zwei"})
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, rows)
-        calls = []
-
-        def counting(entry):
-            convert = _converter(entry)
-            if convert is None:
-                return None
-
-            def count(text):
-                calls.append(entry.field)
-                return convert(text)
-
-            return count
-
-        monkeypatch.setattr("registrylint.ingest._converter", counting)
+        calls = count_conversions(monkeypatch)
         reader = RegistryReader(path, Technology.WIND)
         records = list(reader)
         for name in ("commissioning_date", "power_kw"):
-            assert 1 <= calls.count(name) <= 8 * len(bad_rows)
+            assert 1 <= calls.count((name, 1)) <= 8 * len(bad_rows)
         assert [(i.line, i.field) for i in reader.issues] == [
             (row + 2, name) for row in bad_rows for name in ("commissioning_date", "power_kw")
         ]
         assert [r.power_kw for r in records] == [None if row in bad_rows else row + 1.5 for row in range(128)]
         assert reader.non_null["commissioning_date"] == reader.non_null["power_kw"] == 128 - len(bad_rows)
+
+    def test_an_all_bad_column_costs_about_one_conversion_per_cell(self, tmp_path, monkeypatch):
+        # A 128-row wind block whose 9 typed columns are all "x": each column
+        # fails, then each of its 16 runs of 8 cells, then each cell once.
+        typed = [e for e in default_mapping().for_technology(Technology.WIND) if FIELD_TYPES[e.field] != "str | None"]
+        assert len(typed) == 9
+        rows = [
+            {"mastr id": f"SEE9{row:011d}", **{e.raw: "x" for e in typed}} for row in range(RegistryReader.BLOCK_ROWS)
+        ]
+        path = make_csv(tmp_path / "wind.csv", Technology.WIND, rows)
+        calls = count_conversions(monkeypatch)
+        reader = RegistryReader(path, Technology.WIND)
+        records = list(reader)
+        reasons = {
+            "float | None": "not a number",
+            "int | None": "invalid literal for int() with base 10: 'x'",
+            "date | None": "not a YYYY-MM-DD date",
+            "bool | None": "not a boolean",
+            "tuple[float, float] | None": "expected 'latitude, longitude'",
+        }
+        for e in typed:
+            cells = [count for name, count in calls if name == e.field]
+            assert cells.count(1) == 128, e.field
+            assert len(cells) - 128 <= 1 + 128 // 8, e.field
+            assert [(i.line, i.value, i.reason) for i in reader.issues if i.field == e.field] == [
+                (row + 2, "x", reasons[FIELD_TYPES[e.field]]) for row in range(128)
+            ]
+            assert reader.non_null[e.field] == 0
+        assert len(reader.issues) == 9 * 128
+        assert len(records) == 128
+
+    @pytest.mark.parametrize("raw, factor, outcome", _PINNED_COLUMNS)
+    def test_odd_cells_read_as_pinned(self, tmp_path, raw, factor, outcome):
+        entries = tuple(
+            e._replace(factor=factor) if e.raw == raw else e for e in default_mapping().for_technology(Technology.SOLAR)
+        )
+        (field,) = [e.field for e in entries if e.raw == raw]
+        mapping = ColumnMapping({**default_mapping().entries, Technology.SOLAR: entries})
+        cells = [row[0] for row in _PINNED_CELLS]
+        rows = [{"mastr id": f"SEE9{row:011d}", raw: cell} for row, cell in enumerate(cells)]
+        reader = RegistryReader(make_csv(tmp_path / "solar.csv", Technology.SOLAR, rows), Technology.SOLAR, mapping)
+        records = list(reader)
+        issues = {i.line: i for i in reader.issues}
+        assert [(i.field, i.value) for i in reader.issues] == [(field, cells[i.line - 2].strip()) for i in reader.issues]
+        read = {
+            cell: issues[line].reason if line in issues else repr(getattr(record, field))
+            for line, (cell, record) in enumerate(zip(cells, records), start=2)
+        }
+        assert read == {row[0]: row[outcome] for row in _PINNED_CELLS}
 
 
 class TestParseBoundaries:
