@@ -30,7 +30,7 @@ class CatalogTest(NamedTuple):
     and None for the suite-level uniqueness test; compile is that
     function. reads names the fields the check reads (test 1 reads the
     configured required_fields besides). unit is the unit of the value the
-    test measures, on a pass or a failure.
+    test measures, which a failure carries.
     """
 
     test_id: int

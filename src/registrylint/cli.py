@@ -9,10 +9,12 @@ failure files as validate wrote them.
 Exit codes: 0 = ran clean, 1 = ran and found failures, 2 = fatal error.
 Progress goes to stderr; stdout carries exactly one final JSON line.
 
-main() runs one command and returns its exit code; run() is the process
-entry of both `python -m registrylint.cli` and the console script. It
-freezes the heap once main() has returned, so the interpreter's final
-collections do not walk objects that the process is about to drop.
+Each command returns its exit code and its result; main() prints the
+result, or a fatal or usage error, as the one stdout line. run() is the
+process entry of both `python -m registrylint.cli` and the console
+script: it runs main() with the cyclic collector off, then freezes the
+heap, so the interpreter's final collections do not walk objects that
+the process is about to drop.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _stream_blocks(readers: list) -> Iterable:
         yield from reader.blocks()
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict]:
     # Imported here, as in cmd_synth, so that report loads neither the
     # reader, nor the checks, nor the geometry kernel.
     from .ingest import ColumnMapping, RegistryReader, default_mapping, parse_boundaries
@@ -143,16 +145,7 @@ def cmd_validate(args) -> int:
         for level, path in boundary_files.items()
     }
     boundaries = Boundaries(districts=parsed.get("district"), municipalities=parsed.get("municipality"))
-    # Reading and checking make no reference cycle per row, so the cyclic
-    # collector would only walk the suite's growing tables over and over;
-    # it is off for them, and back as it was however they end.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        failure_set = run_blocks(_stream_blocks(readers), boundaries, rule_config)
-    finally:
-        if collecting:
-            gc.enable()
+    failure_set = run_blocks(_stream_blocks(readers), boundaries, rule_config)
     stats = ColumnStats({reader.technology: reader.non_null for reader in readers})
     issues = sum(len(r.issues) for r in readers)
     rejected = sum(r.rows_rejected for r in readers)
@@ -165,19 +158,13 @@ def cmd_validate(args) -> int:
     _print_tally(summary)
 
     failing = failure_set.failing_unit_count()
-    print(
-        json.dumps(
-            {
-                "records": failure_set.total_records,
-                "rows_rejected": rejected,
-                "cell_issues": issues,
-                "failing_units": failing,
-                "out_dir": str(out_dir),
-            },
-            sort_keys=True,
-        )
-    )
-    return EXIT_FAILURES if failing else EXIT_CLEAN
+    return EXIT_FAILURES if failing else EXIT_CLEAN, {
+        "records": failure_set.total_records,
+        "rows_rejected": rejected,
+        "cell_issues": issues,
+        "failing_units": failing,
+        "out_dir": str(out_dir),
+    }
 
 
 def _print_tally(summary: dict) -> None:
@@ -193,7 +180,7 @@ def _print_tally(summary: dict) -> None:
         print("  none", file=sys.stderr)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[int, dict]:
     # Imported here, so that validate and report do not load synth.
     from .ingest import write_boundaries_geojson, write_registry_csv
     from .synth import ErrorInjectionSpec, GroundTruth, generate_clean, inject_errors, make_boundary_grid
@@ -227,16 +214,10 @@ def cmd_synth(args) -> int:
     (out_dir / "ground_truth.json").write_text(
         json.dumps(merged.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(
-        json.dumps(
-            {"records": total, "errors": len(merged.expected), "out_dir": str(out_dir)},
-            sort_keys=True,
-        )
-    )
-    return EXIT_CLEAN
+    return EXIT_CLEAN, {"records": total, "errors": len(merged.expected), "out_dir": str(out_dir)}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, dict]:
     # The failure files are validate's; report rewrites the aggregate files.
     out_dir = Path(args.out)
     stored = load_run(out_dir)
@@ -247,16 +228,16 @@ def cmd_report(args) -> int:
         )
         text = None
     written = export(stored.failure_set.failures, summary, out_dir, formats=("summary",), summary_text=text)
-    print(json.dumps({"out_dir": str(out_dir), "files": len(written)}, sort_keys=True))
-    return EXIT_CLEAN
+    return EXIT_CLEAN, {"out_dir": str(out_dir), "files": len(written)}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors keep the exit-code contract: exit 2, one JSON line on stdout."""
+    """A usage error prints the usage to stderr and is a ConfigError, which
+    main() reports as any fatal error: exit 2, one JSON line on stdout."""
 
     def error(self, message: str):
-        print(json.dumps({"error": message}, sort_keys=True))
-        super().error(message)
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,27 +296,31 @@ def _fatal_errors() -> tuple[type, ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its result, or its error, as the one stdout line."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code, result = args.func(args)
     except _fatal_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return EXIT_FATAL
+        code, result = EXIT_FATAL, {"error": str(exc)}
+    print(json.dumps(result, sort_keys=True))
+    return code
 
 
 def run() -> None:
     """The process entry: main's command, then its exit code.
 
-    Every output file is written in a with block and renamed before main
-    returns, so once it has returned, what is left on the heap only waits
-    for the OS to take it back. gc.freeze() moves it out of the cyclic
-    collector's reach, and the interpreter's collections at exit walk
-    nothing; atexit handlers and the flush of the standard streams still
-    run. main() itself changes no collector state, since the tests call it
-    in-process.
+    No command makes a reference cycle per row, so the cyclic collector
+    would only walk the suite's growing tables over and over; it is off
+    for the whole command. Every output file is written in a with block and
+    renamed before main returns, so once it has returned, what is left on
+    the heap only waits for the OS to take it back. gc.freeze() moves it
+    out of the collector's reach, and the interpreter's collections at exit
+    walk nothing; atexit handlers and the flush of the standard streams
+    still run. main() itself changes no collector state, since the tests
+    call it in-process.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -134,10 +134,10 @@ def default_mapping() -> ColumnMapping:
 
 # The parse of each field type, over the stripped, non-blank cells of one
 # column of a block: the values, or a ValueError that names what a cell
-# breaks. Each parse is the only statement of its cell format, and on a
-# column of one cell its error text is that cell's issue reason. Numeric
-# cells are ASCII without "_": float() and int() also read digit separators
-# ("2_000") and non-ASCII digits.
+# breaks in fixed words, never Python's own text. Each parse is the only
+# statement of its cell format, and on a column of one cell its error text
+# is that cell's issue reason. Numeric cells are ASCII without "_": float()
+# and int() also read digit separators ("2_000") and non-ASCII digits.
 def _ascii(texts: list[str]) -> str:
     joined = "".join(texts)
     if not joined.isascii() or "_" in joined:
@@ -153,21 +153,37 @@ def _finite(values: list[float]) -> list[float]:
     return values
 
 
+def _parse(parse: Callable[[str], object], texts: Iterable[str], reason: str) -> list:
+    """map(parse, texts) as a list, or a ValueError that gives reason."""
+    try:
+        return list(map(parse, texts))
+    except ValueError:
+        raise ValueError(reason) from None
+
+
 def _float_column(texts: list[str]) -> list[float]:
     # German decimal commas ("5,5"): a cell holding two commas, or a comma
     # and a point, reads as two points, which float() refuses.
     if "," in _ascii(texts):
         texts = map(str.replace, texts, repeat(","), repeat("."))
-    try:
-        values = list(map(float, texts))
-    except ValueError:
-        raise ValueError("not a number") from None
-    return _finite(values)
+    return _finite(_parse(float, texts, "not a number"))
 
 
+# int() refuses a text of more digits than sys.get_int_max_str_digits(),
+# which is 0 (no limit) or above 640. An integer text of more than 640
+# characters loses its leading zeros, and one of more than 309 significant
+# digits, beyond the float range as every such text is, reads as 10 ** 309:
+# no cell's value or reason follows the limit.
 def _int_column(texts: list[str]) -> list[int]:
     _ascii(texts)
-    return list(map(int, texts))
+    return _parse(int, texts if max(map(len, texts)) <= 640 else map(_short_int, texts), "not an integer")
+
+
+def _short_int(text: str) -> str:
+    body = text.lstrip("+-")
+    digits = body.lstrip("0") or "0"
+    digits = digits if len(digits) <= 309 else "1" + "0" * 309
+    return text[: len(text) - len(body)] + digits if body.isdigit() else text
 
 
 _BOOLS = {"1": True, "true": True, "ja": True, "yes": True, "0": False, "false": False, "nein": False, "no": False}
@@ -186,7 +202,7 @@ def _coordinate_column(texts: list[str]) -> list[tuple[float, float]]:
     _ascii(texts)
     if set(map(str.count, texts, repeat(","))) != {1}:
         raise ValueError("expected 'latitude, longitude'")
-    values = _finite(list(map(float, ",".join(texts).split(","))))
+    values = _finite(_parse(float, ",".join(texts).split(","), "not a number"))
     return list(zip(values[::2], values[1::2]))
 
 
@@ -197,7 +213,7 @@ def _date_column(texts: list[str]) -> list[date]:
     joined, dashes = "".join(texts), "-" * len(texts)
     if set(map(len, texts)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
         raise ValueError("not a YYYY-MM-DD date")
-    return list(map(date.fromisoformat, texts))
+    return _parse(date.fromisoformat, texts, "not a calendar date")
 
 
 # The cell codec of each UnitRecord field type: column is the parse above
@@ -426,12 +442,15 @@ def _convert_cells(texts: list[str], lines: list[int], convert, found: list, ord
     """The values of a column's stripped, non-blank cells, which start on
     `lines`, once `convert` has refused the whole column; None for a cell
     that does not convert. The cells are converted in runs of
-    _CELLS_PER_RUN, and the cells of a run that fails one at a time, each
-    error giving the cell issue added to `found`, keyed by line and `order`."""
+    _CELLS_PER_RUN, and the cells of a run that fails (or is the whole
+    column) one at a time, each error giving the cell issue added to
+    `found`, keyed by line and `order`."""
     values = []
     for start in range(0, len(texts), _CELLS_PER_RUN):
         run = texts[start : start + _CELLS_PER_RUN]
         try:
+            if len(run) == len(texts):  # the whole column, which has failed
+                raise ValueError("the whole column")
             values += convert(run)
         except _CELL_ERRORS:
             for text, line in zip(run, lines[start : start + _CELLS_PER_RUN]):

@@ -211,8 +211,7 @@ class Boundaries(NamedTuple):
 
 # A compiled check takes a block (one column per field, in RECORD_FIELDS
 # order, of rows of one technology) and gives one result per row: None for
-# a plain pass, the measured value for a measured pass, the failing
-# RuleOutcome otherwise.
+# a pass, the failing RuleOutcome otherwise.
 Check = Callable[[Sequence[Sequence]], list]
 
 
@@ -308,7 +307,7 @@ def _module_power(config, tech, boundaries, fail):
             if gross is None or modules is None
             else fail(uid, "zero modules")
             if modules == 0
-            else per_module_w
+            else None
             if low <= (per_module_w := gross * 1000.0 / modules) <= high
             else fail(uid, f"{per_module_w:.1f} W per module outside [{low:g}, {high:g}] W", per_module_w)
             for uid, gross, modules in zip(*columns(block))
@@ -334,7 +333,7 @@ def _inverter_ratio(config, tech, boundaries, fail):
             if gross == 0 or inverter == 0
             else fail(uid, f"gross/inverter power differ by factor {ratio:.1f}", ratio)
             if (ratio := max(gross / inverter, inverter / gross)) >= factor
-            else ratio
+            else None
             for uid, gross, inverter in zip(*columns(block))
         ]
 
@@ -353,7 +352,7 @@ def _area_density(config, tech, boundaries, fail):
             if unit_type not in ground_types or gross is None or area is None
             else fail(uid, "non-positive area")
             if area <= 0
-            else density
+            else None
             if low <= (density := gross / 1000.0 / area) <= high
             else fail(uid, f"{density:.3f} MW/ha outside [{low:g}, {high:g}] MW/ha", density)
             for uid, unit_type, gross, area in zip(*columns(block))
@@ -383,7 +382,7 @@ def _rotor_power(config, tech, boundaries, fail):
             if diameter <= 0
             else fail(uid, "rotor swept area rounds to zero")
             if (swept := _swept_area_m2(diameter)) == 0.0
-            else specific
+            else None
             if low <= (specific := power * 1000.0 / swept) <= high
             else fail(uid, f"{specific:.1f} W/m2 outside [{low:g}, {high:g}] W/m2", specific)
             for uid, power, diameter in zip(*columns(block))
@@ -441,9 +440,7 @@ def _power_range(config, tech, boundaries, fail):
     def check(block):
         return [
             None
-            if power is None
-            else power
-            if low_kw < power <= high_kw
+            if power is None or low_kw < power <= high_kw
             else fail(uid, f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
             for uid, power in zip(*columns(block))
         ]
@@ -459,9 +456,7 @@ def _installation_year(config, tech, boundaries, fail):
     def check(block):
         return [
             None
-            if year is None
-            else year
-            if low <= year <= high
+            if year is None or low <= year <= high
             else fail(uid, f"installation year {year} outside [{low}, {high}]", float(year))
             for uid, year in zip(*columns(block))
         ]
@@ -479,7 +474,7 @@ def _hub_height(config, tech, boundaries, fail):
             if hub is None or diameter is None
             else fail(uid, f"hub height {hub:g} m below rotor radius {radius:g} m", hub)
             if hub < (radius := diameter / 2.0)
-            else hub
+            else None
             for uid, hub, diameter in zip(*columns(block))
         ]
 
@@ -620,7 +615,6 @@ def run_blocks(
     duplicates: dict[str, list[tuple]] = {}
     failing: dict[tuple, list[RuleOutcome]] = {}  # meta -> failed tests
     first_of = first_seen.setdefault
-    outcome_class = RuleOutcome
     ordinal = 0
     for count, block in blocks:
         tech = block[_TECHNOLOGY][0]
@@ -635,8 +629,8 @@ def run_blocks(
         ordinal += count
         for check in checks:
             results = check(block)
-            for row in [row for row, result in enumerate(results) if result.__class__ is outcome_class]:
-                failing.setdefault(metas[row], []).append(results[row])
+            for meta, outcome in compress(zip(metas, results), results):
+                failing.setdefault(meta, []).append(outcome)
         if None in ids:  # rows without an id are test 1's concern, not test 2's
             kept = list(map(is_not, ids, repeat(None)))
             ids, metas = list(compress(ids, kept)), list(compress(metas, kept))

@@ -133,19 +133,16 @@ def evaluate_record(
     """All applicable per-record outcomes (passes included), by test id,
     from the suite's checks run on a block of this one record.
 
-    A measured pass carries its value and the test's unit. Location tests
-    run only for the boundary sets given; test 2 is suite-level.
+    A check gives a pass as None, which becomes a passing outcome with no
+    measured value; only a failure carries one. Location tests run only for
+    the boundary sets given; test 2 is suite-level.
     """
     checks, _ = _compile(config or RuleConfig(), Boundaries(districts, municipalities))
     block = [[getattr(record, name)] for name in RECORD_FIELDS]
     outcomes = []
     for test, check in checks[record.technology]:
         (result,) = check(block)
-        if result.__class__ is not RuleOutcome:
-            measured = None if result is None else float(result)
-            unit = None if result is None else test.unit
-            result = RuleOutcome(record.unit_id, test.test_id, True, "", measured, unit)
-        outcomes.append(result)
+        outcomes.append(RuleOutcome(record.unit_id, test.test_id, True, "") if result is None else result)
     return outcomes
 
 

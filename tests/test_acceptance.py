@@ -15,7 +15,7 @@ from registrylint.cli import EXIT_FAILURES, main
 from registrylint.geo import EARTH_RADIUS_M, contains_with_buffer, distance_to_boundary
 from registrylint.model import Technology
 from registrylint.report import distance_histogram, percent
-from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, run_suite
+from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, RuleConfig, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
 from catalog_oracle import check_unique_ids
@@ -33,6 +33,9 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
     districts, municipalities = indexed_grid
     rec = lambda tech, **kw: example_record(grid, tech, **kw)
     sw = math.pi * 41.0**2  # swept area of the example rotor
+    # A check measures a row only when it fails: a passing row's value is
+    # asserted on the same record under a config whose range excludes it.
+    narrowed = lambda **rules: RuleConfig.from_dict(rules)
 
     started = time.perf_counter()
     # (check callable, expect_pass, expected measured, relative tolerance)
@@ -65,7 +68,13 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             0,
         ),
         # module power 50-700 W
-        (lambda: outcome_of(6, rec(Technology.SOLAR), config), True, 625.0, 1e-9),
+        (lambda: outcome_of(6, rec(Technology.SOLAR), config), True, None, 0),
+        (
+            lambda: outcome_of(6, rec(Technology.SOLAR), narrowed(module_power_range_w=[50.0, 600.0])),
+            False,
+            625.0,
+            1e-9,
+        ),
         (
             lambda: outcome_of(6, replace(rec(Technology.SOLAR), number_of_modules=1), config),
             False,
@@ -77,6 +86,15 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
                 replace(rec(Technology.SOLAR), power_gross_kw=0.35, number_of_modules=1), config
             ),
             True,
+            None,
+            0,
+        ),
+        (
+            lambda: outcome_of(6,
+                replace(rec(Technology.SOLAR), power_gross_kw=0.35, number_of_modules=1),
+                narrowed(module_power_range_w=[50.0, 300.0]),
+            ),
+            False,
             350.0,
             1e-9,
         ),
@@ -85,11 +103,21 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
                 replace(rec(Technology.SOLAR), power_gross_kw=0.05, number_of_modules=1), config
             ),
             True,
+            None,
+            0,
+        ),
+        (
+            lambda: outcome_of(6,
+                replace(rec(Technology.SOLAR), power_gross_kw=0.05, number_of_modules=1),
+                narrowed(module_power_range_w=[60.0, 700.0]),
+            ),
+            False,
             50.0,
             1e-9,
         ),
         # inverter ratio, factor 20
-        (lambda: outcome_of(7, rec(Technology.SOLAR), config), True, 2.0, 1e-9),
+        (lambda: outcome_of(7, rec(Technology.SOLAR), config), True, None, 0),
+        (lambda: outcome_of(7, rec(Technology.SOLAR), narrowed(inverter_ratio_factor=1.5)), False, 2.0, 1e-9),
         (
             lambda: outcome_of(7, 
                 replace(rec(Technology.SOLAR), power_inverter_kw=5000.0), config
@@ -99,9 +127,10 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             1e-9,
         ),
         # area density 0.05-1.5 MW/ha
+        (lambda: check_area_density_case(grid, config, 1000.0, 1.0), True, None, 0),
         (
-            lambda: check_area_density_case(grid, config, 1000.0, 1.0),
-            True,
+            lambda: check_area_density_case(grid, narrowed(area_density_range_mw_per_ha=[0.05, 0.5]), 1000.0, 1.0),
+            False,
             1.0,
             1e-9,
         ),
@@ -111,16 +140,18 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             75.0,
             1e-9,
         ),
+        (lambda: check_area_density_case(grid, config, 50.0, 1.0), True, None, 0),
         (
-            lambda: check_area_density_case(grid, config, 50.0, 1.0),
-            True,
+            lambda: check_area_density_case(grid, narrowed(area_density_range_mw_per_ha=[0.06, 1.5]), 50.0, 1.0),
+            False,
             0.05,
             1e-9,
         ),
         # rotor specific power 160-700 W/m2: P=2000 kW, d=82 m
+        (lambda: outcome_of(9, rec(Technology.WIND), config), True, None, 0),
         (
-            lambda: outcome_of(9, rec(Technology.WIND), config),
-            True,
+            lambda: outcome_of(9, rec(Technology.WIND), narrowed(rotor_specific_power_range_w_per_m2=[160.0, 300.0])),
+            False,
             2000.0 * 1000.0 / sw,
             1e-9,
         ),
@@ -130,16 +161,23 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             2000.0 * 1000.0 / (math.pi * 100.0),
             1e-9,
         ),
+        (lambda: outcome_of(9, replace(rec(Technology.WIND), power_kw=845.0), config), True, None, 0),
         (
-            lambda: outcome_of(9, replace(rec(Technology.WIND), power_kw=845.0), config),
-            True,
+            lambda: outcome_of(9,
+                replace(rec(Technology.WIND), power_kw=845.0),
+                narrowed(rotor_specific_power_range_w_per_m2=[170.0, 700.0]),
+            ),
+            False,
             845.0 * 1000.0 / sw,
             1e-9,
         ),
         # power range: wind 0-22 MW, inclusive top, exclusive zero
+        (lambda: outcome_of(12, replace(rec(Technology.WIND), power_kw=22_000.0), config), True, None, 0),
         (
-            lambda: outcome_of(12, replace(rec(Technology.WIND), power_kw=22_000.0), config),
-            True,
+            lambda: outcome_of(12,
+                replace(rec(Technology.WIND), power_kw=22_000.0), narrowed(power_range_mw={"wind": [0.0, 21.0]})
+            ),
+            False,
             22_000.0,
             1e-9,
         ),
@@ -156,7 +194,8 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
             0,
         ),
         # installation years
-        (lambda: outcome_of(13, rec(Technology.SOLAR), config), True, 2017.0, 1e-9),
+        (lambda: outcome_of(13, rec(Technology.SOLAR), config), True, None, 0),
+        (lambda: outcome_of(13, rec(Technology.SOLAR), narrowed(year_max=2016)), False, 2017.0, 1e-9),
         (
             lambda: outcome_of(13, 
                 replace(rec(Technology.STORAGE), installation_year=1923), config
@@ -170,11 +209,20 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
                 replace(rec(Technology.HYDRO), installation_year=1923), config
             ),
             True,
+            None,
+            0,
+        ),
+        (
+            lambda: outcome_of(13,
+                replace(rec(Technology.HYDRO), installation_year=1923), narrowed(year_min={"hydro": 1924})
+            ),
+            False,
             1923.0,
             1e-9,
         ),
-        # hub height vs rotor radius: hub 65 / rotor 82
-        (lambda: outcome_of(14, rec(Technology.WIND)), True, 65.0, 1e-9),
+        # hub height vs rotor radius: hub 65 / rotor 82; test 14 has no
+        # threshold to narrow, so the passing row's hub height is not measured
+        (lambda: outcome_of(14, rec(Technology.WIND)), True, None, 0),
         (
             lambda: outcome_of(14, replace(rec(Technology.WIND), hub_height_m=30.0)),
             False,

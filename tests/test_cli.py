@@ -156,6 +156,31 @@ class TestValidateCommand:
                 < full_summary["per_technology"][tech]["unit_count"]
             )
 
+    def test_dso_subset_of_a_full_run_can_differ_from_a_dso_only_run(self, tmp_path):
+        # A DSO unit whose id a non-DSO row repeats fails test 2 in the full
+        # run, and so in its per_technology_dso block; --dso-only drops the
+        # non-DSO row before the suite runs, and the id is unique there.
+        fixtures = tmp_path / "fixtures"
+        assert main(["synth", "--technology", "wind", "--count", "20", "--seed", "3", "--out", str(fixtures)]) == 0
+        with open(fixtures / "wind.csv", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        uid, dso = header.index("mastr id"), header.index("grid operator inspection")
+        inspected = [row for row in rows if row[dso] == "1"]
+        (not_inspected, *_) = [row for row in rows if row[dso] == "0"]
+        not_inspected[uid] = inspected[0][uid]
+        with open(fixtures / "wind.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *rows])
+        dso_blocks = []
+        for out, extra, code in ((tmp_path / "full", [], EXIT_FAILURES), (tmp_path / "dso", ["--dso-only"], EXIT_CLEAN)):
+            args = ["validate", "--input", f"wind={fixtures / 'wind.csv'}", "--out", str(out), *extra]
+            args += ["--districts", str(fixtures / "districts.geojson")]
+            args += ["--municipalities", str(fixtures / "municipalities.geojson")]
+            assert main(args) == code
+            dso_blocks.append(json.loads((out / "summary.json").read_text())["per_technology_dso"]["wind"])
+        full, dso_only = dso_blocks
+        assert (full["failing_unit_count"], full["per_test"]) == (1, {"2": 1})
+        assert (dso_only["failing_unit_count"], dso_only["per_test"]) == (0, {})
+
     def test_dso_only_completeness_counts_only_dso_rows(self, synth_dir, tmp_path):
         # Under --dso-only each column's completeness is a recount over the
         # DSO-inspected rows of the input tables alone.
@@ -410,10 +435,10 @@ def test_package_names_resolve_from_their_modules():
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
 def test_validate_leaves_the_collector_as_it_found_it(synth_dir, tmp_path, collecting):
-    # validate turns the cyclic collector off to read and check; a run that
-    # ends, or one whose reading fails (a table without its header's
-    # columns), leaves it as it was. No command freezes the heap in main():
-    # only run(), the process entry, does.
+    # Only run(), the process entry, turns the cyclic collector off and
+    # freezes the heap. main() leaves both as it found them, after a run
+    # that ends and after one whose reading fails (a table without its
+    # header's columns).
     bad = tmp_path / "bad"
     shutil.copytree(synth_dir, bad)
     (bad / "wind.csv").write_text("no such column\n1\n", encoding="utf-8")
@@ -438,21 +463,35 @@ def test_validate_leaves_the_collector_as_it_found_it(synth_dir, tmp_path, colle
 
 
 def test_run_exits_with_the_code_of_main_after_freezing_the_heap(synth_dir, tmp_path):
-    # In a fresh interpreter: run() returns main's exit code, its output is
-    # complete, the heap is frozen by then, and atexit handlers still run.
-    code = (
-        "import atexit, gc, sys\n"
-        "from registrylint import cli\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
-        f"sys.argv[1:] = {_validate_args(synth_dir, tmp_path / 'out')!r}\n"
-        "cli.run()\n"
-    )
+    # In a fresh interpreter, for validate, for report and for a usage
+    # error: run() returns main's exit code, its one stdout line is
+    # complete, the command ran with the cyclic collector off, the heap is
+    # frozen by then, and atexit handlers still run.
+    out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == EXIT_FAILURES, done.stderr
-    (line,) = done.stdout.splitlines()
-    assert json.loads(line)["failing_units"] > 0
-    assert done.stderr.splitlines()[-1] == "frozen True"
+    for argv, expected in (
+        (_validate_args(synth_dir, out), EXIT_FAILURES),
+        (["report", "--out", str(out), "--bin-width", "2"], EXIT_CLEAN),
+        (["validate", "--bogus"], EXIT_FATAL),
+    ):
+        code = (
+            "import atexit, gc, sys\n"
+            "from registrylint import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            "cli.run()\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == expected, done.stderr
+        (line,) = done.stdout.splitlines()
+        result = json.loads(line)
+        if expected == EXIT_FAILURES:
+            assert result["failing_units"] > 0
+        elif expected == EXIT_CLEAN:
+            assert result["files"] > 0
+        else:
+            assert result["error"] and "usage:" in done.stderr
+        assert done.stderr.splitlines()[-1] == "frozen True False", argv
 
 
 class TestUsageErrors:
@@ -460,9 +499,7 @@ class TestUsageErrors:
         "argv", [["validate", "--bogus"], ["synth", "--count", "5"], ["frobnicate"]], ids=["unknown", "missing", "command"]
     )
     def test_usage_error_exits_two_with_one_json_line(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_FATAL
+        assert main(argv) == EXIT_FATAL
         captured = capsys.readouterr()
         (line,) = captured.out.strip().splitlines()
         assert json.loads(line)["error"]

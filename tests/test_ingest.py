@@ -3,6 +3,8 @@
 import codecs
 import csv
 import json
+import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -467,28 +469,28 @@ _PINNED_CELLS = [
     ("", "None", "None", "None", "None", "None", "None", "None", "None"),
     ("   ", "None", "None", "None", "None", "None", "None", "None", "None"),
     (
-        "nan", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'nan'",
-        "invalid literal for int() with base 10: 'nan'", "not a YYYY-MM-DD date", "not a boolean",
+        "nan", "not finite", "not finite", "not finite", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
-        "NaN", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'NaN'",
-        "invalid literal for int() with base 10: 'NaN'", "not a YYYY-MM-DD date", "not a boolean",
+        "NaN", "not finite", "not finite", "not finite", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
-        "-inf", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: '-inf'",
-        "invalid literal for int() with base 10: '-inf'", "not a YYYY-MM-DD date", "not a boolean",
+        "-inf", "not finite", "not finite", "not finite", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
-        "inf", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: 'inf'",
-        "invalid literal for int() with base 10: 'inf'", "not a YYYY-MM-DD date", "not a boolean",
+        "inf", "not finite", "not finite", "not finite", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
-        "1e999", "not finite", "not finite", "not finite", "invalid literal for int() with base 10: '1e999'",
-        "invalid literal for int() with base 10: '1e999'", "not a YYYY-MM-DD date", "not a boolean",
+        "1e999", "not finite", "not finite", "not finite", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
@@ -504,21 +506,21 @@ _PINNED_CELLS = [
         "expected 'latitude, longitude'",
     ),
     (
-        "5,5", "5.5", "0.0055", "5.5e+300", "invalid literal for int() with base 10: '5,5'",
-        "invalid literal for int() with base 10: '5,5'", "not a YYYY-MM-DD date", "not a boolean", "(5.0, 5.0)",
+        "5,5", "5.5", "0.0055", "5.5e+300", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean", "(5.0, 5.0)",
     ),
     (
-        "1,2,3", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: '1,2,3'",
-        "invalid literal for int() with base 10: '1,2,3'", "not a YYYY-MM-DD date", "not a boolean",
+        "1,2,3", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
-        "1,5.0", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: '1,5.0'",
-        "invalid literal for int() with base 10: '1,5.0'", "not a YYYY-MM-DD date", "not a boolean", "(1.0, 5.0)",
+        "1,5.0", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean", "(1.0, 5.0)",
     ),
     (
-        "-0.0", "-0.0", "-0.0", "-0.0", "invalid literal for int() with base 10: '-0.0'",
-        "invalid literal for int() with base 10: '-0.0'", "not a YYYY-MM-DD date", "not a boolean",
+        "-0.0", "-0.0", "-0.0", "-0.0", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
@@ -543,60 +545,60 @@ _PINNED_CELLS = [
     ),
     (
         "2017-02-30", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '2017-02-30'", "invalid literal for int() with base 10: '2017-02-30'",
-        "day is out of range for month", "not a boolean", "expected 'latitude, longitude'",
+        "not an integer", "not an integer",
+        "not a calendar date", "not a boolean", "expected 'latitude, longitude'",
     ),
     (
         "2017-W01-1", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '2017-W01-1'", "invalid literal for int() with base 10: '2017-W01-1'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
     ),
     (
-        "JA", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'JA'",
-        "invalid literal for int() with base 10: 'JA'", "not a YYYY-MM-DD date", "True",
+        "JA", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "True",
         "expected 'latitude, longitude'",
     ),
     (
-        "yes", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'yes'",
-        "invalid literal for int() with base 10: 'yes'", "not a YYYY-MM-DD date", "True",
+        "yes", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "True",
         "expected 'latitude, longitude'",
     ),
     (
         "vielleicht", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: 'vielleicht'", "invalid literal for int() with base 10: 'vielleicht'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "expected 'latitude, longitude'",
     ),
     (
         "48.1,10.2,0", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '48.1,10.2,0'",
-        "invalid literal for int() with base 10: '48.1,10.2,0'", "not a YYYY-MM-DD date", "not a boolean",
+        "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
         "48.1,200.5", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '48.1,200.5'", "invalid literal for int() with base 10: '48.1,200.5'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "out of WGS84 bounds",
     ),
     (
         "-91.0, 10.0", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '-91.0, 10.0'",
-        "invalid literal for int() with base 10: '-91.0, 10.0'", "not a YYYY-MM-DD date", "not a boolean",
+        "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "out of WGS84 bounds",
     ),
     (
         "48.1, 1e999", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '48.1, 1e999'",
-        "invalid literal for int() with base 10: '48.1, 1e999'", "not a YYYY-MM-DD date", "not a boolean",
+        "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "not finite",
     ),
     (
         "48.1, nan", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: '48.1, nan'", "invalid literal for int() with base 10: '48.1, nan'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "not finite",
     ),
     (
-        "abc", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'abc'",
-        "invalid literal for int() with base 10: 'abc'", "not a YYYY-MM-DD date", "not a boolean",
+        "abc", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
@@ -620,33 +622,33 @@ _PINNED_CELLS = [
         "not an ASCII number", "not an ASCII number", "not a YYYY-MM-DD date", "not a boolean", "not an ASCII number",
     ),
     (
-        "48.1", "48.1", "0.048100000000000004", "4.81e+301", "invalid literal for int() with base 10: '48.1'",
-        "invalid literal for int() with base 10: '48.1'", "not a YYYY-MM-DD date", "not a boolean",
+        "48.1", "48.1", "0.048100000000000004", "4.81e+301", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
         "expected 'latitude, longitude'",
     ),
     (
         "nan, 11.5", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: 'nan, 11.5'", "invalid literal for int() with base 10: 'nan, 11.5'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "not finite",
     ),
     (
-        ",", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: ','",
-        "invalid literal for int() with base 10: ','", "not a YYYY-MM-DD date", "not a boolean",
-        "could not convert string to float: ''",
+        ",", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
+        "not a number",
     ),
     (
-        "a,b", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: 'a,b'",
-        "invalid literal for int() with base 10: 'a,b'", "not a YYYY-MM-DD date", "not a boolean",
-        "could not convert string to float: 'a'",
+        "a,b", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
+        "not a number",
     ),
     (
-        "  ,  ", "not a number", "not a number", "not a number", "invalid literal for int() with base 10: ','",
-        "invalid literal for int() with base 10: ','", "not a YYYY-MM-DD date", "not a boolean",
-        "could not convert string to float: ''",
+        "  ,  ", "not a number", "not a number", "not a number", "not an integer",
+        "not an integer", "not a YYYY-MM-DD date", "not a boolean",
+        "not a number",
     ),
     (
         "nan, nan", "not a number", "not a number", "not a number",
-        "invalid literal for int() with base 10: 'nan, nan'", "invalid literal for int() with base 10: 'nan, nan'",
+        "not an integer", "not an integer",
         "not a YYYY-MM-DD date", "not a boolean", "not finite",
     ),
 
@@ -770,7 +772,7 @@ class TestColumnConversion:
         records = list(reader)
         reasons = {
             "float | None": "not a number",
-            "int | None": "invalid literal for int() with base 10: 'x'",
+            "int | None": "not an integer",
             "date | None": "not a YYYY-MM-DD date",
             "bool | None": "not a boolean",
             "tuple[float, float] | None": "expected 'latitude, longitude'",
@@ -804,6 +806,84 @@ class TestColumnConversion:
             for line, (cell, record) in enumerate(zip(cells, records), start=2)
         }
         assert read == {row[0]: row[outcome] for row in _PINNED_CELLS}
+
+    def test_a_failed_column_of_one_run_goes_straight_to_its_cells(self, tmp_path, monkeypatch):
+        # Five power cells are one run of at most 8: once the column has
+        # failed, each cell is converted by itself, and the run is not
+        # converted again as a whole.
+        rows = [{"mastr id": f"SEE9{row:011d}", "power": "x"} for row in range(5)]
+        path = make_csv(tmp_path / "wind.csv", Technology.WIND, rows)
+        calls = count_conversions(monkeypatch)
+        reader = RegistryReader(path, Technology.WIND)
+        assert [r.power_kw for r in reader] == [None] * 5
+        assert [count for name, count in calls if name == "power_kw"] == [5, 1, 1, 1, 1, 1]
+        assert [(i.line, i.reason) for i in reader.issues if i.field == "power_kw"] == [
+            (row + 2, "not a number") for row in range(5)
+        ]
+
+
+# Every reason the reader gives for a cell issue or a rejected row, in its
+# own words: README's Inputs section lists the same.
+_REASONS = {
+    "not an ASCII number", "not a number", "not finite", "not an integer", "not a boolean",
+    "not a YYYY-MM-DD date", "not a calendar date", "expected 'latitude, longitude'",
+    "negative value", "negative count", "beyond the float range", "out of WGS84 bounds",
+}
+_ROW_REASON = re.compile(r"expected \d+ cells, got \d+")
+# Cells whose Python parse error names more than the cell breaks: an
+# invalid integer, a date not in the calendar, a coordinate part that is
+# no number, and integers too long for int()'s default digit limit.
+_PYTHON_WORDED_CELLS = ["x", "2017-13-01", "2017-02-30", "48.1, abc", "1" * 5000, "0" * 5000 + "7", "-" + "9" * 700]
+
+
+class TestIssueReasons:
+    def _reasons(self, tmp_path, cells) -> set[str]:
+        """The reasons of every issue of a solar table holding `cells` in
+        each typed column, with one row cut short."""
+        rows = [{"mastr id": f"SEE9{row:011d}", **dict.fromkeys(_TYPED_COLUMNS, cell)} for row, cell in enumerate(cells)]
+        path = make_csv(tmp_path / "solar.csv", Technology.SOLAR, rows)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("SEE999999999999,short\n")
+        reader = RegistryReader(path, Technology.SOLAR)
+        list(reader)
+        assert reader.rows_rejected == 1
+        return {issue.reason for issue in reader.issues}
+
+    def test_every_reason_is_in_the_vocabulary(self, tmp_path):
+        cells = [*_ODD_CELLS, *(row[0] for row in _PINNED_CELLS), *_PYTHON_WORDED_CELLS]
+        reasons = self._reasons(tmp_path, cells)
+        assert {reason for reason in reasons if not _ROW_REASON.fullmatch(reason)} <= _REASONS
+        assert len([reason for reason in reasons if _ROW_REASON.fullmatch(reason)]) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=solar_columns())
+    def test_reasons_of_drawn_tables_are_in_the_vocabulary(self, rows, tmp_path_factory):
+        path = make_csv(tmp_path_factory.mktemp("reasons") / "solar.csv", Technology.SOLAR, rows)
+        reader = RegistryReader(path, Technology.SOLAR)
+        list(reader)
+        assert {issue.reason for issue in reader.issues} <= _REASONS
+
+    @pytest.mark.parametrize("raw", ["number of modules", "installation year"])
+    def test_a_long_integer_cell_reads_alike_under_any_digit_limit(self, tmp_path, raw):
+        # int() refuses more than 4300 digits by default and any number of
+        # them with the limit off; the reader's reason and value follow neither.
+        cells = ["1" * 5000, "-" + "1" * 5000, "0" * 5000 + "7", "1" * 700]
+        rows = [{"mastr id": f"SEE9{row:011d}", raw: cell} for row, cell in enumerate(cells)]
+        path = make_csv(tmp_path / "solar.csv", Technology.SOLAR, rows)
+        (field,) = [e.field for e in default_mapping().for_technology(Technology.SOLAR) if e.raw == raw]
+        limit = sys.get_int_max_str_digits()
+        read = []
+        try:
+            for digits in (limit, 0):
+                sys.set_int_max_str_digits(digits)
+                reader = RegistryReader(path, Technology.SOLAR)
+                values = [getattr(record, field) for record in reader]
+                read.append((values, [(i.line, i.reason) for i in reader.issues]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert read[0] == read[1]
+        beyond = "beyond the float range"
+        assert read[0] == ([None, None, 7, None], [(2, beyond), (3, beyond), (5, beyond)])
 
 
 class TestParseBoundaries:

@@ -4,20 +4,23 @@ invariants (matrix conformance, null ownership, determinism, aggregation)."""
 import gc
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from registrylint.geo import EARTH_RADIUS_M, boundary_clearance_m, contains_with_buffer
-from registrylint.ingest import RegistryReader, write_registry_csv
-from registrylint.model import BLOCK_ROWS, POWER_FIELD, RECORD_FIELDS, Technology, UnitRecord
+from registrylint.ingest import RegistryReader, parse_boundaries, write_registry_csv
+from registrylint.model import BLOCK_ROWS, POWER_FIELD, RECORD_FIELDS, RuleOutcome, Technology, UnitRecord
 from registrylint.rules import (
     CATALOG,
     CHECKMARKS,
     MATRIX_CELL_COUNT,
+    Boundaries,
     RuleConfig,
     ConfigError,
+    _compile,
     fields_read,
     run_blocks,
     run_suite,
@@ -36,6 +39,14 @@ def lon_offset_deg(distance_m: float, lat: float) -> float:
 @pytest.fixture(scope="module")
 def cfg() -> RuleConfig:
     return RuleConfig()
+
+
+def measured_on_failure(test_id: int, record, **narrowed):
+    """A check measures a row only when it fails: the value a test measures
+    on a record, read off its failure under a config whose range excludes it."""
+    outcome = outcome_of(test_id, record, RuleConfig(**narrowed))
+    assert not outcome.passed
+    return outcome.measured
 
 
 class TestRequiredFields:
@@ -137,9 +148,10 @@ class TestIdFormats:
 
 class TestModulePower:
     def test_8_modules_at_5kw_pass(self, grid, cfg):
-        outcome = outcome_of(6, example_record(grid, Technology.SOLAR), cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(625.0, rel=1e-12)
+        record = example_record(grid, Technology.SOLAR)
+        assert outcome_of(6, record, cfg).passed
+        measured = measured_on_failure(6, record, module_power_range_w=(50.0, 600.0))
+        assert measured == pytest.approx(625.0, rel=1e-12)
 
     def test_single_placeholder_module_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), number_of_modules=1)
@@ -151,9 +163,9 @@ class TestModulePower:
         record = replace(
             example_record(grid, Technology.SOLAR), power_gross_kw=0.35, number_of_modules=1
         )
-        outcome = outcome_of(6, record, cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(350.0, rel=1e-12)
+        assert outcome_of(6, record, cfg).passed
+        measured = measured_on_failure(6, record, module_power_range_w=(50.0, 300.0))
+        assert measured == pytest.approx(350.0, rel=1e-12)
 
     def test_zero_modules_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), number_of_modules=0)
@@ -173,9 +185,9 @@ class TestModulePower:
 
 class TestInverterRatio:
     def test_ratio_2_passes(self, grid, cfg):
-        outcome = outcome_of(7, example_record(grid, Technology.SOLAR), cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(2.0, rel=1e-12)
+        record = example_record(grid, Technology.SOLAR)
+        assert outcome_of(7, record, cfg).passed
+        assert measured_on_failure(7, record, inverter_ratio_factor=1.5) == pytest.approx(2.0, rel=1e-12)
 
     def test_magnitude_mixup_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.SOLAR), power_inverter_kw=5000.0)
@@ -184,10 +196,11 @@ class TestInverterRatio:
         assert outcome.measured == pytest.approx(1000.0, rel=1e-12)
 
     def test_equal_powers_pass(self, grid, cfg):
+        # A ratio of 1.0 fails under no config (the factor must be > 1), so
+        # only the verdict is asserted; the ratio's formula is asserted on
+        # the failing rows.
         record = replace(example_record(grid, Technology.SOLAR), power_inverter_kw=5.0)
-        outcome = outcome_of(7, record, cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(1.0, rel=1e-12)
+        assert outcome_of(7, record, cfg).passed
 
     def test_zero_power_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.STORAGE), power_inverter_kw=0.0)
@@ -225,9 +238,10 @@ class TestAreaDensity:
         )
 
     def test_mid_range_passes(self, grid, cfg):
-        outcome = outcome_of(8, self._ground(grid, 1000.0, 1.0), cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(1.0, rel=1e-12)
+        record = self._ground(grid, 1000.0, 1.0)
+        assert outcome_of(8, record, cfg).passed
+        measured = measured_on_failure(8, record, area_density_range_mw_per_ha=(0.05, 0.5))
+        assert measured == pytest.approx(1.0, rel=1e-12)
 
     def test_wrong_unit_area_fails(self, grid, cfg):
         outcome = outcome_of(8, self._ground(grid, 750.0, 0.01), cfg)
@@ -235,9 +249,10 @@ class TestAreaDensity:
         assert outcome.measured == pytest.approx(75.0, rel=1e-12)
 
     def test_lower_bound_inclusive(self, grid, cfg):
-        outcome = outcome_of(8, self._ground(grid, 50.0, 1.0), cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(0.05, rel=1e-12)
+        record = self._ground(grid, 50.0, 1.0)
+        assert outcome_of(8, record, cfg).passed
+        measured = measured_on_failure(8, record, area_density_range_mw_per_ha=(0.06, 1.5))
+        assert measured == pytest.approx(0.05, rel=1e-12)
 
     def test_zero_area_fails(self, grid, cfg):
         outcome = outcome_of(8, self._ground(grid, 50.0, 0.0), cfg)
@@ -253,11 +268,12 @@ class TestAreaDensity:
 
 class TestRotorPower:
     def test_example_turbine_passes(self, grid, cfg):
-        outcome = outcome_of(9, example_record(grid, Technology.WIND), cfg)
-        assert outcome.passed
+        record = example_record(grid, Technology.WIND)
+        assert outcome_of(9, record, cfg).passed
+        measured = measured_on_failure(9, record, rotor_specific_power_range_w_per_m2=(160.0, 300.0))
         expected = 2000.0 * 1000.0 / (math.pi * 41.0**2)
-        assert outcome.measured == pytest.approx(expected, rel=1e-12)
-        assert outcome.measured == pytest.approx(378.7, abs=0.05)
+        assert measured == pytest.approx(expected, rel=1e-12)
+        assert measured == pytest.approx(378.7, abs=0.05)
 
     def test_tiny_rotor_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), rotor_diameter_m=20.0)
@@ -267,9 +283,9 @@ class TestRotorPower:
 
     def test_lower_bound_region_passes(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), power_kw=845.0)
-        outcome = outcome_of(9, record, cfg)
-        assert outcome.passed
-        assert outcome.measured == pytest.approx(160.0, abs=0.05)
+        assert outcome_of(9, record, cfg).passed
+        measured = measured_on_failure(9, record, rotor_specific_power_range_w_per_m2=(170.0, 700.0))
+        assert measured == pytest.approx(160.0, abs=0.05)
 
     def test_non_positive_diameter_fails(self, grid, cfg):
         record = replace(example_record(grid, Technology.WIND), rotor_diameter_m=0.0)
@@ -735,6 +751,32 @@ class TestBlockPath:
         from_blocks = run_blocks((block for reader in readers() for block in reader.blocks()), grid, config)
         assert from_blocks == from_records
         assert from_blocks.failures and from_blocks.records_dso
+
+    def test_a_check_gives_each_row_its_failure_or_none(self, reference_tables, config):
+        # Every compiled check of every technology, on the reference
+        # fixture's tables and boundaries: one result per row, None for a
+        # pass and a failing RuleOutcome otherwise. Their failures are the
+        # suite's, test 2 aside.
+        boundaries = Boundaries(
+            parse_boundaries(reference_tables / "districts.geojson", "district"),
+            parse_boundaries(reference_tables / "municipalities.geojson", "municipality"),
+        )
+        checks, evaluated = _compile(config, boundaries)
+        assert evaluated == tuple(test.test_id for test in CATALOG)
+        failed = Counter()
+        for tech in Technology:
+            assert len(checks[tech]) == sum(tech in techs for techs in CHECKMARKS.values()) - 1  # test 2
+            for count, block in RegistryReader(reference_tables / f"{tech.value}.csv", tech).blocks():
+                for test, check in checks[tech]:
+                    results = check(block)
+                    assert len(results) == count
+                    outcomes = [result for result in results if result is not None]
+                    assert all(type(o) is RuleOutcome and not o.passed and o.test_id == test.test_id for o in outcomes)
+                    failed[test.test_id] += len(outcomes)
+        readers = [RegistryReader(reference_tables / f"{tech.value}.csv", tech) for tech in Technology]
+        suite = run_blocks((block for reader in readers for block in reader.blocks()), boundaries, config)
+        from_suite = Counter(test_id for failure in suite.failures for test_id in failure.test_ids if test_id != 2)
+        assert failed == from_suite and len(failed) > 5
 
     def test_duplicate_id_across_tables_and_a_block_edge_keeps_input_order(self, tmp_path, grid, config):
         solar = generate_clean(Technology.SOLAR, 3, 3, grid)
