@@ -231,13 +231,27 @@ def cmd_report(args) -> tuple[int, dict]:
     return EXIT_CLEAN, {"out_dir": str(out_dir), "files": len(written)}
 
 
+class _HelpShown(Exception):
+    """--help was given: the help is on stderr, and main() prints the
+    command's name as its one JSON line and exits 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error prints the usage to stderr and is a ConfigError, which
-    main() reports as any fatal error: exit 2, one JSON line on stdout."""
+    main() reports as any fatal error: exit 2, one JSON line on stdout.
+    --help prints the help to stderr and raises _HelpShown."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+    def print_help(self, file=None) -> None:
+        super().print_help(file or sys.stderr)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        if status == 0 and message is None:  # the help action's exit
+            raise _HelpShown(self.prog.rpartition(" ")[2])
+        super().exit(status, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code, result = args.func(args)
+    except _HelpShown as shown:
+        code, result = EXIT_CLEAN, {"help": str(shown)}
     except _fatal_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, result = EXIT_FATAL, {"error": str(exc)}

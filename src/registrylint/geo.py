@@ -468,7 +468,19 @@ def boundary_clearance_m(lat: float, lon: float, region: Region, stop_at_m: floa
             alat, alon, blat, blon = ends
             latlo, lathi = (alat, blat) if alat <= blat else (blat, alat)
             lonlo, lonhi = (alon, blon) if alon <= blon else (blon, alon)
-            segment_bounds.append((_box_bound_m(lat, lon, coslat, latlo, lathi, lonlo, lonhi, cos_min), ends))
+            # _box_bound_m of the segment's box, inline: the same operations
+            # in the same order, so the same bound bit for bit.
+            if lat < latlo:
+                dlat = latlo - lat
+            elif lat > lathi:
+                dlat = lat - lathi
+            else:
+                dlat = 0.0
+            east = (lon - lonlo) % 360.0
+            dlon = 0.0 if east <= lonhi - lonlo else min(360.0 - east, (lon - lonhi) % 360.0)
+            a = sin(radians(dlat) / 2.0) ** 2 + coslat * cos_min * sin(radians(dlon) / 2.0) ** 2
+            bound = _EARTH_DIAMETER_M * asin(min(1.0, sqrt(a))) * (1.0 - _BOUND_SLACK) - _BOUND_SLACK_M
+            segment_bounds.append((bound, ends))
         segment_bounds.sort()
         for bound, ends in segment_bounds:
             if bound > best:

@@ -34,6 +34,10 @@ class Technology(str, Enum):
     WIND = "wind"
 
 
+# Each technology by its name, the value of its member.
+TECHNOLOGY_BY_NAME: dict[str, Technology] = {tech.value: tech for tech in Technology}
+
+
 # UnitRecord's fields in order: (name, type, column in the standard export,
 # technologies that carry it; every technology when none is named).
 # technology has no column: a table's technology is given with its path.

@@ -5,8 +5,8 @@ a DSO-verified-subset variant of everything), column completeness, and
 distance-to-boundary histograms for location failures. build_report
 returns them as the summary.json document, a dict of JSON values, and
 export renders every summary file from that one document, and streams
-the failure files line by line. Every CSV file is written by _write_csv,
-where a null is an empty cell and a float its repr. Exports are
+the failure files line by line. Every CSV file is written as _write_csv
+writes it, where a null is an empty cell and a float its repr. Exports are
 deterministic: identical inputs produce byte-identical files.
 """
 
@@ -25,7 +25,15 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .catalog import CHECKED_PAIR_COUNT, CHECKMARKS, MATRIX_CELL_COUNT
-from .model import FailureRecord, FailureSet, RuleOutcome, Technology, columns_for, count_failing_units
+from .model import (
+    TECHNOLOGY_BY_NAME,
+    FailureRecord,
+    FailureSet,
+    RuleOutcome,
+    Technology,
+    columns_for,
+    count_failing_units,
+)
 
 if TYPE_CHECKING:
     from .model import UnitRecord
@@ -227,7 +235,7 @@ _failure_values = itemgetter(*_FAILURE_TYPES)
 _test_values = itemgetter(*_TEST_TYPES)
 _FAILURE_SIGNATURES = frozenset(product(*_FAILURE_TYPES.values()))
 _TEST_SIGNATURES = frozenset(product(*_TEST_TYPES.values()))
-_TECHNOLOGIES = {tech.value: tech for tech in Technology}
+_TECHNOLOGY_NAMES = {tech: tech.value for tech in Technology}
 # The ids of the tests check-marked for each technology.
 _MARKED = {tech: frozenset(tid for tid, techs in CHECKMARKS.items() if tech in techs) for tech in Technology}
 
@@ -254,7 +262,7 @@ def failure_from_json(payload: dict) -> FailureRecord:
     ):
         _check_types(payload, _FAILURE_TYPES)
     unit_id, technology, *context = values
-    tech = _TECHNOLOGIES.get(technology) or Technology(technology)
+    tech = TECHNOLOGY_BY_NAME.get(technology) or Technology(technology)
     marked = _MARKED[tech]
     failed = []
     last = 0  # the previous test's id; check-marked ids are >= 1
@@ -308,22 +316,39 @@ def _json_scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# A failure line's constant text from the unit id to the power, per technology.
+_AFTER_UNIT_ID = {tech: f', "technology": {encode_basestring(tech.value)}, "power_kw": ' for tech in Technology}
+
+
+def _test_json(outcome: RuleOutcome) -> str:
+    """One test's object in a failures.ndjson line, rendered as _failure_line renders."""
+    j, text = _json_scalar, encode_basestring
+    _, test_id, _, detail, measured, unit = outcome
+    return (
+        f'{{"test_id": {test_id if test_id.__class__ is int else j(test_id)}, '
+        f'"detail": {text(detail) if detail.__class__ is str else j(detail)}, '
+        f'"measured": {measured if measured.__class__ is float and -_FLOAT_MAX <= measured <= _FLOAT_MAX else j(measured)}, '
+        f'"measured_unit": {text(unit) if unit.__class__ is str else j(unit)}}}'
+    )
+
+
 def _failure_line(fr: FailureRecord) -> str:
     """The failures.ndjson line of fr, which failure_from_json reads back:
     what json.dumps(..., ensure_ascii=False) writes of the object with the
     keys of _FAILURE_TYPES and "tests", each test with the keys of
     _TEST_TYPES, and a newline. It is rendered value by value, without a
-    dict or a JSONEncoder."""
-    j = _json_scalar
-    tests = ", ".join([
-        f'{{"test_id": {j(o.test_id)}, "detail": {j(o.detail)}, "measured": {j(o.measured)}, '
-        f'"measured_unit": {j(o.measured_unit)}}}'
-        for o in fr.failed
-    ])
+    dict or a JSONEncoder: text with json's string encoder, an int's or a
+    finite float's repr by formatting, the technology with the constant
+    text around it, and any other value by _json_scalar."""
+    j, text = _json_scalar, encode_basestring
+    unit_id, technology, power, district, municipality, dso, failed = fr
+    tests = _test_json(failed[0]) if len(failed) == 1 else ", ".join(map(_test_json, failed))
     return (
-        f'{{"unit_id": {j(fr.unit_id)}, "technology": {j(fr.technology.value)}, "power_kw": {j(fr.power_kw)}, '
-        f'"district_id": {j(fr.district_id)}, "municipality_id": {j(fr.municipality_id)}, '
-        f'"dso_inspected": {j(fr.dso_inspected)}, "tests": [{tests}]}}\n'
+        f'{{"unit_id": {text(unit_id) if unit_id.__class__ is str else j(unit_id)}{_AFTER_UNIT_ID[technology]}'
+        f'{power if power.__class__ is float and -_FLOAT_MAX <= power <= _FLOAT_MAX else j(power)}, '
+        f'"district_id": {text(district) if district.__class__ is str else j(district)}, '
+        f'"municipality_id": {text(municipality) if municipality.__class__ is str else j(municipality)}'
+        f', "dso_inspected": {"true" if dso is True else "false" if dso is False else j(dso)}, "tests": [{tests}]}}\n'
     )
 
 
@@ -350,20 +375,51 @@ _FAILURES_CSV_HEADER = (
 
 
 def _failure_rows(failures: Iterable[FailureRecord]) -> Iterable[tuple]:
-    """The failures.csv rows, one per failure."""
-    for fr in failures:
-        failed = fr.failed
-        yield (
-            fr.unit_id,
-            fr.technology.value,
-            ";".join([str(o.test_id) for o in failed]),
-            ";".join([o.detail for o in failed]),
-            ";".join(["" if o.measured is None else repr(o.measured) for o in failed]),
-            ";".join([o.measured_unit or "" for o in failed]),
-            fr.power_kw,
-            fr.district_id,
-            fr.municipality_id,
+    """The failures.csv rows, one per failure; a unit's tests are joined
+    by ";" in each test column, and a one-test failure's values need no join."""
+    for unit_id, technology, power, district, municipality, _, failed in failures:
+        if len(failed) == 1:
+            (_, test_id, _, detail, measured, unit), = failed
+            tests = (str(test_id), detail, "" if measured is None else repr(measured), unit or "")
+        else:
+            tests = (
+                ";".join([str(o.test_id) for o in failed]),
+                ";".join([o.detail for o in failed]),
+                ";".join(["" if o.measured is None else repr(o.measured) for o in failed]),
+                ";".join([o.measured_unit or "" for o in failed]),
+            )
+        yield (unit_id, _TECHNOLOGY_NAMES[technology], *tests, power, district, municipality)
+
+
+def _write_failures_csv(handle: IO[str], failures: Iterable[FailureRecord]) -> None:
+    """failures.csv, the bytes _write_csv writes of the _failure_rows.
+
+    A row is rendered here when its text holds no quote, CR, LF or NUL
+    (whose handling differs between Python versions' csv modules) and no
+    comma outside its detail: csv's minimal quoting then quotes the detail
+    alone, if it holds a comma, and writes any other cell as its str, None
+    as nothing. The writer writes every other row.
+    """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(_FAILURES_CSV_HEADER)
+    write = handle.write
+    for row in _failure_rows(failures):
+        unit_id, technology, test_ids, detail, measured, unit, power, district, municipality = row
+        head = f'{"" if unit_id is None else unit_id},{technology},{test_ids}'
+        tail = (
+            f'{measured},{unit},{"" if power is None else power},'
+            f'{"" if district is None else district},{"" if municipality is None else municipality}'
         )
+        line = f"{head},{detail},{tail}"
+        if (
+            detail.__class__ is not str or head.count(",") != 2 or tail.count(",") != 4
+            or '"' in line or "\r" in line or "\n" in line or "\0" in line
+        ):
+            writer.writerow(row)
+        elif "," in detail:
+            write(f'{head},"{detail}",{tail}\n')
+        else:
+            write(line + "\n")
 
 
 def summary_json(summary: dict) -> str:
@@ -442,7 +498,7 @@ def export(
                 handle.writelines(map(_failure_line, failures))
         if "csv" in formats:
             with open_tmp("failures.csv") as handle:
-                _write_csv(handle, _FAILURES_CSV_HEADER, _failure_rows(failures))
+                _write_failures_csv(handle, failures)
         if "summary" in formats:
             with open_tmp("summary.json") as handle:
                 handle.write(summary_json(summary) if summary_text is None else summary_text)

@@ -44,6 +44,7 @@ from .model import (  # count_failing_units is exposed here too
     FIELD_POS,
     POWER_FIELD,
     RECORD_FIELDS,
+    TECHNOLOGY_BY_NAME,
     FailureRecord,
     FailureSet,
     RuleOutcome,
@@ -613,7 +614,7 @@ def run_blocks(
     # collector stops tracking these tuples at its first pass.
     first_seen: dict[str, tuple] = {}  # unit id -> meta of its first row
     duplicates: dict[str, list[tuple]] = {}
-    failing: dict[tuple, list[RuleOutcome]] = {}  # meta -> failed tests
+    failing: dict[int, list] = {}  # a failing row's ordinal -> [its meta, its failed tests...]
     first_of = first_seen.setdefault
     ordinal = 0
     for count, block in blocks:
@@ -630,7 +631,7 @@ def run_blocks(
         for check in checks:
             results = check(block)
             for meta, outcome in compress(zip(metas, results), results):
-                failing.setdefault(meta, []).append(outcome)
+                failing.setdefault(meta[0], [meta]).append(outcome)
         if None in ids:  # rows without an id are test 1's concern, not test 2's
             kept = list(map(is_not, ids, repeat(None)))
             ids, metas = list(compress(ids, kept)), list(compress(metas, kept))
@@ -644,10 +645,18 @@ def run_blocks(
     for uid, members in duplicates.items():
         outcome = _duplicate_id(uid, len(members))
         for meta in members:
-            failing.setdefault(meta, []).append(outcome)
+            failing.setdefault(meta[0], [meta]).append(outcome)
 
     failures: list[FailureRecord] = []
-    for meta, outcomes in sorted(failing.items(), key=lambda item: (item[0][1] or "", item[0][0])):
-        outcomes.sort(key=lambda o: o.test_id)
-        failures.append(FailureRecord(meta[1], Technology(meta[2]), *meta[3:], tuple(outcomes)))
+    by_test_id = itemgetter(1)  # a RuleOutcome's test_id
+    # tuple.__new__ builds each FailureRecord without NamedTuple's
+    # Python-level __new__, from its 7 fields in order.
+    new = tuple.__new__
+    for meta, *outcomes in sorted(failing.values(), key=lambda entry: (entry[0][1] or "", entry[0][0])):
+        if len(outcomes) > 1:
+            outcomes.sort(key=by_test_id)
+        _, uid, name, power, district, municipality, dso = meta
+        failures.append(
+            new(FailureRecord, (uid, TECHNOLOGY_BY_NAME[name], power, district, municipality, dso, tuple(outcomes)))
+        )
     return FailureSet(failures, dict(totals), dict(dso_totals), evaluated)

@@ -505,6 +505,35 @@ class TestUsageErrors:
         assert json.loads(line)["error"]
         assert "usage:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--help"], "registrylint"),
+            (["validate", "--help"], "validate"),
+            (["report", "-h"], "report"),
+            (["synth", "--help"], "synth"),
+        ],
+        ids=["top", "validate", "report", "synth"],
+    )
+    def test_help_goes_to_stderr_with_one_json_line(self, capsys, argv, name):
+        assert main(argv) == EXIT_CLEAN
+        captured = capsys.readouterr()
+        (line,) = captured.out.strip().splitlines()
+        assert json.loads(line) == {"help": name}
+        assert captured.err.startswith("usage:")
+
+    def test_help_loads_neither_the_reader_nor_the_geometry_kernel(self):
+        # --help runs no command and raises no fatal error, so main() does
+        # not import the modules whose errors it would report.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import registrylint.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = registrylint.cli.main(['validate', '--help'])\n"
+            "print(json.dumps([code, [m for m in ('registrylint.geo', 'registrylint.ingest') if m in sys.modules]]))"
+        )
+        assert _fresh_interpreter(code) == [EXIT_CLEAN, []]
+
 
 def _wind_factor(field: str, factor) -> dict:
     """A run configuration mapping wind as by default, with one unit factor set."""

@@ -658,8 +658,8 @@ class TestBlockClearance:
 
     @pytest.mark.parametrize("name", ["ring-3", "ring-15", "ring-16", "rectangle"])
     def test_one_block_region_takes_no_block_bound(self, name, monkeypatch):
-        # One _box_bound_m call per segment: one fewer than a search that
-        # also bounds the block, with the same distances bit for bit.
+        # No _box_bound_m call: the search bounds each segment inline and
+        # ranks no block, with the same distances bit for bit.
         region = block_fixture_regions()[name]
         rng = random.Random(name)
         queries = _kernel_queries(rng, region, 20) + _far_queries(rng, region, 10)
@@ -676,8 +676,30 @@ class TestBlockClearance:
             before = calls
             clearance = boundary_clearance_m(lat, lon, region)
             assert len(region._prepared.block_box) == 1
-            assert calls - before == len(region._prepared.segments) // 4
+            assert calls - before == 0
             assert clearance.hex() == exhaustive_clearance_m(lat, lon, region).hex(), (lat, lon)
+
+    @pytest.mark.parametrize("name", ["ring-17", "ring-33", "multipart-holed"])
+    def test_a_region_of_many_blocks_bounds_each_block_once(self, name, monkeypatch):
+        # The blocks are ranked by _box_bound_m, one call each, and no
+        # segment's bound calls it.
+        region = block_fixture_regions()[name]
+        rng = random.Random(name)
+        queries = _kernel_queries(rng, region, 20) + _far_queries(rng, region, 10)
+        calls = 0
+        box_bound_m = geo._box_bound_m
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return box_bound_m(*args)
+
+        monkeypatch.setattr(geo, "_box_bound_m", counted)
+        for lat, lon in queries:
+            before = calls
+            boundary_clearance_m(lat, lon, region)
+            assert len(region._prepared.block_box) > 1
+            assert calls - before == len(region._prepared.block_box)
 
 
 def _table_segments(region: Region) -> list[tuple[LatLon, LatLon]]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from registrylint.catalog import CHECKMARKS
 from registrylint.model import FailureRecord, RuleOutcome, Technology, UnitRecord
@@ -20,6 +20,7 @@ from registrylint.report import (
     ReportError,
     _failure_line,
     _histogram_csv,
+    _write_failures_csv,
     _json_line,
     _lowest_terms,
     build_report,
@@ -438,6 +439,12 @@ def _parent_failures_csv(failures) -> str:
     return buf.getvalue()
 
 
+def _with_detail(detail: str) -> FailureRecord:
+    """A one-test failure with the given detail."""
+    fr = _location_failure("SEE900000000007", 12_345.6)
+    return fr._replace(failed=(fr.failed[0]._replace(detail=detail),))
+
+
 class TestStreamedFailureFiles:
     """export streams the failure files; their bytes are json.dumps's and
     the csv module's, as when each file was rendered whole."""
@@ -446,6 +453,29 @@ class TestStreamedFailureFiles:
     @given(fr=_failure_records)
     def test_ndjson_line_is_json_dumps(self, fr):
         assert _failure_line(fr) == json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(fr=_failure_records)
+    @example(fr=_location_failure("SEE900000000007", 12_345.6))
+    @example(fr=_location_failure("SEE900000000007", 12_345.6, power_kw=None, district="1,2"))
+    @example(fr=_location_failure("a,b", 0.0, power_kw=-0.0))
+    @example(fr=_with_detail("power 2 kW outside [3, 4] kW"))
+    @example(fr=_with_detail('say "hi", twice'))
+    @example(fr=_with_detail("line\rbreak, again"))
+    @example(fr=_with_detail("nul\x00, inside"))
+    def test_failures_csv_rows_are_the_writers_bytes(self, fr):
+        # The rows rendered without the csv writer and the rows it writes
+        # alike; where it refuses a value (Python 3.10 refuses a NUL), the
+        # file refuses it too.
+        buf = io.StringIO()
+        try:
+            expected = _parent_failures_csv([fr])
+        except csv.Error:
+            with pytest.raises(csv.Error):
+                _write_failures_csv(buf, [fr])
+            return
+        _write_failures_csv(buf, [fr])
+        assert buf.getvalue() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(failures=st.lists(_failure_records, max_size=5))
@@ -555,3 +585,21 @@ class TestHistogramEdges:
         edges = [tuple(map(float, row.split(",")[:2])) for row in _histogram_csv(hist).splitlines()[1:-1]]
         assert edges[0] == (0.0, 7.0)
         assert edges[-1][1] >= 60.0
+
+
+def test_reference_failures_render_again_byte_for_byte(reference_tables, tmp_path):
+    # The renderer on the values validate gives: the reference fixture's
+    # failure files, read back and exported again, are the same bytes.
+    from registrylint.cli import main
+
+    argv = ["validate", "--out", str(tmp_path / "run")]
+    for tech in Technology:
+        argv += ["--input", f"{tech.value}={reference_tables / f'{tech.value}.csv'}"]
+    argv += ["--districts", str(reference_tables / "districts.geojson")]
+    argv += ["--municipalities", str(reference_tables / "municipalities.geojson")]
+    assert main(argv) == 1
+    failures = load_failures_ndjson(tmp_path / "run" / "failures.ndjson")
+    assert len(failures) > 10 and any(len(fr.failed) > 1 for fr in failures)
+    export(failures, {}, tmp_path / "again", formats=("ndjson", "csv"))
+    for name in ("failures.ndjson", "failures.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
