@@ -49,12 +49,12 @@ class CatalogTest(NamedTuple):
 
         return getattr(rules, self.compiler)
 
-    def fail(self, unit_id: str | None, detail: str, measured: float | None = None) -> RuleOutcome:
+    def fail(self, detail: str, measured: float | None = None) -> RuleOutcome:
         """The test's failing outcome. A measured value beyond the float
         range is null, since JSON has no number for it."""
         if measured is not None and not math.isfinite(measured):
             measured = None
-        return RuleOutcome(unit_id, self.test_id, False, detail, measured, None if measured is None else self.unit)
+        return RuleOutcome(self.test_id, detail, measured, None if measured is None else self.unit)
 
 
 def field_of(name: str, tech: Technology) -> str:

@@ -192,6 +192,8 @@ def cmd_synth(args) -> tuple[int, dict]:
     technologies = (
         tuple(Technology(t) for t in args.technology) if args.technology else tuple(Technology)
     )
+    if repeated := [tech.value for tech, n in Counter(technologies).items() if n > 1]:
+        raise ConfigError(f"duplicate --technology {repeated[0]}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     boundaries = make_boundary_grid()

@@ -239,11 +239,11 @@ POWER_FIELD: dict[Technology, str] = {
 
 
 class RuleOutcome(NamedTuple):
-    """Verdict of one data test applied to one unit."""
+    """One failed data test of a unit: the test object of a failures.ndjson
+    line, in its key order. The unit id is the enclosing FailureRecord's;
+    a passing check gives None, not an outcome."""
 
-    unit_id: str | None
     test_id: int
-    passed: bool
     detail: str
     measured: float | None = None
     measured_unit: str | None = None

@@ -200,9 +200,9 @@ def build_report(
 
 
 # The keys of a failure line (in FailureRecord's field order) and of each
-# of its tests, in the order _failure_line writes them, with the types
-# their values may have. JSON gives these exact types, so a boolean is no
-# number.
+# of its tests (RuleOutcome's fields), in the order _failure_line writes
+# them, with the types their values may have. JSON gives these exact types,
+# so a boolean is no number.
 _TEXT = (str, type(None))
 _NUMBER = (int, float, type(None))
 _FLOAT_MAX = sys.float_info.max
@@ -283,10 +283,10 @@ def failure_from_json(payload: dict) -> FailureRecord:
             # The suite runs a test only for the technologies it is check-marked for.
             if t["test_id"] not in marked:
                 raise ValueError(f"test {t['test_id']} is not check-marked for {technology}")
-        test_id, detail, measured, measured_unit = test
+        test_id = test[0]
         in_order = in_order and test_id > last
         last = test_id
-        failed.append(RuleOutcome(unit_id, test_id, False, detail, measured, measured_unit))
+        failed.append(tuple.__new__(RuleOutcome, test))  # the screened values, in RuleOutcome's field order
     # The suite runs each test once and lists a failing unit's tests by id.
     if not (failed and in_order):
         raise ValueError(f"tests {[o.test_id for o in failed]} are not one or more distinct ids in ascending order")
@@ -323,7 +323,7 @@ _AFTER_UNIT_ID = {tech: f', "technology": {encode_basestring(tech.value)}, "powe
 def _test_json(outcome: RuleOutcome) -> str:
     """One test's object in a failures.ndjson line, rendered as _failure_line renders."""
     j, text = _json_scalar, encode_basestring
-    _, test_id, _, detail, measured, unit = outcome
+    test_id, detail, measured, unit = outcome
     return (
         f'{{"test_id": {test_id if test_id.__class__ is int else j(test_id)}, '
         f'"detail": {text(detail) if detail.__class__ is str else j(detail)}, '
@@ -379,7 +379,7 @@ def _failure_rows(failures: Iterable[FailureRecord]) -> Iterable[tuple]:
     by ";" in each test column, and a one-test failure's values need no join."""
     for unit_id, technology, power, district, municipality, _, failed in failures:
         if len(failed) == 1:
-            (_, test_id, _, detail, measured, unit), = failed
+            (test_id, detail, measured, unit), = failed
             tests = (str(test_id), detail, "" if measured is None else repr(measured), unit or "")
         else:
             tests = (

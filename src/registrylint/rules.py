@@ -9,10 +9,9 @@ spans 15 x 6 = 90 test instances, of which 53 check-marked cells run.
 
 Each test's row (id, fields read, unit, and the name of the function
 here that compiles its check) lives in catalog.CATALOG, the only
-definition of the tests and of the fields they read; rules exposes the
-table, the check-mark matrix and its counts under the same names. The
-suite loop, the matrix and the fields a run's column mapping must give
-all follow from it. Checks run a block at a time: a block holds rows of
+definition of the tests and of the fields they read. The suite loop,
+the matrix and the fields a run's column mapping must give all follow
+from it. Checks run a block at a time: a block holds rows of
 one technology as columns, one per record field, and a check is a pure
 function of a block that gives one result per row. The suite
 (run_blocks) takes the reader's blocks as they come, and run_suite
@@ -28,18 +27,16 @@ from itertools import compress, groupby, islice, repeat
 from operator import attrgetter, is_, is_not, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, get_args, get_origin
 
-from .catalog import (  # CatalogTest, the matrix counts and ConfigError are exposed here too
+from .catalog import (
     CATALOG,
-    CHECKED_PAIR_COUNT,
     CHECKMARKS,
-    MATRIX_CELL_COUNT,
     UNIQUE_IDS,
     CatalogTest,
     ConfigError,
     field_of,
 )
 from .geo import BoundarySet, buffer_clearance_m
-from .model import (  # count_failing_units is exposed here too
+from .model import (
     BLOCK_ROWS,
     FIELD_POS,
     POWER_FIELD,
@@ -50,7 +47,6 @@ from .model import (  # count_failing_units is exposed here too
     RuleOutcome,
     Technology,
     columns_for,
-    count_failing_units,
 )
 
 if TYPE_CHECKING:
@@ -216,8 +212,9 @@ class Boundaries(NamedTuple):
 Check = Callable[[Sequence[Sequence]], list]
 
 
-def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple]:
-    """A block's columns of two or more named fields, as a tuple."""
+def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple | Sequence]:
+    """A block's columns of the named fields: a tuple of two or more, or
+    the bare column of one."""
     return itemgetter(*(FIELD_POS[name] for name in names))
 
 
@@ -225,15 +222,14 @@ def _required_fields(config, tech, boundaries, fail):
     """Test 1: required fields must not be null ("power" is the rated power)."""
     names = config.required_fields
     positions = [FIELD_POS[field_of(name, tech)] for name in names]
-    unit_ids = FIELD_POS["unit_id"]
 
     def check(block):
-        rows = zip(*[block[pos] for pos in positions]) if positions else repeat(())
+        rows = zip(*[block[pos] for pos in positions]) if positions else repeat((), len(block[_TECHNOLOGY]))
         return [
             None
             if None not in values
-            else fail(uid, "null required fields: " + ", ".join(compress(names, map(is_, values, repeat(None)))))
-            for uid, values in zip(block[unit_ids], rows)
+            else fail("null required fields: " + ", ".join(compress(names, map(is_, values, repeat(None)))))
+            for values in rows
         ]
 
     return check
@@ -241,14 +237,14 @@ def _required_fields(config, tech, boundaries, fail):
 
 def _gross_vs_net(config, tech, boundaries, fail):
     """Test 3: gross power must be at least net power."""
-    columns = _columns("unit_id", "power_gross_kw", "power_net_kw")
+    columns = _columns("power_gross_kw", "power_net_kw")
 
     def check(block):
         return [
-            fail(uid, f"gross power {gross} kW below net power {net} kW", net - gross)
+            fail(f"gross power {gross} kW below net power {net} kW", net - gross)
             if gross is not None and net is not None and gross < net
             else None
-            for uid, gross, net in zip(*columns(block))
+            for gross, net in zip(*columns(block))
         ]
 
     return check
@@ -256,14 +252,14 @@ def _gross_vs_net(config, tech, boundaries, fail):
 
 def _inverter_vs_net(config, tech, boundaries, fail):
     """Test 4: inverter power must be at least net power."""
-    columns = _columns("unit_id", "power_inverter_kw", "power_net_kw")
+    columns = _columns("power_inverter_kw", "power_net_kw")
 
     def check(block):
         return [
-            fail(uid, f"inverter power {inverter} kW below net power {net} kW", net - inverter)
+            fail(f"inverter power {inverter} kW below net power {net} kW", net - inverter)
             if inverter is not None and net is not None and inverter < net
             else None
-            for uid, inverter, net in zip(*columns(block))
+            for inverter, net in zip(*columns(block))
         ]
 
     return check
@@ -289,7 +285,7 @@ def _id_formats(config, tech, boundaries, fail):
         return [
             None
             if (uid is None or unit_id_ok(uid)) and mid not in bad_mids and code not in bad_codes
-            else fail(uid, "fields not matching pattern: " + bad(uid, mid, code))
+            else fail("fields not matching pattern: " + bad(uid, mid, code))
             for uid, mid, code in zip(uids, mids, codes)
         ]
 
@@ -299,19 +295,19 @@ def _id_formats(config, tech, boundaries, fail):
 def _module_power(config, tech, boundaries, fail):
     """Test 6: gross power per module within the accepted range."""
     low, high = config.module_power_range_w
-    columns = _columns("unit_id", "power_gross_kw", "number_of_modules")
+    columns = _columns("power_gross_kw", "number_of_modules")
 
     # Each row's value is named by := in the condition, which is evaluated first.
     def check(block):
         return [
             None
             if gross is None or modules is None
-            else fail(uid, "zero modules")
+            else fail("zero modules")
             if modules == 0
             else None
             if low <= (per_module_w := gross * 1000.0 / modules) <= high
-            else fail(uid, f"{per_module_w:.1f} W per module outside [{low:g}, {high:g}] W", per_module_w)
-            for uid, gross, modules in zip(*columns(block))
+            else fail(f"{per_module_w:.1f} W per module outside [{low:g}, {high:g}] W", per_module_w)
+            for gross, modules in zip(*columns(block))
         ]
 
     return check
@@ -324,18 +320,18 @@ def _inverter_ratio(config, tech, boundaries, fail):
     does not depend on which of the fields carries the error.
     """
     factor = config.inverter_ratio_factor
-    columns = _columns("unit_id", "power_gross_kw", "power_inverter_kw")
+    columns = _columns("power_gross_kw", "power_inverter_kw")
 
     def check(block):
         return [
             None
             if gross is None or inverter is None
-            else fail(uid, "zero power")
+            else fail("zero power")
             if gross == 0 or inverter == 0
-            else fail(uid, f"gross/inverter power differ by factor {ratio:.1f}", ratio)
+            else fail(f"gross/inverter power differ by factor {ratio:.1f}", ratio)
             if (ratio := max(gross / inverter, inverter / gross)) >= factor
             else None
-            for uid, gross, inverter in zip(*columns(block))
+            for gross, inverter in zip(*columns(block))
         ]
 
     return check
@@ -345,18 +341,18 @@ def _area_density(config, tech, boundaries, fail):
     """Test 8: power density of ground-mounted PV within the accepted range."""
     ground_types = config.ground_unit_types
     low, high = config.area_density_range_mw_per_ha
-    columns = _columns("unit_id", "unit_type", "power_gross_kw", "area_ha")
+    columns = _columns("unit_type", "power_gross_kw", "area_ha")
 
     def check(block):
         return [
             None
             if unit_type not in ground_types or gross is None or area is None
-            else fail(uid, "non-positive area")
+            else fail("non-positive area")
             if area <= 0
             else None
             if low <= (density := gross / 1000.0 / area) <= high
-            else fail(uid, f"{density:.3f} MW/ha outside [{low:g}, {high:g}] MW/ha", density)
-            for uid, unit_type, gross, area in zip(*columns(block))
+            else fail(f"{density:.3f} MW/ha outside [{low:g}, {high:g}] MW/ha", density)
+            for unit_type, gross, area in zip(*columns(block))
         ]
 
     return check
@@ -373,20 +369,20 @@ def _swept_area_m2(diameter: float) -> float:
 def _rotor_power(config, tech, boundaries, fail):
     """Test 9: wind power per rotor swept area within the accepted range."""
     low, high = config.rotor_specific_power_range_w_per_m2
-    columns = _columns("unit_id", "power_kw", "rotor_diameter_m")
+    columns = _columns("power_kw", "rotor_diameter_m")
 
     def check(block):
         return [
             None
             if power is None or diameter is None
-            else fail(uid, "non-positive rotor diameter")
+            else fail("non-positive rotor diameter")
             if diameter <= 0
-            else fail(uid, "rotor swept area rounds to zero")
+            else fail("rotor swept area rounds to zero")
             if (swept := _swept_area_m2(diameter)) == 0.0
             else None
             if low <= (specific := power * 1000.0 / swept) <= high
-            else fail(uid, f"{specific:.1f} W/m2 outside [{low:g}, {high:g}] W/m2", specific)
-            for uid, power, diameter in zip(*columns(block))
+            else fail(f"{specific:.1f} W/m2 outside [{low:g}, {high:g}] W/m2", specific)
+            for power, diameter in zip(*columns(block))
         ]
 
     return check
@@ -405,19 +401,19 @@ def _location(level_name: str, region_field: str):
         if level is None:
             return None
         region_of, buffer_m, name = level.regions.get, config.buffer_m, level.level
-        columns = _columns("unit_id", "coordinate", region_field)
+        columns = _columns("coordinate", region_field)
 
         def check(block):
-            ids, coordinates, region_ids = columns(block)
+            coordinates, region_ids = columns(block)
             return [
                 None
                 if coordinate is None or region_id is None
-                else fail(uid, f"unknown region key {region_id!r} ({name})")
+                else fail(f"unknown region key {region_id!r} ({name})")
                 if region is None
                 else None
                 if (clearance := buffer_clearance_m(coordinate[0], coordinate[1], region, buffer_m)) is None
-                else fail(uid, f"coordinate {clearance:.0f} m outside registered {name} {region_id}", clearance)
-                for uid, coordinate, region_id, region in zip(ids, coordinates, region_ids, map(region_of, region_ids))
+                else fail(f"coordinate {clearance:.0f} m outside registered {name} {region_id}", clearance)
+                for coordinate, region_id, region in zip(coordinates, region_ids, map(region_of, region_ids))
             ]
 
         return check
@@ -436,14 +432,14 @@ def _power_range(config, tech, boundaries, fail):
     """
     low_mw, high_mw = config.power_range_mw[tech]
     low_kw, high_kw = low_mw * 1000.0, high_mw * 1000.0
-    columns = _columns("unit_id", POWER_FIELD[tech])
+    column = _columns(POWER_FIELD[tech])
 
     def check(block):
         return [
             None
             if power is None or low_kw < power <= high_kw
-            else fail(uid, f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
-            for uid, power in zip(*columns(block))
+            else fail(f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
+            for power in column(block)
         ]
 
     return check
@@ -452,14 +448,14 @@ def _power_range(config, tech, boundaries, fail):
 def _installation_year(config, tech, boundaries, fail):
     """Test 13: installation year within the technology's accepted window."""
     low, high = config.year_min[tech], config.year_max
-    columns = _columns("unit_id", "installation_year")
+    column = _columns("installation_year")
 
     def check(block):
         return [
             None
             if year is None or low <= year <= high
-            else fail(uid, f"installation year {year} outside [{low}, {high}]", float(year))
-            for uid, year in zip(*columns(block))
+            else fail(f"installation year {year} outside [{low}, {high}]", float(year))
+            for year in column(block)
         ]
 
     return check
@@ -467,16 +463,16 @@ def _installation_year(config, tech, boundaries, fail):
 
 def _hub_height(config, tech, boundaries, fail):
     """Test 14: hub height must not be below the rotor radius."""
-    columns = _columns("unit_id", "hub_height_m", "rotor_diameter_m")
+    columns = _columns("hub_height_m", "rotor_diameter_m")
 
     def check(block):
         return [
             None
             if hub is None or diameter is None
-            else fail(uid, f"hub height {hub:g} m below rotor radius {radius:g} m", hub)
+            else fail(f"hub height {hub:g} m below rotor radius {radius:g} m", hub)
             if hub < (radius := diameter / 2.0)
             else None
-            for uid, hub, diameter in zip(*columns(block))
+            for hub, diameter in zip(*columns(block))
         ]
 
     return check
@@ -486,12 +482,13 @@ def _balcony_power(config, tech, boundaries, fail):
     """Test 15: balcony PV must stay small.
 
     Balcony-typed units: net power up to the legal limit plus tolerance.
-    Units merely named like balcony installations get a looser cap.
+    Units merely named like balcony installations get a looser cap; a
+    keyword matches the name in any case.
     """
     cap = config.balcony_limit_kw + config.balcony_tolerance_kw
     name_cap = config.balcony_name_limit_kw
-    unit_types, keywords = config.balcony_unit_types, config.balcony_keywords
-    columns = _columns("unit_id", "power_net_kw", "unit_type", "unit_name")
+    unit_types, keywords = config.balcony_unit_types, tuple(k.lower() for k in config.balcony_keywords)
+    columns = _columns("power_net_kw", "unit_type", "unit_name")
 
     def problems(net, unit_type, name):
         found = ()
@@ -505,8 +502,8 @@ def _balcony_power(config, tech, boundaries, fail):
         return [
             None
             if net is None or not (net > cap or net > name_cap) or not (found := problems(net, unit_type, name))
-            else fail(uid, " / ".join(found), net)
-            for uid, net, unit_type, name in zip(*columns(block))
+            else fail(" / ".join(found), net)
+            for net, unit_type, name in zip(*columns(block))
         ]
 
     return check
@@ -519,9 +516,9 @@ def fields_read(config: RuleConfig, technology: Technology) -> frozenset[str]:
     return frozenset(field_of(name, technology) for name in (*names, *config.required_fields))
 
 
-def _duplicate_id(unit_id: str, count: int) -> RuleOutcome:
+def _duplicate_id(count: int) -> RuleOutcome:
     """Test 2's failure for each of `count` records sharing a unit id."""
-    return UNIQUE_IDS.fail(unit_id, f"duplicate unit id ({count} records)", float(count))
+    return UNIQUE_IDS.fail(f"duplicate unit id ({count} records)", float(count))
 
 
 def _compile(
@@ -642,13 +639,13 @@ def run_blocks(
                 duplicates.setdefault(meta[1], [first]).append(meta)
 
     # Suite-level test 2: every row of a duplicate-id group fails.
-    for uid, members in duplicates.items():
-        outcome = _duplicate_id(uid, len(members))
+    for members in duplicates.values():
+        outcome = _duplicate_id(len(members))
         for meta in members:
             failing.setdefault(meta[0], [meta]).append(outcome)
 
     failures: list[FailureRecord] = []
-    by_test_id = itemgetter(1)  # a RuleOutcome's test_id
+    by_test_id = itemgetter(0)  # a RuleOutcome's test_id
     # tuple.__new__ builds each FailureRecord without NamedTuple's
     # Python-level __new__, from its 7 fields in order.
     new = tuple.__new__

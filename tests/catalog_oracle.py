@@ -8,7 +8,7 @@ takes a record and the config and returns None for a pass or the failure's
 measured value, where UNMEASURED stands for a failure that measures
 nothing. A measured value that is not finite is reported as None, as JSON
 has no number for it. check_unique_ids gives test 2's failing outcomes
-whole, as the suite reports them.
+whole, as the suite reports them, each with its unit id.
 
 The arithmetic of a measured quantity (watts per module, power density,
 specific rotor power, the gross/inverter ratio) is part of the catalog's
@@ -200,7 +200,9 @@ def oracle_15(record: UnitRecord, config: RuleConfig):
     if net is None:
         return None
     typed = record.unit_type in config.balcony_unit_types
-    named = record.unit_name is not None and any(k in record.unit_name.lower() for k in config.balcony_keywords)
+    named = record.unit_name is not None and any(
+        k.lower() in record.unit_name.lower() for k in config.balcony_keywords
+    )
     if typed and net > config.balcony_limit_kw + config.balcony_tolerance_kw:
         return _failure(net)
     if named and net > config.balcony_name_limit_kw:
@@ -244,15 +246,16 @@ def failures(records: list[UnitRecord], config: RuleConfig) -> list[tuple[str | 
     return [(unit_id, failed) for _, unit_id, failed in sorted(found)]
 
 
-def check_unique_ids(records) -> list[RuleOutcome]:
-    """Test 2 on its own, as the suite reports it: one failing outcome per
-    record in a duplicate-id group, by unit id, measuring the group's size
-    in records. Single pass; memory grows with the number of distinct ids
-    only. Records without an id are test 1's concern and are skipped."""
+def check_unique_ids(records) -> list[tuple[str, RuleOutcome]]:
+    """Test 2 on its own, as the suite reports it: a (unit id, failing
+    outcome) pair per record in a duplicate-id group, by unit id, measuring
+    the group's size in records. Single pass; memory grows with the number
+    of distinct ids only. Records without an id are test 1's concern and
+    are skipped."""
     counts = Counter(record.unit_id for record in records if record.unit_id is not None)
     out = []
     for unit_id in sorted(counts):
         n = counts[unit_id]
         if n >= 2:
-            out.extend([RuleOutcome(unit_id, 2, False, f"duplicate unit id ({n} records)", float(n), "records")] * n)
+            out.extend([(unit_id, RuleOutcome(2, f"duplicate unit id ({n} records)", float(n), "records"))] * n)
     return out

@@ -129,27 +129,24 @@ def evaluate_record(
     config: RuleConfig | None = None,
     districts: BoundarySet | None = None,
     municipalities: BoundarySet | None = None,
-) -> list[RuleOutcome]:
-    """All applicable per-record outcomes (passes included), by test id,
-    from the suite's checks run on a block of this one record.
-
-    A check gives a pass as None, which becomes a passing outcome with no
-    measured value; only a failure carries one. Location tests run only for
-    the boundary sets given; test 2 is suite-level.
+) -> dict[int, RuleOutcome | None]:
+    """Each applicable per-record test's result, by test id, from the
+    suite's checks run on a block of this one record: None for a pass, as
+    a check gives it, and the failing RuleOutcome otherwise. Location tests
+    run only for the boundary sets given; test 2 is suite-level.
     """
     checks, _ = _compile(config or RuleConfig(), Boundaries(districts, municipalities))
     block = [[getattr(record, name)] for name in RECORD_FIELDS]
-    outcomes = []
+    results = {}
     for test, check in checks[record.technology]:
-        (result,) = check(block)
-        outcomes.append(RuleOutcome(record.unit_id, test.test_id, True, "") if result is None else result)
-    return outcomes
+        (results[test.test_id],) = check(block)
+    return results
 
 
 def outcome_of(test_id: int, record: UnitRecord, config=None, districts=None, municipalities=None):
-    """One catalog test's outcome for one record, as evaluate_record gives it."""
-    (outcome,) = [o for o in evaluate_record(record, config, districts, municipalities) if o.test_id == test_id]
-    return outcome
+    """One catalog test's result for one record, as evaluate_record gives it:
+    None for a pass. A test that does not apply to the record raises KeyError."""
+    return evaluate_record(record, config, districts, municipalities)[test_id]
 
 
 def location_outcomes(record: UnitRecord, districts, municipalities, config=None):

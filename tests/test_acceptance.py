@@ -11,11 +11,12 @@ import random
 import time
 from dataclasses import replace
 
+from registrylint.catalog import MATRIX_CELL_COUNT
 from registrylint.cli import EXIT_FAILURES, main
 from registrylint.geo import EARTH_RADIUS_M, contains_with_buffer, distance_to_boundary
 from registrylint.model import Technology
 from registrylint.report import distance_histogram, percent
-from registrylint.rules import CHECKMARKS, MATRIX_CELL_COUNT, RuleConfig, run_suite
+from registrylint.rules import CHECKMARKS, RuleConfig, run_suite
 from registrylint.synth import ErrorInjectionSpec, generate_clean, inject_errors, make_boundary_grid
 
 from catalog_oracle import check_unique_ids
@@ -266,8 +267,8 @@ def test_criterion_1_rule_catalog_fixture_suite(grid, indexed_grid, config):
     failures = []
     for i, (call, expect_pass, measured, rel) in enumerate(cases):
         outcome = call()
-        if outcome.passed is not expect_pass:
-            failures.append(f"case {i}: verdict {outcome.passed}, wanted {expect_pass}")
+        if (outcome is None) is not expect_pass:
+            failures.append(f"case {i}: verdict {outcome is None}, wanted {expect_pass}")
         elif measured is not None:
             if outcome.measured is None:
                 failures.append(f"case {i}: measured missing")
@@ -407,7 +408,7 @@ def test_criterion_3_buffer_semantics(grid, indexed_grid, config):
         lon_district = 10.5 + lon_offset_deg(distance_m, lat)
         record = replace(record, coordinate=(lat, lon_district))
         out10, _ = location_outcomes(record, districts, municipalities, config)
-        verdicts[distance_m] = (out10.passed, out11.passed)
+        verdicts[distance_m] = (out10 is None, out11 is None)
     ok = verdicts[1400.0] == (True, True) and verdicts[1600.0] == (False, False)
     report_line(3, ok, f"1.4 km: {verdicts[1400.0]}, 1.6 km: {verdicts[1600.0]} (buffer 1500 m)")
     assert ok

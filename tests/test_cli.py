@@ -59,6 +59,16 @@ class TestSynthCommand:
         assert code == EXIT_FATAL
         assert "count" in capsys.readouterr().err
 
+    def test_repeated_technology_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # A repeated technology would write its table once but count its
+        # records and planted errors once per repeat.
+        out = tmp_path / "dup"
+        argv = ["synth", "--count", "50", "--seed", "3", "--error-rate", "0.2", "--out", str(out)]
+        assert main(argv + ["--technology", "wind", "--technology", "wind"]) == EXIT_FATAL
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line) == {"error": "duplicate --technology wind"}
+        assert not out.exists()
+
     def test_seeded_rerun_is_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -67,7 +67,7 @@ def _wind_unit(uid: str, power_kw=2000.0, dso=True, owner=True) -> UnitRecord:
 
 def _location_failure(uid: str, distance_m: float, tech=Technology.WIND, district="10001",
                       power_kw=2000.0, dso=True) -> FailureRecord:
-    outcome = RuleOutcome(uid, 10, False, "outside registered district", distance_m, "m")
+    outcome = RuleOutcome(10, "outside registered district", distance_m, "m")
     return FailureRecord(
         unit_id=uid,
         technology=tech,
@@ -193,7 +193,7 @@ class TestDistanceHistogram:
         fr = FailureRecord(
             unit_id="A", technology=Technology.WIND, power_kw=1.0, district_id=None,
             municipality_id=None, dso_inspected=False,
-            failed=(RuleOutcome("A", 10, False, "unknown region key", None, None),),
+            failed=(RuleOutcome(10, "unknown region key", None, None),),
         )
         hist = distance_histogram([fr])
         assert sum(hist["counts"]) + hist["overflow"] == 0
@@ -256,7 +256,7 @@ _failure_records = st.builds(
     municipality_id=st.none() | _texts,
     dso_inspected=st.booleans(),
     failed=st.lists(
-        st.builds(RuleOutcome, st.none() | _texts, st.integers(), st.just(False), _texts, _values, st.none() | _texts),
+        st.builds(RuleOutcome, st.integers(), _texts, _values, st.none() | _texts),
         min_size=1, max_size=4,
     ).map(tuple),
 )
@@ -298,9 +298,7 @@ def _reference_failure_from_json(payload):
     test_ids = [t["test_id"] for t in tests]
     if not test_ids or test_ids != sorted(set(test_ids)):
         raise ValueError(f"tests {test_ids} are not one or more distinct ids in ascending order")
-    failed = tuple(
-        RuleOutcome(unit_id, t["test_id"], False, t["detail"], t["measured"], t["measured_unit"]) for t in tests
-    )
+    failed = tuple(RuleOutcome(t["test_id"], t["detail"], t["measured"], t["measured_unit"]) for t in tests)
     return FailureRecord(unit_id, tech, *context, failed)
 
 
@@ -587,19 +585,37 @@ class TestHistogramEdges:
         assert edges[-1][1] >= 60.0
 
 
-def test_reference_failures_render_again_byte_for_byte(reference_tables, tmp_path):
-    # The renderer on the values validate gives: the reference fixture's
-    # failure files, read back and exported again, are the same bytes.
+def _validate_reference(reference_tables, out: Path) -> None:
+    """validate on the reference fixture's tables and boundaries, into out."""
     from registrylint.cli import main
 
-    argv = ["validate", "--out", str(tmp_path / "run")]
+    argv = ["validate", "--out", str(out)]
     for tech in Technology:
         argv += ["--input", f"{tech.value}={reference_tables / f'{tech.value}.csv'}"]
     argv += ["--districts", str(reference_tables / "districts.geojson")]
     argv += ["--municipalities", str(reference_tables / "municipalities.geojson")]
     assert main(argv) == 1
+
+
+def test_reference_failures_render_again_byte_for_byte(reference_tables, tmp_path):
+    # The renderer on the values validate gives: the reference fixture's
+    # failure files, read back and exported again, are the same bytes.
+    _validate_reference(reference_tables, tmp_path / "run")
     failures = load_failures_ndjson(tmp_path / "run" / "failures.ndjson")
     assert len(failures) > 10 and any(len(fr.failed) > 1 for fr in failures)
     export(failures, {}, tmp_path / "again", formats=("ndjson", "csv"))
     for name in ("failures.ndjson", "failures.csv"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+def test_a_failed_test_is_the_test_object_of_its_failure_line(reference_tables, tmp_path):
+    # RuleOutcome's fields are the keys of a test object in failures.ndjson,
+    # in order, and reading the file back gives each object as the outcome.
+    _validate_reference(reference_tables, tmp_path / "run")
+    path = tmp_path / "run" / "failures.ndjson"
+    objects = [json.loads(line)["tests"] for line in path.read_text(encoding="utf-8").splitlines()]
+    loaded = load_failures_ndjson(path)
+    assert len(loaded) == len(objects) > 10
+    for fr, tests in zip(loaded, objects):
+        assert all(tuple(obj) == RuleOutcome._fields for obj in tests)
+        assert fr.failed == tuple(RuleOutcome(**obj) for obj in tests)
