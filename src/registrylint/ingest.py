@@ -506,7 +506,7 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
     key = region_key or DEFAULT_REGION_KEYS[level]
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise IngestError(f"{path}: not a GeoJSON file: {exc}") from None

@@ -24,7 +24,7 @@ import math
 import re
 from collections import Counter
 from itertools import compress, groupby, islice, repeat
-from operator import attrgetter, is_, is_not, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, get_args, get_origin
 
 from .catalog import (
@@ -41,7 +41,6 @@ from .model import (
     FIELD_POS,
     POWER_FIELD,
     RECORD_FIELDS,
-    TECHNOLOGY_BY_NAME,
     FailureRecord,
     FailureSet,
     RuleOutcome,
@@ -540,8 +539,8 @@ def _compile(
     return checks, tuple(sorted(evaluated))
 
 
-# The fields of a row's meta besides its unit id and rated power.
-_META_FIELDS = ("district_id", "municipality_id", "grid_operator_inspection")
+# A row's key fields besides its unit id, technology and rated power (whose field differs by technology).
+_KEY_FIELDS = ("district_id", "municipality_id", "grid_operator_inspection")
 
 
 def run_suite(
@@ -562,7 +561,7 @@ def run_suite(
         raise ValueError("jobs must be >= 1")
     config = config or RuleConfig()
     read = {
-        tech: tuple(fields_read(config, tech) | {"technology", "unit_id", POWER_FIELD[tech], *_META_FIELDS})
+        tech: tuple(fields_read(config, tech) | {"technology", "unit_id", POWER_FIELD[tech], *_KEY_FIELDS})
         for tech in Technology
     }
 
@@ -590,70 +589,52 @@ def run_blocks(
     unit id (the row's place in the stream breaks ties), with all failed
     tests listed. Location tests run only when boundary sets are supplied.
     Output is deterministic for identical input and configuration. Memory
-    holds one block, one flat tuple of key fields for the first row per
-    distinct unit id and for every row of a duplicated id, and the
-    failures.
+    holds one block, six lists of every row's key fields (unit id,
+    technology, rated power, district and municipality ids, DSO flag),
+    and the failures; test 2 counts the unit ids once, after the stream.
     """
     compiled, evaluated = _compile(config or RuleConfig(), Boundaries(*(boundaries or ())))
-    # Per technology: its checks, its name for the meta and the meta's columns.
+    # Per technology: its checks and the columns of its key fields.
     plans = {
-        tech: (
-            tuple(check for _, check in pairs),
-            tech.value,
-            _columns("unit_id", POWER_FIELD[tech], *_META_FIELDS),
-        )
+        tech: (tuple(check for _, check in pairs), _columns("unit_id", "technology", POWER_FIELD[tech], *_KEY_FIELDS))
         for tech, pairs in compiled.items()
     }
     totals: Counter[Technology] = Counter()
     dso_totals: Counter[Technology] = Counter()
-    # A row's meta is (ordinal, unit_id, technology value, power_kw,
-    # district_id, municipality_id, dso): atomic values only, so the
-    # collector stops tracking these tuples at its first pass.
-    first_seen: dict[str, tuple] = {}  # unit id -> meta of its first row
-    duplicates: dict[str, list[tuple]] = {}
-    failing: dict[int, list] = {}  # a failing row's ordinal -> [its meta, its failed tests...]
-    first_of = first_seen.setdefault
-    ordinal = 0
+    # One list per key field, in FailureRecord's order: a row's values sit at its place in the stream.
+    keys = ids, techs, powers, districts, municipalities, dsos = ([], [], [], [], [], [])
+    failing: dict[int, list] = {}  # a failing row's place -> its failed tests
     for count, block in blocks:
         tech = block[_TECHNOLOGY][0]
-        checks, name, meta_columns = plans[tech]
-        ids, power, districts, municipalities, inspected = meta_columns(block)
+        checks, key_columns = plans[tech]
+        *columns, inspected = key_columns(block)
         dso = list(map(is_, inspected, repeat(True)))
         totals[tech] += count
-        dso_count = dso.count(True)
-        if dso_count:
-            dso_totals[tech] += dso_count
-        metas = list(zip(range(ordinal, ordinal + count), ids, repeat(name), power, districts, municipalities, dso))
-        ordinal += count
+        if True in dso:
+            dso_totals[tech] += dso.count(True)
+        first = len(ids)
+        for column, values in zip(keys, (*columns, dso)):
+            column += values
         for check in checks:
             results = check(block)
-            for meta, outcome in compress(zip(metas, results), results):
-                failing.setdefault(meta[0], [meta]).append(outcome)
-        if None in ids:  # rows without an id are test 1's concern, not test 2's
-            kept = list(map(is_not, ids, repeat(None)))
-            ids, metas = list(compress(ids, kept)), list(compress(metas, kept))
-        firsts = list(map(first_of, ids, metas))
-        repeated = list(map(is_not, firsts, metas))
-        if True in repeated:
-            for first, meta in compress(zip(firsts, metas), repeated):
-                duplicates.setdefault(meta[1], [first]).append(meta)
+            for row, outcome in compress(enumerate(results, first), results):
+                failing.setdefault(row, []).append(outcome)
 
-    # Suite-level test 2: every row of a duplicate-id group fails.
-    for members in duplicates.values():
-        outcome = _duplicate_id(len(members))
-        for meta in members:
-            failing.setdefault(meta[0], [meta]).append(outcome)
+    # Suite-level test 2, once the stream is read: every row of a unit id
+    # that several rows carry fails. Rows without an id are test 1's concern.
+    shared = {uid: _duplicate_id(n) for uid, n in Counter(ids).items() if n > 1 and uid is not None}
+    for row in compress(range(len(ids)), map(shared.__contains__, ids)):
+        failing.setdefault(row, []).append(shared[ids[row]])
 
     failures: list[FailureRecord] = []
     by_test_id = itemgetter(0)  # a RuleOutcome's test_id
     # tuple.__new__ builds each FailureRecord without NamedTuple's
     # Python-level __new__, from its 7 fields in order.
     new = tuple.__new__
-    for meta, *outcomes in sorted(failing.values(), key=lambda entry: (entry[0][1] or "", entry[0][0])):
+    for row in sorted(failing, key=lambda row: (ids[row] or "", row)):
+        outcomes = failing[row]
         if len(outcomes) > 1:
             outcomes.sort(key=by_test_id)
-        _, uid, name, power, district, municipality, dso = meta
-        failures.append(
-            new(FailureRecord, (uid, TECHNOLOGY_BY_NAME[name], power, district, municipality, dso, tuple(outcomes)))
-        )
+        key = ids[row], techs[row], powers[row], districts[row], municipalities[row], dsos[row]
+        failures.append(new(FailureRecord, (*key, tuple(outcomes))))
     return FailureSet(failures, dict(totals), dict(dso_totals), evaluated)

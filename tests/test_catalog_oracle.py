@@ -186,6 +186,15 @@ def _threshold_records() -> list[UnitRecord]:
     return [replace(record, unit_id=f"SEE9{i:011d}") for i, record in enumerate(found)]
 
 
+def _shared_id_records() -> list[UnitRecord]:
+    """300 wind records whose unit ids cycle through a pool of 5 in runs of
+    3, so that rows 127 and 128, on either side of the first block edge,
+    share one; every 7th id is null. Test 2 must count each id across
+    blocks."""
+    wind = dict(operating_status="In Betrieb", municipality_id="10001000", technology=Technology.WIND, power_kw=2000.0)
+    return [UnitRecord(**wind, unit_id=None if i % 7 == 0 else f"SEE9{(i // 3) % 5:011d}") for i in range(300)]
+
+
 def test_oracle_matrix_is_the_catalog_matrix():
     assert catalog_oracle.APPLIES_TO == CHECKMARKS
     assert rules.CHECKMARKS is CHECKMARKS
@@ -195,6 +204,7 @@ def test_oracle_matrix_is_the_catalog_matrix():
 @settings(max_examples=200, deadline=None)
 @given(records=st.lists(edge_records(), max_size=12))
 @example(records=_threshold_records())
+@example(records=_shared_id_records())
 def test_suite_fails_what_the_oracle_fails(records):
     assert_same_failures(_suite_failures(run_suite(records, None, CONFIG)), catalog_oracle.failures(records, CONFIG))
 

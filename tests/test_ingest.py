@@ -238,6 +238,16 @@ class TestParseRegistry:
         (record,) = read_table(path, Technology.WIND).records
         assert (record.unit_id, record.power_kw) == ("SEE900000000001", 2000.0)
 
+    def test_boundary_byte_order_mark_is_ignored(self, reference_tables, tmp_path):
+        def regions(path, level):
+            return [(region.region_id, region.name, region.polygons) for region in parse_boundaries(path, level)]
+
+        for name, level in (("districts", "district"), ("municipalities", "municipality")):
+            original = reference_tables / f"{name}.geojson"
+            marked = tmp_path / original.name
+            marked.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+            assert regions(marked, level) == regions(original, level)
+
     def test_mapped_column_named_twice_fatal(self, tmp_path):
         path = wind_table_with(tmp_path / "wind.csv", ["power"])
         with pytest.raises(IngestError, match="more than once: power$"):

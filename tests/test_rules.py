@@ -702,7 +702,7 @@ class TestRunSuite:
                 outcomes, key=lambda o: o.test_id
             )
 
-    def test_bookkeeping_peak_stays_under_200_bytes_per_record(self, grid, config):
+    def test_bookkeeping_peak_stays_under_140_bytes_per_record(self, grid, config):
         records = [record for tech in Technology for record in generate_clean(tech, 1000, 11, grid)]
         run_suite(records, None, config)  # warm-up
         # A full collection empties the interpreter's tuple free lists, so
@@ -714,7 +714,7 @@ class TestRunSuite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(records) <= 200
+        assert peak / len(records) <= 140
 
     def test_suite_without_boundaries_skips_location_tests(self, grid, config):
         record = replace(example_record(grid, Technology.WIND), coordinate=(0.0, 0.0))
