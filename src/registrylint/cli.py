@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .catalog import ConfigError
 from .model import Technology
-from .report import ColumnStats, ReportError, build_report, export, load_run
+from .report import DEFAULT_BIN_WIDTH_KM, ColumnStats, ReportError, build_report, export, load_run
 
 CONFIG_ENV_VAR = "REGISTRYLINT_CONFIG"
 _CONFIG_SECTIONS = ("rules", "mapping", "csv", "boundary_keys")
@@ -62,8 +62,8 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"config section {section!r} must be an object")
     _require_known_keys(payload.get("csv", {}), ("delimiter",), "csv key")
     _require_known_keys(payload.get("boundary_keys", {}), tuple(DEFAULT_REGION_KEYS), "boundary_keys level")
-    if not all(isinstance(key, str) for key in payload.get("boundary_keys", {}).values()):
-        raise ConfigError("boundary_keys must map levels to property names (strings)")
+    if not all(isinstance(key, str) and key.strip() for key in payload.get("boundary_keys", {}).values()):
+        raise ConfigError("boundary_keys must map levels to property names (strings that are not blank)")
     return payload
 
 
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="regenerate metrics from exported failures")
     p_report.add_argument("--out", required=True, help="directory holding failures.ndjson")
-    p_report.add_argument("--bin-width", type=float, default=5.0, help="histogram bin width (km)")
+    p_report.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KM, help="histogram bin width (km)")
     p_report.add_argument("--overflow", type=float, default=None, help="histogram overflow (km)")
     p_report.set_defaults(func=cmd_report)
     return parser

@@ -272,7 +272,8 @@ class RegistryReader:
 
     blocks() yields the table as blocks of BLOCK_ROWS rows, each a list of
     columns, one per field in RECORD_FIELDS order, with its row count;
-    iterating the reader yields UnitRecords built from those blocks.
+    iterating the reader yields a UnitRecord per row of those blocks, each
+    built by UnitRecord's __init__ and so checked by its __post_init__.
     Issues, row totals, rejected-row counts and the non-null count of each
     column accumulate on the reader while it is consumed. Each mapped
     column of a block is converted as one list by _column_converter: one
@@ -282,10 +283,9 @@ class RegistryReader:
     error of a one-cell column gives its cell's ParseIssue. Region ids are
     kept as one string per distinct id. Memory holds one block, the
     distinct region ids and every ParseIssue, so it is not bounded by one
-    block. Since every cell is checked and the column mapping only targets
-    fields the technology carries, a block meets UnitRecord's invariants,
-    and records are built by checked_records, without
-    UnitRecord.__post_init__; only rows of the wrong width are rejected.
+    block. Every cell is checked and the column mapping only targets
+    fields the technology carries, so a block meets UnitRecord's
+    invariants and only rows of the wrong width are rejected.
     With dso_only, a row whose grid operator inspection is not true is
     read for its cell issues but neither counted nor yielded. Tables are
     read as UTF-8; a leading byte-order mark is dropped. A header that
@@ -326,10 +326,10 @@ class RegistryReader:
         return {name: self._counts[FIELD_POS[name]] for name in columns_for(self.technology)}
 
     def __iter__(self) -> Iterator[UnitRecord]:
-        from .model import checked_records  # built on first use, see model
+        from .model import UnitRecord  # built on first use, see model
 
         for _, columns in self.blocks():
-            yield from checked_records(columns)
+            yield from map(UnitRecord, *columns)
 
     def blocks(self) -> Iterator[tuple[int, list[list]]]:
         """The table's kept rows as (row count, columns) blocks, in file
@@ -497,13 +497,14 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
     """Load a GeoJSON FeatureCollection of administrative polygons.
 
     Multipolygon features become multiple polygon parts under one region
-    id, named by the feature's `name` property. Duplicate region ids, missing region keys, unclosed rings,
-    coordinates that are not JSON numbers, vertices that are not finite or lie outside WGS84 bounds,
-    non-polygon geometries and ring edges across the antimeridian are fatal.
+    id, named by the feature's `name` property. A region key is a JSON string or integer (not a boolean). Missing
+    region keys or ones of any other JSON type, duplicate region ids, unclosed rings, coordinates that are not JSON
+    numbers, vertices that are not finite or lie outside WGS84 bounds, non-polygon geometries and ring edges across
+    the antimeridian are fatal.
     """
     if level not in DEFAULT_REGION_KEYS:
         raise IngestError(f"unknown boundary level {level!r}")
-    key = region_key or DEFAULT_REGION_KEYS[level]
+    key = DEFAULT_REGION_KEYS[level] if region_key is None else region_key
     path = Path(path)
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -519,9 +520,12 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
         props = (feature.get("properties") or {}) if isinstance(feature, dict) else None
         if not isinstance(props, dict):
             raise IngestError(f"{path}: feature {idx} or its properties is not an object")
-        if key not in props or props[key] in (None, ""):
+        region_id = props.get(key)
+        if region_id in (None, ""):
             raise IngestError(f"{path}: feature {idx} has no region-key property {key!r}")
-        region_id = str(props[key])
+        if isinstance(region_id, bool) or not isinstance(region_id, (str, int)):
+            raise IngestError(f"{path}: feature {idx}: region key {key!r} is not a string or an integer: {region_id!r}")
+        region_id = str(region_id)
         if region_id in regions:
             raise IngestError(f"{path}: duplicate region key {region_id!r} at feature {idx}")
         geometry = feature.get("geometry")

@@ -9,20 +9,20 @@ FailureSet) are defined here too.
 RECORD_TABLE states each record field once: its name, its type, its
 column in the standard export and the technologies that carry it.
 FIELD_TYPES, RECORD_FIELDS, FIELD_POS, SPECIFIC_FIELDS, RAW_COLUMNS and
-columns_for all read it. UnitRecord, a dataclass, and checked_records are
-built from the table on first access (PEP 562 module __getattr__):
-validate and report build no record, so neither imports dataclasses.
+columns_for all read it. UnitRecord, a slotted dataclass, is built from
+the table on first access (PEP 562 module __getattr__): validate and
+report build no record, so neither imports dataclasses. Every record,
+the reader's included, is built by UnitRecord's own __init__ and passes
+its checks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from enum import Enum
 from functools import cache
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class Technology(str, Enum):
@@ -174,25 +174,19 @@ def _check_record(record) -> None:
 
 _UNIT_RECORD_DOC = """One registry unit after transformation to the common data model.
 
-    Construction (UnitRecord(...), dataclasses.replace) enforces the
-    structural invariants: field applicability per technology, coordinate
-    bounds, non-negative finite quantities. Semantic plausibility is the
-    rule engine's job, not the schema's. Records are mutable, so not
-    hashable; an assignment is not checked.
+    Every construction (UnitRecord(...), dataclasses.replace, iterating a
+    RegistryReader) enforces the structural invariants: field
+    applicability per technology, coordinate bounds, non-negative finite
+    quantities. Semantic plausibility is the rule engine's job, not the
+    schema's. Records are mutable, so not hashable; an assignment is not
+    checked.
     """
 
 
 def __getattr__(name: str):
-    """UnitRecord and checked_records, built from RECORD_TABLE on first
-    access and kept as module attributes.
-
-    UnitRecord is a dataclass over a store-only parent, a slotted
-    dataclass with one slot per field whose generated __init__ only
-    stores its arguments; UnitRecord adds __post_init__'s checks, and
-    __slots__ = () (dataclass(slots=True) would give each field a second
-    slot here on Python 3.10).
-    """
-    if name not in ("UnitRecord", "checked_records"):
+    """UnitRecord, a slotted dataclass built from RECORD_TABLE on first
+    access and kept as a module attribute."""
+    if name != "UnitRecord":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from dataclasses import field, make_dataclass
 
@@ -200,34 +194,8 @@ def __getattr__(name: str):
         (field_name, kind) if field_name == "technology" else (field_name, kind, field(default=None))
         for field_name, kind, *_ in RECORD_TABLE
     ]
-    store = make_dataclass("_RecordFields", spec, namespace={"__module__": __name__}, slots=True, repr=False, eq=False)
-    record_class = make_dataclass(
-        "UnitRecord",
-        [],
-        bases=(store,),
-        namespace={
-            "__module__": __name__, "__doc__": _UNIT_RECORD_DOC, "__slots__": (), "__post_init__": _check_record
-        },
-    )
-    store_fields = store.__init__
-
-    def checked_records(columns: Sequence[list]) -> list[UnitRecord]:
-        """UnitRecords from columns of field values, one column per field in
-        RECORD_FIELDS order, each record stored by the parent's __init__
-        without running UnitRecord.__post_init__.
-
-        Only for values that already meet what __post_init__ checks: a
-        Technology, no value in a field the technology does not carry
-        (SPECIFIC_FIELDS), value_problem None for every present value, and
-        text stripped and not blank. Ingest meets it a column at a time; the
-        plain slot stores cost about an eighth of a checked construction, and
-        one map over the columns builds no row tuple.
-        """
-        records = list(map(object.__new__, repeat(record_class, len(columns[0]))))
-        deque(map(store_fields, records, *columns), maxlen=0)
-        return records
-
-    globals().update(UnitRecord=record_class, checked_records=checked_records)
+    namespace = {"__module__": __name__, "__doc__": _UNIT_RECORD_DOC, "__post_init__": _check_record}
+    globals()[name] = make_dataclass(name, spec, namespace=namespace, slots=True)
     return globals()[name]
 
 

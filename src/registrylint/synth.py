@@ -25,7 +25,7 @@ from .geo import (
     boundary_clearance_m,
     point_in_region,
 )
-from .model import Technology, UnitRecord
+from .model import POWER_FIELD, Technology, UnitRecord
 from .rules import Boundaries, ConfigError, RuleConfig
 
 SNAPSHOT_DATE = date(2024, 6, 1)
@@ -456,9 +456,7 @@ def _mut_null_required_field(record, rng, spec, config, boundaries):
     choices = ["municipality_id", "operating_status", "power"]
     name = rng.choice(choices)
     if name == "power":
-        if record.technology in (Technology.SOLAR, Technology.STORAGE):
-            return replace(record, power_net_kw=None), {1}
-        return replace(record, power_kw=None), {1}
+        name = POWER_FIELD[record.technology]
     return replace(record, **{name: None}), {1}
 
 

@@ -578,6 +578,8 @@ _BAD_CONFIGS = {
     "unknown-section": {"rule": {"buffer_m": 1500.0}},
     "unknown-csv-key": {"csv": {"delimeter": ";"}},
     "unknown-boundary-level": {"boundary_keys": {"county": "krs"}},
+    # A blank property name would read as the level's default key.
+    "empty-boundary-key": {"boundary_keys": {"district": ""}},
     # A unit factor scales quantities only; a year is not one.
     "factor-on-year": _wind_factor("installation_year", 1000.0),
     # A unit factor is a JSON number.
@@ -711,6 +713,15 @@ def small_run(tmp_path_factory) -> Path:
     return root
 
 
+# Region keys of a JSON type other than a string or an integer.
+_BAD_REGION_KEYS = {
+    "geojson-array-key": [1],
+    "geojson-object-key": {"ags": 1},
+    "geojson-bool-key": True,
+    "geojson-fraction-key": 10001.5,
+}
+
+
 def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     """Write one malformed input under `work`; return the CLI arguments that read it."""
     src = root / "in"
@@ -742,6 +753,8 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         elif case == "geojson-string-position":
             ring = payload["features"][2]["geometry"]["coordinates"][0]
             ring[:] = [[str(lon), str(lat)] for lon, lat in ring]
+        elif case in _BAD_REGION_KEYS:
+            payload["features"][2]["properties"]["ags"] = _BAD_REGION_KEYS[case]
         elif case == "geojson-bool-position":
             payload["features"][2]["geometry"]["coordinates"][0][1] = [True, True]
         elif case == "geojson-antimeridian-edge":
@@ -804,7 +817,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     [*_BAD_CONFIGS, "config-nested-too-deeply", "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "geojson-huge-coordinate",
      "geojson-object-position", "geojson-string-position", "geojson-bool-position", "geojson-nested-too-deeply",
-     "geojson-antimeridian-edge",
+     "geojson-antimeridian-edge", *_BAD_REGION_KEYS,
      "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
      "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
      *_BAD_SUMMARY_VALUES, "report-mixed-bin-widths", *_BAD_HISTOGRAM_ARGS],

@@ -23,7 +23,7 @@ from registrylint.ingest import (
     write_boundaries_geojson,
     write_registry_csv,
 )
-from registrylint.model import FIELD_TYPES, Technology, UnitRecord, columns_for
+from registrylint.model import FIELD_POS, FIELD_TYPES, Technology, UnitRecord, columns_for
 from registrylint.rules import RuleConfig, fields_read
 from registrylint.synth import generate_clean, make_boundary_grid
 
@@ -166,8 +166,18 @@ class TestParseRegistry:
         assert result.records[0].power_kw is None
         assert result.issues[0].reason == "negative value"
 
+    def test_iterating_the_reader_runs_the_record_checks(self, tmp_path, monkeypatch):
+        # With the column check made to pass every value, a negative power
+        # reaches the block, and building its record refuses it.
+        monkeypatch.setattr("registrylint.ingest.value_problem", lambda name, value: None)
+        path = make_csv(tmp_path / "wind.csv", Technology.WIND, [{"mastr id": "SEE900000000001", "power": "-3"}])
+        ((rows, columns),) = RegistryReader(path, Technology.WIND).blocks()
+        assert (rows, columns[FIELD_POS["power_kw"]]) == (1, [-3.0])
+        with pytest.raises(ValueError, match="'power_kw' must be non-negative"):
+            list(RegistryReader(path, Technology.WIND))
+
     def test_parsed_records_meet_the_record_invariants(self, tmp_path):
-        # Ingest builds records without UnitRecord's checks; replace() runs them.
+        # replace() runs UnitRecord's checks again on each record read.
         entries = {
             **default_mapping().entries,
             Technology.WIND: tuple(
@@ -209,8 +219,8 @@ class TestParseRegistry:
         assert [(i.line, i.field, i.value) for i in result.issues] == [(4, "power_kw", "zwei")]
 
     def test_technology_must_be_the_enum(self, tmp_path):
-        # Records skip UnitRecord's checks, so the reader checks the one
-        # value that does not come from a cell.
+        # blocks() builds no record, so the reader checks the one value
+        # that does not come from a cell.
         with pytest.raises(TypeError, match="Technology"):
             RegistryReader(tmp_path / "wind.csv", "wind")
 
@@ -403,7 +413,7 @@ class TestRoundTrip:
         records_in=st.lists(records(), max_size=12),
         block_rows=st.integers(min_value=1, max_value=RegistryReader.BLOCK_ROWS),
     )
-    def test_tables_read_back_checked_records_and_their_counts(self, records_in, block_rows, tmp_path_factory):
+    def test_tables_read_back_as_records_and_their_counts(self, records_in, block_rows, tmp_path_factory):
         folder = tmp_path_factory.mktemp("tables")
         for tech in Technology:
             written = [r for r in records_in if r.technology is tech]
@@ -960,6 +970,22 @@ class TestParseBoundaries:
         path = self._write(tmp_path / "districts.geojson", [feature, feature])
         with pytest.raises(IngestError, match="duplicate region key"):
             parse_boundaries(path, "district")
+
+    def test_region_key_is_a_string_or_an_integer(self, tmp_path):
+        def feature(key):
+            return {
+                "type": "Feature",
+                "properties": {"krs": key},
+                "geometry": {"type": "Polygon", "coordinates": [self._square(10.0, 48.0)]},
+            }
+
+        path = self._write(tmp_path / "districts.geojson", [feature(10001)])
+        assert list(parse_boundaries(path, "district").regions) == ["10001"]
+        # Any other value would be a region id that no unit carries.
+        for key in ([1], {"krs": 1}, True, 10001.5):
+            path = self._write(tmp_path / "districts.geojson", [feature("10002"), feature(key)])
+            with pytest.raises(IngestError, match=r"districts\.geojson: feature 1: region key 'krs' is not a string"):
+                parse_boundaries(path, "district")
 
     def test_unclosed_ring_fatal_with_feature_index(self, tmp_path):
         ring = self._square(10.0, 48.0)[:-1]

@@ -331,15 +331,14 @@ def test_process_entry_writes_the_pinned_bytes(tmp_path):
 
 
 def test_validate_builds_no_unit_record(tmp_path, monkeypatch):
-    # The reader's blocks go to the suite as columns: with record building
-    # and UnitRecord's checks both made to raise, validate writes the same
-    # bytes. The reader looks checked_records up in model when iterated.
+    # The reader's blocks go to the suite as columns: with UnitRecord's
+    # checks, which every construction runs, made to raise, validate writes
+    # the same bytes.
     fixture = _reference_fixture(tmp_path)
 
     def no_records(*args, **kwargs):
         raise AssertionError("validate built a UnitRecord")
 
-    monkeypatch.setattr("registrylint.model.checked_records", no_records)
     monkeypatch.setattr(UnitRecord, "__post_init__", no_records)
     out = _validate(fixture, tmp_path / "out")
     assert _digests(out, _VALIDATE_DIGESTS) == _VALIDATE_DIGESTS
