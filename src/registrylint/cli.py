@@ -132,6 +132,10 @@ def cmd_validate(args) -> tuple[int, dict]:
         missing = fields_read(rule_config, tech) - mapping.fields_given(tech)
         if missing:
             raise ConfigError(f"mapping for {tech.value} misses test-required fields: {', '.join(sorted(missing))}")
+    # --dso-only keeps only the rows whose DSO column reads true, so without one it would keep no row.
+    unmapped = [tech.value for tech in inputs if "grid_operator_inspection" not in mapping.fields_given(tech)]
+    if args.dso_only and unmapped:
+        raise ConfigError(f"--dso-only needs grid_operator_inspection mapped for {', '.join(unmapped)}")
 
     delimiter = file_cfg.get("csv", {}).get("delimiter", ",")
     readers = [

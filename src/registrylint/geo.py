@@ -83,23 +83,20 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def _check_ring(ring: Ring, where: str) -> Ring:
+def _check_ring(ring: Ring, where: str) -> float:
+    """Check a ring and return its planar shoelace area in lat/lon space,
+    which is only used to detect degeneracy. The ring is closed, so the
+    first ends of its edges are all of its vertices."""
     if len(ring) < 4:
         raise GeometryError(f"ring with fewer than 4 vertices in {where}")
     if ring[0] != ring[-1]:
         raise GeometryError(f"unclosed ring in {where}")
-    # Comparisons with NaN are false, so this also rejects non-finite values.
-    for lat, lon in ring:
+    total = 0.0
+    for (lat, lon), (lat2, lon2) in zip(ring, ring[1:]):
+        # Comparisons with NaN are false, so this also rejects non-finite values.
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise GeometryError(f"vertex at lat {lat!r}, lon {lon!r} outside WGS84 bounds in {where}")
-    return ring
-
-
-def _ring_area_deg2(ring: Ring) -> float:
-    # Planar shoelace in lat/lon space; only used to detect degeneracy.
-    total = 0.0
-    for (lat1, lon1), (lat2, lon2) in zip(ring, ring[1:]):
-        total += lon1 * lat2 - lon2 * lat1
+        total += lon * lat2 - lon2 * lat
     return abs(total) / 2.0
 
 
@@ -124,10 +121,9 @@ class Region:
             raise GeometryError(f"region {region_id!r} has no polygons")
         area = 0.0
         for poly in polygons:
-            _check_ring(poly.outer, f"region {region_id!r}")
+            area += _check_ring(poly.outer, f"region {region_id!r}")
             for hole in poly.holes:
                 _check_ring(hole, f"region {region_id!r}")
-            area += _ring_area_deg2(poly.outer)
         if area == 0.0:
             raise GeometryError(f"degenerate (zero-area) polygon for region {region_id!r}")
         self.region_id = region_id

@@ -497,10 +497,10 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
     """Load a GeoJSON FeatureCollection of administrative polygons.
 
     Multipolygon features become multiple polygon parts under one region
-    id, named by the feature's `name` property. A region key is a JSON string or integer (not a boolean). Missing
-    region keys or ones of any other JSON type, duplicate region ids, unclosed rings, coordinates that are not JSON
-    numbers, vertices that are not finite or lie outside WGS84 bounds, non-polygon geometries and ring edges across
-    the antimeridian are fatal.
+    id, named by the feature's `name` property. A region key is a JSON string, stripped as the reader strips an id
+    cell, or an integer (not a boolean). Missing or blank region keys or ones of any other JSON type, duplicate
+    region ids, unclosed rings, coordinates that are not JSON numbers, vertices that are not finite or lie outside
+    WGS84 bounds, non-polygon geometries and ring edges across the antimeridian are fatal.
     """
     if level not in DEFAULT_REGION_KEYS:
         raise IngestError(f"unknown boundary level {level!r}")
@@ -521,6 +521,8 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
         if not isinstance(props, dict):
             raise IngestError(f"{path}: feature {idx} or its properties is not an object")
         region_id = props.get(key)
+        if isinstance(region_id, str):  # stripped as the reader strips an id cell
+            region_id = region_id.strip()
         if region_id in (None, ""):
             raise IngestError(f"{path}: feature {idx} has no region-key property {key!r}")
         if isinstance(region_id, bool) or not isinstance(region_id, (str, int)):

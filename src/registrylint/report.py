@@ -5,9 +5,9 @@ a DSO-verified-subset variant of everything), column completeness, and
 distance-to-boundary histograms for location failures. build_report
 returns them as the summary.json document, a dict of JSON values, and
 export renders every summary file from that one document, and streams
-the failure files line by line. Every CSV file is written as _write_csv
-writes it, where a null is an empty cell and a float its repr. Exports are
-deterministic: identical inputs produce byte-identical files.
+the failure files line by line. Every CSV file holds the bytes that
+csv.writer writes, where a null is an empty cell and a float its repr.
+Exports are deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -293,27 +293,14 @@ def failure_from_json(payload: dict) -> FailureRecord:
     return FailureRecord(unit_id, tech, *context, tuple(failed))
 
 
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _json_scalar(value) -> str:
-    """value as json.dumps(value, ensure_ascii=False) writes a null, a
-    boolean, a string or a number: with json's own string encoder, and
-    int's or float's repr, NaN and Infinity spelled as json spells them."""
-    if value.__class__ is str:  # the common case first
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    """value as json.dumps(value, ensure_ascii=False) writes it: json's
+    own encoder renders it, or refuses it with json's TypeError. A null,
+    the most common such value, needs no encoder."""
+    return "null" if value is None else _encode_json(value)
 
 
 # A failure line's constant text from the unit id to the power, per technology.
@@ -337,9 +324,9 @@ def _failure_line(fr: FailureRecord) -> str:
     what json.dumps(..., ensure_ascii=False) writes of the object with the
     keys of _FAILURE_TYPES and "tests", each test with the keys of
     _TEST_TYPES, and a newline. It is rendered value by value, without a
-    dict or a JSONEncoder: text with json's string encoder, an int's or a
-    finite float's repr by formatting, the technology with the constant
-    text around it, and any other value by _json_scalar."""
+    dict: text with json's string encoder, an int's or a finite float's
+    repr by formatting, the technology with the constant text around it,
+    and any other value by _json_scalar."""
     j, text = _json_scalar, encode_basestring
     unit_id, technology, power, district, municipality, dso, failed = fr
     tests = _test_json(failed[0]) if len(failed) == 1 else ", ".join(map(_test_json, failed))
@@ -352,19 +339,13 @@ def _failure_line(fr: FailureRecord) -> str:
     )
 
 
-def _write_csv(handle: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV file's rows as they come: csv writes None as an empty
-    cell and a float as its repr, the shortest text that reads back to the
-    same float."""
-    writer = csv.writer(handle, lineterminator="\n")
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV file's text: csv writes None as an empty cell and a float as
+    its repr, the shortest text that reads back to the same float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV file's text, as _write_csv writes it."""
-    buf = io.StringIO()
-    _write_csv(buf, header, rows)
     return buf.getvalue()
 
 
@@ -374,25 +355,10 @@ _FAILURES_CSV_HEADER = (
 )
 
 
-def _failure_rows(failures: Iterable[FailureRecord]) -> Iterable[tuple]:
-    """The failures.csv rows, one per failure; a unit's tests are joined
-    by ";" in each test column, and a one-test failure's values need no join."""
-    for unit_id, technology, power, district, municipality, _, failed in failures:
-        if len(failed) == 1:
-            (test_id, detail, measured, unit), = failed
-            tests = (str(test_id), detail, "" if measured is None else repr(measured), unit or "")
-        else:
-            tests = (
-                ";".join([str(o.test_id) for o in failed]),
-                ";".join([o.detail for o in failed]),
-                ";".join(["" if o.measured is None else repr(o.measured) for o in failed]),
-                ";".join([o.measured_unit or "" for o in failed]),
-            )
-        yield (unit_id, _TECHNOLOGY_NAMES[technology], *tests, power, district, municipality)
-
-
 def _write_failures_csv(handle: IO[str], failures: Iterable[FailureRecord]) -> None:
-    """failures.csv, the bytes _write_csv writes of the _failure_rows.
+    """failures.csv, the bytes csv.writer writes of one row per failure,
+    in _FAILURES_CSV_HEADER's columns; a unit's tests are joined by ";" in
+    each test column, and a one-test failure's values need no join.
 
     A row is rendered here when its text holds no quote, CR, LF or NUL
     (whose handling differs between Python versions' csv modules) and no
@@ -403,8 +369,16 @@ def _write_failures_csv(handle: IO[str], failures: Iterable[FailureRecord]) -> N
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(_FAILURES_CSV_HEADER)
     write = handle.write
-    for row in _failure_rows(failures):
-        unit_id, technology, test_ids, detail, measured, unit, power, district, municipality = row
+    for unit_id, technology, power, district, municipality, _, failed in failures:
+        if len(failed) == 1:
+            (test_id, detail, measured, unit), = failed
+            test_ids, measured, unit = str(test_id), "" if measured is None else repr(measured), unit or ""
+        else:
+            test_ids = ";".join([str(o.test_id) for o in failed])
+            detail = ";".join([o.detail for o in failed])
+            measured = ";".join(["" if o.measured is None else repr(o.measured) for o in failed])
+            unit = ";".join([o.measured_unit or "" for o in failed])
+        technology = _TECHNOLOGY_NAMES[technology]
         head = f'{"" if unit_id is None else unit_id},{technology},{test_ids}'
         tail = (
             f'{measured},{unit},{"" if power is None else power},'
@@ -415,7 +389,7 @@ def _write_failures_csv(handle: IO[str], failures: Iterable[FailureRecord]) -> N
             detail.__class__ is not str or head.count(",") != 2 or tail.count(",") != 4
             or '"' in line or "\r" in line or "\n" in line or "\0" in line
         ):
-            writer.writerow(row)
+            writer.writerow((unit_id, technology, test_ids, detail, measured, unit, power, district, municipality))
         elif "," in detail:
             write(f'{head},"{detail}",{tail}\n')
         else:

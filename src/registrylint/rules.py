@@ -234,34 +234,27 @@ def _required_fields(config, tech, boundaries, fail):
     return check
 
 
-def _gross_vs_net(config, tech, boundaries, fail):
-    """Test 3: gross power must be at least net power."""
-    columns = _columns("power_gross_kw", "power_net_kw")
+def _at_least_net(power_field: str, word: str):
+    """Tests 3 and 4: the power of power_field, named word in the detail,
+    must be at least net power."""
+    columns = _columns(power_field, "power_net_kw")
 
-    def check(block):
-        return [
-            fail(f"gross power {gross} kW below net power {net} kW", net - gross)
-            if gross is not None and net is not None and gross < net
-            else None
-            for gross, net in zip(*columns(block))
-        ]
+    def compile_at_least_net(config, tech, boundaries, fail):
+        def check(block):
+            return [
+                fail(f"{word} power {power} kW below net power {net} kW", net - power)
+                if power is not None and net is not None and power < net
+                else None
+                for power, net in zip(*columns(block))
+            ]
 
-    return check
+        return check
+
+    return compile_at_least_net
 
 
-def _inverter_vs_net(config, tech, boundaries, fail):
-    """Test 4: inverter power must be at least net power."""
-    columns = _columns("power_inverter_kw", "power_net_kw")
-
-    def check(block):
-        return [
-            fail(f"inverter power {inverter} kW below net power {net} kW", net - inverter)
-            if inverter is not None and net is not None and inverter < net
-            else None
-            for inverter, net in zip(*columns(block))
-        ]
-
-    return check
+_gross_vs_net = _at_least_net("power_gross_kw", "gross")
+_inverter_vs_net = _at_least_net("power_inverter_kw", "inverter")
 
 
 def _id_formats(config, tech, boundaries, fail):

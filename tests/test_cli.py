@@ -257,6 +257,24 @@ class TestValidateCommand:
         assert "wind" in error and "power_gross_kw" in error
         assert not (out / "failures.csv").exists()
 
+    def test_dso_only_without_the_dso_column_mapped_exits_two(self, synth_dir, tmp_path, capsys):
+        # --dso-only keeps the rows whose DSO column reads true; unmapped, it would keep none and run clean.
+        wind_entries = [
+            [e.raw, e.field] for e in default_mapping().for_technology(Technology.WIND)
+            if e.field != "grid_operator_inspection"
+        ]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mapping": {"wind": wind_entries}}))
+        assert main(_validate_args(synth_dir, tmp_path / "all", "--config", str(cfg))) == EXIT_FAILURES
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(_validate_args(synth_dir, out, "--config", str(cfg), "--dso-only")) == EXIT_FATAL
+        captured = capsys.readouterr()
+        (line,) = captured.out.strip().splitlines()
+        error = json.loads(line)["error"]
+        assert "--dso-only" in error and "grid_operator_inspection" in error and "wind" in error
+        assert "reading" not in captured.err and not out.exists()
+
     @pytest.mark.parametrize("delimiter", [";;", '"', "\n"], ids=["two-chars", "quote", "newline"])
     def test_unusable_delimiter_exits_two(self, synth_dir, tmp_path, capsys, delimiter):
         cfg = tmp_path / "run.json"
@@ -350,12 +368,11 @@ class TestReportCommand:
         main(_validate_args(synth_dir, out))
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
-        def refusing(handle, header, rows):
+        def refusing(header, rows):
             # What Python 3.10's csv.writer raises for a NUL in a cell.
-            handle.write(",".join(header))
             raise csv.Error("need to escape, but no escapechar set")
 
-        monkeypatch.setattr(report, "_write_csv", refusing)
+        monkeypatch.setattr(report, "_csv", refusing)
         assert main(["report", "--out", str(out)]) == EXIT_FATAL
         # completeness.csv is the first CSV file that report writes.
         assert f"{out / 'completeness.csv'}: cannot write a value as CSV" in capsys.readouterr().err

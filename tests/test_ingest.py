@@ -971,21 +971,38 @@ class TestParseBoundaries:
         with pytest.raises(IngestError, match="duplicate region key"):
             parse_boundaries(path, "district")
 
-    def test_region_key_is_a_string_or_an_integer(self, tmp_path):
-        def feature(key):
-            return {
-                "type": "Feature",
-                "properties": {"krs": key},
-                "geometry": {"type": "Polygon", "coordinates": [self._square(10.0, 48.0)]},
-            }
+    def _keyed(self, key):
+        """A square district feature whose krs property is key."""
+        return {
+            "type": "Feature",
+            "properties": {"krs": key},
+            "geometry": {"type": "Polygon", "coordinates": [self._square(10.0, 48.0)]},
+        }
 
-        path = self._write(tmp_path / "districts.geojson", [feature(10001)])
+    def test_region_key_is_a_string_or_an_integer(self, tmp_path):
+        path = self._write(tmp_path / "districts.geojson", [self._keyed(10001)])
         assert list(parse_boundaries(path, "district").regions) == ["10001"]
         # Any other value would be a region id that no unit carries.
         for key in ([1], {"krs": 1}, True, 10001.5):
-            path = self._write(tmp_path / "districts.geojson", [feature("10002"), feature(key)])
+            path = self._write(tmp_path / "districts.geojson", [self._keyed("10002"), self._keyed(key)])
             with pytest.raises(IngestError, match=r"districts\.geojson: feature 1: region key 'krs' is not a string"):
                 parse_boundaries(path, "district")
+
+    def test_padded_region_key_is_stripped_as_an_id_cell_is(self, tmp_path):
+        # The reader strips every id cell, so a padded key kept as written would be a region no unit carries.
+        path = self._write(tmp_path / "districts.geojson", [self._keyed(" 10001\t")])
+        region = parse_boundaries(path, "district").regions["10001"]
+        assert (region.region_id, region.name) == ("10001", "10001")
+
+    def test_whitespace_only_region_key_is_missing(self, tmp_path):
+        path = self._write(tmp_path / "districts.geojson", [self._keyed("10001"), self._keyed(" \t ")])
+        with pytest.raises(IngestError, match=r"feature 1 has no region-key property 'krs'"):
+            parse_boundaries(path, "district")
+
+    def test_keys_that_differ_only_by_padding_are_duplicates(self, tmp_path):
+        path = self._write(tmp_path / "districts.geojson", [self._keyed("10001"), self._keyed(" 10001 ")])
+        with pytest.raises(IngestError, match=r"duplicate region key '10001' at feature 1"):
+            parse_boundaries(path, "district")
 
     def test_unclosed_ring_fatal_with_feature_index(self, tmp_path):
         ring = self._square(10.0, 48.0)[:-1]

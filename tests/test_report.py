@@ -449,6 +449,11 @@ class TestStreamedFailureFiles:
 
     @settings(max_examples=300, deadline=None)
     @given(fr=_failure_records)
+    # Values that validate never writes, which json.dumps renders all the same.
+    @example(fr=_location_failure("SEE900000000007", 12_345.6)._replace(unit_id=["SEE", 7]))
+    @example(
+        fr=_location_failure("SEE900000000007", 0.0)._replace(failed=(RuleOutcome(10, "outside", {"m": [1.5]}, "m"),))
+    )
     def test_ndjson_line_is_json_dumps(self, fr):
         assert _failure_line(fr) == json.dumps(failure_to_json(fr), ensure_ascii=False) + "\n"
 
