@@ -40,9 +40,12 @@ class CatalogTest(NamedTuple):
 
     @property
     def compile(self) -> Callable | None:
-        """compile(config, technology, boundaries, fail) returns the test's
-        check for blocks of one technology, or None when the test cannot
-        run on these inputs (no boundaries for a location test)."""
+        """compile(config, technology, boundaries, fail, columns) returns
+        the test's check for blocks of one technology, or None when the
+        test cannot run on these inputs (no boundaries for a location
+        test). columns gets a block's columns of the fields the row reads,
+        "power" being the technology's rated power (None for a row that
+        reads none): a check reads exactly the columns its row names."""
         if self.compiler is None:
             return None
         from . import rules

@@ -422,10 +422,10 @@ class RegistryReader:
                 values = iter(values)
                 values = [next(values) if text else None for text in texts]
             slots[pos] = values
-        # A municipality id of eight digits gives a missing district id.
+        # A municipality id of eight ASCII digits gives a missing district id.
         slots[_DISTRICT_POS] = districts = [
             intern(mid[:5], mid[:5])
-            if district is None and mid is not None and len(mid) == 8 and mid.isdigit()
+            if district is None and mid is not None and len(mid) == 8 and mid.isascii() and mid.isdigit()
             else district
             for district, mid in zip(slots[_DISTRICT_POS], slots[_MUNICIPALITY_POS])
         ]
@@ -496,6 +496,7 @@ _AS_FLOAT = {int: float, float: float}
 def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = None) -> BoundarySet:
     """Load a GeoJSON FeatureCollection of administrative polygons.
 
+    The collection must hold a `features` array with at least one feature.
     Multipolygon features become multiple polygon parts under one region
     id, named by the feature's `name` property. A region key is a JSON string, stripped as the reader strips an id
     cell, or an integer (not a boolean). Missing or blank region keys or ones of any other JSON type, duplicate
@@ -511,9 +512,11 @@ def parse_boundaries(path: str | Path, level: str, *, region_key: str | None = N
             payload = json.load(handle)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise IngestError(f"{path}: not a GeoJSON file: {exc}") from None
-    features = payload.get("features", []) if isinstance(payload, dict) else None
+    features = payload.get("features") if isinstance(payload, dict) else None
     if not isinstance(features, list) or payload.get("type") != "FeatureCollection":
         raise IngestError(f"{path}: expected a GeoJSON FeatureCollection")
+    if not features:
+        raise IngestError(f"{path}: the FeatureCollection holds no features, so it locates no unit")
 
     regions: dict[str, Region] = {}
     for idx, feature in enumerate(features):

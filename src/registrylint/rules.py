@@ -11,10 +11,12 @@ Each test's row (id, fields read, unit, and the name of the function
 here that compiles its check) lives in catalog.CATALOG, the only
 definition of the tests and of the fields they read. The suite loop,
 the matrix and the fields a run's column mapping must give all follow
-from it. Checks run a block at a time: a block holds rows of
-one technology as columns, one per record field, and a check is a pure
-function of a block that gives one result per row. The suite
-(run_blocks) takes the reader's blocks as they come, and run_suite
+from it. A compiler gets the getter of the columns its row reads, so a
+check reads exactly the columns its row names (test 1 names none and
+reads the configured required fields). Checks run a block at a time: a
+block holds rows of one technology as columns, one per record field,
+and a check is a pure function of a block that gives one result per
+row. run_blocks takes the reader's blocks as they come, and run_suite
 groups records into blocks. Uniqueness is the one suite-level test.
 """
 
@@ -217,7 +219,7 @@ def _columns(*names: str) -> Callable[[Sequence[Sequence]], tuple | Sequence]:
     return itemgetter(*(FIELD_POS[name] for name in names))
 
 
-def _required_fields(config, tech, boundaries, fail):
+def _required_fields(config, tech, boundaries, fail, columns):
     """Test 1: required fields must not be null ("power" is the rated power)."""
     names = config.required_fields
     positions = [FIELD_POS[field_of(name, tech)] for name in names]
@@ -234,12 +236,11 @@ def _required_fields(config, tech, boundaries, fail):
     return check
 
 
-def _at_least_net(power_field: str, word: str):
-    """Tests 3 and 4: the power of power_field, named word in the detail,
-    must be at least net power."""
-    columns = _columns(power_field, "power_net_kw")
+def _at_least_net(word: str):
+    """Tests 3 and 4: the power the row reads first, named word in the
+    detail, must be at least net power."""
 
-    def compile_at_least_net(config, tech, boundaries, fail):
+    def compile_at_least_net(config, tech, boundaries, fail, columns):
         def check(block):
             return [
                 fail(f"{word} power {power} kW below net power {net} kW", net - power)
@@ -253,17 +254,16 @@ def _at_least_net(power_field: str, word: str):
     return compile_at_least_net
 
 
-_gross_vs_net = _at_least_net("power_gross_kw", "gross")
-_inverter_vs_net = _at_least_net("power_inverter_kw", "inverter")
+_gross_vs_net = _at_least_net("gross")
+_inverter_vs_net = _at_least_net("inverter")
 
 
-def _id_formats(config, tech, boundaries, fail):
+def _id_formats(config, tech, boundaries, fail, columns):
     """Test 5: unit id, municipality id and zip code match their patterns;
     \\d and \\w match ASCII characters only."""
     unit_id_ok = re.compile(config.unit_id_pattern, re.ASCII).fullmatch
     municipality_id_ok = re.compile(config.municipality_id_pattern, re.ASCII).fullmatch
     zip_ok = re.compile(config.zip_pattern, re.ASCII).fullmatch
-    columns = _columns("unit_id", "municipality_id", "zip_code")
 
     def bad(*values):
         named = zip(("unit_id", "municipality_id", "zip_code"), values, (unit_id_ok, municipality_id_ok, zip_ok))
@@ -284,10 +284,9 @@ def _id_formats(config, tech, boundaries, fail):
     return check
 
 
-def _module_power(config, tech, boundaries, fail):
+def _module_power(config, tech, boundaries, fail, columns):
     """Test 6: gross power per module within the accepted range."""
     low, high = config.module_power_range_w
-    columns = _columns("power_gross_kw", "number_of_modules")
 
     # Each row's value is named by := in the condition, which is evaluated first.
     def check(block):
@@ -305,14 +304,13 @@ def _module_power(config, tech, boundaries, fail):
     return check
 
 
-def _inverter_ratio(config, tech, boundaries, fail):
+def _inverter_ratio(config, tech, boundaries, fail, columns):
     """Test 7: gross and inverter power may not differ by the mixup factor.
 
     Symmetric: the larger of the two ratios is compared, so the verdict
     does not depend on which of the fields carries the error.
     """
     factor = config.inverter_ratio_factor
-    columns = _columns("power_gross_kw", "power_inverter_kw")
 
     def check(block):
         return [
@@ -329,11 +327,10 @@ def _inverter_ratio(config, tech, boundaries, fail):
     return check
 
 
-def _area_density(config, tech, boundaries, fail):
+def _area_density(config, tech, boundaries, fail, columns):
     """Test 8: power density of ground-mounted PV within the accepted range."""
     ground_types = config.ground_unit_types
     low, high = config.area_density_range_mw_per_ha
-    columns = _columns("unit_type", "power_gross_kw", "area_ha")
 
     def check(block):
         return [
@@ -358,10 +355,9 @@ def _swept_area_m2(diameter: float) -> float:
         return math.inf
 
 
-def _rotor_power(config, tech, boundaries, fail):
+def _rotor_power(config, tech, boundaries, fail, columns):
     """Test 9: wind power per rotor swept area within the accepted range."""
     low, high = config.rotor_specific_power_range_w_per_m2
-    columns = _columns("power_kw", "rotor_diameter_m")
 
     def check(block):
         return [
@@ -380,20 +376,19 @@ def _rotor_power(config, tech, boundaries, fail):
     return check
 
 
-def _location(level_name: str, region_field: str):
-    """Tests 10 and 11: coordinates lie in the registered region of one
-    level, up to the configured buffer around its boundary.
+def _location(level_name: str):
+    """Tests 10 and 11: coordinates lie in the region of one level that the
+    row's region key names, up to the configured buffer around its boundary.
 
     geo.buffer_clearance_m gives the verdict, and the boundary clearance
     of a failing point, which is the failure's measured distance.
     """
 
-    def compile_location(config, tech, boundaries, fail):
+    def compile_location(config, tech, boundaries, fail, columns):
         level = getattr(boundaries, level_name)
         if level is None:
             return None
         region_of, buffer_m, name = level.regions.get, config.buffer_m, level.level
-        columns = _columns("coordinate", region_field)
 
         def check(block):
             coordinates, region_ids = columns(block)
@@ -413,49 +408,46 @@ def _location(level_name: str, region_field: str):
     return compile_location
 
 
-_district_location = _location("districts", "district_id")
-_municipality_location = _location("municipalities", "municipality_id")
+_district_location = _location("districts")
+_municipality_location = _location("municipalities")
 
 
-def _power_range(config, tech, boundaries, fail):
+def _power_range(config, tech, boundaries, fail, columns):
     """Test 12: rated power within the technology's plausible range.
 
     Lower bound exclusive (power must be positive), upper bound inclusive.
     """
     low_mw, high_mw = config.power_range_mw[tech]
     low_kw, high_kw = low_mw * 1000.0, high_mw * 1000.0
-    column = _columns(POWER_FIELD[tech])
 
     def check(block):
         return [
             None
             if power is None or low_kw < power <= high_kw
             else fail(f"power {power:g} kW outside ({low_mw:g} MW, {high_mw:g} MW]", power)
-            for power in column(block)
+            for power in columns(block)
         ]
 
     return check
 
 
-def _installation_year(config, tech, boundaries, fail):
+def _installation_year(config, tech, boundaries, fail, columns):
     """Test 13: installation year within the technology's accepted window."""
     low, high = config.year_min[tech], config.year_max
-    column = _columns("installation_year")
 
     def check(block):
         return [
             None
             if year is None or low <= year <= high
             else fail(f"installation year {year} outside [{low}, {high}]", float(year))
-            for year in column(block)
+            for year in columns(block)
         ]
 
     return check
 
 
-def _hub_height(config, tech, boundaries, fail):
+def _hub_height(config, tech, boundaries, fail, columns):
     """Test 14: hub height must not be below the rotor radius."""
-    columns = _columns("hub_height_m", "rotor_diameter_m")
 
     def check(block):
         return [
@@ -470,7 +462,7 @@ def _hub_height(config, tech, boundaries, fail):
     return check
 
 
-def _balcony_power(config, tech, boundaries, fail):
+def _balcony_power(config, tech, boundaries, fail, columns):
     """Test 15: balcony PV must stay small.
 
     Balcony-typed units: net power up to the legal limit plus tolerance.
@@ -480,7 +472,6 @@ def _balcony_power(config, tech, boundaries, fail):
     cap = config.balcony_limit_kw + config.balcony_tolerance_kw
     name_cap = config.balcony_name_limit_kw
     unit_types, keywords = config.balcony_unit_types, tuple(k.lower() for k in config.balcony_keywords)
-    columns = _columns("power_net_kw", "unit_type", "unit_name")
 
     def problems(net, unit_type, name):
         found = ()
@@ -524,7 +515,8 @@ def _compile(
         pairs = []
         for test in CATALOG:
             if test.compile is not None and tech in CHECKMARKS[test.test_id]:
-                check = test.compile(config, tech, boundaries, test.fail)
+                columns = _columns(*(field_of(name, tech) for name in test.reads)) if test.reads else None
+                check = test.compile(config, tech, boundaries, test.fail, columns)
                 if check is not None:
                     pairs.append((test, check))
                     evaluated.add(test.test_id)
@@ -532,8 +524,12 @@ def _compile(
     return checks, tuple(sorted(evaluated))
 
 
-# A row's key fields besides its unit id, technology and rated power (whose field differs by technology).
-_KEY_FIELDS = ("district_id", "municipality_id", "grid_operator_inspection")
+# Per technology, a row's key fields in FailureRecord's order: unit id,
+# technology, rated power, district and municipality ids, DSO flag.
+_KEY_FIELDS = {
+    tech: ("unit_id", "technology", POWER_FIELD[tech], "district_id", "municipality_id", "grid_operator_inspection")
+    for tech in Technology
+}
 
 
 def run_suite(
@@ -553,10 +549,7 @@ def run_suite(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = config or RuleConfig()
-    read = {
-        tech: tuple(fields_read(config, tech) | {"technology", "unit_id", POWER_FIELD[tech], *_KEY_FIELDS})
-        for tech in Technology
-    }
+    read = {tech: tuple(fields_read(config, tech).union(_KEY_FIELDS[tech])) for tech in Technology}
 
     def blocks():
         for tech, group in groupby(records, attrgetter("technology")):
@@ -589,8 +582,7 @@ def run_blocks(
     compiled, evaluated = _compile(config or RuleConfig(), Boundaries(*(boundaries or ())))
     # Per technology: its checks and the columns of its key fields.
     plans = {
-        tech: (tuple(check for _, check in pairs), _columns("unit_id", "technology", POWER_FIELD[tech], *_KEY_FIELDS))
-        for tech, pairs in compiled.items()
+        tech: (tuple(check for _, check in pairs), _columns(*_KEY_FIELDS[tech])) for tech, pairs in compiled.items()
     }
     totals: Counter[Technology] = Counter()
     dso_totals: Counter[Technology] = Counter()

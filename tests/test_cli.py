@@ -777,6 +777,10 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
         elif case == "geojson-antimeridian-edge":
             ring = [[179.9, -17.0], [-179.9, -17.0], [-179.9, -16.9], [179.9, -16.9], [179.9, -17.0]]
             payload["features"][2]["geometry"] = {"type": "Polygon", "coordinates": [ring]}
+        elif case == "geojson-no-features":
+            del payload["features"]
+        elif case == "geojson-empty-features":
+            payload["features"] = []
         elif case == "geojson-zero-area":
             # A region no record references, whose ring encloses no area.
             line = [[10.0, 50.0], [10.1, 50.1], [10.2, 50.2], [10.0, 50.0]]
@@ -834,7 +838,7 @@ def _malformed_case(case: str, root: Path, work: Path) -> list[str]:
     [*_BAD_CONFIGS, "config-nested-too-deeply", "latin-1", "oversize-cell", "geojson-syntax", "geojson-no-coordinates",
      "geojson-scalar-properties", "geojson-short-ring", "geojson-zero-area", "geojson-huge-coordinate",
      "geojson-object-position", "geojson-string-position", "geojson-bool-position", "geojson-nested-too-deeply",
-     "geojson-antimeridian-edge", *_BAD_REGION_KEYS,
+     "geojson-antimeridian-edge", "geojson-no-features", "geojson-empty-features", *_BAD_REGION_KEYS,
      "report-not-json", "report-not-utf8", "report-missing-keys", "report-line-nested-too-deeply",
      "report-summary-nested-too-deeply", "report-summary-without-per-technology", *_BAD_FAILURE_VALUES,
      *_BAD_SUMMARY_VALUES, "report-mixed-bin-widths", *_BAD_HISTOGRAM_ARGS],

@@ -100,6 +100,15 @@ class TestParseRegistry:
         # District key derives from the first five digits of the municipality key.
         assert record.district_id == "10001"
 
+    def test_district_id_derives_only_from_eight_ascii_digits(self, tmp_path):
+        # str.isdigit takes superscripts and other non-ASCII digits, which
+        # test 5's patterns do not; such a key names no district.
+        mids = ("10001003", "1000100\u00b2", "1000100\u0663", "1000100")
+        rows = [{"mastr id": f"SEE90000000000{i}", "municipality id": mid} for i, mid in enumerate(mids)]
+        path = make_csv(tmp_path / "wind.csv", Technology.WIND, rows)
+        districts = [record.district_id for record in read_table(path, Technology.WIND).records]
+        assert districts == ["10001", None, None, None]
+
     def test_empty_file_with_header(self, tmp_path):
         path = make_csv(tmp_path / "wind.csv", Technology.WIND, [])
         result = read_table(path, Technology.WIND)
@@ -993,6 +1002,18 @@ class TestParseBoundaries:
         path = self._write(tmp_path / "districts.geojson", [self._keyed(" 10001\t")])
         region = parse_boundaries(path, "district").regions["10001"]
         assert (region.region_id, region.name) == ("10001", "10001")
+
+    def test_a_collection_without_features_is_fatal(self, tmp_path):
+        # Either file would load as a level without regions, which locates no unit.
+        path = tmp_path / "districts.geojson"
+        for payload, message in (
+            ({"type": "FeatureCollection"}, "expected a GeoJSON FeatureCollection"),
+            ({"type": "FeatureCollection", "features": {}}, "expected a GeoJSON FeatureCollection"),
+            ({"type": "FeatureCollection", "features": []}, r"districts\.geojson: the FeatureCollection holds no"),
+        ):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(IngestError, match=message):
+                parse_boundaries(path, "district")
 
     def test_whitespace_only_region_key_is_missing(self, tmp_path):
         path = self._write(tmp_path / "districts.geojson", [self._keyed("10001"), self._keyed(" \t ")])

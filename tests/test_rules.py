@@ -76,7 +76,7 @@ class TestRequiredFields:
         config = RuleConfig(required_fields=())
         test = CATALOG[0]
         for tech in Technology:
-            check = test.compile(config, tech, Boundaries(), test.fail)
+            check = test.compile(config, tech, Boundaries(), test.fail, None)
             for count, block in RegistryReader(reference_tables / f"{tech.value}.csv", tech).blocks():
                 assert check(block) == [None] * count
 
@@ -584,19 +584,20 @@ class TestMatrix:
         assert fields_read(owner, Technology.WIND) == expected[Technology.WIND] - {"operating_status"} | {"owner_id"}
 
     def test_reads_name_every_field_a_check_reads(self, grid, config):
-        # Each applicable check runs on one-record blocks of clean and
-        # failing synth records; a spy logs every column it asks for. The
-        # reads of a row are exactly what its check reads.
+        # Each check the runner compiles runs on one-record blocks of clean
+        # and failing synth records; a spy logs every column it asks for.
+        # The reads of a row are exactly what its check reads.
         def resolve(names, tech):
             return {POWER_FIELD[tech] if name == "power" else name for name in names}
 
+        compiled, _ = _compile(config, grid)
         for tech in Technology:
             clean = generate_clean(tech, 40, 11, grid)
             dirty, _ = inject_errors(clean, ErrorInjectionSpec.uniform(1.0, tech, len(clean)), 11, boundaries=grid)
-            for test in CATALOG:
-                if test.compile is None or tech not in CHECKMARKS[test.test_id]:
-                    continue
-                check = test.compile(config, tech, grid, test.fail)
+            assert [test for test, _ in compiled[tech]] == [
+                test for test in CATALOG if test.compile is not None and tech in CHECKMARKS[test.test_id]
+            ]
+            for test, check in compiled[tech]:
                 declared = resolve(test.reads, tech)
                 if test.test_id == 1:
                     declared |= resolve(config.required_fields, tech)
